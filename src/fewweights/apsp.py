@@ -22,6 +22,7 @@ from .core import (
     NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    audit_distinct_weights,
     build_one_hop_matrix,
     saturating_add,
 )
@@ -616,7 +617,7 @@ def dweights_apsp(g, d=None, h=None, delta=None):
         raise TypeError("dweights_apsp expects an EdgeWeightedGraph")
     _validate_no_neg_inf(g)
     if d is not None:
-        max_in = max((g.in_distinct(v) for v in range(g.n)), default=0)
+        max_in = audit_distinct_weights(g)[1]
         if max_in > d:
             raise AuditError(
                 f"incoming-distinct audit failed: {max_in} > {d}")
@@ -644,9 +645,8 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
         dist = nw_apsp_deterministic(g2, h=h, delta=delta)
     elif algo == "dweights":
         if d is not None and isinstance(g, EdgeWeightedGraph):
-            max_out, max_in = (g.out_distinct, g.in_distinct)
-            actual = max(((max_out if promise == "out" else max_in)(v)
-                          for v in range(g.n)), default=0)
+            max_out, max_in = audit_distinct_weights(g)
+            actual = max_out if promise == "out" else max_in
             if actual > d:
                 raise AuditError(f"{promise}-distinct audit failed: {actual} > {d}")
         if promise == "out":

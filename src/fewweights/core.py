@@ -313,14 +313,6 @@ class EdgeWeightedGraph:
         for u, v, w in self.edge_array:
             yield int(u), int(v), int(w)
 
-    def out_distinct(self, v):
-        e = self.edge_array
-        return len(set(e[e[:, 0] == v, 2].tolist()))
-
-    def in_distinct(self, v):
-        e = self.edge_array
-        return len(set(e[e[:, 1] == v, 2].tolist()))
-
     def reverse(self):
         e = self.edge_array
         if e.size == 0:
@@ -377,14 +369,42 @@ def audit_distinct_weights(g):
     """Exact per-node distinct-weight maxima (max_out, max_in) of an edge-weighted graph."""
     if not isinstance(g, EdgeWeightedGraph):
         raise TypeError("audit_distinct_weights expects an EdgeWeightedGraph")
-    out_sets = [set() for _ in range(g.n)]
-    in_sets = [set() for _ in range(g.n)]
-    for u, v, w in g.edges():
-        out_sets[u].add(w)
-        in_sets[v].add(w)
-    max_out = max((len(s) for s in out_sets), default=0)
-    max_in = max((len(s) for s in in_sets), default=0)
-    return max_out, max_in
+    e = g.edge_array
+    # distinct (direction, node, weight) triples; direction 0 keys the tail
+    # of an edge (outgoing), 1 its head (incoming)
+    side = np.repeat(np.arange(2, dtype=np.int64), e.shape[0])
+    keys = np.unique(np.column_stack([side, np.concatenate([e[:, 0], e[:, 1]]),
+                                      np.tile(e[:, 2], 2)]), axis=0)
+    counts = np.bincount(keys[:, 0] * g.n + keys[:, 1], minlength=2 * g.n)
+    return int(counts[:g.n].max(initial=0)), int(counts[g.n:].max(initial=0))
+
+
+def occurrence_stats(m, absent):
+    """Occurrence counts and ranks of the entries of m within their rows.
+
+    Entries equal to `absent` are skipped.  Returns (count, rank, distinct):
+    count[i, j] is how often m[i, j] occurs in row i, rank[i, j] is the
+    number of equal entries to its left in that row (both 0 at absent
+    entries), and distinct[i] is the number of distinct values in row i.
+    Column statistics are occurrence_stats(m.T, absent) transposed back.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    rows, cols = np.nonzero(m != absent)
+    vals = m[rows, cols]
+    # stable sort by (row, value): equal values keep their column order
+    order = np.lexsort((vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    sizes = np.diff(np.append(starts, rows.size))
+    count = np.zeros(m.shape, dtype=np.int64)
+    rank = np.zeros(m.shape, dtype=np.int64)
+    count[rows, cols] = sizes[group]
+    rank[rows, cols] = np.arange(rows.size) - starts[group]
+    distinct = np.bincount(rows[starts], minlength=m.shape[0])
+    return count, rank, distinct
 
 
 # ----------------------------------------------------------------------------
@@ -443,6 +463,16 @@ def save_graph(g, path):
             raise TypeError(f"unsupported graph type {type(g)!r}")
 
 
+def _node_id(tok, n):
+    try:
+        v = int(tok)
+    except ValueError:
+        raise FormatError(f"bad node id {tok!r}") from None
+    if not (0 <= v < n):
+        raise FormatError(f"node id {v} out of range for n={n}")
+    return v
+
+
 def load_graph(path):
     with open(path) as f:
         header = f.readline().split()
@@ -452,6 +482,8 @@ def load_graph(path):
             n, m = int(header[0]), int(header[1])
         except ValueError:
             raise FormatError("graph header must be 'n m kind'") from None
+        if n < 0 or m < 0:
+            raise FormatError("negative graph dimensions")
         if header[2] == "node-weighted":
             weights = np.zeros(n, dtype=np.int64)
             seen = set()
@@ -459,11 +491,11 @@ def load_graph(path):
                 toks = f.readline().split()
                 if len(toks) != 2:
                     raise FormatError("node-weight line must be 'v w'")
-                v, w = int(toks[0]), token_to_raw(toks[1])
+                v, w = _node_id(toks[0], n), token_to_raw(toks[1])
                 if w in (POS_INF, NEG_INF, BOT):
                     raise FormatError("node weights must be finite")
-                if v in seen or not (0 <= v < n):
-                    raise FormatError(f"bad node id {v}")
+                if v in seen:
+                    raise FormatError(f"duplicate node id {v}")
                 seen.add(v)
                 weights[v] = w
             edges = []
@@ -471,7 +503,7 @@ def load_graph(path):
                 toks = f.readline().split()
                 if len(toks) != 2:
                     raise FormatError("edge line must be 'u v'")
-                edges.append((int(toks[0]), int(toks[1])))
+                edges.append((_node_id(toks[0], n), _node_id(toks[1], n)))
             if f.readline().strip():
                 raise FormatError("trailing data after edges")
             return NodeWeightedGraph(n, edges, weights)
@@ -484,7 +516,7 @@ def load_graph(path):
                 w = token_to_raw(toks[2])
                 if w in (POS_INF, NEG_INF, BOT):
                     raise FormatError("edge weights must be finite")
-                edges.append((int(toks[0]), int(toks[1]), w))
+                edges.append((_node_id(toks[0], n), _node_id(toks[1], n), w))
             if f.readline().strip():
                 raise FormatError("trailing data after edges")
             return EdgeWeightedGraph(n, edges)

@@ -23,7 +23,7 @@ from .additive import (
     popular_sum_decomposition,
     sumset,
 )
-from .core import AuditError, BOT, POS_INF, WeightMatrix
+from .core import AuditError, BOT, POS_INF, WeightMatrix, occurrence_stats
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
@@ -146,25 +146,13 @@ class RegularityAudit:
         self.max_col_distinct = {}
         for name, mat in (("a", inst.a), ("b", inst.b), ("c", inst.c)):
             m = mat.data
-            vals = m[m != BOT]
-            self.global_distinct[name] = len(set(vals.tolist()))
-            row_occ = col_occ = 0
-            row_dis = col_dis = 0
-            for i in range(m.shape[0]):
-                row = m[i][m[i] != BOT]
-                if row.size:
-                    _, counts = np.unique(row, return_counts=True)
-                    row_occ = max(row_occ, int(counts.max()))
-                    row_dis = max(row_dis, int(counts.size))
-                col = m[:, i][m[:, i] != BOT]
-                if col.size:
-                    _, counts = np.unique(col, return_counts=True)
-                    col_occ = max(col_occ, int(counts.max()))
-                    col_dis = max(col_dis, int(counts.size))
-            self.max_row_occ[name] = row_occ
-            self.max_col_occ[name] = col_occ
-            self.max_row_distinct[name] = row_dis
-            self.max_col_distinct[name] = col_dis
+            self.global_distinct[name] = int(np.unique(m[m != BOT]).size)
+            row_occ, _, row_dis = occurrence_stats(m, BOT)
+            col_occ, _, col_dis = occurrence_stats(m.T, BOT)
+            self.max_row_occ[name] = int(row_occ.max(initial=0))
+            self.max_col_occ[name] = int(col_occ.max(initial=0))
+            self.max_row_distinct[name] = int(row_dis.max(initial=0))
+            self.max_col_distinct[name] = int(col_dis.max(initial=0))
 
     def is_uniform(self, d):
         return all(v <= d for v in self.global_distinct.values())
@@ -295,22 +283,27 @@ def poly_matrix_multiply(a_exp, b_exp, p):
     a_exp[i,k] + b_exp[k,j] = e.  Computed by evaluating at the powers of an
     m-th root of unity modulo a prime q > n (m >= 2p-1, so coefficient
     counts, all at most n < q, are recovered exactly), one numeric matrix
-    product per evaluation point, then one inverse transform.
+    product per evaluation point, then one inverse transform.  The int64
+    products and butterflies are exact only while n*(q-1)^2 < 2^63, which is
+    checked before any work.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     ae = np.asarray(a_exp, dtype=np.int64)
     be = np.asarray(b_exp, dtype=np.int64)
     n = ae.shape[0]
-    fa, fb = ae != BOT, be != BOT
-    if (np.any((ae < 0) & fa) or np.any((ae >= p) & fa)
-            or np.any((be < 0) & fb) or np.any((be >= p) & fb)):
-        raise ValueError("exponents must lie in [0, p)")
     conv_len = 2 * p - 1
     m = 1
     while m < conv_len:
         m *= 2
     q = _find_ntt_prime(m, max(n, 2))
+    if n * (q - 1) ** 2 >= 2**63:
+        raise ValueError(f"n={n} too large for exact int64 products modulo "
+                         f"q={q}: n*(q-1)^2 must stay below 2^63")
+    fa, fb = ae != BOT, be != BOT
+    if (np.any((ae < 0) & fa) or np.any((ae >= p) & fa)
+            or np.any((be < 0) & fb) or np.any((be >= p) & fb)):
+        raise ValueError("exponents must lie in [0, p)")
     omega = pow(_primitive_root(q), (q - 1) // m, q)
     wtab = np.empty(m, dtype=np.int64)
     cur = 1
@@ -560,27 +553,17 @@ def uniformize_naive(inst, d, parts, prune=False):
     return out
 
 
-def _row_occurrence_classes(m):
+def _row_occurrence_classes(m, absent):
     """Split entries by floor(log2(row occurrence count)); returns {x: matrix}."""
-    n = m.shape[0]
+    occ = occurrence_stats(m, absent)[0]
+    present = occ > 0
     cls = np.full(m.shape, -1, dtype=np.int64)
-    for i in range(n):
-        row = m[i]
-        fin = row != BOT
-        if not fin.any():
-            continue
-        vals, inv, counts = np.unique(row[fin], return_inverse=True,
-                                      return_counts=True)
-        occ = counts[inv]
-        cls[i, fin] = np.int64(np.floor(np.log2(occ)))
-    out = {}
-    for x in sorted(set(cls[cls >= 0].tolist())):
-        out[int(x)] = np.where(cls == x, m, BOT)
-    return out
+    cls[present] = np.floor(np.log2(occ[present]))
+    return {int(x): np.where(cls == x, m, absent) for x in np.unique(cls[present])}
 
 
-def _col_occurrence_classes(m):
-    by_rows = _row_occurrence_classes(np.ascontiguousarray(m.T))
+def _col_occurrence_classes(m, absent):
+    by_rows = _row_occurrence_classes(np.ascontiguousarray(m.T), absent)
     return {y: np.ascontiguousarray(v.T) for y, v in by_rows.items()}
 
 
@@ -611,14 +594,14 @@ def uniformize(inst, d, delta, rng=None):
     """
     a, b, c = inst.matrices()
     n = inst.n
-    if max((len(s) for s in _row_value_sets(a)), default=0) > d:
+    if occurrence_stats(a, BOT)[2].max(initial=0) > d:
         raise AuditError(f"rows of A exceed {d} distinct entries")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     triples = set()
     instances = []
-    for x, ax in sorted(_row_occurrence_classes(a).items()):
-        for y, by in sorted(_col_occurrence_classes(b).items()):
+    for x, ax in sorted(_row_occurrence_classes(a, BOT).items()):
+        for y, by in sorted(_col_occurrence_classes(b, BOT).items()):
             if 2 ** y <= n / (d * delta):
                 _list_small_class(ax, by, c, triples)
             else:
@@ -761,30 +744,19 @@ def _uniformize_class(ax, by, c, d, delta, rng, n):
 # Regularization.
 # ----------------------------------------------------------------------------
 
-def _occurrence_ranks_rows(m):
-    """Rank of each entry among equal values in its row (by column order)."""
-    ranks = np.zeros(m.shape, dtype=np.int64)
-    for i in range(m.shape[0]):
-        seen = {}
-        row = m[i]
-        for j in np.nonzero(row != BOT)[0]:
-            v = int(row[j])
-            ranks[i, j] = seen.get(v, 0)
-            seen[v] = ranks[i, j] + 1
-    return ranks
-
-
 def _split_regular(m, r, big_r):
-    """Partition into big_r^2 pieces, each with <= r occurrences per row/col."""
-    row_rank = _occurrence_ranks_rows(m)
-    row_part = row_rank // r
+    """Partition into big_r^2 pieces, each with <= r occurrences per row/col.
+
+    An entry's row (column) part is its rank among equal values in its row
+    (column) divided by r.
+    """
+    row_part = occurrence_stats(m, BOT)[1] // r
     if (row_part[m != BOT] >= big_r).any():
         raise AuditError("matrix is not r*R-regular on rows")
     pieces = {}
     for t1 in range(big_r):
         m1 = np.where((row_part == t1) & (m != BOT), m, BOT)
-        col_rank = _occurrence_ranks_rows(np.ascontiguousarray(m1.T)).T
-        col_part = col_rank // r
+        col_part = occurrence_stats(m1.T, BOT)[1].T // r
         if (col_part[m1 != BOT] >= big_r).any():
             raise AuditError("matrix is not r*R-regular on columns")
         for t2 in range(big_r):
@@ -816,22 +788,8 @@ def regularize_naive(inst, d, r, big_r, prune=False):
 def _three_way_split(m, threshold):
     """(row-heavy, col-heavy, regular) by occurrence counts in m."""
     fin = m != BOT
-    row_cnt = np.zeros(m.shape, dtype=np.int64)
-    for i in range(m.shape[0]):
-        row = m[i]
-        f = row != BOT
-        if f.any():
-            vals, inv, counts = np.unique(row[f], return_inverse=True,
-                                          return_counts=True)
-            row_cnt[i, f] = counts[inv]
-    col_cnt = np.zeros(m.shape, dtype=np.int64)
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        f = col != BOT
-        if f.any():
-            vals, inv, counts = np.unique(col[f], return_inverse=True,
-                                          return_counts=True)
-            col_cnt[f, j] = counts[inv]
+    row_cnt = occurrence_stats(m, BOT)[0]
+    col_cnt = occurrence_stats(m.T, BOT)[0].T
     heavy_row = fin & (row_cnt > threshold)
     heavy_col = fin & ~heavy_row & (col_cnt > threshold)
     regular = fin & ~heavy_row & ~heavy_col

@@ -19,6 +19,7 @@ from .core import (
     POS_INF,
     WeightError,
     WeightMatrix,
+    audit_distinct_weights,
     one_hop_offdiag,
     saturating_add,
 )
@@ -519,7 +520,7 @@ def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True):
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
     if d is not None:
-        max_in = max((g.in_distinct(v) for v in range(g.n)), default=0)
+        max_in = audit_distinct_weights(g)[1]
         if max_in > d:
             raise AuditError(f"graph has a node with {max_in} distinct incoming weights (> {d})")
     onehop = one_hop_offdiag(g)

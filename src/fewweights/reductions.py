@@ -19,10 +19,15 @@ from .core import (
     NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    audit_distinct_weights,
     one_hop_offdiag,
     saturating_add,
 )
-from .exact_triangle import TriangleInstance
+from .exact_triangle import (
+    TriangleInstance,
+    _col_occurrence_classes,
+    _row_occurrence_classes,
+)
 from .minplus import HopProduct, boolean_matrix_multiply, min_plus_naive
 from .additive import popular_sum_decomposition
 
@@ -176,7 +181,7 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
     if not isinstance(g, EdgeWeightedGraph):
         raise TypeError("apsp_from_minplus expects an EdgeWeightedGraph")
     if d is not None:
-        max_in = max((g.in_distinct(v) for v in range(g.n)), default=0)
+        max_in = audit_distinct_weights(g)[1]
         if max_in > d:
             raise AuditError(f"incoming-distinct audit failed: {max_in} > {d}")
     h = max(1, math.ceil(g.n ** (eps / 4.0)))
@@ -388,29 +393,6 @@ def _row_positions(m):
     return out
 
 
-def _dyadic_row_classes(m):
-    """Split by floor(log2(row-occurrence count)) of each entry."""
-    classes = {}
-    fin = m != POS_INF
-    cls = np.full(m.shape, -1, dtype=np.int64)
-    for i in range(m.shape[0]):
-        row = m[i]
-        f = fin[i]
-        if not f.any():
-            continue
-        vals, inv, counts = np.unique(row[f], return_inverse=True,
-                                      return_counts=True)
-        cls[i, f] = np.int64(np.floor(np.log2(counts[inv])))
-    for x in sorted(set(cls[cls >= 0].tolist())):
-        classes[int(x)] = np.where(cls == x, m, POS_INF)
-    return classes
-
-
-def _dyadic_col_classes(m):
-    rows = _dyadic_row_classes(np.ascontiguousarray(m.T))
-    return {y: np.ascontiguousarray(v.T) for y, v in rows.items()}
-
-
 def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
                                    undirected=False):
     """Exact min-plus product for row-weights matrices via APSP gadgets.
@@ -432,8 +414,8 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
     if delta < 1:
         raise ValueError("delta must be >= 1")
     result = np.full((n, n), POS_INF, dtype=np.int64)
-    for x, ax in sorted(_dyadic_row_classes(a).items()):
-        for y, by in sorted(_dyadic_col_classes(b).items()):
+    for x, ax in sorted(_row_occurrence_classes(a, POS_INF).items()):
+        for y, by in sorted(_col_occurrence_classes(b, POS_INF).items()):
             sub = _row_weight_subcase(ax, by, cp, delta, nw_solver, rng,
                                       undirected)
             np.minimum(result, sub, out=result)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fewweights.cli import (
     EXIT_INPUT,
@@ -105,6 +106,21 @@ def test_param_error_exit_code(tmp_path):
 def test_missing_input_exit_code(tmp_path):
     assert run("run", "oracle", "--input", tmp_path / "nope.txt",
                "--out", tmp_path / "r") == EXIT_INPUT
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("3 2 node-weighted\n0 1\nx 1\n2 1\n0 1\n1 2\n", id="nw-node-id"),
+    pytest.param("3 2 node-weighted\n0 1\n1 1\n2 1\n0 1\n0 7\n", id="nw-endpoint-range"),
+    pytest.param("3 1 node-weighted\n0 1\n1 1\n2 1\n0 z\n", id="nw-endpoint-token"),
+    pytest.param("3 2 edge-weighted\n0 1 4\n0 7 2\n", id="ew-endpoint-range"),
+    pytest.param("3 1 edge-weighted\n-1 1 4\n", id="ew-endpoint-negative"),
+    pytest.param("3 1 edge-weighted\nq 1 4\n", id="ew-endpoint-token"),
+    pytest.param("-2 0 edge-weighted\n", id="negative-n"),
+])
+def test_malformed_graph_exit_code(tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run("run", "oracle", "--input", bad, "--out", tmp_path / "r") == EXIT_INPUT
 
 
 def test_triangle_run_and_verify(tmp_path):

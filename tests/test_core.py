@@ -15,6 +15,7 @@ from fewweights.core import (
     build_one_hop_matrix,
     load_graph,
     load_matrix,
+    occurrence_stats,
     reverse_graph,
     save_graph,
     save_matrix,
@@ -158,6 +159,53 @@ def test_audit_matches_recount():
         outs[u].add(w)
         ins[v].add(w)
     assert audit_distinct_weights(g) == (max(map(len, outs)), max(map(len, ins)))
+
+
+def test_audit_empty_graph_and_repeated_edges():
+    assert audit_distinct_weights(EdgeWeightedGraph(0, [])) == (0, 0)
+    assert audit_distinct_weights(EdgeWeightedGraph(4, [])) == (0, 0)
+    g = EdgeWeightedGraph(4, [(2, 2, -3), (2, 2, -3), (2, 1, 4)])
+    assert audit_distinct_weights(g) == (2, 1)
+
+
+def occurrence_reference(m, absent):
+    """Per-row np.unique statistics: the loop occurrence_stats replaces."""
+    count = np.zeros(m.shape, dtype=np.int64)
+    rank = np.zeros(m.shape, dtype=np.int64)
+    distinct = np.zeros(m.shape[0], dtype=np.int64)
+    for i in range(m.shape[0]):
+        present = np.nonzero(m[i] != absent)[0]
+        if not present.size:
+            continue
+        vals, inv, counts = np.unique(m[i, present], return_inverse=True,
+                                      return_counts=True)
+        count[i, present] = counts[inv]
+        distinct[i] = vals.size
+        seen = {}
+        for j in present:
+            v = int(m[i, j])
+            rank[i, j] = seen.get(v, 0)
+            seen[v] = rank[i, j] + 1
+    return count, rank, distinct
+
+
+@pytest.mark.parametrize("absent", [BOT, POS_INF])
+def test_occurrence_stats_matches_per_row_unique(absent):
+    rng = np.random.default_rng(11)
+    shapes = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 7), (7, 1), (5, 9), (9, 4),
+              (16, 16)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            m = rng.integers(-4, 5, size=(rows, cols)).astype(np.int64)
+            m[rng.random((rows, cols)) < density] = absent
+            if rows > 2:
+                m[rows // 2] = absent  # an all-absent row
+            for mat in (m, m.T):
+                got = occurrence_stats(mat, absent)
+                want = occurrence_reference(mat, absent)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(g, w)
 
 
 def test_reverse_graph():

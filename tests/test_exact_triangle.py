@@ -133,6 +133,15 @@ def test_poly_mm_rejects_bad_exponents():
         et.poly_matrix_multiply([[5]], [[0]], 5)
 
 
+def test_poly_mm_rejects_int64_overflow_before_allocating():
+    # a zero-stride view: n = 2^22 rows cost no memory, and the headroom
+    # check n*(q-1)^2 < 2^63 (q > n) must fire before any n x n array exists
+    n = 2**22
+    huge = np.broadcast_to(np.int64(0), (n, n))
+    with pytest.raises(ValueError, match="2\\^63"):
+        et.poly_matrix_multiply(huge, huge, 2)
+
+
 # ----------------------------------------------------------------------------
 # small-doubling solver
 # ----------------------------------------------------------------------------
@@ -452,6 +461,39 @@ def test_regularity_audit_counts():
     assert audit.max_col_occ["a"] == 2
     assert audit.is_uniform(3) and not audit.is_uniform(2)
     assert audit.is_regular(3) and not audit.is_regular(2)
+
+
+def regularity_reference(inst):
+    """Per-row and per-column np.unique loop: the audit's former body."""
+    out = {}
+    for name, m in zip("abc", inst.matrices()):
+        rows = [m[i][m[i] != BOT] for i in range(m.shape[0])]
+        cols = [m[:, j][m[:, j] != BOT] for j in range(m.shape[1])]
+        row_counts = [np.unique(r, return_counts=True)[1] for r in rows if r.size]
+        col_counts = [np.unique(c, return_counts=True)[1] for c in cols if c.size]
+        out[name] = (len(set(m[m != BOT].tolist())),
+                     max((int(c.max()) for c in row_counts), default=0),
+                     max((int(c.max()) for c in col_counts), default=0),
+                     max((c.size for c in row_counts), default=0),
+                     max((c.size for c in col_counts), default=0))
+    return out
+
+
+def test_regularity_audit_matches_loop_reference():
+    rng = np.random.default_rng(31)
+    cases = [et.TriangleInstance(np.zeros((0, 0)), np.zeros((0, 0)),
+                                 np.zeros((0, 0)))]
+    for t in range(8):
+        n = int(rng.integers(1, 12))
+        cases.append(random_triangle_instance(
+            n, int(rng.integers(1, 5)), rng, promise=PROMISES[t % 6],
+            bot_density=float(rng.choice([0.0, 0.3, 0.9])))[0])
+    for inst in cases:
+        audit = et.RegularityAudit(inst)
+        got = {name: (audit.global_distinct[name], audit.max_row_occ[name],
+                      audit.max_col_occ[name], audit.max_row_distinct[name],
+                      audit.max_col_distinct[name]) for name in "abc"}
+        assert got == regularity_reference(inst)
 
 
 def test_uniform_regular_pure_remainder_path(monkeypatch):
