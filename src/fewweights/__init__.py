@@ -21,14 +21,12 @@ from .core import (
     NEG_INF,
     NodeWeightedGraph,
     POS_INF,
-    Weight,
     WeightError,
     WeightMatrix,
     audit_distinct_weights,
     build_one_hop_matrix,
     load_graph,
     load_matrix,
-    reverse_graph,
     save_graph,
     save_matrix,
 )

@@ -28,9 +28,6 @@ class SumsetProfile:
     def support(self):
         return set(self.multiplicity)
 
-    def total(self):
-        return sum(self.multiplicity.values())
-
 
 def sumset_with_multiplicities(x, y):
     """Exact multiplicity map of X+Y by the double loop."""

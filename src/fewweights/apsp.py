@@ -364,33 +364,16 @@ def greedy_hitting_set(paths, n):
 
 
 # ----------------------------------------------------------------------------
-# Engines: how a solver multiplies against hop-bounded distance matrices.
+# Hop products: node-weighted graphs take the boolean kernel, edge-weighted
+# graphs the d-weights kernel or a min-plus solver `product`.
 # ----------------------------------------------------------------------------
 
-class NodeHopEngine:
-    def __init__(self, g, delta):
-        self.g = g
-        self.n = g.n
-        self.delta = delta
-
-    def right(self, a, h, want_paths=True):
-        return hop_bounded_product(a, self.g, h, self.delta, want_paths)
-
-    def left(self, a, h, want_paths=True):
-        return hop_bounded_product_left(self.g, a, h, self.delta, want_paths)
-
-
-class EdgeHopEngine:
-    def __init__(self, g, delta):
-        self.g = g
-        self.n = g.n
-        self.delta = delta
-
-    def right(self, a, h, want_paths=True):
-        return hop_bounded_product_edge(a, self.g, h, None, self.delta, want_paths)
-
-    def left(self, a, h, want_paths=True):
-        return hop_bounded_product_left(self.g, a, h, self.delta, want_paths)
+def _right(g, a, h, delta, product, want_paths=True):
+    """A * D_g^{<=h} by the hop product for g's kind."""
+    if isinstance(g, NodeWeightedGraph) and product is None:
+        return hop_bounded_product(a, g, h, delta, want_paths)
+    return hop_bounded_product_edge(a, g, h, None, delta, want_paths,
+                                    product=product)
 
 
 def _repeated_square(m):
@@ -407,16 +390,18 @@ def _repeated_square(m):
     return cur.data
 
 
-def _level_pass(engine, s_cur, s_next, d_next, ell, m1_hops):
+def _level_pass(g, delta, product, s_cur, s_next, d_next, ell, m1_hops):
     """One bridging level: min(M1[S,S], D^{<=2^l}[S,S'] * D' * D^{<=2^l}[S',S])."""
-    n = engine.n
-    m1 = engine.right(trivial_rows(s_cur, n), m1_hops, want_paths=False).values.data
+    n = g.n
+    m1 = _right(g, trivial_rows(s_cur, n), m1_hops, delta, product,
+                want_paths=False).values.data
     a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
     a2[:, s_next] = d_next
-    m2 = engine.right(a2, 2 ** ell, want_paths=False).values.data
+    m2 = _right(g, a2, 2 ** ell, delta, product, want_paths=False).values.data
     a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
     a3[s_next, :] = m2[:, s_cur]
-    m3 = engine.left(a3, 2 ** ell, want_paths=False).values.data
+    m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, want_paths=False,
+                                  product=product).values.data
     return np.minimum(m1[:, s_cur], m3[s_cur, :])
 
 
@@ -448,20 +433,19 @@ def nw_apsp_randomized(g, h=None, rng=None, delta=None,
     if delta is None:
         delta = max(1, h)
     piv = sample_pivots(n, h, rng, constant)
-    engine = NodeHopEngine(g, delta)
-    return _pivot_apsp(engine, piv.levels)
+    return _pivot_apsp(g, piv.levels, delta)
 
 
-def _pivot_apsp(engine, levels):
-    n = engine.n
+def _pivot_apsp(g, levels, delta):
+    n = g.n
     big_l = len(levels) - 1
     s_last = levels[big_l]
-    base = engine.right(trivial_rows(s_last, n), 2 ** big_l,
-                        want_paths=False).values.data
+    base = hop_bounded_product(trivial_rows(s_last, n), g, 2 ** big_l, delta,
+                               want_paths=False).values.data
     d_cur = _repeated_square(base[:, s_last])
     for ell in range(big_l - 1, -1, -1):
-        d_cur = _level_pass(engine, levels[ell], levels[ell + 1], d_cur, ell,
-                            m1_hops=2 ** ell)
+        d_cur = _level_pass(g, delta, None, levels[ell], levels[ell + 1], d_cur,
+                            ell, m1_hops=2 ** ell)
     return DistanceMatrix(d_cur, copy=False)
 
 
@@ -499,8 +483,11 @@ def _exact_length_paths(prod, rows, n, target, reversed_axes=False):
     return out
 
 
-def deterministic_pivot_apsp(engine, h, state=None):
-    """Bridging-set APSP on an arbitrary hop engine (no randomness).
+def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
+    """Bridging-set APSP (no randomness) on a negative-cycle-free graph.
+
+    Node-weighted graphs take boolean hop products, edge-weighted graphs
+    d-weights hop products, or `product(A, B) -> WeightMatrix` in their place.
 
     Four steps: (1) build pivot levels by hitting all exact-length-2^l
     witness paths; (2) build candidate paths Q_uv of hop-length <= 3*2^L and
@@ -508,7 +495,7 @@ def deterministic_pivot_apsp(engine, h, state=None):
     of the long Q paths; (4) replay the level recursion on these sets.
     Passing a BridgingState records the constructed sets and Q paths.
     """
-    n = engine.n
+    n = g.n
     if n == 0:
         return DistanceMatrix(np.zeros((0, 0), dtype=np.int64))
     big_l = max(0, math.ceil(math.log2(h))) if h > 1 else 0
@@ -518,10 +505,10 @@ def deterministic_pivot_apsp(engine, h, state=None):
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        right = engine.right(trivial_rows(s_cur, n), hl)
+        right = _right(g, trivial_rows(s_cur, n), hl, delta, product)
         a_left = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a_left[s_cur, np.arange(s_cur.size)] = 0
-        left = engine.left(a_left, hl)
+        left = hop_bounded_product_left(g, a_left, hl, delta, product=product)
         paths = _exact_length_paths(right, s_cur, n, hl)
         paths += _exact_length_paths(left, s_cur, n, hl, reversed_axes=True)
         if state is not None:
@@ -531,7 +518,7 @@ def deterministic_pivot_apsp(engine, h, state=None):
     # Step 2: candidate paths Q (bounded hops, weight <= D^{<=2^L}).
     hl = 2 ** big_l
     s_last = levels[big_l]
-    base = engine.right(trivial_rows(s_last, n), hl)
+    base = _right(g, trivial_rows(s_last, n), hl, delta, product)
     q_paths = {}
     for i, u in enumerate(s_last):
         for v in s_last:
@@ -541,17 +528,17 @@ def deterministic_pivot_apsp(engine, h, state=None):
                                         base.path(i, v))
     for ell in range(big_l - 1, -1, -1):
         s_cur, s_next = levels[ell], levels[ell + 1]
-        ri = engine.right(trivial_rows(s_cur, n), 2 ** (ell + 1))
+        ri = _right(g, trivial_rows(s_cur, n), 2 ** (ell + 1), delta, product)
         q_ext = np.full((s_next.size, n), POS_INF, dtype=np.int64)
         for i, x in enumerate(s_next):
             for t in s_next:
                 rec = q_paths.get((int(x), int(t)))
                 if rec is not None:
                     q_ext[i, int(t)] = rec[0]
-        m2 = engine.right(q_ext, 2 ** ell)
+        m2 = _right(g, q_ext, 2 ** ell, delta, product)
         a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a3[s_next, :] = m2.values.data[:, s_cur]
-        m3 = engine.left(a3, 2 ** ell)
+        m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, product=product)
         pos_next = {int(x): i for i, x in enumerate(s_next)}
         new_q = {}
         for i, u in enumerate(s_cur):
@@ -583,15 +570,15 @@ def deterministic_pivot_apsp(engine, h, state=None):
         state.q_paths = dict(q_paths)
 
     # Step 4: replay the level recursion deterministically.
-    base4 = engine.right(trivial_rows(s_star, n), 4 * hl,
-                         want_paths=False).values.data
+    base4 = _right(g, trivial_rows(s_star, n), 4 * hl, delta, product,
+                   want_paths=False).values.data
     d_star = _repeated_square(base4[:, s_star])
     pos_star = {int(x): i for i, x in enumerate(s_star)}
     idx = np.array([pos_star[int(x)] for x in s_last], dtype=np.int64)
     d_cur = d_star[np.ix_(idx, idx)]
     for ell in range(big_l - 1, -1, -1):
-        d_cur = _level_pass(engine, levels[ell], levels[ell + 1], d_cur, ell,
-                            m1_hops=2 ** (ell + 1))
+        d_cur = _level_pass(g, delta, product, levels[ell], levels[ell + 1],
+                            d_cur, ell, m1_hops=2 ** (ell + 1))
     return DistanceMatrix(d_cur, copy=False)
 
 
@@ -603,7 +590,7 @@ def nw_apsp_deterministic(g, h=None, delta=None, state=None):
         h = default_hop_parameter(n)
     if delta is None:
         delta = max(1, h)
-    return deterministic_pivot_apsp(NodeHopEngine(g, delta), h, state=state)
+    return deterministic_pivot_apsp(g, h, delta, state=state)
 
 
 def dweights_apsp(g, d=None, h=None, delta=None):
@@ -626,7 +613,7 @@ def dweights_apsp(g, d=None, h=None, delta=None):
         h = default_hop_parameter(n)
     if delta is None:
         delta = max(1, h)
-    return deterministic_pivot_apsp(EdgeHopEngine(g, delta), h)
+    return deterministic_pivot_apsp(g, h, delta)
 
 
 def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,

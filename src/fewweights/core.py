@@ -2,8 +2,7 @@
 
 Weights are 64-bit signed integers with three reserved sentinel encodings:
 positive infinity (unreachable), negative infinity (negative-cycle reachable)
-and "bot" (absent entry).  Finite magnitudes are capped by a configurable
-bound U so that derived quantities like n*value+k never overflow int64.
+and "bot" (absent entry).  Finite magnitudes stay below GUARD.
 """
 
 from __future__ import annotations
@@ -11,14 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 # Sentinel encodings.  All finite weights must stay strictly below GUARD in
-# absolute value; the default U leaves room for n*U+n witness encodings.
+# absolute value.
 POS_INF = np.int64(2**62)
 NEG_INF = np.int64(-(2**62))
 BOT = np.int64(2**62 + 7)
 GUARD = np.int64(2**61)
-DEFAULT_U = 2**40
-
-VALID_KINDS = ("finite", "pos_inf", "neg_inf", "bot")
 
 
 class WeightError(ValueError):
@@ -31,103 +27,6 @@ class FormatError(ValueError):
 
 class AuditError(ValueError):
     """Raised when a distinct-weights or regularity promise does not hold."""
-
-
-class Weight:
-    """A single weight value: finite integer, +inf, -inf, or bot."""
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw):
-        raw = int(raw)
-        if raw not in (POS_INF, NEG_INF, BOT) and abs(raw) >= GUARD:
-            raise WeightError(f"finite weight {raw} exceeds the representable bound")
-        self.raw = raw
-
-    @classmethod
-    def finite(cls, value):
-        value = int(value)
-        if abs(value) >= GUARD:
-            raise WeightError(f"finite weight {value} exceeds the representable bound")
-        return cls(value)
-
-    @classmethod
-    def pos_inf(cls):
-        return cls(POS_INF)
-
-    @classmethod
-    def neg_inf(cls):
-        return cls(NEG_INF)
-
-    @classmethod
-    def bot(cls):
-        return cls(BOT)
-
-    @property
-    def kind(self):
-        if self.raw == POS_INF:
-            return "pos_inf"
-        if self.raw == NEG_INF:
-            return "neg_inf"
-        if self.raw == BOT:
-            return "bot"
-        return "finite"
-
-    @property
-    def value(self):
-        if self.kind != "finite":
-            raise WeightError(f"{self.kind} weight has no finite value")
-        return self.raw
-
-    def is_finite(self):
-        return self.kind == "finite"
-
-    def __add__(self, other):
-        if not isinstance(other, Weight):
-            other = Weight.finite(other)
-        a, b = self.kind, other.kind
-        if a == "bot" or b == "bot":
-            return Weight.bot()
-        if a == "pos_inf" or b == "pos_inf":
-            if a == "neg_inf" or b == "neg_inf":
-                raise WeightError("pos_inf + neg_inf is undefined")
-            return Weight.pos_inf()
-        if a == "neg_inf" or b == "neg_inf":
-            return Weight.neg_inf()
-        s = self.raw + other.raw
-        if abs(s) >= GUARD:
-            raise WeightError(f"weight sum {s} overflows the representable bound")
-        return Weight(s)
-
-    __radd__ = __add__
-
-    def min(self, other):
-        if not isinstance(other, Weight):
-            other = Weight.finite(other)
-        if self.kind == "bot" or other.kind == "bot":
-            raise WeightError("bot does not participate in min")
-        return self if self.raw <= other.raw else other
-
-    def __eq__(self, other):
-        if isinstance(other, Weight):
-            return self.raw == other.raw
-        if isinstance(other, (int, np.integer)):
-            return self.kind == "finite" and self.raw == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.raw)
-
-    def __repr__(self):
-        k = self.kind
-        if k == "finite":
-            return f"Weight({self.raw})"
-        return f"Weight.{k}()"
-
-
-def weight_min_empty():
-    """min over an empty set of weights."""
-    return Weight.pos_inf()
 
 
 def token_to_raw(tok):
@@ -214,9 +113,6 @@ class WeightMatrix:
     def transpose(self):
         return WeightMatrix(self.data.T, copy=True)
 
-    def entry(self, i, j):
-        return Weight(int(self.data[i, j]))
-
     def finite_mask(self):
         return (self.data != POS_INF) & (self.data != NEG_INF) & (self.data != BOT)
 
@@ -232,16 +128,9 @@ class WeightMatrix:
 
 
 class DistanceMatrix(WeightMatrix):
-    """A WeightMatrix whose entry [u, v] is a shortest-path length.
+    """A WeightMatrix whose entry [u, v] is a shortest-path length."""
 
-    hop_bound, when set, marks the matrix as h-hop-bounded distances.
-    """
-
-    __slots__ = ("hop_bound",)
-
-    def __init__(self, data, hop_bound=None, copy=True):
-        super().__init__(data, copy=copy)
-        self.hop_bound = hop_bound
+    __slots__ = ()
 
 
 class NodeWeightedGraph:
@@ -320,49 +209,30 @@ class EdgeWeightedGraph:
         return EdgeWeightedGraph(self.n, np.column_stack([e[:, 1], e[:, 0], e[:, 2]]))
 
 
-def reverse_graph(g):
-    """Flip all edge orientations, preserving weights."""
-    return g.reverse()
-
-
-def build_one_hop_matrix(g):
-    """One-hop distance matrix D^{<=1} of a node- or edge-weighted graph.
-
-    Entry [u, v] is the cheapest single edge u->v (target-node weight in the
-    node-weighted case), 0 on the diagonal, +inf otherwise.
-    """
-    n = g.n
-    m = np.full((n, n), POS_INF, dtype=np.int64)
-    if isinstance(g, NodeWeightedGraph):
-        for u in range(n):
-            m[u, g.adj[u]] = g.node_weight[g.adj[u]]
-    elif isinstance(g, EdgeWeightedGraph):
-        for u, v, w in g.edges():
-            if w < m[u, v]:
-                m[u, v] = w
-    else:
-        raise TypeError(f"unsupported graph type {type(g)!r}")
-    d = np.diagonal(m).copy()
-    np.fill_diagonal(m, np.minimum(d, 0))
-    return WeightMatrix(m, copy=False)
-
-
 def one_hop_offdiag(g):
     """One-hop matrix restricted to actual edges (no implicit 0 diagonal).
 
-    Hop-recurrence engines min against the previous iterate, which plays the
-    role of the diagonal, so columns keep at most d distinct edge weights.
+    Entry [u, v] is the cheapest single edge u->v (target-node weight in the
+    node-weighted case), +inf otherwise.  The hop recurrence mins against
+    the previous iterate, which plays the role of the diagonal, so columns
+    keep at most d distinct edge weights.
     """
-    n = g.n
-    m = np.full((n, n), POS_INF, dtype=np.int64)
     if isinstance(g, NodeWeightedGraph):
-        for u in range(n):
-            m[u, g.adj[u]] = g.node_weight[g.adj[u]]
-    else:
-        for u, v, w in g.edges():
-            if w < m[u, v]:
-                m[u, v] = w
+        return np.where(g.adjacency_bool(), g.node_weight[None, :], POS_INF)
+    if not isinstance(g, EdgeWeightedGraph):
+        raise TypeError(f"unsupported graph type {type(g)!r}")
+    m = np.full((g.n, g.n), POS_INF, dtype=np.int64)
+    e = g.edge_array
+    np.minimum.at(m, (e[:, 0], e[:, 1]), e[:, 2])
     return m
+
+
+def build_one_hop_matrix(g):
+    """One-hop distance matrix D^{<=1}: one_hop_offdiag with a 0 diagonal
+    (a negative self-loop keeps its weight)."""
+    m = one_hop_offdiag(g)
+    np.fill_diagonal(m, np.minimum(np.diagonal(m), 0))
+    return WeightMatrix(m, copy=False)
 
 
 def audit_distinct_weights(g):

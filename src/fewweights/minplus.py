@@ -1,8 +1,8 @@
 """Min-plus product kernels.
 
-Contains the naive cubic oracle, a machine-word-packed boolean matrix
-product, the bucketed rectangular boolean and d-weights min-plus kernels,
-and hop-bounded graph products with witness-path reconstruction.
+Contains the naive cubic oracle, a BLAS boolean matrix product, the
+bucketed rectangular boolean and d-weights min-plus kernels, and
+hop-bounded graph products with witness-path reconstruction.
 
 All kernels are pure functions; for a fixed input the result is identical
 regardless of the bucket count or the internal scan strategy.
@@ -88,19 +88,8 @@ def min_plus_naive(A, B):
 
 
 # ----------------------------------------------------------------------------
-# Packed boolean matrix multiplication.
+# Boolean matrix multiplication.
 # ----------------------------------------------------------------------------
-
-def _pack_rows(m):
-    """Pack a boolean (r, c) matrix into (r, ceil(c/64)) uint64 rows."""
-    r, c = m.shape
-    words = (c + 63) // 64
-    if words == 0:
-        return np.zeros((r, 0), dtype=np.uint64)
-    padded = np.zeros((r, words * 64), dtype=bool)
-    padded[:, :c] = m
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
 
 def boolean_matmul_naive(P, Q):
     """OR-AND product straight from the definition (byte-level)."""
@@ -116,85 +105,23 @@ def boolean_matmul_naive(P, Q):
     return out
 
 
-_BYTE_MASKS = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1) \
-    .astype(bool)
-
-
 def boolean_matrix_multiply(P, Q):
-    """OR-AND product with rows packed into 64-bit machine words.
+    """OR-AND product as one float32 BLAS product.
 
-    The left matrix is packed into bytes over k and each 8-row slice of the
-    packed right matrix is expanded into a 256-entry OR table, so one lookup
-    handles eight AND-OR steps at a time.
+    Every term of the float32 sum is 0 or 1, so the rounded sum is positive
+    exactly when some term is 1, whatever the inner dimension.
     """
     P = np.asarray(P, dtype=bool)
     Q = np.asarray(Q, dtype=bool)
     if P.shape[1] != Q.shape[0]:
         raise ValueError(f"shape mismatch {P.shape} x {Q.shape}")
     counters["boolean_matmul"] += 1
-    a, b = P.shape
-    c = Q.shape[1]
-    if a == 0 or c == 0 or b == 0:
-        return np.zeros((a, c), dtype=bool)
-    p_bytes = np.packbits(P, axis=1, bitorder="little")
-    q_bits = _pack_rows(Q)
-    words = q_bits.shape[1]
-    acc = np.zeros((a, words), dtype=np.uint64)
-    for chunk in range(p_bytes.shape[1]):
-        k0 = chunk * 8
-        rows = q_bits[k0:min(k0 + 8, b)]
-        if rows.shape[0] < 8:
-            rows = np.vstack([rows, np.zeros((8 - rows.shape[0], words),
-                                             dtype=np.uint64)])
-        col = p_bytes[:, chunk]
-        if not col.any():
-            continue
-        table = np.bitwise_or.reduce(
-            np.where(_BYTE_MASKS[:, :, None], rows[None, :, :], np.uint64(0)),
-            axis=1)
-        acc |= table[col]
-    unpacked = np.unpackbits(acc.view(np.uint8), axis=1,
-                             count=c, bitorder="little")
-    return unpacked.astype(bool)
+    return (P.astype(np.float32) @ Q.astype(np.float32)) > 0
 
 
 # ----------------------------------------------------------------------------
 # Bucketed rectangular kernels.
 # ----------------------------------------------------------------------------
-
-class BucketIndex:
-    """Per-row sorted entry lists split into delta buckets of ceil(n/delta).
-
-    Sorting is by (value, column); only finite entries are indexed.  The last
-    nonempty bucket of a row may be smaller, trailing buckets are empty.
-    """
-
-    def __init__(self, keys, finite, delta):
-        s, n = keys.shape
-        self.delta = delta
-        self.bucket_size = max(1, -(-n // delta)) if n else 1
-        self.order = np.argsort(keys, axis=1, kind="stable")
-        self.finite_count = finite.sum(axis=1)
-        self._finite = finite
-
-    def bucket(self, i, b):
-        """Column indices of bucket b of row i, in sorted order."""
-        lo = b * self.bucket_size
-        hi = min((b + 1) * self.bucket_size, int(self.finite_count[i]))
-        if lo >= hi:
-            return np.empty(0, dtype=np.int64)
-        return self.order[i, lo:hi]
-
-
-def build_bucket_index(A, delta):
-    """Bucket index of a weight matrix's rows, sorted by (value, column)."""
-    a = _as_data(A)
-    s, n = a.shape
-    finite = a != POS_INF
-    keys = np.where(finite, a * np.int64(max(n, 1)) + np.arange(n, dtype=np.int64),
-                    POS_INF)
-    return BucketIndex(keys, finite, max(1, min(int(delta), max(n, 1))))
-
 
 def _scaled_keys(a, want_witnesses, name):
     """Sort keys for the bucket index: n*value+k when witnesses are wanted."""
@@ -212,18 +139,10 @@ def _scaled_keys(a, want_witnesses, name):
     return keys, finite, int(scale)
 
 
-def _first_bucket_hits(R, s, delta):
-    r3 = R.reshape(s, delta, -1)
-    has = r3.any(axis=1)
-    firstb = r3.argmax(axis=1)
-    return has, firstb
-
-
-def _bucket_scan(keys, finite, order, bs, delta, member, has, firstb):
+def _bucket_scan(keys, finite, order, bs, delta, b, has, firstb):
     """Minimal key per (row, target) over the first hit bucket.
 
-    member(cols, targets) -> bool mask of shape (len(cols), len(targets)) or,
-    in the vectorized sweep, member(cols_2d) -> (s, bs, T) mask.
+    b is the boolean (n, T) right operand whose columns are the targets.
     """
     s = keys.shape[0]
     T = has.shape[1]
@@ -231,16 +150,15 @@ def _bucket_scan(keys, finite, order, bs, delta, member, has, firstb):
     if not has.any():
         return out
     if s * keys.shape[1] * T <= _SCAN_DENSE_LIMIT:
-        for b in range(delta):
-            pend = has & (firstb == b)
+        for bucket in range(delta):
+            pend = has & (firstb == bucket)
             if not pend.any():
                 continue
-            cols = order[:, b * bs:(b + 1) * bs]
+            cols = order[:, bucket * bs:(bucket + 1) * bs]
             if cols.shape[1] == 0:
                 continue
             kv = np.take_along_axis(keys, cols, axis=1)
-            sel = member(cols)
-            cand = np.where(sel, kv[:, :, None], POS_INF).min(axis=1)
+            cand = np.where(b[cols, :], kv[:, :, None], POS_INF).min(axis=1)
             out[pend] = cand[pend]
         return out
     for i in range(s):
@@ -253,19 +171,42 @@ def _bucket_scan(keys, finite, order, bs, delta, member, has, firstb):
         js_all = js_all[sort]
         fb = fb[sort]
         edges = np.searchsorted(fb, np.arange(delta + 1))
-        for b in range(delta):
-            lo, hi = edges[b], edges[b + 1]
+        for bucket in range(delta):
+            lo, hi = edges[bucket], edges[bucket + 1]
             if lo == hi:
                 continue
             js = js_all[lo:hi]
-            ks = order[i, b * bs:(b + 1) * bs]
+            ks = order[i, bucket * bs:(bucket + 1) * bs]
             ks = ks[finite[i, ks]]
             if ks.size == 0:
                 continue
-            sel = member(ks, js, i)
             kv = keys[i, ks]
+            sel = b[np.ix_(ks, js)]
             out[i, js] = np.where(sel, kv[:, None], POS_INF).min(axis=0)
     return out
+
+
+def _bucketed_min_keys(a, b, delta, want_witnesses):
+    """Smallest sort key of A[i, k] over the k with b[k, j], per (i, j).
+
+    Each row of A is sorted by key (n*A[i, k]+k when witnesses are wanted)
+    and cut into delta buckets of ceil(n/delta) entries.  One boolean
+    product of the bucket indicator against b finds, per (i, j), the first
+    bucket holding a qualifying k, and only that bucket is scanned.  Returns
+    the key matrix (+inf where no k qualifies) and the key scale.
+    """
+    s, n = a.shape
+    keys, finite, scale = _scaled_keys(a, want_witnesses, "A")
+    bs = max(1, -(-n // delta))
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[None, :], axis=1)
+    rows, cols = np.nonzero(finite)
+    aprime = np.zeros((s * delta, n), dtype=bool)
+    aprime[rows * delta + ranks[rows, cols] // bs, cols] = True
+    hits = boolean_matrix_multiply(aprime, b).reshape(s, delta, -1)
+    has, firstb = hits.any(axis=1), hits.argmax(axis=1)
+    return _bucket_scan(keys, finite, order, bs, delta, b, has, firstb), scale
 
 
 def boolean_min_plus(A, B, delta, return_witnesses=True):
@@ -289,23 +230,7 @@ def boolean_min_plus(A, B, delta, return_witnesses=True):
     if s == 0 or t == 0 or n == 0:
         return (WeightMatrix(np.full((s, t), POS_INF, dtype=np.int64), copy=False),
                 np.full((s, t), -1, dtype=np.int64))
-    keys, finite, scale = _scaled_keys(a, return_witnesses, "A")
-    bs = max(1, -(-n // delta))
-    order = np.argsort(keys, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[None, :], axis=1)
-    rows, cols = np.nonzero(finite)
-    aprime = np.zeros((s * delta, n), dtype=bool)
-    aprime[rows * delta + ranks[rows, cols] // bs, cols] = True
-    product = boolean_matrix_multiply(aprime, b)
-    has, firstb = _first_bucket_hits(product, s, delta)
-
-    def member(cols2d, js=None, i=None):
-        if js is None:
-            return b[cols2d, :]
-        return b[np.ix_(cols2d, js)]
-
-    out_key = _bucket_scan(keys, finite, order, bs, delta, member, has, firstb)
+    out_key, scale = _bucketed_min_keys(a, b, delta, return_witnesses)
     hit = out_key != POS_INF
     if return_witnesses:
         vals = np.where(hit, np.floor_divide(out_key, scale), POS_INF)
@@ -317,29 +242,33 @@ def boolean_min_plus(A, B, delta, return_witnesses=True):
 
 
 def _column_slots(bdata, d=None):
-    """Distinct finite values per column in first-occurrence order."""
-    n, m = bdata.shape
-    slot_col, slot_val, col_start = [], [], [0]
-    for j in range(m):
-        seen = {}
-        for v in bdata[:, j]:
-            if v != POS_INF and v not in seen:
-                seen[v] = None
-        vals = list(seen)
-        if d is not None and len(vals) > d:
-            raise AuditError(f"column {j} has {len(vals)} distinct entries (> {d})")
-        slot_col.extend([j] * len(vals))
-        slot_val.extend(vals)
-        col_start.append(len(slot_val))
-    return (np.array(slot_col, dtype=np.int64),
-            np.array(slot_val, dtype=np.int64),
-            np.array(col_start, dtype=np.int64))
+    """Distinct finite values per column in first-occurrence order.
+
+    Returns (slot_col, slot_val, col_start): the slots of column j are
+    col_start[j]:col_start[j + 1], ordered by the row where each value first
+    occurs.
+    """
+    rows, cols = np.nonzero(bdata != POS_INF)
+    vals = bdata[rows, cols]
+    order = np.lexsort((rows, vals, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])
+    first = np.zeros(bdata.shape, dtype=bool)
+    first[rows[new], cols[new]] = True
+    slot_col, slot_row = np.nonzero(first.T)
+    counts = np.bincount(slot_col, minlength=bdata.shape[1])
+    if d is not None and (counts > d).any():
+        j = int(np.argmax(counts > d))
+        raise AuditError(f"column {j} has {counts[j]} distinct entries (> {d})")
+    col_start = np.concatenate([[0], np.cumsum(counts)])
+    return slot_col, bdata[slot_row, slot_col], col_start
 
 
 def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     """Rectangular min-plus product for B with few distinct entries per column.
 
-    Builds the n x (sum_j d_j) column-value indicator, takes one packed
+    Builds the n x (sum_j d_j) column-value indicator, takes one
     boolean product against the bucketed rows of A, and scans the first hit
     bucket per (row, column, value) before minimizing over values.
     """
@@ -363,35 +292,14 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
         if return_witnesses:
             return WeightMatrix(out, copy=False), wit
         return WeightMatrix(out, copy=False)
-    keys, finite, scale = _scaled_keys(a, return_witnesses, "A")
-    bs = max(1, -(-n // delta))
-    order = np.argsort(keys, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[None, :], axis=1)
-    rows, cols = np.nonzero(finite)
-    aprime = np.zeros((s * delta, n), dtype=bool)
-    aprime[rows * delta + ranks[rows, cols] // bs, cols] = True
-    bprime = np.zeros((n, T), dtype=bool)
-    for j in range(m):
-        lo, hi = col_start[j], col_start[j + 1]
-        if lo < hi:
-            bprime[:, lo:hi] = bm[:, j, None] == slot_val[None, lo:hi]
-    product = boolean_matrix_multiply(aprime, bprime)
-    has, firstb = _first_bucket_hits(product, s, delta)
-
-    def member(cols2d, js=None, i=None):
-        if js is None:
-            return bprime[cols2d, :]
-        return bprime[np.ix_(cols2d, js)]
-
-    out_key = _bucket_scan(keys, finite, order, bs, delta, member, has, firstb)
+    bprime = bm[:, slot_col] == slot_val[None, :]
+    out_key, scale = _bucketed_min_keys(a, bprime, delta, return_witnesses)
     hit = out_key != POS_INF
     aval = np.where(hit, np.floor_divide(out_key, scale), 0)
     kwit = np.where(hit, out_key - aval * scale, -1)
     sums = np.where(hit, aval + slot_val[None, :], POS_INF)
     nonempty = col_start[:-1] != col_start[1:]
     ne_starts = col_start[:-1][nonempty]
-    out = np.full((s, m), POS_INF, dtype=np.int64)
     out[:, nonempty] = np.minimum.reduceat(sums, ne_starts, axis=1)
     if return_witnesses:
         eq = sums == out[:, slot_col]
@@ -438,12 +346,14 @@ class HopProduct:
             nodes.reverse()
         return nodes
 
-    def hop_length(self, i, j):
-        p = self.path(i, j)
-        return None if p is None else len(p) - 1
-
 
 def _run_hop_recurrence(a0, h, step, want_paths):
+    """h rounds of vals = min(vals, step(vals)); one product call per round.
+
+    step(vals) returns the product and its witness matrix (None allowed when
+    paths are not wanted); parents[t] holds the witness of round t where the
+    value strictly improved, else -1.
+    """
     vals = a0.copy()
     parents = []
     for _ in range(int(h)):
@@ -454,6 +364,49 @@ def _run_hop_recurrence(a0, h, step, want_paths):
             parents.append(np.where(better, nw, np.int64(-1)))
         vals = np.where(better, nv, vals)
     return vals, parents
+
+
+def _node_step(adj, w, delta, want_paths):
+    """Hop step (A (*) adj) + w of a node-weighted graph."""
+
+    def step(vals):
+        prod, wit = boolean_min_plus(vals, adj, delta, return_witnesses=want_paths)
+        return saturating_add(prod.data, w[None, :]), wit
+
+    return step
+
+
+def _edge_step(onehop, delta, product, want_paths):
+    """Hop step A * onehop by the d-weights kernel or by `product`.
+
+    A solver product carries no witnesses, so they are recovered as the
+    smallest k with A[i, k] + onehop[k, j] equal to the product entry.
+    """
+    if product is None:
+        def step(vals):
+            prod, wit = d_weights_min_plus(vals, onehop, delta, d=None,
+                                           return_witnesses=True)
+            return prod.data, wit
+
+        return step
+    bmat = WeightMatrix(onehop)
+
+    def step(vals):
+        prod = product(WeightMatrix(vals), bmat).data
+        if not want_paths:
+            return prod, None
+        wit = np.full(prod.shape, -1, dtype=np.int64)
+        need = prod < vals
+        for k in range(vals.shape[1]):
+            if not need.any():
+                break
+            cand = saturating_add(vals[:, k:k + 1], onehop[k:k + 1, :])
+            match = need & (cand == prod)
+            wit[match] = k
+            need &= ~match
+        return prod, wit
+
+    return step
 
 
 def hop_bounded_product(A, g, h, delta=1, want_paths=True):
@@ -467,69 +420,66 @@ def hop_bounded_product(A, g, h, delta=1, want_paths=True):
         raise TypeError("hop_bounded_product expects a NodeWeightedGraph")
     if h < 0:
         raise ValueError("h must be >= 0")
-    a0 = _as_data(A).copy()
+    a0 = _as_data(A)
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
-    adj = g.adjacency_bool()
-    w = g.node_weight
-
-    def step(vals):
-        prod, wit = boolean_min_plus(vals, adj, delta, return_witnesses=want_paths)
-        return saturating_add(prod.data, w[None, :]), wit
-
+    step = _node_step(g.adjacency_bool(), g.node_weight, delta, want_paths)
     vals, parents = _run_hop_recurrence(a0, h, step, want_paths)
     return HopProduct(WeightMatrix(vals, copy=False), parents)
 
 
-def hop_bounded_product_left(g, A, h, delta=1, want_paths=True):
-    """D_g^{<=h} * A via the reverse graph with the node-weight shift.
+def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
+    """D_g^{<=h} * A, run as the right product A^T * D^{<=h} of the reverse graph.
 
-    For node-weighted graphs the start matrix on the reverse graph is
+    The recurrence steps against the transposed adjacency or one-hop
+    matrix.  For node-weighted graphs the start matrix is
     B[u, s] = w(u) + A[u, s] and w(v) is subtracted from the result row v.
+    `product` replaces the d-weights kernel of edge-weighted graphs, as in
+    hop_bounded_product_edge.
     """
     a = _as_data(A)
     if a.shape[0] != g.n:
         raise ValueError("A must have one row per node")
-    grev = g.reverse()
+    if h < 0:
+        raise ValueError("h must be >= 0")
     if isinstance(g, NodeWeightedGraph):
-        shifted = saturating_add(a, g.node_weight[:, None])
-        inner = hop_bounded_product(shifted.T, grev, h, delta, want_paths)
-        raw = inner.values.data.T
-        res = np.where(raw == POS_INF, POS_INF, raw - g.node_weight[:, None])
+        if product is not None:
+            raise TypeError("product= applies to edge-weighted graphs only")
+        w = g.node_weight
+        step = _node_step(g.adjacency_bool().T, w, delta, want_paths)
+        vals, parents = _run_hop_recurrence(saturating_add(a, w[:, None]).T, h,
+                                            step, want_paths)
+        res = np.where(vals.T == POS_INF, POS_INF, vals.T - w[:, None])
     elif isinstance(g, EdgeWeightedGraph):
-        inner = hop_bounded_product_edge(a.T, grev, h, None, delta, want_paths)
-        res = inner.values.data.T
+        step = _edge_step(one_hop_offdiag(g).T, delta, product, want_paths)
+        vals, parents = _run_hop_recurrence(a.T, h, step, want_paths)
+        res = vals.T
     else:
         raise TypeError(f"unsupported graph type {type(g)!r}")
-    out = HopProduct(WeightMatrix(res, copy=False), inner._parents, reversed_paths=True)
-    return out
+    return HopProduct(WeightMatrix(res, copy=False), parents, reversed_paths=True)
 
 
-def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True):
+def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True,
+                             product=None):
     """A * D_g^{<=h} for an edge-weighted graph with few incoming weights.
 
     Each hop step is a d-weights min-plus product against the one-hop edge
     matrix (whose column v holds the at most d distinct incoming weights of
-    node v).
+    node v).  A solver `product(A, B) -> WeightMatrix` can take the place of
+    the d-weights kernel; its witnesses come from a scan over the inner index.
     """
     if not isinstance(g, EdgeWeightedGraph):
         raise TypeError("hop_bounded_product_edge expects an EdgeWeightedGraph")
     if h < 0:
         raise ValueError("h must be >= 0")
-    a0 = _as_data(A).copy()
+    a0 = _as_data(A)
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
     if d is not None:
         max_in = audit_distinct_weights(g)[1]
         if max_in > d:
             raise AuditError(f"graph has a node with {max_in} distinct incoming weights (> {d})")
-    onehop = one_hop_offdiag(g)
-
-    def step(vals):
-        prod, wit = d_weights_min_plus(vals, onehop, delta, d=None,
-                                       return_witnesses=True)
-        return prod.data, wit
-
+    step = _edge_step(one_hop_offdiag(g), delta, product, want_paths)
     vals, parents = _run_hop_recurrence(a0, h, step, want_paths)
     return HopProduct(WeightMatrix(vals, copy=False), parents)
 

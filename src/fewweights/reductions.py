@@ -20,15 +20,13 @@ from .core import (
     POS_INF,
     WeightMatrix,
     audit_distinct_weights,
-    one_hop_offdiag,
-    saturating_add,
 )
 from .exact_triangle import (
     TriangleInstance,
     _col_occurrence_classes,
     _row_occurrence_classes,
 )
-from .minplus import HopProduct, boolean_matrix_multiply, min_plus_naive
+from .minplus import boolean_matrix_multiply, min_plus_naive
 from .additive import popular_sum_decomposition
 
 
@@ -123,54 +121,6 @@ def minplus_from_aete(a, b, d, solver, frames=None):
 # APSP from a min-plus product solver.
 # ----------------------------------------------------------------------------
 
-class SolverHopEngine:
-    """Hop engine whose one-hop products go through a min-plus solver.
-
-    Witnesses are recovered by a direct scan over the one-hop matrix after
-    each dispatched product (only products are delegated to the solver).
-    """
-
-    def __init__(self, g, solver):
-        self.g = g
-        self.n = g.n
-        self.solver = solver
-        self.onehop = one_hop_offdiag(g)
-        self.onehop_rev = one_hop_offdiag(g.reverse())
-
-    def _sweep(self, a0, onehop, h, want_paths):
-        vals = a0.copy()
-        parents = []
-        for _ in range(int(h)):
-            prod = self.solver(WeightMatrix(vals, copy=True),
-                               WeightMatrix(onehop, copy=True)).data
-            better = prod < vals
-            if want_paths:
-                wit = np.full(prod.shape, -1, dtype=np.int64)
-                need = better.copy()
-                for k in range(self.n):
-                    if not need.any():
-                        break
-                    cand = saturating_add(vals[:, k:k + 1], onehop[k:k + 1, :])
-                    match = need & (cand == prod)
-                    wit[match] = k
-                    need &= ~match
-                parents.append(wit)
-            vals = np.where(better, prod, vals)
-        return vals, parents
-
-    def right(self, a, h, want_paths=True):
-        vals, parents = self._sweep(np.asarray(a, dtype=np.int64), self.onehop,
-                                    h, want_paths)
-        return HopProduct(WeightMatrix(vals, copy=False), parents)
-
-    def left(self, a, h, want_paths=True):
-        a = np.asarray(a, dtype=np.int64)
-        vals, parents = self._sweep(np.ascontiguousarray(a.T),
-                                    self.onehop_rev, h, want_paths)
-        return HopProduct(WeightMatrix(np.ascontiguousarray(vals.T), copy=False),
-                          parents, reversed_paths=True)
-
-
 def apsp_from_minplus(g, d, minplus_solver, eps):
     """APSP with all d-weights products dispatched to the given solver.
 
@@ -186,7 +136,7 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
             raise AuditError(f"incoming-distinct audit failed: {max_in} > {d}")
     h = max(1, math.ceil(g.n ** (eps / 4.0)))
     g2, remap = eliminate_negative_cycles(g)
-    dist = deterministic_pivot_apsp(SolverHopEngine(g2, minplus_solver), h)
+    dist = deterministic_pivot_apsp(g2, h, product=minplus_solver)
     return remap.decode(dist)
 
 

@@ -12,6 +12,7 @@ from fewweights.core import (
     build_one_hop_matrix,
 )
 from fewweights import apsp as ap
+from fewweights import minplus as mp
 from fewweights.generators import (
     random_dweights_graph,
     random_node_weighted_graph,
@@ -366,3 +367,17 @@ def test_dweights_d1_encoding_matches_node_weighted():
     want = ap.nw_apsp_deterministic(g, h=4)
     got = ap.dweights_apsp(ge, d=1, h=4)
     assert got == want
+
+
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand", "dweights"])
+def test_hop_iterations_count_kernel_calls(algo):
+    rng = np.random.default_rng(61)
+    if algo == "dweights":
+        g, kernel = random_dweights_graph(14, 2, rng), "d_weights_min_plus"
+    else:
+        g, kernel = random_node_weighted_graph(14, rng), "boolean_min_plus"
+    mp.reset_counters()
+    ap.solve_apsp(g, algo, h=4, d=2, rng=np.random.default_rng(0))
+    counts = mp.snapshot_counters()
+    assert counts["hop_iterations"] > 0
+    assert counts["hop_iterations"] == counts[kernel]

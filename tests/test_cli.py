@@ -192,7 +192,7 @@ def test_bench_kernels_table(tmp_path):
     table = (out / "table.txt").read_text()
     rows = [json.loads(l) for l in (out / "bench.jsonl").read_text().splitlines()]
     assert len(rows) == 2 * 2 * 2  # sizes x seeds x algos
-    assert "bool-packed" in table and "bool-naive" in table
+    assert "bool-blas" in table and "bool-naive" in table
     assert all(r["ok"] for r in rows)
 
 

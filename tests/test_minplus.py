@@ -80,7 +80,7 @@ def test_naive_shape_mismatch():
 
 
 # ----------------------------------------------------------------------------
-# packed boolean product
+# boolean product
 # ----------------------------------------------------------------------------
 
 def test_boolean_matmul_identity_and_zero_row():
@@ -101,7 +101,7 @@ def test_boolean_matmul_random_vs_naive():
 
 
 def test_boolean_matmul_wide_inner_dimension():
-    # forces the word-accumulation path (inner dim > 1024)
+    # an inner dimension wider than any in the hop products
     rng = np.random.default_rng(3)
     p = rng.random((5, 1030)) < 0.02
     q = rng.random((1030, 9)) < 0.02
@@ -174,24 +174,31 @@ def test_boolean_min_plus_delta_independent():
             assert np.array_equal(wit, ref[1])
 
 
-def test_bucket_index_partitions_rows():
+def test_bucket_scan_per_row_branch_matches_dense(monkeypatch):
     rng = np.random.default_rng(10)
-    a = rand_matrix(rng, 6, 20, inf_p=0.3)
-    idx = mp.build_bucket_index(a, 4)
-    for i in range(6):
-        seen = []
-        prev_last = None
-        for b in range(idx.delta):
-            bucket = idx.bucket(i, b)
-            vals = a.data[i, bucket]
-            assert np.all(vals[:-1] <= vals[1:])
-            if prev_last is not None and len(bucket):
-                assert prev_last <= vals[0]
-            if len(bucket):
-                prev_last = vals[-1]
-            seen.extend(bucket.tolist())
-        finite_cols = np.nonzero(a.data[i] != POS_INF)[0]
-        assert sorted(seen) == finite_cols.tolist()
+    cases = []
+    for _ in range(6):
+        s, n, t = rng.integers(1, 14, size=3)
+        a = rand_matrix(rng, s, n, inf_p=0.3)
+        cases.append((a, rng.random((n, t)) < 0.4,
+                      column_capped_matrix(rng, n, t, 3), int(rng.integers(1, 6))))
+
+    def run_all():
+        out = []
+        for a, b, bw, delta in cases:
+            out.append(mp.boolean_min_plus(a, b, delta))
+            out.append(mp.d_weights_min_plus(a, bw, delta, return_witnesses=True))
+        return out
+
+    dense = run_all()
+    monkeypatch.setattr(mp, "_SCAN_DENSE_LIMIT", 0)
+    per_row = run_all()
+    for (a, b, bw, _), (bv, bwit), (dv, dwit) in zip(cases, per_row[::2], per_row[1::2]):
+        assert np.array_equal(bv.data, bool_minplus_ref(a.data, b))
+        assert dv == mp.min_plus_naive(a, bw)
+    for (v1, w1), (v2, w2) in zip(dense, per_row):
+        assert v1 == v2
+        assert np.array_equal(w1, w2)
 
 
 # ----------------------------------------------------------------------------
@@ -255,6 +262,34 @@ def test_dweights_audit_error():
     b = WeightMatrix([[1], [2], [3]])
     with pytest.raises(AuditError):
         mp.d_weights_min_plus(a, b, 1, d=2)
+
+
+def column_slots_reference(bdata):
+    """Per-column loop: distinct finite values in first-occurrence order."""
+    slot_col, slot_val, col_start = [], [], [0]
+    for j in range(bdata.shape[1]):
+        vals = list(dict.fromkeys(v for v in bdata[:, j].tolist() if v != POS_INF))
+        slot_col += [j] * len(vals)
+        slot_val += vals
+        col_start.append(len(slot_val))
+    return slot_col, slot_val, col_start
+
+
+def test_column_slots_match_loop_reference():
+    rng = np.random.default_rng(12)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (7, 1)]
+    shapes += [tuple(rng.integers(1, 12, size=2)) for _ in range(12)]
+    for n, m in shapes:
+        b = column_capped_matrix(rng, n, m, int(rng.integers(1, 5)), inf_p=0.4).data
+        got = mp._column_slots(b)
+        for g, w in zip(got, column_slots_reference(b)):
+            assert g.dtype == np.int64
+            assert g.tolist() == w
+    b = np.array([[1, 5, POS_INF], [2, 5, 4], [1, 6, 3]], dtype=np.int64)
+    with pytest.raises(AuditError, match="column 0 has 2 distinct entries"):
+        mp._column_slots(b, d=1)
+    with pytest.raises(AuditError, match="column 1 has 3 distinct entries"):
+        mp._column_slots(np.array([[1, 5], [1, 6], [1, 7]], dtype=np.int64), d=2)
 
 
 # ----------------------------------------------------------------------------
@@ -404,3 +439,55 @@ def test_hop_edge_audit_failure():
     a = mp.trivial_rows(np.arange(3), 3)
     with pytest.raises(AuditError):
         mp.hop_bounded_product_edge(a, g, 1, d=1)
+
+
+def test_left_product_edge_weighted_matches_naive():
+    rng = np.random.default_rng(39)
+    for _ in range(4):
+        n = int(rng.integers(2, 11))
+        g = rand_edge_graph(rng, n, 3)
+        a = rand_matrix(rng, n, 4, inf_p=0.4, lo=0, hi=9)
+        assert mp.hop_bounded_product_left(g, a, 0).values == a
+        one = build_one_hop_matrix(g)
+        d3 = mp.min_plus_naive(mp.min_plus_naive(one, one), one)
+        got = mp.hop_bounded_product_left(g, a, 3, delta=2)
+        assert got.values == mp.min_plus_naive(d3, a)
+        for u in range(n):
+            for j in range(4):
+                p = got.path(u, j)
+                if p is None:
+                    continue
+                assert p[0] == u and len(p) - 1 <= 3
+                w = sum(int(one.data[x, y]) for x, y in zip(p, p[1:]))
+                assert w + int(a.data[p[-1], j]) == got.values.data[u, j]
+
+
+def test_solver_product_matches_kernel_hop_products():
+    rng = np.random.default_rng(40)
+    g = rand_edge_graph(rng, 9, 2)
+    a = rand_matrix(rng, 4, 9, inf_p=0.4, lo=0, hi=9)
+    calls = []
+
+    def solver(x, y):
+        calls.append(x.shape)
+        return mp.min_plus_naive(x, y)
+
+    right = mp.hop_bounded_product_edge(a, g, 3, product=solver)
+    assert right.values == mp.hop_bounded_product_edge(a, g, 3).values
+    left = mp.hop_bounded_product_left(g, a.transpose(), 3, product=solver)
+    assert left.values == mp.hop_bounded_product_left(g, a.transpose(), 3).values
+    assert calls == [(4, 9)] * 6
+    one = build_one_hop_matrix(g).data
+    for i in range(4):
+        for v in range(9):
+            p = right.path(i, v)
+            if p is not None:
+                w = int(a.data[i, p[0]]) + sum(int(one[x, y]) for x, y in zip(p, p[1:]))
+                assert w == right.values.data[i, v] and len(p) - 1 <= 3
+            q = left.path(v, i)
+            if q is not None:
+                w = sum(int(one[x, y]) for x, y in zip(q, q[1:])) + int(a.data[i, q[-1]])
+                assert w == left.values.data[v, i] and len(q) - 1 <= 3
+    with pytest.raises(TypeError):
+        mp.hop_bounded_product_left(rand_node_graph(rng, 9), a.transpose(), 1,
+                                    product=solver)

@@ -95,6 +95,24 @@ def test_apsp_from_minplus_eps_invariant():
     assert np.array_equal(outs[1], outs[2])
 
 
+def test_apsp_from_minplus_counts_solver_hops():
+    rng = np.random.default_rng(3)
+    g = random_dweights_graph(12, 2, rng, promise="in")
+    calls = []
+
+    def solver(x, y):
+        calls.append(x.shape)
+        return mp.min_plus_naive(x, y)
+
+    mp.reset_counters()
+    got = red.apsp_from_minplus(g, 2, solver, eps=3.0)
+    counts = mp.snapshot_counters()
+    assert np.array_equal(got.data, ap.apsp_oracle(g).data)
+    assert len(calls) > 0
+    assert counts["hop_iterations"] == len(calls)
+    assert counts["d_weights_min_plus"] == 0
+
+
 def test_apsp_from_minplus_audit():
     g = EdgeWeightedGraph(3, [(0, 2, 1), (1, 2, 2)])
     with pytest.raises(AuditError):
