@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-DEFAULT_RATE_CONSTANT = 4.0
+RATE_CONSTANT = 4.0
 EXACT_CUTOFF = 2 ** 16
+BSG_SUMSET_FACTOR = 4.0
+BSG_RETRIES = 8
 
 
 class SumsetProfile:
@@ -51,8 +53,7 @@ def popular_sums_exact(x, y, t):
     return {z for z, r in mult.items() if r >= t}
 
 
-def popular_sums_approx(x, y, t, rng=None, rate_constant=DEFAULT_RATE_CONSTANT,
-                        exact_cutoff=EXACT_CUTOFF):
+def popular_sums_approx(x, y, t, rng=None, exact_cutoff=EXACT_CUTOFF):
     """Approximate popular sums with the sandwich P_2t <= P <= P_t (w.h.p.).
 
     Subsamples both sets at rate c*log2(d)/sqrt(t) and thresholds the
@@ -63,7 +64,7 @@ def popular_sums_approx(x, y, t, rng=None, rate_constant=DEFAULT_RATE_CONSTANT,
     if t < 1:
         raise ValueError("popularity threshold must be >= 1")
     d = max(len(x), len(y), 2)
-    p = rate_constant * math.log2(d) / math.sqrt(t)
+    p = RATE_CONSTANT * math.log2(d) / math.sqrt(t)
     if p >= 1.0 or len(x) * len(y) <= exact_cutoff or rng is None:
         return popular_sums_exact(x, y, t)
     xs = [a for a in x if rng.random() < p]
@@ -177,12 +178,13 @@ class CoverOutput:
         return pairs <= covered
 
 
-def bsg_cover(x, y, z, big_k, rng=None, c2=4.0, c3=4.0, retries=8):
+def bsg_cover(x, y, z, big_k, rng=None):
     """Cover the Z-summing pairs of X x Y by K structured boxes plus a rest.
 
     Each box is found by dependent selection on the summing-pair graph:
     anchor a random column, refine both sides by common-neighborhood counts,
-    and accept the attempt when the explicit sumset stays within c2*K^5*d.
+    and accept the attempt when the explicit sumset stays within
+    BSG_SUMSET_FACTOR*K^5*d.
     Pairs never captured by an accepted box end up in the remainder.
     """
     if big_k < 1:
@@ -196,7 +198,7 @@ def bsg_cover(x, y, z, big_k, rng=None, c2=4.0, c3=4.0, retries=8):
     if not pairs:
         return CoverOutput([(set(), set())] * big_k, set())
     remaining = set(pairs)
-    size_cap = c2 * (big_k ** 5) * d
+    size_cap = BSG_SUMSET_FACTOR * (big_k ** 5) * d
     for _ in range(big_k):
         if not remaining:
             break
@@ -207,7 +209,7 @@ def bsg_cover(x, y, z, big_k, rng=None, c2=4.0, c3=4.0, retries=8):
         weights = np.array([len(by_y[b]) for b in anchors], dtype=float)
         weights /= weights.sum()
         best = None
-        for _ in range(retries):
+        for _ in range(BSG_RETRIES):
             y0 = anchors[int(rng.choice(len(anchors), p=weights))]
             x0 = by_y[y0]
             if not x0:
@@ -344,9 +346,7 @@ def _decompose_side(mains, others, d, delta, popular):
     return SideDecomposition(mains, parts, work)
 
 
-def popular_sum_decomposition(x_sets, y_sets, d, delta, rng=None,
-                              rate_constant=DEFAULT_RATE_CONSTANT,
-                              exact_cutoff=EXACT_CUTOFF):
+def popular_sum_decomposition(x_sets, y_sets, d, delta, rng=None):
     """Partition every X_i (and Y_j) into shifted-core parts plus remainders.
 
     Each extraction round finds a column index whose approximate popular-sum
@@ -362,9 +362,7 @@ def popular_sum_decomposition(x_sets, y_sets, d, delta, rng=None,
         raise ValueError("need equally many X and Y sets")
 
     def popular(a, b, t):
-        return popular_sums_approx(a, b, t, rng=rng,
-                                   rate_constant=rate_constant,
-                                   exact_cutoff=exact_cutoff)
+        return popular_sums_approx(a, b, t, rng=rng)
 
     x_side = _decompose_side(x_sets, y_sets, d, delta, popular)
     y_side = _decompose_side(y_sets, x_sets, d, delta, popular)

@@ -1,15 +1,17 @@
 """All-pairs shortest path solvers.
 
 apsp_oracle gives exact distances (with -inf for pairs whose shortest path
-can hit a negative cycle) by per-source search.  The multi-level pivot
-solver comes in a randomized variant (uniform pivot samples per level) and
-a deterministic variant (bridging sets built by greedy hitting sets), plus
-the d-weights generalization that swaps every boolean min-plus product for
-a d-weights product.
+can hit a negative cycle) by min-plus repeated squaring of the one-hop
+matrix; weights beyond the min-plus kernel's operand range raise WeightError.
+The multi-level pivot solver comes in a randomized variant (uniform pivot
+samples per level) and a deterministic variant (bridging sets built by
+greedy hitting sets), plus the d-weights generalization that swaps every
+boolean min-plus product for a d-weights product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,9 +26,9 @@ from .core import (
     WeightMatrix,
     audit_distinct_weights,
     build_one_hop_matrix,
-    saturating_add,
 )
 from .minplus import (
+    boolean_matrix_multiply,
     hop_bounded_product,
     hop_bounded_product_edge,
     hop_bounded_product_left,
@@ -47,77 +49,34 @@ def default_hop_parameter(n, omega_hat=DEFAULT_OMEGA_HAT):
 # Oracle.
 # ----------------------------------------------------------------------------
 
-def _one_hop_step(cur, one):
-    """One Bellman round for all sources at once: min(cur, cur * one)."""
-    n = cur.shape[0]
-    nxt = cur.copy()
-    for k in range(n):
-        col = cur[:, k]
-        row = one[k, :]
-        bad = (col[:, None] == POS_INF) | (row[None, :] == POS_INF)
-        s = np.where(bad, POS_INF, col[:, None] + row[None, :])
-        np.minimum(nxt, s, out=nxt)
-    return nxt
-
-def _bool_closure(adj):
-    """Reflexive-transitive closure of a boolean adjacency matrix."""
-    n = adj.shape[0]
-    reach = adj.copy()
-    np.fill_diagonal(reach, True)
-    hops = 1
-    while hops < n:
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
+def _repeated_square(m):
+    """Min-plus repeated squaring to the power n, stopping on fixpoint."""
+    n = m.shape[0]
+    if n == 0:
+        return m
+    cur = WeightMatrix(m)
+    for _ in range(max(1, math.ceil(math.log2(max(n, 2))))):
+        nxt = min_plus_naive(cur, cur)
+        if nxt == cur:
             break
-        reach = nxt
-        hops *= 2
-    return reach
+        cur = nxt
+    return cur.data
 
 
 def apsp_oracle(g):
-    """Exact distance matrix by per-source search.
+    """Exact distance matrix by min-plus repeated squaring of D^{<=1}.
 
-    Uses array-scan Dijkstra per source for nonnegative weights and an
-    all-sources Bellman-Ford sweep otherwise, marking -inf for every pair
-    whose walks can be pumped through a negative cycle.
+    After ceil(log2 n) squarings every node on a negative cycle has a
+    negative diagonal entry; a pair is -inf exactly when some such node is
+    reachable from its source and reaches its target.  Every other entry is
+    a simple-path distance.  Weights too large for the min-plus kernel raise
+    WeightError instead of wrapping.
     """
-    n = g.n
-    one = build_one_hop_matrix(g).data
-    finite = one != POS_INF
-    nonneg = not np.any(one[finite] < 0)
-    if nonneg:
-        out = np.empty((n, n), dtype=np.int64)
-        for s in range(n):
-            dist = one[s].copy()
-            dist[s] = 0
-            done = np.zeros(n, dtype=bool)
-            done[s] = True
-            for _ in range(n - 1):
-                cand = np.where(done, POS_INF, dist)
-                u = int(np.argmin(cand))
-                if cand[u] == POS_INF:
-                    break
-                done[u] = True
-                relax = saturating_add(np.full(n, dist[u]), one[u])
-                np.minimum(dist, relax, out=dist)
-            out[s] = dist
-        return DistanceMatrix(out, copy=False)
-    cur = one.copy()
-    changed = True
-    for _ in range(n):
-        nxt = _one_hop_step(cur, one)
-        changed = not np.array_equal(nxt, cur)
-        cur = nxt
-        if not changed:
-            break
-    if changed:
-        probe = _one_hop_step(cur, one)
-        improving = probe < cur
-        if improving.any():
-            reach = _bool_closure(one != POS_INF)
-            pumped = improving | (improving @ reach)
-            cur = np.where(pumped, NEG_INF, cur)
-    return DistanceMatrix(cur, copy=False)
+    d = _repeated_square(build_one_hop_matrix(g).data)
+    finite = d != POS_INF
+    cyc = np.diagonal(d) < 0
+    pumped = boolean_matrix_multiply(finite[:, cyc], finite[cyc, :])
+    return DistanceMatrix(np.where(pumped, NEG_INF, d), copy=False)
 
 
 # ----------------------------------------------------------------------------
@@ -337,29 +296,30 @@ def greedy_hitting_set(paths, n):
     Ties break to the lowest vertex index.  Returns a sorted array that hits
     every input path.
     """
-    psets = []
-    for p in paths:
-        if len(p) == 0:
-            raise ValueError("paths must be nonempty")
-        psets.append(set(int(x) for x in p))
-    by_vertex = [[] for _ in range(n)]
-    counts = np.zeros(n, dtype=np.int64)
-    for pid, s in enumerate(psets):
-        for v in s:
-            by_vertex[v].append(pid)
-            counts[v] += 1
-    alive = np.ones(len(psets), dtype=bool)
-    remaining = len(psets)
+    sizes = np.array([len(p) for p in paths], dtype=np.int64)
+    if (sizes == 0).any():
+        raise ValueError("paths must be nonempty")
+    flat = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64,
+                       count=int(sizes.sum()))
+    # one (path, vertex) entry per distinct vertex of a path, sorted by path
+    key = np.unique(np.repeat(np.arange(sizes.size), sizes) * n + flat)
+    pid, vert = key // n, key % n
+    path_start = np.searchsorted(pid, np.arange(sizes.size + 1))
+    by_vertex = np.argsort(vert, kind="stable")
+    vertex_start = np.searchsorted(vert[by_vertex], np.arange(n + 1))
+    counts = np.bincount(vert, minlength=n)
+    alive = np.ones(sizes.size, dtype=bool)
     chosen = []
-    while remaining > 0:
+    while counts.any():  # some live path remains
         v = int(np.argmax(counts))
         chosen.append(v)
-        for pid in by_vertex[v]:
-            if alive[pid]:
-                alive[pid] = False
-                remaining -= 1
-                for u in psets[pid]:
-                    counts[u] -= 1
+        hit = pid[by_vertex[vertex_start[v]:vertex_start[v + 1]]]
+        hit = hit[alive[hit]]
+        alive[hit] = False
+        # entries of the newly hit paths, gathered range by range
+        lens = path_start[hit + 1] - path_start[hit]
+        offsets = np.repeat(path_start[hit] - (np.cumsum(lens) - lens), lens)
+        counts -= np.bincount(vert[offsets + np.arange(lens.sum())], minlength=n)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
@@ -374,20 +334,6 @@ def _right(g, a, h, delta, product, want_paths=True):
         return hop_bounded_product(a, g, h, delta, want_paths)
     return hop_bounded_product_edge(a, g, h, None, delta, want_paths,
                                     product=product)
-
-
-def _repeated_square(m):
-    """Min-plus repeated squaring to the power n, stopping on fixpoint."""
-    n = m.shape[0]
-    if n == 0:
-        return m
-    cur = WeightMatrix(m)
-    for _ in range(max(1, math.ceil(math.log2(max(n, 2))))):
-        nxt = min_plus_naive(cur, cur)
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur.data
 
 
 def _level_pass(g, delta, product, s_cur, s_next, d_next, ell, m1_hops):

@@ -22,6 +22,7 @@ from .apsp import apsp_oracle, solve_apsp
 from .core import (
     AuditError,
     FormatError,
+    WeightError,
     WeightMatrix,
     load_graph,
     load_matrix,
@@ -463,7 +464,8 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else EXIT_PARAM
     try:
         return args.fn(args)
-    except (AuditError, FormatError, FileNotFoundError, PromiseViolation) as e:
+    except (AuditError, FormatError, FileNotFoundError, PromiseViolation,
+            WeightError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:

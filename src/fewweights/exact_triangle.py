@@ -889,9 +889,9 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
 # Full few-weights solver.
 # ----------------------------------------------------------------------------
 
-def default_split_parameter(n, eps, growth_constant=1.0):
-    """Largest power of two Delta with Delta^(2^(c/eps)) <= n."""
-    budget = math.log2(max(n, 2)) / (2.0 ** (growth_constant / eps))
+def default_split_parameter(n, eps):
+    """Largest power of two Delta with Delta^(2^(1/eps)) <= n."""
+    budget = math.log2(max(n, 2)) / (2.0 ** (1.0 / eps))
     return max(1, 2 ** int(budget))
 
 
@@ -900,8 +900,7 @@ def structured_box_count(n, d, omega_hat=3.0):
     return max(1, math.ceil((n ** (3.0 - omega_hat) / max(d, 1)) ** (1.0 / 7.0)))
 
 
-def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0,
-                     growth_constant=1.0, rng=None):
+def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     """Solve a d-weights instance: regularize, then cover-and-conquer.
 
     delta_exp is the exponent gap that fixes eps = delta_exp/14 and in turn
@@ -911,7 +910,7 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0,
     n = inst.n
     eps = delta_exp / 14.0
     if delta is None:
-        delta = default_split_parameter(n, eps, growth_constant)
+        delta = default_split_parameter(n, eps)
     pieces, triples = regularize(inst, d, delta, eps, rng=rng)
     report = TriangleReport.from_triples(triples, n)
     report = TriangleReport(report.yes)

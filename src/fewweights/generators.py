@@ -88,16 +88,6 @@ def _dense_bot_matrix(n, rng, low, high, bot_density):
     return m
 
 
-def _few_per_row(n, d, rng, low, high, bot_density):
-    m = np.full((n, n), BOT, dtype=np.int64)
-    for i in range(n):
-        palette = rng.integers(low, high, size=d)
-        for j in range(n):
-            if rng.random() >= bot_density:
-                m[i, j] = palette[rng.integers(0, d)]
-    return m
-
-
 def random_triangle_instance(n, d, rng, promise="A_rows", low=-20, high=20,
                              bot_density=0.25, align=0.5, planted=0,
                              structured=False):

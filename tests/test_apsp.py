@@ -9,7 +9,9 @@ from fewweights.core import (
     NEG_INF,
     NodeWeightedGraph,
     POS_INF,
+    WeightError,
     build_one_hop_matrix,
+    one_hop_offdiag,
 )
 from fewweights import apsp as ap
 from fewweights import minplus as mp
@@ -76,6 +78,31 @@ def bellman_ford_reference(g):
     return out
 
 
+def graph_zoo(rng, count):
+    """Node- and edge-weighted graphs with negative weights, planted negative
+    cycles, self-loops (negative ones too), duplicate edges and n in {0, 1}."""
+    graphs = [NodeWeightedGraph(0, [], []), EdgeWeightedGraph(0, []),
+              NodeWeightedGraph(1, [], [-4]), NodeWeightedGraph(1, [(0, 0)], [-1]),
+              EdgeWeightedGraph(1, [(0, 0, 3)]), EdgeWeightedGraph(1, [(0, 0, -2)])]
+    for t in range(count):
+        n = int(rng.integers(2, 14))
+        loops = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+        if t % 2 == 0:
+            g = random_node_weighted_graph(n, rng, low=-6, high=10,
+                                           negative_cycle=(t % 4 == 0))
+            edges = list(g.edges())
+            edges += [(int(v), int(v)) for v in loops] + edges[:2]
+            graphs.append(NodeWeightedGraph(n, edges, g.node_weight))
+        else:
+            g = random_dweights_graph(n, 3, rng, low=-4, high=12,
+                                      negative_cycle=(t % 4 == 1))
+            edges = list(g.edges())
+            edges += [(int(v), int(v), int(rng.integers(-3, 5))) for v in loops]
+            edges += [(u, v, int(rng.integers(-2, 12))) for u, v, _ in edges[:3]]
+            graphs.append(EdgeWeightedGraph(n, edges))
+    return graphs
+
+
 def test_oracle_single_node():
     g = NodeWeightedGraph(1, [], [5])
     assert ap.apsp_oracle(g).data.tolist() == [[0]]
@@ -105,6 +132,41 @@ def test_oracle_matches_bellman_reference_with_negatives():
                                        high=10,
                                        negative_cycle=(t % 2 == 0))
         assert np.array_equal(ap.apsp_oracle(g).data, bellman_ford_reference(g))
+    for g in graph_zoo(np.random.default_rng(11), 24):
+        assert np.array_equal(ap.apsp_oracle(g).data, bellman_ford_reference(g))
+
+
+def test_oracle_matches_scipy_johnson():
+    """scipy's float64 Johnson as a second, independent oracle: equal
+    distances without negative cycles, NegativeCycleError exactly when the
+    oracle has a -inf entry."""
+    pytest.importorskip("scipy")
+    from scipy.sparse import csgraph
+    for g in graph_zoo(np.random.default_rng(12), 100):
+        want = ap.apsp_oracle(g).data
+        off = one_hop_offdiag(g)
+        # null_value=inf keeps zero-weight edges as edges
+        sparse = csgraph.csgraph_from_dense(
+            np.where(off == POS_INF, np.inf, off.astype(np.float64)),
+            null_value=np.inf)
+        if (want == NEG_INF).any():
+            with pytest.raises(csgraph.NegativeCycleError):
+                csgraph.johnson(sparse)
+        else:
+            got = csgraph.johnson(sparse)
+            assert np.array_equal(
+                np.where(want == POS_INF, np.inf, want.astype(np.float64)), got)
+
+
+@pytest.mark.parametrize("weight", [2 ** 59, 2 ** 56], ids=["2^59", "2^56"])
+def test_oracle_raises_instead_of_wrapping(weight):
+    # the path 0 -> 39 weighs 39 * weight, beyond the kernel operand bound:
+    # an unchecked int64 sum gives +inf at 2^59 and a value past GUARD at 2^56
+    g = NodeWeightedGraph(40, [(i, i + 1) for i in range(39)], [weight] * 40)
+    with pytest.raises(WeightError):
+        ap.apsp_oracle(g)
+    with pytest.raises(WeightError):
+        ap.solve_apsp(g, "nw-det")
 
 
 # ----------------------------------------------------------------------------
@@ -198,6 +260,45 @@ def test_hitting_set_random_paths_bound():
 def test_hitting_set_rejects_empty_path():
     with pytest.raises(ValueError):
         ap.greedy_hitting_set([[]], 4)
+    with pytest.raises(ValueError):
+        ap.greedy_hitting_set([[1, 2], []], 4)
+
+
+def greedy_hitting_set_loop(paths, n):
+    """The per-path set loop that greedy_hitting_set replaced, as reference."""
+    psets = [set(int(x) for x in p) for p in paths]
+    by_vertex = [[] for _ in range(n)]
+    counts = np.zeros(n, dtype=np.int64)
+    for pid, s in enumerate(psets):
+        for v in s:
+            by_vertex[v].append(pid)
+            counts[v] += 1
+    alive = np.ones(len(psets), dtype=bool)
+    remaining = len(psets)
+    chosen = []
+    while remaining > 0:
+        v = int(np.argmax(counts))
+        chosen.append(v)
+        for pid in by_vertex[v]:
+            if alive[pid]:
+                alive[pid] = False
+                remaining -= 1
+                for u in psets[pid]:
+                    counts[u] -= 1
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+def test_hitting_set_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    assert ap.greedy_hitting_set([], 5).tolist() == []
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        # repeated vertices within a path and many ties
+        paths = [rng.integers(0, n, size=int(rng.integers(1, 8))).tolist()
+                 for _ in range(int(rng.integers(0, 40)))]
+        got = ap.greedy_hitting_set(paths, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, greedy_hitting_set_loop(paths, n))
 
 
 # ----------------------------------------------------------------------------

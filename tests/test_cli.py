@@ -116,6 +116,10 @@ def test_missing_input_exit_code(tmp_path):
     pytest.param("3 1 edge-weighted\n-1 1 4\n", id="ew-endpoint-negative"),
     pytest.param("3 1 edge-weighted\nq 1 4\n", id="ew-endpoint-token"),
     pytest.param("-2 0 edge-weighted\n", id="negative-n"),
+    # in range for the loader, but path sums leave the min-plus operand range
+    pytest.param("9 8 edge-weighted\n"
+                 + "".join(f"{i} {i + 1} {2 ** 59}\n" for i in range(8)),
+                 id="ew-weight-overflow"),
 ])
 def test_malformed_graph_exit_code(tmp_path, text):
     bad = tmp_path / "bad.txt"
