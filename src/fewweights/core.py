@@ -249,6 +249,22 @@ def audit_distinct_weights(g):
     return int(counts[:g.n].max(initial=0)), int(counts[g.n:].max(initial=0))
 
 
+def _row_value_runs(m, absent):
+    """Present entries of m sorted by (row, value), equal values in column order.
+
+    Returns (rows, cols, vals, starts): the sorted entries and the index at
+    which each run of one value within one row begins.
+    """
+    rows, cols = np.nonzero(m != absent)
+    vals = m[rows, cols]
+    # stable sort by (row, value): equal values keep their column order
+    order = np.lexsort((vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])
+    return rows, cols, vals, np.flatnonzero(first)
+
+
 def occurrence_stats(m, absent):
     """Occurrence counts and ranks of the entries of m within their rows.
 
@@ -259,22 +275,32 @@ def occurrence_stats(m, absent):
     Column statistics are occurrence_stats(m.T, absent) transposed back.
     """
     m = np.asarray(m, dtype=np.int64)
-    rows, cols = np.nonzero(m != absent)
-    vals = m[rows, cols]
-    # stable sort by (row, value): equal values keep their column order
-    order = np.lexsort((vals, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
+    rows, cols, _, starts = _row_value_runs(m, absent)
     sizes = np.diff(np.append(starts, rows.size))
+    group = np.repeat(np.arange(starts.size), sizes)
     count = np.zeros(m.shape, dtype=np.int64)
     rank = np.zeros(m.shape, dtype=np.int64)
     count[rows, cols] = sizes[group]
     rank[rows, cols] = np.arange(rows.size) - starts[group]
     distinct = np.bincount(rows[starts], minlength=m.shape[0])
     return count, rank, distinct
+
+
+def value_positions(m, absent):
+    """Per row i of m: a dict from each value to its ascending column indices.
+
+    Entries equal to `absent` are skipped.  The column form (per column: value
+    -> row indices) is value_positions(m.T, absent).
+    """
+    m = np.asarray(m, dtype=np.int64)
+    rows, cols, vals, starts = _row_value_runs(m, absent)
+    out = [{} for _ in range(m.shape[0])]
+    cols = cols.tolist()
+    bounds = np.append(starts, len(cols)).tolist()
+    for r, v, s, e in zip(rows[starts].tolist(), vals[starts].tolist(),
+                          bounds[:-1], bounds[1:]):
+        out[r][v] = cols[s:e]
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -12,6 +12,7 @@ triple list.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from .additive import (
     popular_sum_decomposition,
     sumset,
 )
-from .core import AuditError, BOT, POS_INF, WeightMatrix, occurrence_stats
+from .core import (AuditError, BOT, POS_INF, WeightMatrix, occurrence_stats,
+                   value_positions)
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
@@ -244,35 +246,33 @@ def _primitive_root(q):
     raise RuntimeError(f"no primitive root mod {q}")
 
 
-def _ntt_axis0(a, q, omega, invert):
-    """Radix-2 NTT along axis 0 of an (m, cols) int64 array, m a power of 2."""
-    m = a.shape[0]
-    rev = np.zeros(m, dtype=np.int64)
-    for i in range(1, m):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) * (m >> 1))
-    a = a[rev].copy()
-    length = 2
-    while length <= m:
-        half = length >> 1
-        w = pow(omega, m // length, q)
-        if invert:
-            w = pow(w, q - 2, q)
-        wpow = np.empty(half, dtype=np.int64)
-        cur = 1
-        for x in range(half):
-            wpow[x] = cur
-            cur = cur * w % q
-        view = a.reshape(m // length, length, -1)
-        u = view[:, :half, :]
-        v = view[:, half:, :] * wpow[None, :, None] % q
-        add = (u + v) % q
-        sub = (u - v) % q
-        view[:, :half, :] = add
-        view[:, half:, :] = sub
-        length <<= 1
-    if invert:
-        a = a * pow(m, q - 2, q) % q
-    return a
+@functools.lru_cache(maxsize=64)
+def _ntt_plan(m, q):
+    """Read-only tables for size-m transforms modulo q (q = 1 mod m, m = 2^k).
+
+    Returns (wtab, f2, tw, f1) for the split m = m1*m2 with m2 <= m1 <= 2*m2
+    (so tw.shape == (m2, m1)), where w is a primitive m-th root of unity mod q:
+    wtab[t] = w^t as float64 (t < m); f2[e2, t2] = w^(-m1*t2*e2) and
+    f1[e1, t1] = w^(-m2*t1*e1) are the float64 inverse DFT matrices of sizes
+    m2 and m1; tw[e2, t1] = w^(-e2*t1) are the int64 twiddles between them.
+    """
+    omega = pow(_primitive_root(q), (q - 1) // m, q)
+    w = np.ones(m, dtype=np.int64)
+    k = 1
+    while k < m:
+        w[k:2 * k] = w[:k] * pow(omega, k, q) % q
+        k *= 2
+    winv = w[-np.arange(m) % m]
+    m1 = m >> ((m.bit_length() - 1) // 2)
+    m2 = m // m1
+    i1, i2 = np.arange(m1), np.arange(m2)
+    tables = (w.astype(np.float64),
+              winv[np.outer(i2, i2) * m1 % m].astype(np.float64),
+              winv[np.outer(i2, i1) % m],
+              winv[np.outer(i1, i1) * m2 % m].astype(np.float64))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def poly_matrix_multiply(a_exp, b_exp, p):
@@ -282,10 +282,13 @@ def poly_matrix_multiply(a_exp, b_exp, p):
     shape (n, n, 2p-1) with P[i, j, e] true iff some k has
     a_exp[i,k] + b_exp[k,j] = e.  Computed by evaluating at the powers of an
     m-th root of unity modulo a prime q > n (m >= 2p-1, so coefficient
-    counts, all at most n < q, are recovered exactly), one numeric matrix
-    product per evaluation point, then one inverse transform.  The int64
-    products and butterflies are exact only while n*(q-1)^2 < 2^63, which is
-    checked before any work.
+    counts, all at most n < q, are recovered exactly): one float64 BLAS
+    matrix product per evaluation point, then a four-step inverse transform
+    (m = m1*m2, size-m2 and size-m1 inverse DFTs as float64 products with a
+    twiddle multiply between them, only the output rows below 2p-1 kept).
+    The 1/m factor is skipped: it is a unit mod q and leaves zeros in place.
+    Every float64 sum holds at most max(n, m1) products below q, so it is
+    exact while max(n, m1)*(q-1)^2 < 2^53, which is checked before any work.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -297,32 +300,34 @@ def poly_matrix_multiply(a_exp, b_exp, p):
     while m < conv_len:
         m *= 2
     q = _find_ntt_prime(m, max(n, 2))
-    if n * (q - 1) ** 2 >= 2**63:
-        raise ValueError(f"n={n} too large for exact int64 products modulo "
-                         f"q={q}: n*(q-1)^2 must stay below 2^63")
+    m1 = m >> ((m.bit_length() - 1) // 2)
+    if max(n, m1) * (q - 1) ** 2 >= 2**53:
+        raise ValueError(f"n={n}, m={m} too large for exact float64 products "
+                         f"modulo q={q}: max(n, m1)*(q-1)^2 must stay below 2^53")
     fa, fb = ae != BOT, be != BOT
     if (np.any((ae < 0) & fa) or np.any((ae >= p) & fa)
             or np.any((be < 0) & fb) or np.any((be >= p) & fb)):
         raise ValueError("exponents must lie in [0, p)")
-    omega = pow(_primitive_root(q), (q - 1) // m, q)
-    wtab = np.empty(m, dtype=np.int64)
-    cur = 1
-    for t in range(m):
-        wtab[t] = cur
-        cur = cur * omega % q
-    evals = np.empty((m, n * n), dtype=np.int64)
-    chunk = max(1, (1 << 20) // max(1, n * n))
+    wtab, f2, tw, f1 = _ntt_plan(m, q)
+    m2 = m // m1
+    ea, eb = np.where(fa, ae, 0), np.where(fb, be, 0)
+    cols = n * n
+    evals = np.empty((m, cols), dtype=np.float64)
+    chunk = max(1, (1 << 20) // max(1, cols))
     ts = np.arange(m, dtype=np.int64)
-    for t0 in range(0, m, chunk):
-        t1 = min(m, t0 + chunk)
-        tt = ts[t0:t1]
-        ea = (tt[:, None, None] * np.where(fa, ae, 0)) % m
-        av = np.where(fa[None, :, :], wtab[ea], 0)
-        eb = (tt[:, None, None] * np.where(fb, be, 0)) % m
-        bv = np.where(fb[None, :, :], wtab[eb], 0)
-        evals[t0:t1] = (np.matmul(av, bv) % q).reshape(t1 - t0, n * n)
-    coeffs = _ntt_axis0(evals, q, omega, invert=True)
-    presence = (coeffs[:conv_len] != 0).reshape(conv_len, n, n)
+    for lo in range(0, m, chunk):
+        hi = min(m, lo + chunk)
+        tt = ts[lo:hi, None, None]
+        av = np.where(fa, wtab[(tt * ea) & (m - 1)], 0.0)
+        bv = np.where(fb, wtab[(tt * eb) & (m - 1)], 0.0)
+        evals[lo:hi] = (np.matmul(av, bv).astype(np.int64) % q).reshape(hi - lo, cols)
+    # row t = t1 + m1*t2 of evals is [t2, t1] of its (m2, m1) view, and
+    # coefficient e = e2 + m2*e1 comes out at [e2, e1]
+    y = (f2 @ evals.reshape(m2, m1 * cols)).astype(np.int64) % q
+    y = (y.reshape(m2, m1, cols) * tw[:, :, None] % q).astype(np.float64)
+    rows = -(-conv_len // m2)
+    coeffs = np.matmul(f1[:rows], y).astype(np.int64) % q
+    presence = (coeffs != 0).transpose(1, 0, 2).reshape(rows * m2, n, n)[:conv_len]
     return np.ascontiguousarray(presence.transpose(1, 2, 0))
 
 
@@ -372,30 +377,6 @@ def aete_small_doubling(inst):
 # Uniform regular solver.
 # ----------------------------------------------------------------------------
 
-def _value_positions_cols(m):
-    """Per column k: value -> row indices."""
-    out = []
-    for k in range(m.shape[1]):
-        d = {}
-        col = m[:, k]
-        for i in np.nonzero(col != BOT)[0]:
-            d.setdefault(int(col[i]), []).append(int(i))
-        out.append(d)
-    return out
-
-
-def _value_positions_rows(m):
-    """Per row k: value -> column indices."""
-    out = []
-    for k in range(m.shape[0]):
-        d = {}
-        row = m[k]
-        for j in np.nonzero(row != BOT)[0]:
-            d.setdefault(int(row[j]), []).append(int(j))
-        out.append(d)
-    return out
-
-
 def _restrict_values(m, values):
     keep = np.isin(m, np.fromiter(values, dtype=np.int64, count=len(values))) \
         if values else np.zeros(m.shape, dtype=bool)
@@ -431,8 +412,8 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
                                inst.c)
         yes |= aete_small_doubling(sub).yes
     if cover.remainder:
-        col_a = _value_positions_cols(a)
-        row_b = _value_positions_rows(b)
+        col_a = value_positions(a.T, BOT)
+        row_b = value_positions(b, BOT)
         for av, bv in sorted(cover.remainder):
             target = av + bv
             for k in range(n):
@@ -615,7 +596,7 @@ def _list_small_class(ax, by, c, triples):
     """List all triangles of (ax, by, c) via the short column lists of by."""
     n = ax.shape[0]
     rows = _row_value_sets(ax)
-    colpos = _value_positions_cols(by)
+    colpos = value_positions(by.T, BOT)
     for i in range(n):
         if not rows[i]:
             continue
@@ -639,8 +620,8 @@ def _uniformize_class(ax, by, c, d, delta, rng, n):
     xsets = _row_value_sets(ax)
     ysets = _col_value_sets(by)
     xdec, ydec = popular_sum_decomposition(xsets, ysets, d_prime, delta_prime, rng)
-    rowpos_a = _value_positions_rows(ax)
-    colpos_b = _value_positions_cols(by)
+    rowpos_a = value_positions(ax, BOT)
+    colpos_b = value_positions(by.T, BOT)
     t_exc = max(1.0, 2.0 * d_prime / delta_prime)
     triples = set()
 
@@ -710,7 +691,7 @@ def _uniformize_class(ax, by, c, d, delta, rng, n):
                 for k in rowpos_a[i].get(av, ()):
                     ag[i, k] = av - xlvl.shifts[i]
         sg = sorted(xlvl.core)
-        rowpos_ag = _value_positions_rows(ag)
+        rowpos_ag = value_positions(ag, BOT)
         for h, (bh, tshift, th) in sorted(b_shifted.items()):
             pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
             th_set = set(th)

@@ -20,6 +20,7 @@ from .core import (
     POS_INF,
     WeightMatrix,
     audit_distinct_weights,
+    value_positions,
 )
 from .exact_triangle import (
     TriangleInstance,
@@ -321,28 +322,6 @@ def _row_value_lists(m):
     return [sorted(set(m[i, fin[i]].tolist())) for i in range(m.shape[0])]
 
 
-def _col_positions(m):
-    fin = m != POS_INF
-    out = []
-    for j in range(m.shape[1]):
-        d = {}
-        for k in np.nonzero(fin[:, j])[0]:
-            d.setdefault(int(m[k, j]), []).append(int(k))
-        out.append(d)
-    return out
-
-
-def _row_positions(m):
-    fin = m != POS_INF
-    out = []
-    for i in range(m.shape[0]):
-        d = {}
-        for k in np.nonzero(fin[i])[0]:
-            d.setdefault(int(m[i, k]), []).append(int(k))
-        out.append(d)
-    return out
-
-
 def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
                                    undirected=False):
     """Exact min-plus product for row-weights matrices via APSP gadgets.
@@ -386,8 +365,8 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     d_b = max((len(s) for s in t_sets), default=0)
     if d_a == 0 or d_b == 0:
         return out
-    rowpos_a = _row_positions(ax)
-    colpos_b = _col_positions(by)
+    rowpos_a = value_positions(ax, POS_INF)
+    colpos_b = value_positions(by.T, POS_INF)
 
     def window(i, j):
         base = cp[i, j]

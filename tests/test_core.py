@@ -17,6 +17,7 @@ from fewweights.core import (
     one_hop_offdiag,
     save_graph,
     save_matrix,
+    value_positions,
 )
 
 
@@ -174,6 +175,33 @@ def test_occurrence_stats_matches_per_row_unique(absent):
                 for g, w in zip(got, want):
                     assert g.shape == w.shape
                     assert np.array_equal(g, w)
+
+
+def value_positions_reference(m, absent):
+    """Per-row dict loop: the loop value_positions replaces."""
+    out = []
+    for i in range(m.shape[0]):
+        d = {}
+        for j in np.nonzero(m[i] != absent)[0]:
+            d.setdefault(int(m[i, j]), []).append(int(j))
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("absent", [BOT, POS_INF])
+def test_value_positions_matches_loop_reference(absent):
+    rng = np.random.default_rng(12)
+    shapes = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 7), (7, 1), (5, 9), (9, 4),
+              (16, 16)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            m = rng.integers(-4, 5, size=(rows, cols)).astype(np.int64)
+            m[rng.random((rows, cols)) < density] = absent
+            if rows > 2:
+                m[rows // 2] = absent  # an all-absent row
+            for mat in (m, m.T):
+                assert value_positions(mat, absent) == \
+                    value_positions_reference(mat, absent)
 
 
 def test_reverse_graph():

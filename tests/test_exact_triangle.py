@@ -111,6 +111,31 @@ def test_poly_mm_all_bot_b():
     assert not pres.any()
 
 
+def poly_reference(ae, be):
+    """Per (i, j): the set of exponents a[i,k] + b[k,j] over present pairs."""
+    n = ae.shape[0]
+    return [[{int(ae[i, k] + be[k, j]) for k in range(n)
+              if ae[i, k] != BOT and be[k, j] != BOT} for j in range(n)]
+            for i in range(n)]
+
+
+def assert_poly_mm_matches_reference(ae, be, p):
+    n = ae.shape[0]
+    pres = et.poly_matrix_multiply(ae, be, p)
+    assert pres.shape == (n, n, 2 * p - 1)
+    want = poly_reference(ae, be)
+    for i in range(n):
+        for j in range(n):
+            assert set(np.nonzero(pres[i, j])[0].tolist()) == want[i][j]
+
+
+def random_exponents(rng, n, p, bot_frac):
+    e = rng.integers(0, p, size=(n, n)).astype(np.int64)
+    e[rng.random((n, n)) < 0.1] = p - 1  # reach the top coefficient 2p-2
+    e[rng.random((n, n)) < bot_frac] = BOT
+    return e
+
+
 def test_poly_mm_matches_convolution():
     rng = np.random.default_rng(3)
     for _ in range(6):
@@ -120,12 +145,36 @@ def test_poly_mm_matches_convolution():
         be = rng.integers(0, p, size=(n, n)).astype(np.int64)
         ae[rng.random((n, n)) < 0.3] = BOT
         be[rng.random((n, n)) < 0.3] = BOT
-        pres = et.poly_matrix_multiply(ae, be, p)
-        for i in range(n):
-            for j in range(n):
-                want = {int(ae[i, k] + be[k, j]) for k in range(n)
-                        if ae[i, k] != BOT and be[k, j] != BOT}
-                assert set(np.nonzero(pres[i, j])[0].tolist()) == want
+        assert_poly_mm_matches_reference(ae, be, p)
+
+
+def test_poly_mm_across_split_shapes():
+    # m = 2^k evaluation points split as m1*m2 with m1 in {m2, 2*m2}; the
+    # smallest and largest p giving each m.  2p-1 is odd, so m = 2 never
+    # occurs and p = 1 is the m = 1 case.
+    rng = np.random.default_rng(5)
+    ps = {1}
+    for k in range(2, 13):
+        ps |= {2 ** (k - 2) + 1, 2 ** (k - 1)}
+    for p in sorted(ps):
+        for n in (0, 1, 2, 16):
+            ae = random_exponents(rng, n, p, 0.3)
+            be = random_exponents(rng, n, p, 0.3)
+            if n:
+                ae[n - 1] = BOT  # an all-bot row of A
+                be[:, 0] = BOT   # an all-bot column of B
+            assert_poly_mm_matches_reference(ae, be, p)
+    # the shapes the exact-triangle pipeline calls with
+    for p in (17, 23, 29):
+        for bot_frac in (0.0, 0.5, 0.9):
+            assert_poly_mm_matches_reference(random_exponents(rng, 16, p, bot_frac),
+                                             random_exponents(rng, 16, p, bot_frac), p)
+
+
+def test_ntt_plan_tables_are_read_only():
+    for table in et._ntt_plan(64, 193):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
 
 
 def test_poly_mm_rejects_bad_exponents():
@@ -135,11 +184,21 @@ def test_poly_mm_rejects_bad_exponents():
 
 def test_poly_mm_rejects_int64_overflow_before_allocating():
     # a zero-stride view: n = 2^22 rows cost no memory, and the headroom
-    # check n*(q-1)^2 < 2^63 (q > n) must fire before any n x n array exists
+    # check max(n, m1)*(q-1)^2 < 2^53 (q > n) must fire before any n x n
+    # array exists
     n = 2**22
     huge = np.broadcast_to(np.int64(0), (n, n))
-    with pytest.raises(ValueError, match="2\\^63"):
+    with pytest.raises(ValueError, match="2\\^53"):
         et.poly_matrix_multiply(huge, huge, 2)
+
+
+def test_poly_mm_checks_bound_before_building_plan():
+    # n = 1 but p = 2^21: m = 2^22 = m1*m2 with m1 = 2^11 and q > m, so
+    # max(n, m1)*(q-1)^2 >= 2^55; no NTT plan may be built for it
+    before = et._ntt_plan.cache_info()
+    with pytest.raises(ValueError, match="2\\^53"):
+        et.poly_matrix_multiply([[0]], [[2**21 - 1]], 2**21)
+    assert et._ntt_plan.cache_info() == before
 
 
 # ----------------------------------------------------------------------------
