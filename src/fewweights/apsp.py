@@ -29,6 +29,7 @@ from .core import (
 )
 from .minplus import (
     boolean_matrix_multiply,
+    compact_paths,
     hop_bounded_product,
     hop_bounded_product_edge,
     hop_bounded_product_left,
@@ -293,16 +294,24 @@ def sample_pivots(n, h, rng, constant=DEFAULT_SAMPLING_CONSTANT):
 def greedy_hitting_set(paths, n):
     """Greedy hitting set: repeatedly take the vertex on the most unhit paths.
 
-    Ties break to the lowest vertex index.  Returns a sorted array that hits
-    every input path.
+    `paths` is a list of node lists or a 2-D int array whose rows are paths
+    padded with -1.  Ties break to the lowest vertex index.  Returns a
+    sorted array that hits every input path.
     """
-    sizes = np.array([len(p) for p in paths], dtype=np.int64)
+    if isinstance(paths, np.ndarray) and paths.ndim == 2:
+        real = paths >= 0
+        sizes = real.sum(axis=1)
+        flat = paths[real].astype(np.int64, copy=False)
+    else:
+        sizes = np.array([len(p) for p in paths], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64,
+                           count=int(sizes.sum()))
     if (sizes == 0).any():
         raise ValueError("paths must be nonempty")
-    flat = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64,
-                       count=int(sizes.sum()))
-    # one (path, vertex) entry per distinct vertex of a path, sorted by path
-    key = np.unique(np.repeat(np.arange(sizes.size), sizes) * n + flat)
+    # one (path, vertex) entry per distinct vertex of a path, sorted by path;
+    # a sort and a neighbour test, which beat np.unique's hashing here
+    key = np.sort(np.repeat(np.arange(sizes.size), sizes) * n + flat)
+    key = key[np.diff(key, prepend=-1) != 0]
     pid, vert = key // n, key % n
     path_start = np.searchsorted(pid, np.arange(sizes.size + 1))
     by_vertex = np.argsort(vert, kind="stable")
@@ -398,9 +407,13 @@ def _pivot_apsp(g, levels, delta):
 class BridgingState:
     """Introspection record of the deterministic solver's bridging sets.
 
-    levels holds S_0..S_L, s_star the augmented base set, and q_paths maps
-    (u, v) to (weight, node path); every Q path has hop-length at most
-    3 * 2^L and weight at most the 2^L-hop-bounded distance from u to v.
+    levels holds S_0..S_L, s_star the augmented base set, and
+    exact_path_counts the number of exact-length witness paths each level
+    hits.  q_paths maps (u, v) to (weight, node list) for every pair joined
+    by a Q path; every Q path has hop-length at most 3 * 2^L and weight at
+    most the 2^L-hop-bounded distance from u to v.  The solver keeps Q as a
+    weight matrix and a -1-padded path array and builds this dict from them
+    only when a state is passed.
     """
 
     def __init__(self):
@@ -408,25 +421,6 @@ class BridgingState:
         self.s_star = None
         self.q_paths = {}
         self.exact_path_counts = []
-
-
-def _exact_length_paths(prod, rows, n, target, reversed_axes=False):
-    """Collect witness paths of hop-length exactly `target`."""
-    out = []
-    vals = prod.values.data
-    for ri in range(rows.size):
-        for v in range(n):
-            if reversed_axes:
-                if vals[v, ri] == POS_INF:
-                    continue
-                p = prod.path(v, ri)
-            else:
-                if vals[ri, v] == POS_INF:
-                    continue
-                p = prod.path(ri, v)
-            if p is not None and len(p) - 1 == target:
-                out.append(p)
-    return out
 
 
 def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
@@ -439,7 +433,10 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     witness paths; (2) build candidate paths Q_uv of hop-length <= 3*2^L and
     weight <= D^{<=2^L}[u, v]; (3) augment the base level with a hitting set
     of the long Q paths; (4) replay the level recursion on these sets.
-    Passing a BridgingState records the constructed sets and Q paths.
+    Witness paths travel as -1-padded node arrays (HopProduct.paths): Q over
+    S_l x S_l is a weight matrix (+inf where no Q path exists) plus an
+    (|S_l|, |S_l|, 3*2^L+1) path array, and both hitting sets read such
+    arrays.  Passing a BridgingState records the constructed sets and Q paths.
     """
     n = g.n
     if n == 0:
@@ -455,72 +452,70 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
         a_left = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a_left[s_cur, np.arange(s_cur.size)] = 0
         left = hop_bounded_product_left(g, a_left, hl, delta, product=product)
-        paths = _exact_length_paths(right, s_cur, n, hl)
-        paths += _exact_length_paths(left, s_cur, n, hl, reversed_axes=True)
+        rows, cols = np.nonzero(right.values.data != POS_INF)
+        r_nodes, r_hops = right.paths(rows, cols)
+        rows, cols = np.nonzero(left.values.data.T != POS_INF)
+        l_nodes, l_hops = left.paths(cols, rows)
+        paths = np.concatenate([r_nodes[r_hops == hl], l_nodes[l_hops == hl]])
         if state is not None:
             state.exact_path_counts.append(len(paths))
         levels.append(greedy_hitting_set(paths, n))
 
-    # Step 2: candidate paths Q (bounded hops, weight <= D^{<=2^L}).
+    # Step 2: candidate paths Q (bounded hops, weight <= D^{<=2^L}) over
+    # positions in S_l: weights q_w and -1-padded node rows q_nodes.
     hl = 2 ** big_l
+    # a Q path has at most 2^L hops at the base and gains at most 2^(l+1)
+    # per level, 3*2^L - 2 in all, so every splice fits in width columns
+    width = 3 * hl + 1
     s_last = levels[big_l]
     base = _right(g, trivial_rows(s_last, n), hl, delta, product)
-    q_paths = {}
-    for i, u in enumerate(s_last):
-        for v in s_last:
-            v = int(v)
-            if base.values.data[i, v] != POS_INF:
-                q_paths[(int(u), v)] = (int(base.values.data[i, v]),
-                                        base.path(i, v))
+    q_w = base.values.data[:, s_last]
+    q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
+    rows, cols = np.nonzero(q_w != POS_INF)
+    q_nodes[rows, cols, :hl + 1] = base.paths(rows, s_last[cols])[0]
     for ell in range(big_l - 1, -1, -1):
         s_cur, s_next = levels[ell], levels[ell + 1]
+        pos_next = np.full(n, -1, dtype=np.int64)
+        pos_next[s_next] = np.arange(s_next.size)
         ri = _right(g, trivial_rows(s_cur, n), 2 ** (ell + 1), delta, product)
         q_ext = np.full((s_next.size, n), POS_INF, dtype=np.int64)
-        for i, x in enumerate(s_next):
-            for t in s_next:
-                rec = q_paths.get((int(x), int(t)))
-                if rec is not None:
-                    q_ext[i, int(t)] = rec[0]
+        q_ext[:, s_next] = q_w
         m2 = _right(g, q_ext, 2 ** ell, delta, product)
         a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a3[s_next, :] = m2.values.data[:, s_cur]
         m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, product=product)
-        pos_next = {int(x): i for i, x in enumerate(s_next)}
-        new_q = {}
-        for i, u in enumerate(s_cur):
-            u = int(u)
-            for jj, v in enumerate(s_cur):
-                v = int(v)
-                w1 = int(ri.values.data[i, v])
-                w2 = int(m3.values.data[u, jj])
-                if w1 == POS_INF and w2 == POS_INF:
-                    continue
-                if w1 <= w2:
-                    new_q[(u, v)] = (w1, ri.path(i, v))
-                else:
-                    seg1 = m3.path(u, jj)
-                    x = seg1[-1]
-                    seg2 = m2.path(pos_next[x], v)
-                    t = seg2[0]
-                    mid = q_paths[(x, t)][1]
-                    new_q[(u, v)] = (w2, seg1 + mid[1:] + seg2[1:])
-        q_paths = new_q
+        w1 = ri.values.data[:, s_cur]
+        w2 = m3.values.data[s_cur, :]
+        new_nodes = np.full(w1.shape + (width,), -1, dtype=np.int64)
+        rows, cols = np.nonzero((w1 <= w2) & (w1 != POS_INF))
+        new_nodes[rows, cols, :2 ** (ell + 1) + 1] = ri.paths(rows, s_cur[cols])[0]
+        # the rest bridge u -> x in S_next, Q(x, t), then t -> v
+        rows, cols = np.nonzero(w2 < w1)
+        seg1, hops1 = m3.paths(s_cur[rows], cols)
+        x = pos_next[seg1[np.arange(rows.size), hops1]]
+        seg2 = m2.paths(x, s_cur[cols])[0]
+        mid = q_nodes[x, pos_next[seg2[:, 0]]]
+        spliced = compact_paths(np.concatenate([seg1, mid[:, 1:], seg2[:, 1:]], axis=1))
+        new_nodes[rows, cols] = spliced[:, :width]
+        q_w, q_nodes = np.minimum(w1, w2), new_nodes
 
     # Step 3: S* = S_L plus a hitting set of all long Q paths.
-    long_paths = [p for (w, p) in q_paths.values() if len(p) - 1 >= hl]
-    hitting = greedy_hitting_set(long_paths, n)
+    q_hops = (q_nodes >= 0).sum(axis=2) - 1
+    hitting = greedy_hitting_set(q_nodes[q_hops >= hl], n)
     s_star = np.unique(np.concatenate([s_last, hitting])).astype(np.int64)
     if state is not None:
         state.levels = levels
         state.s_star = s_star
-        state.q_paths = dict(q_paths)
+        # Q now spans S_0 = V, so positions are node ids
+        state.q_paths = {
+            (int(u), int(v)): (int(q_w[u, v]), q_nodes[u, v, :q_hops[u, v] + 1].tolist())
+            for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
     # Step 4: replay the level recursion deterministically.
     base4 = _right(g, trivial_rows(s_star, n), 4 * hl, delta, product,
                    want_paths=False).values.data
     d_star = _repeated_square(base4[:, s_star])
-    pos_star = {int(x): i for i, x in enumerate(s_star)}
-    idx = np.array([pos_star[int(x)] for x in s_last], dtype=np.int64)
+    idx = np.searchsorted(s_star, s_last)  # s_star is sorted and holds s_last
     d_cur = d_star[np.ix_(idx, idx)]
     for ell in range(big_l - 1, -1, -1):
         d_cur = _level_pass(g, delta, product, levels[ell], levels[ell + 1],

@@ -33,6 +33,10 @@ MAX_OPERAND = np.int64(2**60)
 # produce identical output.
 _SCAN_DENSE_LIMIT = 2**22
 
+# Cell budget of one (pending pairs, inner block) candidate array in the
+# witness search behind a min-plus solver `product`.
+_WITNESS_SCAN_CELLS = 2**18
+
 counters = {
     "boolean_matmul": 0,
     "boolean_min_plus": 0,
@@ -316,12 +320,22 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
 # Hop-bounded products over graphs.
 # ----------------------------------------------------------------------------
 
+def compact_paths(nodes):
+    """Move the nodes of each row of a -1-padded path array to its front.
+
+    The nodes keep their order; the padding collects at the end of the row.
+    """
+    order = np.argsort(nodes < 0, axis=1, kind="stable")
+    return np.take_along_axis(nodes, order, axis=1)
+
+
 class HopProduct:
     """Result of A * D^{<=h}: values plus per-pair witness paths.
 
     Witness paths have hop-length at most h and re-evaluate exactly to the
-    reported value; they are reconstructed from the per-iteration witness
-    matrices recorded while running the hop recurrence.
+    reported value; they are backtraced from the per-round witness matrices
+    recorded while running the hop recurrence.  `paths` backtraces many
+    entries at once into one -1-padded array; `path` is its per-pair view.
     """
 
     def __init__(self, values, parents, reversed_paths=False):
@@ -329,22 +343,41 @@ class HopProduct:
         self._parents = parents
         self._reversed = reversed_paths
 
-    def path(self, i, j):
-        """Witness node sequence for entry (i, j), or None when infinite."""
-        if self.values.data[i, j] == POS_INF:
-            return None
+    def paths(self, i, j):
+        """Witness paths of the entries (i[p], j[p]), as (nodes, hops).
+
+        nodes is a (P, h+1) int64 array whose row p holds the hops[p] + 1
+        nodes of its path followed by -1 padding.  An infinite entry gives
+        an all -1 row and hops -1.  One gather per round walks every path
+        back from its end node; the rounds without a parent leave gaps that
+        one stable compaction closes.
+        """
+        i = np.asarray(i, dtype=np.int64).reshape(-1)
+        j = np.asarray(j, dtype=np.int64).reshape(-1)
+        infinite = self.values.data[i, j] == POS_INF
         if self._reversed:
             i, j = j, i
+        h = len(self._parents)
+        # column t holds the node reached in round t, column h the end node
+        nodes = np.full((i.size, h + 1), -1, dtype=np.int64)
+        nodes[:, h] = j
         cur = j
-        nodes = [cur]
-        for t in range(len(self._parents) - 1, -1, -1):
-            p = int(self._parents[t][i, cur])
-            if p >= 0:
-                cur = p
-                nodes.append(cur)
-        if not self._reversed:
-            nodes.reverse()
-        return nodes
+        for t in range(h - 1, -1, -1):
+            p = self._parents[t][i, cur]
+            nodes[:, t] = p
+            cur = np.where(p >= 0, p, cur)
+        if self._reversed:
+            nodes = nodes[:, ::-1]  # the reverse graph's walk runs a left path forward
+        nodes = compact_paths(nodes)
+        nodes[infinite] = -1
+        return nodes, (nodes >= 0).sum(axis=1) - 1
+
+    def path(self, i, j):
+        """Witness node list for entry (i, j), or None when infinite."""
+        nodes, hops = self.paths(i, j)
+        if hops[0] < 0:
+            return None
+        return nodes[0, :hops[0] + 1].tolist()
 
 
 def _run_hop_recurrence(a0, h, step, want_paths):
@@ -395,18 +428,38 @@ def _edge_step(onehop, delta, product, want_paths):
         prod = product(WeightMatrix(vals), bmat).data
         if not want_paths:
             return prod, None
-        wit = np.full(prod.shape, -1, dtype=np.int64)
-        need = prod < vals
-        for k in range(vals.shape[1]):
-            if not need.any():
-                break
-            cand = saturating_add(vals[:, k:k + 1], onehop[k:k + 1, :])
-            match = need & (cand == prod)
-            wit[match] = k
-            need &= ~match
-        return prod, wit
+        return prod, _smallest_witnesses(vals, onehop, prod)
 
     return step
+
+
+def _smallest_witnesses(vals, onehop, prod):
+    """Smallest k with vals[i, k] + onehop[k, j] == prod[i, j] where prod < vals.
+
+    Entries where prod does not improve on vals get -1.  The inner index is
+    scanned in blocks over the pending (i, j) pairs; a block's (pairs, k)
+    candidate array holds at most _WITNESS_SCAN_CELLS cells, and a pair
+    leaves the search at its first block with a match.  A +inf operand
+    matches nothing, as under saturating_add.
+    """
+    wit = np.full(prod.shape, -1, dtype=np.int64)
+    rows, cols = np.nonzero(prod < vals)
+    target = prod[rows, cols]
+    vals_finite = vals < POS_INF
+    onehop_t = np.ascontiguousarray(onehop.T)
+    onehop_finite_t = onehop_t < POS_INF
+    block = max(1, _WITNESS_SCAN_CELLS // max(1, rows.size))
+    for k0 in range(0, vals.shape[1], block):
+        if rows.size == 0:
+            break
+        ks = slice(k0, k0 + block)
+        match = (vals[rows, ks] + onehop_t[cols, ks]) == target[:, None]
+        match &= vals_finite[rows, ks]
+        match &= onehop_finite_t[cols, ks]
+        hit = match.any(axis=1)
+        wit[rows[hit], cols[hit]] = k0 + match[hit].argmax(axis=1)
+        rows, cols, target = rows[~hit], cols[~hit], target[~hit]
+    return wit
 
 
 def hop_bounded_product(A, g, h, delta=1, want_paths=True):

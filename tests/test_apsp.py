@@ -301,6 +301,28 @@ def test_hitting_set_matches_loop_reference():
         assert np.array_equal(got, greedy_hitting_set_loop(paths, n))
 
 
+def test_hitting_set_padded_array_matches_lists():
+    # the random paths of test_hitting_set_matches_loop_reference, padded
+    # with -1 up to the longest path plus 0-2 columns
+    rng = np.random.default_rng(13)
+    assert ap.greedy_hitting_set(np.full((0, 3), -1), 5).tolist() == []
+    for case in range(300):
+        n = int(rng.integers(1, 25))
+        paths = [rng.integers(0, n, size=int(rng.integers(1, 8))).tolist()
+                 for _ in range(int(rng.integers(0, 40)))]
+        width = max((len(p) for p in paths), default=0) + case % 3
+        padded = np.full((len(paths), width), -1, dtype=np.int64)
+        for r, p in enumerate(paths):
+            padded[r, :len(p)] = p
+        got = ap.greedy_hitting_set(padded, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ap.greedy_hitting_set(paths, n))
+    with pytest.raises(ValueError, match="paths must be nonempty"):
+        ap.greedy_hitting_set(np.array([[1, 2, -1], [-1, -1, -1]]), 4)
+    with pytest.raises(ValueError, match="paths must be nonempty"):
+        ap.greedy_hitting_set([[1, 2], []], 4)
+
+
 # ----------------------------------------------------------------------------
 # solvers vs oracle
 # ----------------------------------------------------------------------------
@@ -423,7 +445,8 @@ def test_randomized_low_constant_mostly_correct():
 
 def test_bridging_state_q_path_bounds():
     # after step 2 every stored Q path has hop-length <= 3*2^L and weight
-    # at most the 2^L-hop-bounded distance of its endpoints
+    # at most the 2^L-hop-bounded distance of its endpoints, and S* hits
+    # every Q path of hop-length >= 2^L
     from fewweights.minplus import hop_bounded_product, trivial_rows
 
     rng = np.random.default_rng(50)
@@ -446,6 +469,34 @@ def test_bridging_state_q_path_bounds():
             assert w <= bound[u, v]
             walked = sum(int(g.node_weight[x]) for x in path[1:])
             assert walked == w
+        assert_s_star_hits_long_q_paths(state, 2 ** big_l)
+    # edge-weighted graphs through the d-weights kernel and a min-plus solver
+    rng = np.random.default_rng(51)
+    for t in range(4):
+        n = int(rng.integers(6, 18))
+        g = random_dweights_graph(n, 3, rng, density=0.25,
+                                  low=-1 if t % 2 else 0, promise="in")
+        g2, remap = ap.eliminate_negative_cycles(g)
+        one = build_one_hop_matrix(g2).data
+        bound = mp.hop_bounded_product_edge(trivial_rows(np.arange(g2.n), g2.n), g2,
+                                            4).values.data
+        for product in (None, mp.min_plus_naive):
+            state = ap.BridgingState()
+            dist = ap.deterministic_pivot_apsp(g2, 4, 4, product=product, state=state)
+            assert remap.decode(dist) == ap.apsp_oracle(g)
+            assert state.q_paths
+            for (u, v), (w, path) in state.q_paths.items():
+                assert len(path) - 1 <= 3 * 4
+                assert path[0] == u and path[-1] == v
+                assert w <= bound[u, v]
+                assert sum(int(one[x, y]) for x, y in zip(path, path[1:])) == w
+            assert_s_star_hits_long_q_paths(state, 4)
+
+
+def assert_s_star_hits_long_q_paths(state, hl):
+    s_star = set(state.s_star.tolist())
+    long_paths = [p for _, p in state.q_paths.values() if len(p) - 1 >= hl]
+    assert long_paths and all(s_star & set(p) for p in long_paths)
 
 
 def test_randomized_simple_path_prefix_sums():

@@ -491,3 +491,94 @@ def test_solver_product_matches_kernel_hop_products():
     with pytest.raises(TypeError):
         mp.hop_bounded_product_left(rand_node_graph(rng, 9), a.transpose(), 1,
                                     product=solver)
+
+
+def backtrace_loop_reference(prod, i, j):
+    """The per-pair backtrace HopProduct.path ran before `paths` existed."""
+    if prod.values.data[i, j] == POS_INF:
+        return None
+    if prod._reversed:
+        i, j = j, i
+    cur = j
+    nodes = [cur]
+    for t in range(len(prod._parents) - 1, -1, -1):
+        p = int(prod._parents[t][i, cur])
+        if p >= 0:
+            cur = p
+            nodes.append(cur)
+    if not prod._reversed:
+        nodes.reverse()
+    return nodes
+
+
+@pytest.mark.parametrize("h", [0, 1, 3])
+def test_hop_paths_match_per_pair_path(h):
+    rng = np.random.default_rng(41)
+    gnode = rand_node_graph(rng, 9)
+    gedge = rand_edge_graph(rng, 9, 3)
+    m = rand_matrix(rng, 4, 9, inf_p=0.4, lo=0, hi=9).data.copy()
+    m[2] = POS_INF  # an all-inf row: every entry of it stays infinite
+    a = WeightMatrix(m)
+    products = {
+        "node right": mp.hop_bounded_product(a, gnode, h, delta=2),
+        "edge right": mp.hop_bounded_product_edge(a, gedge, h, d=3, delta=2),
+        "node left": mp.hop_bounded_product_left(gnode, a.transpose(), h, delta=2),
+        "edge left": mp.hop_bounded_product_left(gedge, a.transpose(), h, delta=2),
+        "solver right": mp.hop_bounded_product_edge(a, gedge, h,
+                                                    product=mp.min_plus_naive),
+        "solver left": mp.hop_bounded_product_left(gedge, a.transpose(), h,
+                                                   product=mp.min_plus_naive),
+    }
+    for name, prod in products.items():
+        vals = prod.values.data
+        rows, cols = np.indices(vals.shape)
+        rows, cols = rows.ravel(), cols.ravel()
+        nodes, hops = prod.paths(rows, cols)
+        assert nodes.shape == (rows.size, h + 1) and hops.shape == (rows.size,)
+        assert nodes.dtype == np.int64
+        for r, (i, j) in enumerate(zip(rows, cols)):
+            want = prod.path(i, j)
+            assert want == backtrace_loop_reference(prod, i, j), name
+            if want is None:
+                assert vals[i, j] == POS_INF
+                assert hops[r] == -1 and (nodes[r] == -1).all(), name
+                continue
+            assert hops[r] == len(want) - 1, name
+            assert nodes[r, :hops[r] + 1].tolist() == want, name
+            assert (nodes[r, hops[r] + 1:] == -1).all(), name
+        finite = vals != POS_INF
+        inf_rows = (~finite).all(axis=1) if name.endswith("right") else (~finite).all(axis=0)
+        assert inf_rows.any(), name
+        if h == 0:
+            assert (hops[finite.ravel()] == 0).all(), name
+        empty_nodes, empty_hops = prod.paths(np.array([], dtype=np.int64),
+                                             np.array([], dtype=np.int64))
+        assert empty_nodes.shape == (0, h + 1) and empty_hops.shape == (0,)
+
+
+def test_solver_witness_scan_matches_loop_reference(monkeypatch):
+    # witnesses of a solver product are the smallest k with
+    # A[i, k] + B[k, j] == prod[i, j], wherever prod improves on A;
+    # tiny cell budgets force many inner blocks
+    rng = np.random.default_rng(42)
+
+    def loop_reference(vals, onehop, prod):
+        wit = np.full(prod.shape, -1, dtype=np.int64)
+        need = prod < vals
+        for k in range(vals.shape[1]):
+            for i, j in zip(*np.nonzero(need)):
+                if (vals[i, k] != POS_INF and onehop[k, j] != POS_INF
+                        and vals[i, k] + onehop[k, j] == prod[i, j]):
+                    wit[i, j] = k
+                    need[i, j] = False
+        return wit
+
+    for budget in (1, 5, 64, 2**18):
+        monkeypatch.setattr(mp, "_WITNESS_SCAN_CELLS", budget)
+        for _ in range(20):
+            s, n = int(rng.integers(0, 7)), int(rng.integers(0, 10))
+            vals = rand_matrix(rng, s, n, inf_p=0.3, lo=-5, hi=9).data
+            onehop = rand_matrix(rng, n, n, inf_p=0.4, lo=-3, hi=6).data
+            prod = mp.min_plus_naive(vals, onehop).data
+            got = mp._smallest_witnesses(vals, onehop, prod)
+            assert np.array_equal(got, loop_reference(vals, onehop, prod))
