@@ -5,8 +5,10 @@ can hit a negative cycle) by min-plus repeated squaring of the one-hop
 matrix; weights beyond the min-plus kernel's operand range raise WeightError.
 The multi-level pivot solver comes in a randomized variant (uniform pivot
 samples per level) and a deterministic variant (bridging sets built by
-greedy hitting sets), plus the d-weights generalization that swaps every
-boolean min-plus product for a d-weights product.
+greedy hitting sets).  Both run on node- and edge-weighted graphs through
+one hop product, whose one-hop matrix picks the kernel: the boolean kernel
+when every column (or every row) holds one weight, as for node-weighted
+graphs and their reverse, the d-weights kernel otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .minplus import (
     boolean_matrix_multiply,
     compact_paths,
     hop_bounded_product,
-    hop_bounded_product_edge,
     hop_bounded_product_left,
     min_plus_naive,
     trivial_rows,
@@ -333,40 +334,25 @@ def greedy_hitting_set(paths, n):
 
 
 # ----------------------------------------------------------------------------
-# Hop products: node-weighted graphs take the boolean kernel, edge-weighted
-# graphs the d-weights kernel or a min-plus solver `product`.
+# Hop products: one recurrence for both graph kinds; the one-hop matrix picks
+# the boolean or d-weights kernel, and a min-plus solver `product` can take
+# its place.
 # ----------------------------------------------------------------------------
-
-def _right(g, a, h, delta, product, want_paths=True):
-    """A * D_g^{<=h} by the hop product for g's kind."""
-    if isinstance(g, NodeWeightedGraph) and product is None:
-        return hop_bounded_product(a, g, h, delta, want_paths)
-    return hop_bounded_product_edge(a, g, h, None, delta, want_paths,
-                                    product=product)
-
 
 def _level_pass(g, delta, product, s_cur, s_next, d_next, ell, m1_hops):
     """One bridging level: min(M1[S,S], D^{<=2^l}[S,S'] * D' * D^{<=2^l}[S',S])."""
     n = g.n
-    m1 = _right(g, trivial_rows(s_cur, n), m1_hops, delta, product,
-                want_paths=False).values.data
+    m1 = hop_bounded_product(trivial_rows(s_cur, n), g, m1_hops, delta,
+                             want_paths=False, product=product).values.data
     a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
     a2[:, s_next] = d_next
-    m2 = _right(g, a2, 2 ** ell, delta, product, want_paths=False).values.data
+    m2 = hop_bounded_product(a2, g, 2 ** ell, delta, want_paths=False,
+                             product=product).values.data
     a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
     a3[s_next, :] = m2[:, s_cur]
     m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, want_paths=False,
                                   product=product).values.data
     return np.minimum(m1[:, s_cur], m3[s_cur, :])
-
-
-def _validate_no_neg_inf(g):
-    if isinstance(g, NodeWeightedGraph):
-        ok = np.all(np.abs(g.node_weight) < POS_INF)
-    else:
-        ok = g.m == 0 or np.all(np.abs(g.edge_array[:, 2]) < POS_INF)
-    if not ok:
-        raise ValueError("graph weights must be finite")
 
 
 def nw_apsp_randomized(g, h=None, rng=None, delta=None,
@@ -377,7 +363,6 @@ def nw_apsp_randomized(g, h=None, rng=None, delta=None,
     first).  The base level squares D^{<=2^L}[S_L, S_L]; each higher level
     takes the three-factor minimum through the next level's pivots.
     """
-    _validate_no_neg_inf(g)
     n = g.n
     if n == 0:
         return DistanceMatrix(np.zeros((0, 0), dtype=np.int64))
@@ -426,8 +411,10 @@ class BridgingState:
 def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     """Bridging-set APSP (no randomness) on a negative-cycle-free graph.
 
-    Node-weighted graphs take boolean hop products, edge-weighted graphs
-    d-weights hop products, or `product(A, B) -> WeightMatrix` in their place.
+    Hop products step against the one-hop matrix by the boolean kernel when
+    its columns or rows each hold one weight (node-weighted graphs, d=1
+    edge graphs) and by the d-weights kernel otherwise; a solver
+    `product(A, B) -> WeightMatrix` can take the kernel's place.
 
     Four steps: (1) build pivot levels by hitting all exact-length-2^l
     witness paths; (2) build candidate paths Q_uv of hop-length <= 3*2^L and
@@ -448,7 +435,8 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        right = _right(g, trivial_rows(s_cur, n), hl, delta, product)
+        right = hop_bounded_product(trivial_rows(s_cur, n), g, hl, delta,
+                                    product=product)
         a_left = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a_left[s_cur, np.arange(s_cur.size)] = 0
         left = hop_bounded_product_left(g, a_left, hl, delta, product=product)
@@ -468,7 +456,7 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     # per level, 3*2^L - 2 in all, so every splice fits in width columns
     width = 3 * hl + 1
     s_last = levels[big_l]
-    base = _right(g, trivial_rows(s_last, n), hl, delta, product)
+    base = hop_bounded_product(trivial_rows(s_last, n), g, hl, delta, product=product)
     q_w = base.values.data[:, s_last]
     q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
     rows, cols = np.nonzero(q_w != POS_INF)
@@ -477,10 +465,11 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri = _right(g, trivial_rows(s_cur, n), 2 ** (ell + 1), delta, product)
+        ri = hop_bounded_product(trivial_rows(s_cur, n), g, 2 ** (ell + 1), delta,
+                                 product=product)
         q_ext = np.full((s_next.size, n), POS_INF, dtype=np.int64)
         q_ext[:, s_next] = q_w
-        m2 = _right(g, q_ext, 2 ** ell, delta, product)
+        m2 = hop_bounded_product(q_ext, g, 2 ** ell, delta, product=product)
         a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a3[s_next, :] = m2.values.data[:, s_cur]
         m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, product=product)
@@ -512,8 +501,8 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
             for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
     # Step 4: replay the level recursion deterministically.
-    base4 = _right(g, trivial_rows(s_star, n), 4 * hl, delta, product,
-                   want_paths=False).values.data
+    base4 = hop_bounded_product(trivial_rows(s_star, n), g, 4 * hl, delta,
+                                want_paths=False, product=product).values.data
     d_star = _repeated_square(base4[:, s_star])
     idx = np.searchsorted(s_star, s_last)  # s_star is sorted and holds s_last
     d_cur = d_star[np.ix_(idx, idx)]
@@ -525,7 +514,6 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
 
 def nw_apsp_deterministic(g, h=None, delta=None, state=None):
     """Deterministic node-weighted APSP via bridging sets."""
-    _validate_no_neg_inf(g)
     n = g.n
     if h is None:
         h = default_hop_parameter(n)
@@ -537,13 +525,13 @@ def nw_apsp_deterministic(g, h=None, delta=None, state=None):
 def dweights_apsp(g, d=None, h=None, delta=None):
     """Deterministic APSP for graphs with at most d distinct incoming weights.
 
-    Same bridging-set structure as the node-weighted solver with every
-    boolean product replaced by a d-weights product.  Graphs whose promise
-    is on outgoing edges should be solved through the reversed graph.
+    The same bridging-set solver as the node-weighted one; its hop products
+    take the d-weights kernel unless the one-hop matrix has one weight per
+    column or per row.  Graphs whose promise is on outgoing edges should be
+    solved through the reversed graph.
     """
     if not isinstance(g, EdgeWeightedGraph):
         raise TypeError("dweights_apsp expects an EdgeWeightedGraph")
-    _validate_no_neg_inf(g)
     if d is not None:
         max_in = audit_distinct_weights(g)[1]
         if max_in > d:

@@ -170,8 +170,9 @@ class NodeWeightedGraph:
 
     def adjacency_bool(self):
         b = np.zeros((self.n, self.n), dtype=bool)
-        for u in range(self.n):
-            b[u, self.adj[u]] = True
+        sizes = [a.size for a in self.adj]
+        b[np.repeat(np.arange(self.n), sizes),
+          np.concatenate((np.empty(0, dtype=np.int64),) + self.adj)] = True
         return b
 
     def reverse(self):

@@ -14,8 +14,6 @@ import numpy as np
 
 from .core import (
     AuditError,
-    EdgeWeightedGraph,
-    NodeWeightedGraph,
     POS_INF,
     WeightError,
     WeightMatrix,
@@ -399,36 +397,62 @@ def _run_hop_recurrence(a0, h, step, want_paths):
     return vals, parents
 
 
-def _node_step(adj, w, delta, want_paths):
-    """Hop step (A (*) adj) + w of a node-weighted graph."""
+def _uniform_values(onehop, finite, axis):
+    """The one finite value of each column (axis=0) or row (axis=1) of onehop.
 
-    def step(vals):
-        prod, wit = boolean_min_plus(vals, adj, delta, return_witnesses=want_paths)
-        return saturating_add(prod.data, w[None, :]), wit
-
-    return step
-
-
-def _edge_step(onehop, delta, product, want_paths):
-    """Hop step A * onehop by the d-weights kernel or by `product`.
-
-    A solver product carries no witnesses, so they are recovered as the
-    smallest k with A[i, k] + onehop[k, j] equal to the product entry.
+    Lines without a finite entry take 0.  Returns None when some line holds
+    two different finite values.
     """
-    if product is None:
+    lo = np.where(finite, onehop, POS_INF).min(axis=axis, initial=POS_INF)
+    hi = np.where(finite, onehop, -POS_INF).max(axis=axis, initial=-POS_INF)
+    empty = lo == POS_INF
+    if not (empty | (lo == hi)).all():
+        return None
+    return np.where(empty, np.int64(0), lo)
+
+
+def _hop_step(onehop, delta, product, want_paths):
+    """Hop step X * onehop; the kernel is picked by the shape of onehop.
+
+    A caller's solver `product` is used as given.  Otherwise, when every
+    column of onehop holds one finite value c, the step is the boolean
+    kernel against the finite pattern plus c; when every row holds one
+    finite value r, it is the boolean kernel on X + r (the node-weight
+    shift); else it is the d-weights kernel.  A solver product carries no
+    witnesses, so they are recovered as the smallest k with
+    X[i, k] + onehop[k, j] equal to the product entry.
+    """
+    if product is not None:
+        bmat = WeightMatrix(onehop)
+
         def step(vals):
-            prod, wit = d_weights_min_plus(vals, onehop, delta, d=None,
-                                           return_witnesses=True)
+            prod = product(WeightMatrix(vals), bmat).data
+            if not want_paths:
+                return prod, None
+            return prod, _smallest_witnesses(vals, onehop, prod)
+
+        return step
+    finite = onehop != POS_INF
+    col = _uniform_values(onehop, finite, axis=0)
+    if col is not None:
+        def step(vals):
+            prod, wit = boolean_min_plus(vals, finite, delta, return_witnesses=want_paths)
+            return saturating_add(prod.data, col[None, :]), wit
+
+        return step
+    row = _uniform_values(onehop, finite, axis=1)
+    if row is not None:
+        def step(vals):
+            prod, wit = boolean_min_plus(saturating_add(vals, row[None, :]), finite,
+                                         delta, return_witnesses=want_paths)
             return prod.data, wit
 
         return step
-    bmat = WeightMatrix(onehop)
 
     def step(vals):
-        prod = product(WeightMatrix(vals), bmat).data
-        if not want_paths:
-            return prod, None
-        return prod, _smallest_witnesses(vals, onehop, prod)
+        prod, wit = d_weights_min_plus(vals, onehop, delta, d=None,
+                                       return_witnesses=True)
+        return prod.data, wit
 
     return step
 
@@ -462,21 +486,21 @@ def _smallest_witnesses(vals, onehop, prod):
     return wit
 
 
-def hop_bounded_product(A, g, h, delta=1, want_paths=True):
-    """A * D_g^{<=h} for a node-weighted graph, with witness paths.
+def hop_bounded_product(A, g, h, delta=1, want_paths=True, product=None):
+    """A * D_g^{<=h} for a node- or edge-weighted graph, with witness paths.
 
-    One hop step is min(A, (A (*) B) + W) where B is the adjacency matrix
-    and W[u, v] = w(v); values only improve strictly, so recorded paths have
-    minimal hop-length among minimum-weight h-hop-bounded paths.
+    One hop step is min(A, A * M) where M is the one-hop matrix without its
+    diagonal; _hop_step picks the kernel from M, and a solver
+    `product(A, B) -> WeightMatrix` can take its place.  Values only improve
+    strictly, so recorded paths have minimal hop-length among minimum-weight
+    h-hop-bounded paths.
     """
-    if not isinstance(g, NodeWeightedGraph):
-        raise TypeError("hop_bounded_product expects a NodeWeightedGraph")
     if h < 0:
         raise ValueError("h must be >= 0")
     a0 = _as_data(A)
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
-    step = _node_step(g.adjacency_bool(), g.node_weight, delta, want_paths)
+    step = _hop_step(one_hop_offdiag(g), delta, product, want_paths)
     vals, parents = _run_hop_recurrence(a0, h, step, want_paths)
     return HopProduct(WeightMatrix(vals, copy=False), parents)
 
@@ -484,57 +508,27 @@ def hop_bounded_product(A, g, h, delta=1, want_paths=True):
 def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
     """D_g^{<=h} * A, run as the right product A^T * D^{<=h} of the reverse graph.
 
-    The recurrence steps against the transposed adjacency or one-hop
-    matrix.  For node-weighted graphs the start matrix is
-    B[u, s] = w(u) + A[u, s] and w(v) is subtracted from the result row v.
-    `product` replaces the d-weights kernel of edge-weighted graphs, as in
-    hop_bounded_product_edge.
+    The recurrence is hop_bounded_product's, stepping against the transposed
+    one-hop matrix.
     """
     a = _as_data(A)
     if a.shape[0] != g.n:
         raise ValueError("A must have one row per node")
     if h < 0:
         raise ValueError("h must be >= 0")
-    if isinstance(g, NodeWeightedGraph):
-        if product is not None:
-            raise TypeError("product= applies to edge-weighted graphs only")
-        w = g.node_weight
-        step = _node_step(g.adjacency_bool().T, w, delta, want_paths)
-        vals, parents = _run_hop_recurrence(saturating_add(a, w[:, None]).T, h,
-                                            step, want_paths)
-        res = np.where(vals.T == POS_INF, POS_INF, vals.T - w[:, None])
-    elif isinstance(g, EdgeWeightedGraph):
-        step = _edge_step(one_hop_offdiag(g).T, delta, product, want_paths)
-        vals, parents = _run_hop_recurrence(a.T, h, step, want_paths)
-        res = vals.T
-    else:
-        raise TypeError(f"unsupported graph type {type(g)!r}")
-    return HopProduct(WeightMatrix(res, copy=False), parents, reversed_paths=True)
+    step = _hop_step(one_hop_offdiag(g).T, delta, product, want_paths)
+    vals, parents = _run_hop_recurrence(a.T, h, step, want_paths)
+    return HopProduct(WeightMatrix(vals.T, copy=False), parents, reversed_paths=True)
 
 
 def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True,
                              product=None):
-    """A * D_g^{<=h} for an edge-weighted graph with few incoming weights.
-
-    Each hop step is a d-weights min-plus product against the one-hop edge
-    matrix (whose column v holds the at most d distinct incoming weights of
-    node v).  A solver `product(A, B) -> WeightMatrix` can take the place of
-    the d-weights kernel; its witnesses come from a scan over the inner index.
-    """
-    if not isinstance(g, EdgeWeightedGraph):
-        raise TypeError("hop_bounded_product_edge expects an EdgeWeightedGraph")
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    a0 = _as_data(A)
-    if a0.shape[1] != g.n:
-        raise ValueError("A must have one column per node")
+    """hop_bounded_product after auditing at most d distinct incoming weights."""
     if d is not None:
         max_in = audit_distinct_weights(g)[1]
         if max_in > d:
             raise AuditError(f"graph has a node with {max_in} distinct incoming weights (> {d})")
-    step = _edge_step(one_hop_offdiag(g), delta, product, want_paths)
-    vals, parents = _run_hop_recurrence(a0, h, step, want_paths)
-    return HopProduct(WeightMatrix(vals, copy=False), parents)
+    return hop_bounded_product(A, g, h, delta, want_paths, product)
 
 
 def trivial_rows(sources, n):

@@ -92,6 +92,20 @@ def test_one_hop_column_constancy():
         assert len(set(col)) <= 1
 
 
+def test_adjacency_bool_matches_loop():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 7, 13):
+        edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(2 * n)]
+        g = NodeWeightedGraph(n, edges, np.zeros(n, dtype=np.int64))
+        want = np.zeros((n, n), dtype=bool)
+        for u in range(n):  # nodes without out-edges stay all-False rows
+            want[u, g.adj[u]] = True
+        got = g.adjacency_bool()
+        assert got.dtype == bool and got.shape == (n, n)
+        assert np.array_equal(got, want)
+    assert not NodeWeightedGraph(3, [], [1, 2, 3]).adjacency_bool().any()
+
+
 def test_one_hop_matches_edge_loop():
     rng = np.random.default_rng(4)
     for n in (0, 1, 6, 11):

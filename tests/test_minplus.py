@@ -488,9 +488,85 @@ def test_solver_product_matches_kernel_hop_products():
             if q is not None:
                 w = sum(int(one[x, y]) for x, y in zip(q, q[1:])) + int(a.data[i, q[-1]])
                 assert w == left.values.data[v, i] and len(q) - 1 <= 3
-    with pytest.raises(TypeError):
-        mp.hop_bounded_product_left(rand_node_graph(rng, 9), a.transpose(), 1,
-                                    product=solver)
+    # a solver product also stands in for the boolean kernel of a node graph
+    gnode = rand_node_graph(rng, 9)
+    assert (mp.hop_bounded_product(a, gnode, 3, product=mp.min_plus_naive).values
+            == mp.hop_bounded_product(a, gnode, 3).values)
+    assert (mp.hop_bounded_product_left(gnode, a.transpose(), 3,
+                                        product=mp.min_plus_naive).values
+            == mp.hop_bounded_product_left(gnode, a.transpose(), 3).values)
+
+
+def uniform_edge_graph(rng, n, side, p=0.35, lo=-3, hi=9):
+    """Edge graph whose in- (side "in") or out-edges share one weight per node."""
+    c = rng.integers(lo, hi, size=n)
+    edges = [(u, v, int(c[v] if side == "in" else c[u]))
+             for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    return EdgeWeightedGraph(n, edges + edges[:3])  # a few duplicates
+
+
+def hop_edge_case_graphs():
+    rng = np.random.default_rng(42)
+    loops = rand_edge_graph(rng, 7, 3, lo=-2, hi=9)
+    extra = [(0, 0, -1), (3, 3, 4), (2, 5, 1), (2, 5, 7), (2, 5, 1)]
+    return {
+        "node n=0": NodeWeightedGraph(0, [], []),
+        "edge n=0": EdgeWeightedGraph(0, []),
+        "node n=1": NodeWeightedGraph(1, [], [4]),
+        "node n=1 loop": NodeWeightedGraph(1, [(0, 0)], [-1]),
+        "edge n=1": EdgeWeightedGraph(1, []),
+        "edge n=1 loops": EdgeWeightedGraph(1, [(0, 0, 3), (0, 0, -2)]),
+        "in-uniform": uniform_edge_graph(rng, 9, "in"),
+        "out-uniform": uniform_edge_graph(rng, 9, "out"),
+        "node loops": NodeWeightedGraph(6, [(0, 0), (1, 2), (1, 2), (2, 2), (2, 4)],
+                                        [-1, 3, 0, 5, 2, -4]),
+        "edge loops": EdgeWeightedGraph(7, list(loops.edges()) + extra),
+    }
+
+
+@pytest.mark.parametrize("name", list(hop_edge_case_graphs()))
+def test_hop_products_edge_cases(name):
+    g = hop_edge_case_graphs()[name]
+    n, h = g.n, 3
+    rng = np.random.default_rng(43)
+    a = rand_matrix(rng, 3, n, inf_p=0.3, lo=-4, hi=9)
+    one = build_one_hop_matrix(g)
+    offdiag = mp.one_hop_offdiag(g)
+    want_right, want_left = a, a.transpose()
+    for _ in range(h):
+        want_right = mp.min_plus_naive(want_right, one)
+        want_left = mp.min_plus_naive(one, want_left)
+    for want_paths in (True, False):
+        mp.reset_counters()
+        right = mp.hop_bounded_product(a, g, h, delta=2, want_paths=want_paths)
+        left = mp.hop_bounded_product_left(g, a.transpose(), h, delta=2,
+                                           want_paths=want_paths)
+        counts = mp.snapshot_counters()
+        if name in ("in-uniform", "out-uniform"):
+            # one weight per column or per row of the one-hop matrix, both ways
+            assert counts["boolean_min_plus"] == 2 * h, name
+            assert counts["d_weights_min_plus"] == 0, name
+        assert right.values == want_right, name
+        assert left.values == want_left, name
+        if not want_paths:
+            assert right._parents == [] and left._parents == []
+            continue
+        for i in range(a.rows):
+            for v in range(n):
+                p = right.path(i, v)
+                if p is None:
+                    assert want_right.data[i, v] == POS_INF
+                else:
+                    w = int(a.data[i, p[0]]) + sum(int(offdiag[x, y]) for x, y in zip(p, p[1:]))
+                    assert p[-1] == v and len(p) - 1 <= h
+                    assert w == want_right.data[i, v], name
+                q = left.path(v, i)
+                if q is None:
+                    assert want_left.data[v, i] == POS_INF
+                else:
+                    w = sum(int(offdiag[x, y]) for x, y in zip(q, q[1:])) + int(a.data[i, q[-1]])
+                    assert q[0] == v and len(q) - 1 <= h
+                    assert w == want_left.data[v, i], name
 
 
 def backtrace_loop_reference(prod, i, j):
@@ -528,6 +604,11 @@ def test_hop_paths_match_per_pair_path(h):
                                                     product=mp.min_plus_naive),
         "solver left": mp.hop_bounded_product_left(gedge, a.transpose(), h,
                                                    product=mp.min_plus_naive),
+        # the node-weight shift on edge graphs: one weight per one-hop row
+        "in-uniform left": mp.hop_bounded_product_left(
+            uniform_edge_graph(rng, 9, "in"), a.transpose(), h, delta=2),
+        "out-uniform right": mp.hop_bounded_product(
+            a, uniform_edge_graph(rng, 9, "out"), h, delta=2),
     }
     for name, prod in products.items():
         vals = prod.values.data
