@@ -2,7 +2,8 @@
 
 Library layout:
 
-- core: weights, matrices, graphs, file I/O
+- core: weights, matrices, edge-weighted graphs (node-weighted graphs are
+  edge graphs built by node_weighted_graph), file I/O
 - minplus: product kernels and hop-bounded graph products
 - apsp: oracle and multi-level pivot solvers
 - additive: sumsets, popular sums, isolating primes, covering decomposition
@@ -19,7 +20,6 @@ from .core import (
     EdgeWeightedGraph,
     FormatError,
     NEG_INF,
-    NodeWeightedGraph,
     POS_INF,
     WeightError,
     WeightMatrix,
@@ -27,6 +27,7 @@ from .core import (
     build_one_hop_matrix,
     load_graph,
     load_matrix,
+    node_weighted_graph,
     save_graph,
     save_matrix,
 )

@@ -5,10 +5,12 @@ can hit a negative cycle) by min-plus repeated squaring of the one-hop
 matrix; weights beyond the min-plus kernel's operand range raise WeightError.
 The multi-level pivot solver comes in a randomized variant (uniform pivot
 samples per level) and a deterministic variant (bridging sets built by
-greedy hitting sets).  Both run on node- and edge-weighted graphs through
-one hop product, whose one-hop matrix picks the kernel: the boolean kernel
-when every column (or every row) holds one weight, as for node-weighted
-graphs and their reverse, the d-weights kernel otherwise.
+greedy hitting sets).  There is one graph type, EdgeWeightedGraph: a
+node-weighted graph is the edge graph whose edges into v weigh w(v)
+(core.node_weighted_graph).  Both solvers run through one hop product,
+whose one-hop matrix picks the kernel: the boolean kernel when every column
+(or every row) holds one weight, as for node-weighted graphs and their
+reverse, the d-weights kernel otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
     DistanceMatrix,
     EdgeWeightedGraph,
     NEG_INF,
-    NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
     audit_distinct_weights,
@@ -179,27 +180,23 @@ class NegativeCycleRemap:
 def eliminate_negative_cycles(g):
     """Contract every SCC containing a negative cycle into one node.
 
-    The contracted node carries weight -2*W*n (node-weighted) or shifts all
-    entering edges by -2*W*n (edge-weighted), where W is the largest weight
-    magnitude.  Decoding maps distances below -W*n (or touching a contracted
-    node) to -inf; all other distances are unchanged.
+    Every edge entering a contracted node weighs penalty = -2*W*n, where W
+    is the largest edge weight magnitude; the other edges keep their
+    weights, so a node-weighted graph keeps one weight per one-hop column.
+    The contracted graph has no negative cycle.  A simple path through a
+    contracted node weighs at most -2*W*n + (n-2)*W < -W*n = threshold,
+    while a path that avoids every contracted node weighs at least
+    -(n-1)*W.  Decoding therefore maps distances below the threshold (or
+    touching a contracted node) to -inf; all other distances are unchanged.
     """
     n = g.n
-    node_weighted = isinstance(g, NodeWeightedGraph)
-    if node_weighted:
-        pairs = list(g.edges())
-        weights_abs = int(np.abs(g.node_weight).max()) if n else 0
-        triples = [(u, v, int(g.node_weight[v])) for u, v in pairs]
-    else:
-        triples = list(g.edges())
-        pairs = [(u, v) for u, v, _ in triples]
-        weights_abs = int(np.abs(g.edge_array[:, 2]).max()) if g.m else 0
-    if not any(w < 0 for _, _, w in triples):
-        remap = NegativeCycleRemap(np.arange(n), np.zeros(n, dtype=bool), 0, identity=True)
-        return g, remap
-    comp, ncomp = _strongly_connected_components(n, pairs)
+    e = g.edge_array
+    if (e[:, 2] >= 0).all():
+        return g, NegativeCycleRemap(np.arange(n), np.zeros(n, dtype=bool), 0,
+                                     identity=True)
+    comp, ncomp = _strongly_connected_components(n, e[:, :2].tolist())
     by_comp = [[] for _ in range(ncomp)]
-    for u, v, w in triples:
+    for u, v, w in e.tolist():
         if comp[u] == comp[v]:
             by_comp[comp[u]].append((u, v, w))
     bad_comp = np.zeros(ncomp, dtype=bool)
@@ -208,49 +205,21 @@ def eliminate_negative_cycles(g):
             nodes = np.nonzero(comp == c)[0]
             bad_comp[c] = _component_has_negative_cycle(nodes, by_comp[c])
     bad_nodes = bad_comp[comp]
-    penalty = -2 * weights_abs * n
     if not bad_comp.any():
-        remap = NegativeCycleRemap(np.arange(n), bad_nodes, 0, identity=True)
-        return g, remap
-    node_map = np.full(n, -1, dtype=np.int64)
-    new_id = 0
-    comp_node = {}
-    for v in range(n):
-        if not bad_nodes[v]:
-            node_map[v] = new_id
-            new_id += 1
-    for c in np.nonzero(bad_comp)[0]:
-        comp_node[c] = new_id
-        new_id += 1
-    for v in range(n):
-        if bad_nodes[v]:
-            node_map[v] = comp_node[comp[v]]
-    n2 = new_id
-    threshold = -weights_abs * n
-    if node_weighted:
-        w2 = np.zeros(n2, dtype=np.int64)
-        for v in range(n):
-            if not bad_nodes[v]:
-                w2[node_map[v]] = g.node_weight[v]
-        for c, nid in comp_node.items():
-            w2[nid] = penalty
-        edges2 = set()
-        for u, v in pairs:
-            nu, nv = int(node_map[u]), int(node_map[v])
-            if nu == nv and bad_nodes[u] and bad_nodes[v]:
-                continue
-            edges2.add((nu, nv))
-        g2 = NodeWeightedGraph(n2, sorted(edges2), w2)
-    else:
-        edges2 = []
-        contracted = set(comp_node.values())
-        for u, v, w in triples:
-            nu, nv = int(node_map[u]), int(node_map[v])
-            if nu == nv and bad_nodes[u] and bad_nodes[v]:
-                continue
-            edges2.append((nu, nv, w + (penalty if nv in contracted else 0)))
-        g2 = EdgeWeightedGraph(n2, edges2)
-    return g2, NegativeCycleRemap(node_map, bad_nodes, threshold)
+        return g, NegativeCycleRemap(np.arange(n), bad_nodes, 0, identity=True)
+    # good nodes keep their order, then one node per bad component
+    node_map = np.empty(n, dtype=np.int64)
+    n_good = int((~bad_nodes).sum())
+    node_map[~bad_nodes] = np.arange(n_good)
+    bad_ids = np.flatnonzero(bad_comp)
+    node_map[bad_nodes] = n_good + np.searchsorted(bad_ids, comp[bad_nodes])
+    weights_abs = int(np.abs(e[:, 2]).max())
+    nu, nv = node_map[e[:, 0]], node_map[e[:, 1]]
+    keep = (nu != nv) | ~bad_nodes[e[:, 0]]
+    w2 = np.where(bad_nodes[e[:, 1]], -2 * weights_abs * n, e[:, 2])
+    g2 = EdgeWeightedGraph(n_good + bad_ids.size,
+                           np.column_stack([nu, nv, w2])[keep])
+    return g2, NegativeCycleRemap(node_map, bad_nodes, -weights_abs * n)
 
 
 # ----------------------------------------------------------------------------
@@ -530,8 +499,6 @@ def dweights_apsp(g, d=None, h=None, delta=None):
     column or per row.  Graphs whose promise is on outgoing edges should be
     solved through the reversed graph.
     """
-    if not isinstance(g, EdgeWeightedGraph):
-        raise TypeError("dweights_apsp expects an EdgeWeightedGraph")
     if d is not None:
         max_in = audit_distinct_weights(g)[1]
         if max_in > d:
@@ -560,7 +527,7 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
     elif algo == "nw-det":
         dist = nw_apsp_deterministic(g2, h=h, delta=delta)
     elif algo == "dweights":
-        if d is not None and isinstance(g, EdgeWeightedGraph):
+        if d is not None:
             max_out, max_in = audit_distinct_weights(g)
             actual = max_out if promise == "out" else max_in
             if actual > d:

@@ -133,62 +133,27 @@ class DistanceMatrix(WeightMatrix):
     __slots__ = ()
 
 
-class NodeWeightedGraph:
-    """Directed graph with a finite integer weight on every node.
-
-    The weight of a path v_0 .. v_l is w(v_1)+...+w(v_l): the first vertex is
-    excluded so that concatenated paths add up.
-    """
-
-    __slots__ = ("n", "adj", "node_weight")
-
-    def __init__(self, n, edges, node_weight):
-        self.n = int(n)
-        w = np.asarray(node_weight, dtype=np.int64)
-        if w.shape != (self.n,):
-            raise ValueError("node_weight must have one entry per node")
-        if np.any(np.abs(w) >= GUARD):
-            raise WeightError("node weight out of range")
-        w.setflags(write=False)
-        self.node_weight = w
-        adj = [[] for _ in range(self.n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            adj[u].append(v)
-        self.adj = tuple(np.array(sorted(set(a)), dtype=np.int64) for a in adj)
-
-    @property
-    def m(self):
-        return int(sum(len(a) for a in self.adj))
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                yield u, int(v)
-
-    def adjacency_bool(self):
-        b = np.zeros((self.n, self.n), dtype=bool)
-        sizes = [a.size for a in self.adj]
-        b[np.repeat(np.arange(self.n), sizes),
-          np.concatenate((np.empty(0, dtype=np.int64),) + self.adj)] = True
-        return b
-
-    def reverse(self):
-        return NodeWeightedGraph(self.n, [(v, u) for u, v in self.edges()], self.node_weight)
+def _int_rows(rows, width):
+    """`rows` as an (m, width) int64 array; an array skips the list round trip."""
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
 class EdgeWeightedGraph:
-    """Directed graph with integer edge weights, stored as (u, v, w) triples."""
+    """Directed graph with integer edge weights, stored as (u, v, w) triples.
+
+    `edges` is an (m, 3) integer array or a sequence of (u, v, w) triples.
+    A node-weighted graph is the edge graph whose edges into v weigh w(v)
+    (node_weighted_graph).
+    """
 
     __slots__ = ("n", "edge_array")
 
     def __init__(self, n, edges):
         self.n = int(n)
-        arr = np.array(list(edges), dtype=np.int64).reshape(-1, 3)
-        if arr.size and (arr[:, 0].min() < 0 or arr[:, 0].max() >= self.n
-                         or arr[:, 1].min() < 0 or arr[:, 1].max() >= self.n):
+        arr = _int_rows(edges, 3)
+        if arr.size and (arr[:, :2].min() < 0 or arr[:, :2].max() >= self.n):
             raise ValueError("edge endpoint out of range")
         if arr.size and np.any(np.abs(arr[:, 2]) >= GUARD):
             raise WeightError("edge weight out of range")
@@ -204,24 +169,38 @@ class EdgeWeightedGraph:
             yield int(u), int(v), int(w)
 
     def reverse(self):
-        e = self.edge_array
-        if e.size == 0:
-            return EdgeWeightedGraph(self.n, [])
-        return EdgeWeightedGraph(self.n, np.column_stack([e[:, 1], e[:, 0], e[:, 2]]))
+        return EdgeWeightedGraph(self.n, self.edge_array[:, [1, 0, 2]])
+
+
+def node_weighted_graph(n, edges, node_weight):
+    """Edge graph of a node-weighted digraph: one edge (u, v, w(v)) per
+    distinct pair (u, v) of `edges`, sorted by (u, v).
+
+    The weight of a path v_0 .. v_l is then w(v_1)+...+w(v_l): the first
+    vertex is excluded so that concatenated paths add up.  Every column of
+    the one-hop matrix holds one weight, so hop products take the boolean
+    kernel.
+    """
+    n = int(n)
+    w = np.asarray(node_weight, dtype=np.int64)
+    if w.shape != (n,):
+        raise ValueError("node_weight must have one entry per node")
+    if np.any(np.abs(w) >= GUARD):
+        raise WeightError("node weight out of range")
+    uv = _int_rows(edges, 2)
+    if uv.size and (uv.min() < 0 or uv.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    u, v = np.divmod(np.unique(uv[:, 0] * n + uv[:, 1]), max(n, 1))
+    return EdgeWeightedGraph(n, np.column_stack([u, v, w[v]]))
 
 
 def one_hop_offdiag(g):
     """One-hop matrix restricted to actual edges (no implicit 0 diagonal).
 
-    Entry [u, v] is the cheapest single edge u->v (target-node weight in the
-    node-weighted case), +inf otherwise.  The hop recurrence mins against
-    the previous iterate, which plays the role of the diagonal, so columns
-    keep at most d distinct edge weights.
+    Entry [u, v] is the cheapest single edge u->v, +inf otherwise.  The hop
+    recurrence mins against the previous iterate, which plays the role of
+    the diagonal, so columns keep at most d distinct edge weights.
     """
-    if isinstance(g, NodeWeightedGraph):
-        return np.where(g.adjacency_bool(), g.node_weight[None, :], POS_INF)
-    if not isinstance(g, EdgeWeightedGraph):
-        raise TypeError(f"unsupported graph type {type(g)!r}")
     m = np.full((g.n, g.n), POS_INF, dtype=np.int64)
     e = g.edge_array
     np.minimum.at(m, (e[:, 0], e[:, 1]), e[:, 2])
@@ -237,9 +216,7 @@ def build_one_hop_matrix(g):
 
 
 def audit_distinct_weights(g):
-    """Exact per-node distinct-weight maxima (max_out, max_in) of an edge-weighted graph."""
-    if not isinstance(g, EdgeWeightedGraph):
-        raise TypeError("audit_distinct_weights expects an EdgeWeightedGraph")
+    """Exact per-node distinct-weight maxima (max_out, max_in) of a graph."""
     e = g.edge_array
     # distinct (direction, node, weight) triples; direction 0 keys the tail
     # of an edge (outgoing), 1 its head (incoming)
@@ -312,7 +289,8 @@ def value_positions(m, absent):
 #
 # Graph file: first line "n m node-weighted|edge-weighted"; node-weighted
 # files continue with n lines "v w" and m lines "u v"; edge-weighted files
-# continue with m lines "u v w".  Node ids are 0-based.
+# continue with m lines "u v w".  Node ids are 0-based.  Both load as an
+# EdgeWeightedGraph; save_graph writes the edge-weighted form.
 # ----------------------------------------------------------------------------
 
 def save_matrix(mat, path):
@@ -346,18 +324,9 @@ def load_matrix(path):
 
 def save_graph(g, path):
     with open(path, "w") as f:
-        if isinstance(g, NodeWeightedGraph):
-            f.write(f"{g.n} {g.m} node-weighted\n")
-            for v in range(g.n):
-                f.write(f"{v} {int(g.node_weight[v])}\n")
-            for u, v in g.edges():
-                f.write(f"{u} {v}\n")
-        elif isinstance(g, EdgeWeightedGraph):
-            f.write(f"{g.n} {g.m} edge-weighted\n")
-            for u, v, w in g.edges():
-                f.write(f"{u} {v} {w}\n")
-        else:
-            raise TypeError(f"unsupported graph type {type(g)!r}")
+        f.write(f"{g.n} {g.m} edge-weighted\n")
+        for u, v, w in g.edges():
+            f.write(f"{u} {v} {w}\n")
 
 
 def _node_id(tok, n):
@@ -403,7 +372,7 @@ def load_graph(path):
                 edges.append((_node_id(toks[0], n), _node_id(toks[1], n)))
             if f.readline().strip():
                 raise FormatError("trailing data after edges")
-            return NodeWeightedGraph(n, edges, weights)
+            return node_weighted_graph(n, edges, weights)
         else:
             edges = []
             for _ in range(m):

@@ -12,27 +12,31 @@ import numpy as np
 from .core import (
     BOT,
     EdgeWeightedGraph,
-    NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    node_weighted_graph,
 )
 from .exact_triangle import TriangleInstance, normalize_promise
 
 
 def random_node_weighted_graph(n, rng, density=0.3, low=0, high=20,
                                negative_cycle=False):
-    """Random digraph with node weights in [low, high)."""
+    """Random digraph with node weights in [low, high), as the edge graph
+    of node_weighted_graph.
+
+    Each pair u != v, in row-major order, is an edge with probability
+    `density`.
+    """
     w = rng.integers(low, high, size=n)
-    edges = [(u, v) for u in range(n) for v in range(n)
-             if u != v and rng.random() < density]
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
+    keep = rng.random(u.size) < density
+    edges = np.column_stack([u[keep], v[keep]])
     if negative_cycle and n >= 2:
         size = int(rng.integers(2, min(n, 4) + 1))
         cyc = rng.choice(n, size=size, replace=False)
-        for a, b in zip(cyc, np.roll(cyc, -1)):
-            edges.append((int(a), int(b)))
-        w = np.array(w)
+        edges = np.concatenate([edges, np.column_stack([cyc, np.roll(cyc, -1)])])
         w[cyc] = rng.integers(low if low < 0 else -3, 0, size=size)
-    return NodeWeightedGraph(n, sorted(set(edges)), w)
+    return node_weighted_graph(n, edges, w)
 
 
 def random_dweights_graph(n, d, rng, density=0.3, low=0, high=30,

@@ -16,10 +16,10 @@ from .core import (
     AuditError,
     BOT,
     EdgeWeightedGraph,
-    NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
     audit_distinct_weights,
+    node_weighted_graph,
     value_positions,
 )
 from .exact_triangle import (
@@ -129,8 +129,6 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
     h = ceil(n^(eps/4)); negative cycles are eliminated up front and decoded
     back to -inf entries.
     """
-    if not isinstance(g, EdgeWeightedGraph):
-        raise TypeError("apsp_from_minplus expects an EdgeWeightedGraph")
     if d is not None:
         max_in = audit_distinct_weights(g)[1]
         if max_in > d:
@@ -173,10 +171,7 @@ class GadgetGraph:
         return WeightMatrix(out, copy=False)
 
     def distinct_edge_weights(self):
-        g = self.graph
-        if isinstance(g, EdgeWeightedGraph):
-            return len(set(g.edge_array[:, 2].tolist())) if g.m else 0
-        return len(set(int(g.node_weight[v]) for v in range(g.n)))
+        return int(np.unique(self.graph.edge_array[:, 2]).size)
 
 
 def gen_bounded_minplus_gadget(a, b, eps, undirected=False):
@@ -291,7 +286,7 @@ def gen_column_weight_gadget(a, b, undirected=False):
                 edges.append((k2_id[(k, int(b[k, j]))], n + j))
     if undirected:
         edges = edges + [(v, u) for (u, v) in edges]
-    graph = NodeWeightedGraph(nid, edges, node_weight)
+    graph = node_weighted_graph(nid, edges, node_weight)
     layer_sizes = (n, len(k1_id), len(k2_id), n)
     return GadgetGraph(graph, np.arange(n), np.arange(n, 2 * n),
                        offset=3 * bonus,
@@ -515,7 +510,7 @@ def _part_pair_gadget(ax, by, sigma, tau, core_x, core_y, nw_solver,
         weights = weights + bonus
         offset = 3 * bonus
         edges = edges + [(v, u) for (u, v) in edges]
-    graph = NodeWeightedGraph(nid, edges, weights)
+    graph = node_weighted_graph(nid, edges, weights)
     dist = nw_solver(graph).data
     block = dist[np.ix_(np.arange(n), np.arange(n, 2 * n))]
     fin = block != POS_INF

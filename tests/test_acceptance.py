@@ -357,7 +357,7 @@ def test_criterion_8_determinism():
     a = ap.solve_apsp(ge, "dweights", h=4, d=3).data
     b = ap.solve_apsp(ge, "dweights", h=4, d=3).data
     assert np.array_equal(a, b), "dweights replay"
-    ra = ap.nw_apsp_randomized(g if False else random_node_weighted_graph(
+    ra = ap.nw_apsp_randomized(random_node_weighted_graph(
         30, np.random.default_rng(1)), h=8,
         rng=np.random.default_rng(3), constant=0.7)
     rb = ap.nw_apsp_randomized(random_node_weighted_graph(

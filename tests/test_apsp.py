@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from fewweights.core import (
     AuditError,
     EdgeWeightedGraph,
     NEG_INF,
-    NodeWeightedGraph,
     POS_INF,
     WeightError,
     build_one_hop_matrix,
+    node_weighted_graph,
     one_hop_offdiag,
 )
 from fewweights import apsp as ap
@@ -42,10 +43,7 @@ def floyd_warshall(one):
 def bellman_ford_reference(g):
     """Independent per-source Bellman-Ford with -inf propagation."""
     n = g.n
-    if isinstance(g, NodeWeightedGraph):
-        triples = [(u, v, int(g.node_weight[v])) for u, v in g.edges()]
-    else:
-        triples = list(g.edges())
+    triples = list(g.edges())
     out = np.empty((n, n), dtype=np.int64)
     for s in range(n):
         dist = {v: None for v in range(n)}
@@ -81,18 +79,22 @@ def bellman_ford_reference(g):
 def graph_zoo(rng, count):
     """Node- and edge-weighted graphs with negative weights, planted negative
     cycles, self-loops (negative ones too), duplicate edges and n in {0, 1}."""
-    graphs = [NodeWeightedGraph(0, [], []), EdgeWeightedGraph(0, []),
-              NodeWeightedGraph(1, [], [-4]), NodeWeightedGraph(1, [(0, 0)], [-1]),
+    graphs = [node_weighted_graph(0, [], []), EdgeWeightedGraph(0, []),
+              node_weighted_graph(1, [], [-4]), node_weighted_graph(1, [(0, 0)], [-1]),
               EdgeWeightedGraph(1, [(0, 0, 3)]), EdgeWeightedGraph(1, [(0, 0, -2)])]
     for t in range(count):
         n = int(rng.integers(2, 14))
         loops = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
         if t % 2 == 0:
+            # the generator draws the node weights first and changes only
+            # those of planted-cycle nodes, which all have in-edges
+            w = copy.deepcopy(rng).integers(-6, 10, size=n)
             g = random_node_weighted_graph(n, rng, low=-6, high=10,
                                            negative_cycle=(t % 4 == 0))
-            edges = list(g.edges())
+            w[g.edge_array[:, 1]] = g.edge_array[:, 2]
+            edges = g.edge_array[:, :2].tolist()
             edges += [(int(v), int(v)) for v in loops] + edges[:2]
-            graphs.append(NodeWeightedGraph(n, edges, g.node_weight))
+            graphs.append(node_weighted_graph(n, edges, w))
         else:
             g = random_dweights_graph(n, 3, rng, low=-4, high=12,
                                       negative_cycle=(t % 4 == 1))
@@ -104,12 +106,12 @@ def graph_zoo(rng, count):
 
 
 def test_oracle_single_node():
-    g = NodeWeightedGraph(1, [], [5])
+    g = node_weighted_graph(1, [], [5])
     assert ap.apsp_oracle(g).data.tolist() == [[0]]
 
 
 def test_oracle_negative_two_cycle():
-    g = NodeWeightedGraph(2, [(0, 1), (1, 0)], [-2, 1])
+    g = node_weighted_graph(2, [(0, 1), (1, 0)], [-2, 1])
     d = ap.apsp_oracle(g).data
     assert np.all(d == NEG_INF)
 
@@ -162,7 +164,7 @@ def test_oracle_matches_scipy_johnson():
 def test_oracle_raises_instead_of_wrapping(weight):
     # the path 0 -> 39 weighs 39 * weight, beyond the kernel operand bound:
     # an unchecked int64 sum gives +inf at 2^59 and a value past GUARD at 2^56
-    g = NodeWeightedGraph(40, [(i, i + 1) for i in range(39)], [weight] * 40)
+    g = node_weighted_graph(40, [(i, i + 1) for i in range(39)], [weight] * 40)
     with pytest.raises(WeightError):
         ap.apsp_oracle(g)
     with pytest.raises(WeightError):
@@ -182,7 +184,7 @@ def test_eliminate_identity_on_nonnegative():
 
 def test_eliminate_tail_to_negative_cycle():
     # 0 -> 1 <-> 2 with a negative 2-cycle; tail distance decodes to -inf
-    g = NodeWeightedGraph(3, [(0, 1), (1, 2), (2, 1)], [0, -3, 1])
+    g = node_weighted_graph(3, [(0, 1), (1, 2), (2, 1)], [0, -3, 1])
     g2, remap = ap.eliminate_negative_cycles(g)
     decoded = remap.decode(ap.apsp_oracle(g2))
     want = bellman_ford_reference(g)
@@ -193,9 +195,30 @@ def test_eliminate_tail_to_negative_cycle():
 def test_eliminate_all_negative_cycle_graph():
     n = 4
     edges = [(i, (i + 1) % n) for i in range(n)]
-    g = NodeWeightedGraph(n, edges, [-1] * n)
+    g = node_weighted_graph(n, edges, [-1] * n)
     g2, _ = ap.eliminate_negative_cycles(g)
     assert g2.n == 1
+
+
+def test_eliminate_node_weighted_keeps_boolean_kernel():
+    # a planted negative 2-cycle {1, 2} entered from 0 (into w(1) = -3) and
+    # from 3 (into w(2) = 1): both entering edges weigh the penalty, so each
+    # one-hop column of the contracted graph still holds one weight and
+    # nw-det stays on the boolean kernel
+    edges = [(0, 1), (3, 2), (0, 3), (1, 2), (2, 1), (2, 4), (4, 5), (5, 4),
+             (5, 6), (6, 7), (1, 7)]
+    g = node_weighted_graph(8, edges, [2, -3, 1, 4, 0, 5, 3, 2])
+    g2, remap = ap.eliminate_negative_cycles(g)
+    assert g2.n == 7 and remap.bad_nodes.tolist() == [0, 1, 1, 0, 0, 0, 0, 0]
+    off = one_hop_offdiag(g2)
+    for col in off.T:
+        assert np.unique(col[col != POS_INF]).size <= 1
+    mp.reset_counters()
+    got = ap.solve_apsp(g, "nw-det", h=4)
+    assert mp.counters["d_weights_min_plus"] == 0
+    assert mp.counters["boolean_min_plus"] > 0
+    assert np.array_equal(got.data, ap.apsp_oracle(g).data)
+    assert got.data[0, 7] == NEG_INF and got.data[4, 6] == 8
 
 
 def test_eliminate_edge_weighted_decode():
@@ -328,7 +351,7 @@ def test_hitting_set_padded_array_matches_lists():
 # ----------------------------------------------------------------------------
 
 def test_simple_path_prefix_sums():
-    g = NodeWeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
+    g = node_weighted_graph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
     d = ap.nw_apsp_deterministic(g, h=2).data
     assert d[0].tolist() == [0, 2, 5, 9]
     assert d[1, 3] == 7 and d[3, 0] == POS_INF
@@ -337,7 +360,7 @@ def test_simple_path_prefix_sums():
 def test_complete_graph_unit_weights():
     n = 6
     edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-    g = NodeWeightedGraph(n, edges, [1] * n)
+    g = node_weighted_graph(n, edges, [1] * n)
     d = ap.nw_apsp_deterministic(g, h=2).data
     assert np.all(d[~np.eye(n, dtype=bool)] == 1)
     assert np.all(np.diag(d) == 0)
@@ -453,6 +476,7 @@ def test_bridging_state_q_path_bounds():
     for t in range(4):
         n = int(rng.integers(6, 18))
         g = random_node_weighted_graph(n, rng)
+        one = build_one_hop_matrix(g).data
         h = 4
         state = ap.BridgingState()
         dist = ap.nw_apsp_deterministic(g, h=h, state=state)
@@ -467,8 +491,7 @@ def test_bridging_state_q_path_bounds():
             assert len(path) - 1 <= hop_cap
             assert path[0] == u and path[-1] == v
             assert w <= bound[u, v]
-            walked = sum(int(g.node_weight[x]) for x in path[1:])
-            assert walked == w
+            assert sum(int(one[x, y]) for x, y in zip(path, path[1:])) == w
         assert_s_star_hits_long_q_paths(state, 2 ** big_l)
     # edge-weighted graphs through the d-weights kernel and a min-plus solver
     rng = np.random.default_rng(51)
@@ -500,24 +523,22 @@ def assert_s_star_hits_long_q_paths(state, hl):
 
 
 def test_randomized_simple_path_prefix_sums():
-    g = NodeWeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
+    g = node_weighted_graph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
     d = ap.nw_apsp_randomized(g, h=2, rng=np.random.default_rng(0)).data
     assert d[0].tolist() == [0, 2, 5, 9]
     assert d[2, 0] == POS_INF
 
 
 def test_deterministic_single_node():
-    g = NodeWeightedGraph(1, [], [7])
+    g = node_weighted_graph(1, [], [7])
     assert ap.nw_apsp_deterministic(g, h=2).data.tolist() == [[0]]
 
 
 def test_dweights_d1_encoding_matches_node_weighted():
     rng = np.random.default_rng(60)
     g = random_node_weighted_graph(14, rng)
-    edges = [(u, v, int(g.node_weight[v])) for u, v in g.edges()]
-    ge = EdgeWeightedGraph(g.n, edges)
     want = ap.nw_apsp_deterministic(g, h=4)
-    got = ap.dweights_apsp(ge, d=1, h=4)
+    got = ap.dweights_apsp(g, d=1, h=4)
     assert got == want
 
 

@@ -5,14 +5,16 @@ from fewweights.core import (
     BOT,
     EdgeWeightedGraph,
     FormatError,
+    GUARD,
     NEG_INF,
-    NodeWeightedGraph,
     POS_INF,
+    WeightError,
     WeightMatrix,
     audit_distinct_weights,
     build_one_hop_matrix,
     load_graph,
     load_matrix,
+    node_weighted_graph,
     occurrence_stats,
     one_hop_offdiag,
     save_graph,
@@ -67,13 +69,13 @@ def test_matrix_malformed(tmp_path, text, msg):
 
 
 def test_one_hop_two_isolated_nodes():
-    g = NodeWeightedGraph(2, [], [4, 9])
+    g = node_weighted_graph(2, [], [4, 9])
     m = build_one_hop_matrix(g)
     assert np.array_equal(m.data, [[0, POS_INF], [POS_INF, 0]])
 
 
 def test_one_hop_single_edge_node_weighted():
-    g = NodeWeightedGraph(2, [(0, 1)], [3, 5])
+    g = node_weighted_graph(2, [(0, 1)], [3, 5])
     m = build_one_hop_matrix(g)
     assert m.data[0, 1] == 5
     assert m.data[0, 0] == 0 and m.data[1, 1] == 0
@@ -85,25 +87,11 @@ def test_one_hop_column_constancy():
     n = 10
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < 0.4]
-    g = NodeWeightedGraph(n, edges, rng.integers(0, 20, size=n))
+    g = node_weighted_graph(n, edges, rng.integers(0, 20, size=n))
     m = build_one_hop_matrix(g).data
     for j in range(n):
         col = [m[i, j] for i in range(n) if i != j and m[i, j] != POS_INF]
         assert len(set(col)) <= 1
-
-
-def test_adjacency_bool_matches_loop():
-    rng = np.random.default_rng(5)
-    for n in (0, 1, 2, 7, 13):
-        edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(2 * n)]
-        g = NodeWeightedGraph(n, edges, np.zeros(n, dtype=np.int64))
-        want = np.zeros((n, n), dtype=bool)
-        for u in range(n):  # nodes without out-edges stay all-False rows
-            want[u, g.adj[u]] = True
-        got = g.adjacency_bool()
-        assert got.dtype == bool and got.shape == (n, n)
-        assert np.array_equal(got, want)
-    assert not NodeWeightedGraph(3, [], [1, 2, 3]).adjacency_bool().any()
 
 
 def test_one_hop_matches_edge_loop():
@@ -112,11 +100,12 @@ def test_one_hop_matches_edge_loop():
         edges = [(int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(-5, 9)))
                  for _ in range(3 * n)]  # repeats and self-loops included
         nodew = rng.integers(-5, 9, size=n)
-        for g in (EdgeWeightedGraph(n, edges),
-                  NodeWeightedGraph(n, [(u, v) for u, v, _ in edges], nodew)):
+        for g, by_node in ((EdgeWeightedGraph(n, edges), False),
+                           (node_weighted_graph(n, [(u, v) for u, v, _ in edges],
+                                                nodew), True)):
             want = np.full((n, n), POS_INF, dtype=np.int64)
             for u, v, w in edges:
-                w = int(nodew[v]) if isinstance(g, NodeWeightedGraph) else w
+                w = int(nodew[v]) if by_node else w
                 want[u, v] = min(want[u, v], w)
             assert np.array_equal(one_hop_offdiag(g), want)
             np.fill_diagonal(want, np.minimum(np.diagonal(want), 0))
@@ -231,8 +220,8 @@ def test_reverse_is_adjacency_transpose():
     n = 9
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < 0.35]
-    g = NodeWeightedGraph(n, edges, rng.integers(0, 9, size=n))
-    assert np.array_equal(g.reverse().adjacency_bool(), g.adjacency_bool().T)
+    g = node_weighted_graph(n, edges, rng.integers(0, 9, size=n))
+    assert np.array_equal(one_hop_offdiag(g.reverse()), one_hop_offdiag(g).T)
 
 
 def test_graph_roundtrip(tmp_path):
@@ -240,12 +229,13 @@ def test_graph_roundtrip(tmp_path):
     n = 7
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < 0.3]
-    g = NodeWeightedGraph(n, edges, rng.integers(-5, 10, size=n))
+    nodew = rng.integers(-5, 10, size=n)
+    g = node_weighted_graph(n, edges, nodew)
     p = tmp_path / "g.txt"
     save_graph(g, p)
+    assert p.read_text().split("\n", 1)[0] == f"{n} {len(edges)} edge-weighted"
     g2 = load_graph(p)
-    assert np.array_equal(g2.node_weight, g.node_weight)
-    assert sorted(g2.edges()) == sorted(g.edges())
+    assert sorted(g2.edges()) == sorted((u, v, int(nodew[v])) for u, v in edges)
 
     ge = EdgeWeightedGraph(n, [(u, v, int(rng.integers(-4, 9)))
                                for (u, v) in edges])
@@ -263,3 +253,24 @@ def test_graph_malformed(tmp_path):
     p.write_text("2 1 node-weighted\n0 1\n1 2\n0 1 3\n")
     with pytest.raises(FormatError):
         load_graph(p)
+
+
+def test_load_node_weighted_dedupes_edges(tmp_path):
+    p = tmp_path / "nw.txt"
+    p.write_text("3 5 node-weighted\n0 4\n2 -1\n1 6\n"
+                 "1 2\n0 1\n1 2\n2 2\n0 1\n")
+    g = load_graph(p)
+    assert g.n == 3
+    assert g.edge_array.tolist() == [[0, 1, 6], [1, 2, -1], [2, 2, -1]]
+
+
+def test_node_weighted_graph_errors():
+    with pytest.raises(ValueError, match="one entry per node"):
+        node_weighted_graph(3, [(0, 1)], [1, 2])
+    with pytest.raises(WeightError):
+        node_weighted_graph(2, [(0, 1)], [0, int(GUARD)])
+    # the endpoint check comes before the weights are indexed
+    for bad in ([(0, 3)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="endpoint out of range") as exc:
+            node_weighted_graph(3, bad, [1, 2, 3])
+        assert exc.type is ValueError

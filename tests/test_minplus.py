@@ -6,10 +6,10 @@ import pytest
 from fewweights.core import (
     AuditError,
     EdgeWeightedGraph,
-    NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
     build_one_hop_matrix,
+    node_weighted_graph,
 )
 from fewweights import minplus as mp
 
@@ -35,16 +35,19 @@ def rand_matrix(rng, r, c, inf_p=0.25, lo=-20, hi=20):
     return WeightMatrix(m, copy=False)
 
 
-def dijkstra_node_weighted(g, s):
-    dist = [int(POS_INF)] * g.n
+def dijkstra_node_weighted(n, edges, weights, s):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+    dist = [int(POS_INF)] * n
     dist[s] = 0
     heap = [(0, s)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v in g.adj[u]:
-            nd = d + int(g.node_weight[v])
+        for v in adj[u]:
+            nd = d + int(weights[v])
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -245,15 +248,17 @@ def test_dweights_equals_boolean_plus_column_weight():
     n = 9
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < 0.4]
-    g = NodeWeightedGraph(n, edges, rng.integers(0, 9, size=n))
+    w = rng.integers(0, 9, size=n)
     onehop = np.full((n, n), POS_INF, dtype=np.int64)
-    for u, v in g.edges():
-        onehop[u, v] = g.node_weight[v]
+    adjacency = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        onehop[u, v] = w[v]
+        adjacency[u, v] = True
     a = rand_matrix(rng, 5, n, inf_p=0.2, lo=0, hi=15)
     got = mp.d_weights_min_plus(a, WeightMatrix(onehop), 3, d=1)
-    bool_part, _ = mp.boolean_min_plus(a, g.adjacency_bool(), 3)
+    bool_part, _ = mp.boolean_min_plus(a, adjacency, 3)
     want = np.where(bool_part.data == POS_INF, POS_INF,
-                    bool_part.data + g.node_weight[None, :])
+                    bool_part.data + w[None, :])
     assert np.array_equal(got.data, want)
 
 
@@ -296,10 +301,15 @@ def test_column_slots_match_loop_reference():
 # hop-bounded products
 # ----------------------------------------------------------------------------
 
-def rand_node_graph(rng, n, p=0.3, lo=0, hi=10):
+def rand_node_edges(rng, n, p=0.3, lo=0, hi=10):
+    """Random node-weighted digraph as its edge pairs and node weights."""
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < p]
-    return NodeWeightedGraph(n, edges, rng.integers(lo, hi, size=n))
+    return edges, rng.integers(lo, hi, size=n)
+
+
+def rand_node_graph(rng, n, p=0.3, lo=0, hi=10):
+    return node_weighted_graph(n, *rand_node_edges(rng, n, p, lo, hi))
 
 
 def test_hop_product_h0_returns_input():
@@ -314,15 +324,16 @@ def test_hop_product_matches_dijkstra():
     rng = np.random.default_rng(31)
     for _ in range(5):
         n = int(rng.integers(4, 12))
-        g = rand_node_graph(rng, n)
+        edges, w = rand_node_edges(rng, n)
+        g = node_weighted_graph(n, edges, w)
         res = mp.hop_bounded_product(mp.trivial_rows(np.arange(n), n), g, n,
                                      delta=2)
         for s in range(n):
-            assert res.values.data[s].tolist() == dijkstra_node_weighted(g, s)
+            assert res.values.data[s].tolist() == dijkstra_node_weighted(n, edges, w, s)
 
 
 def test_hop_product_prefix_sum_path():
-    g = NodeWeightedGraph(3, [(0, 1), (1, 2)], [7, 2, 3])
+    g = node_weighted_graph(3, [(0, 1), (1, 2)], [7, 2, 3])
     res = mp.hop_bounded_product(mp.trivial_rows(np.array([0]), 3), g, 2)
     assert res.values.data[0].tolist() == [0, 2, 5]
     assert res.path(0, 2) == [0, 1, 2]
@@ -342,7 +353,8 @@ def test_hop_product_monotone_in_h():
 
 def test_hop_product_witness_paths_reevaluate():
     rng = np.random.default_rng(33)
-    g = rand_node_graph(rng, 9)
+    edges, nodew = rand_node_edges(rng, 9)
+    g = node_weighted_graph(9, edges, nodew)
     a = rand_matrix(rng, 4, 9, inf_p=0.5, lo=0, hi=9)
     res = mp.hop_bounded_product(a, g, 4, delta=2)
     for i in range(4):
@@ -353,7 +365,7 @@ def test_hop_product_witness_paths_reevaluate():
                 assert p is None
                 continue
             assert len(p) - 1 <= 4
-            w = int(a.data[i, p[0]]) + sum(int(g.node_weight[x]) for x in p[1:])
+            w = int(a.data[i, p[0]]) + sum(int(nodew[x]) for x in p[1:])
             assert w == val
 
 
@@ -403,9 +415,9 @@ def test_hop_edge_h0():
 def test_hop_edge_d1_matches_node_weighted():
     rng = np.random.default_rng(37)
     n = 8
-    gnode = rand_node_graph(rng, n)
-    edges = [(u, v, int(gnode.node_weight[v])) for u, v in gnode.edges()]
-    gedge = EdgeWeightedGraph(n, edges)
+    pairs, w = rand_node_edges(rng, n)
+    gnode = node_weighted_graph(n, pairs, w)
+    gedge = EdgeWeightedGraph(n, [(u, v, int(w[v])) for u, v in pairs])
     a = mp.trivial_rows(np.arange(n), n)
     r1 = mp.hop_bounded_product(a, gnode, 4, delta=2).values
     r2 = mp.hop_bounded_product_edge(a, gedge, 4, d=1, delta=2).values
@@ -510,16 +522,16 @@ def hop_edge_case_graphs():
     loops = rand_edge_graph(rng, 7, 3, lo=-2, hi=9)
     extra = [(0, 0, -1), (3, 3, 4), (2, 5, 1), (2, 5, 7), (2, 5, 1)]
     return {
-        "node n=0": NodeWeightedGraph(0, [], []),
+        "node n=0": node_weighted_graph(0, [], []),
         "edge n=0": EdgeWeightedGraph(0, []),
-        "node n=1": NodeWeightedGraph(1, [], [4]),
-        "node n=1 loop": NodeWeightedGraph(1, [(0, 0)], [-1]),
+        "node n=1": node_weighted_graph(1, [], [4]),
+        "node n=1 loop": node_weighted_graph(1, [(0, 0)], [-1]),
         "edge n=1": EdgeWeightedGraph(1, []),
         "edge n=1 loops": EdgeWeightedGraph(1, [(0, 0, 3), (0, 0, -2)]),
         "in-uniform": uniform_edge_graph(rng, 9, "in"),
         "out-uniform": uniform_edge_graph(rng, 9, "out"),
-        "node loops": NodeWeightedGraph(6, [(0, 0), (1, 2), (1, 2), (2, 2), (2, 4)],
-                                        [-1, 3, 0, 5, 2, -4]),
+        "node loops": node_weighted_graph(6, [(0, 0), (1, 2), (1, 2), (2, 2), (2, 4)],
+                                          [-1, 3, 0, 5, 2, -4]),
         "edge loops": EdgeWeightedGraph(7, list(loops.edges()) + extra),
     }
 

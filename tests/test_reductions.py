@@ -4,9 +4,9 @@ import pytest
 from fewweights.core import (
     AuditError,
     EdgeWeightedGraph,
-    NodeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    one_hop_offdiag,
 )
 from fewweights import apsp as ap
 from fewweights import minplus as mp
@@ -199,7 +199,10 @@ def test_column_gadget_random(undirected):
         gg = red.gen_column_weight_gadget(a, b, undirected=undirected)
         assert gg.decode(ap.apsp_oracle(gg.graph)) == want
         assert all(sz <= n for sz in gg.meta["layers"])
-        assert isinstance(gg.graph, NodeWeightedGraph)
+        # node-weighted: each one-hop column holds one weight
+        off = one_hop_offdiag(gg.graph)
+        for col in off.T:
+            assert np.unique(col[col != POS_INF]).size <= 1
 
 
 # ----------------------------------------------------------------------------
