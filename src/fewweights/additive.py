@@ -69,11 +69,7 @@ def popular_sums_approx(x, y, t, rng=None, exact_cutoff=EXACT_CUTOFF):
         return popular_sums_exact(x, y, t)
     xs = [a for a in x if rng.random() < p]
     ys = [b for b in y if rng.random() < p]
-    mult = {}
-    for a in xs:
-        for b in ys:
-            z = a + b
-            mult[z] = mult.get(z, 0) + 1
+    mult = sumset_with_multiplicities(xs, ys).multiplicity
     cutoff = 1.5 * p * p * t
     return {z for z, r in mult.items() if r >= cutoff}
 
@@ -271,12 +267,6 @@ class SideDecomposition:
     @property
     def level_count(self):
         return len(self.parts)
-
-    def piece(self, i, ell):
-        return self.parts[ell].members.get(i, frozenset())
-
-    def shift(self, i, ell):
-        return self.parts[ell].shifts.get(i, 0)
 
     def assignment(self, i):
         """Value -> ('part', level) or ('rem',) for set i."""

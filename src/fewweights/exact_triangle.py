@@ -100,16 +100,6 @@ class TriangleReport:
     def empty(cls, n):
         return cls(np.zeros((n, n), dtype=bool))
 
-    @classmethod
-    def from_triples(cls, triples, n):
-        yes = np.zeros((n, n), dtype=bool)
-        wit = np.full((n, n), -1, dtype=np.int64)
-        for i, k, j in triples:
-            if not yes[i, j]:
-                wit[i, j] = k
-            yes[i, j] = True
-        return cls(yes, wit, set(triples))
-
     def merge(self, other):
         wit = None
         if self.witness is not None and other.witness is not None:
@@ -548,21 +538,41 @@ def _col_occurrence_classes(m, absent):
     return {y: np.ascontiguousarray(v.T) for y, v in by_rows.items()}
 
 
-def _rep_count(value, left, right):
-    """Number of representations value = a + b with a in left, b in right."""
-    if not left or not right:
-        return 0
-    if len(left) > len(right):
-        left, right = right, left
-    return sum(1 for a in left if (value - a) in right)
+def _list_triangles(rowpos, colpos, c, a_values=None):
+    """Every (i, k, j) with c[i, j] not BOT and a[i, k] + b[k, j] == c[i, j].
+
+    rowpos is value_positions(a, absent) and colpos is value_positions(b.T,
+    absent).  Each present c[i, j] is tried against the values of row i of
+    a (only those in a_values[i] when given); k qualifies when it lies both
+    under that value in rowpos[i] and under c[i, j] - value in colpos[j].
+    Swapping the roles, (colpos, rowpos, c.T) lists the same triangles as
+    (j, k, i), with a_values then restricting the values of b.
+    """
+    bot = int(BOT)
+    out = set()
+    for i, pos in enumerate(rowpos):
+        vals = pos if a_values is None else a_values[i]
+        row = {av: set(pos[av]) for av in vals if av in pos}
+        if not row:
+            continue
+        for j, cv in enumerate(c[i].tolist()):
+            col = colpos[j]
+            if cv == bot or not col:
+                continue
+            for av, ka in row.items():
+                for k in col.get(cv - av, ()):
+                    if k in ka:
+                        out.add((i, k, j))
+    return out
 
 
-def _row_value_sets(m):
-    return [set(m[i][m[i] != BOT].tolist()) for i in range(m.shape[0])]
-
-
-def _col_value_sets(m):
-    return [set(m[:, j][m[:, j] != BOT].tolist()) for j in range(m.shape[1])]
+def _list_remainder_triangles(rowpos, colpos, c, xdec, ydec):
+    """Triangles whose a value lies in xdec's remainder of its row of a, or
+    whose b value lies in ydec's remainder of its column of b."""
+    out = _list_triangles(rowpos, colpos, c, xdec.remainders)
+    out |= {(i, k, j) for j, k, i in
+            _list_triangles(colpos, rowpos, c.T, ydec.remainders)}
+    return out
 
 
 def uniformize(inst, d, delta, rng=None):
@@ -581,89 +591,35 @@ def uniformize(inst, d, delta, rng=None):
         raise ValueError("delta must be >= 1")
     triples = set()
     instances = []
+    b_classes = [(y, value_positions(by.T, BOT)) for y, by in
+                 sorted(_col_occurrence_classes(b, BOT).items())]
     for x, ax in sorted(_row_occurrence_classes(a, BOT).items()):
-        for y, by in sorted(_col_occurrence_classes(b, BOT).items()):
+        rowpos_a = value_positions(ax, BOT)
+        for y, colpos_b in b_classes:
             if 2 ** y <= n / (d * delta):
-                _list_small_class(ax, by, c, triples)
+                # short columns of b: list every triangle of the class
+                triples |= _list_triangles(rowpos_a, colpos_b, c)
             else:
-                sub, st = _uniformize_class(ax, by, c, d, delta, rng, n)
+                sub, st = _uniformize_class(rowpos_a, colpos_b, c, d, delta,
+                                            rng, n)
                 instances.extend(sub)
                 triples |= st
     return instances, triples
 
 
-def _list_small_class(ax, by, c, triples):
-    """List all triangles of (ax, by, c) via the short column lists of by."""
-    n = ax.shape[0]
-    rows = _row_value_sets(ax)
-    colpos = value_positions(by.T, BOT)
-    for i in range(n):
-        if not rows[i]:
-            continue
-        xi = sorted(rows[i])
-        for j in range(n):
-            cv = c[i, j]
-            if cv == BOT:
-                continue
-            for av in xi:
-                ks = colpos[j].get(cv - av)
-                if not ks:
-                    continue
-                for k in ks:
-                    if ax[i, k] == av:
-                        triples.add((i, k, j))
-
-
-def _uniformize_class(ax, by, c, d, delta, rng, n):
+def _uniformize_class(rowpos_a, colpos_b, c, d, delta, rng, n):
     d_prime = d * delta
     delta_prime = delta * delta
-    xsets = _row_value_sets(ax)
-    ysets = _col_value_sets(by)
-    xdec, ydec = popular_sum_decomposition(xsets, ysets, d_prime, delta_prime, rng)
-    rowpos_a = value_positions(ax, BOT)
-    colpos_b = value_positions(by.T, BOT)
-    t_exc = max(1.0, 2.0 * d_prime / delta_prime)
-    triples = set()
+    xdec, ydec = popular_sum_decomposition(
+        [set(p) for p in rowpos_a], [set(p) for p in colpos_b],
+        d_prime, delta_prime, rng)
 
     # Exceptional triangles through the leftover value sets, on either side.
-    for i in range(n):
-        xrem = xdec.remainders[i]
-        if not xrem:
-            continue
-        for j in range(n):
-            cv = c[i, j]
-            if cv == BOT or not ysets[j]:
-                continue
-            if _rep_count(cv, xrem, ysets[j]) >= t_exc:
-                for av in sorted(xrem):
-                    for k in rowpos_a[i].get(av, ()):
-                        if by[k, j] != BOT and av + by[k, j] == cv:
-                            triples.add((i, k, j))
-            else:
-                for av in sorted(xrem):
-                    bv = cv - av
-                    for k in rowpos_a[i].get(av, ()):
-                        if by[k, j] == bv:
-                            triples.add((i, k, j))
-    for j in range(n):
-        yrem = ydec.remainders[j]
-        if not yrem:
-            continue
-        for i in range(n):
-            cv = c[i, j]
-            if cv == BOT or not xsets[i]:
-                continue
-            if _rep_count(cv, xsets[i], yrem) >= t_exc:
-                for bv in sorted(yrem):
-                    for k in colpos_b[j].get(bv, ()):
-                        if ax[i, k] != BOT and ax[i, k] + bv == cv:
-                            triples.add((i, k, j))
-            else:
-                for bv in sorted(yrem):
-                    av = cv - bv
-                    for k in colpos_b[j].get(bv, ()):
-                        if ax[i, k] == av:
-                            triples.add((i, k, j))
+    # Splitting the targets by representation count would list the same
+    # triples in both arms: b[k, j] != BOT and a[i, k] + b[k, j] == c[i, j]
+    # is the test b[k, j] == c[i, j] - a[i, k], as that difference is finite
+    # and so never BOT.
+    triples = _list_remainder_triangles(rowpos_a, colpos_b, c, xdec, ydec)
 
     # Ordinary triangles: shift each part pair onto its common cores.
     t_pop = max(1.0, d / float(delta) ** 9)
@@ -679,7 +635,8 @@ def _uniformize_class(ax, by, c, d, delta, rng, n):
             for bv in piece:
                 for k in colpos_b[j].get(bv, ()):
                     bh[k, j] = bv - ylvl.shifts[j]
-        b_shifted[h] = (bh, tshift, sorted(ylvl.core))
+        b_shifted[h] = (bh, value_positions(bh.T, BOT), tshift,
+                        sorted(ylvl.core))
     for g, xlvl in enumerate(xdec.parts):
         if not xlvl.members:
             continue
@@ -692,22 +649,18 @@ def _uniformize_class(ax, by, c, d, delta, rng, n):
                     ag[i, k] = av - xlvl.shifts[i]
         sg = sorted(xlvl.core)
         rowpos_ag = value_positions(ag, BOT)
-        for h, (bh, tshift, th) in sorted(b_shifted.items()):
+        for h, (bh, colpos_bh, tshift, th) in sorted(b_shifted.items()):
             pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
-            th_set = set(th)
             cgh = np.where(c != BOT, c - sshift[:, None] - tshift[None, :], BOT)
             keep = np.isin(cgh, np.fromiter(pop, dtype=np.int64, count=len(pop))) \
                 if pop else np.zeros((n, n), dtype=bool)
             keep &= c != BOT
-            # unpopular shifted targets: enumerate their few representations
-            ii, jj = np.nonzero((c != BOT) & ~keep)
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                cv = cgh[i, j]
-                for av in sg:
-                    if (cv - av) in th_set:
-                        for k in rowpos_ag[i].get(av, ()):
-                            if bh[k, j] == cv - av:
-                                triples.add((i, k, j))
+            # unpopular shifted targets: list their few representations.  A
+            # piece value av of row i satisfies shift - av in Y_{j*}, so its
+            # ag entry av - shift lies in the core -Y_{j*}; likewise every bh
+            # entry lies in its core, so the listing needs no core filter.
+            triples |= _list_triangles(rowpos_ag, colpos_bh,
+                                       np.where(keep, BOT, cgh))
             if not keep.any():
                 continue
             c_pop = np.where(keep, cgh, BOT)
@@ -893,8 +846,10 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     if delta is None:
         delta = default_split_parameter(n, eps)
     pieces, triples = regularize(inst, d, delta, eps, rng=rng)
-    report = TriangleReport.from_triples(triples, n)
-    report = TriangleReport(report.yes)
+    yes = np.zeros((n, n), dtype=bool)
+    for i, _, j in triples:
+        yes[i, j] = True
+    report = TriangleReport(yes)
     for d_l, piece in pieces:
         k = structured_box_count(n, d_l, omega_hat)
         report = report.merge(aete_uniform_regular(piece, d_l, k, rng))

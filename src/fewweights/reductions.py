@@ -25,6 +25,8 @@ from .core import (
 from .exact_triangle import (
     TriangleInstance,
     _col_occurrence_classes,
+    _list_remainder_triangles,
+    _list_triangles,
     _row_occurrence_classes,
 )
 from .minplus import boolean_matrix_multiply, min_plus_naive
@@ -146,13 +148,11 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
 class GadgetGraph:
     """Generated graph plus the bookkeeping needed to decode distances."""
 
-    def __init__(self, graph, sources, sinks, offset, row_shift=None, meta=None,
-                 finite_cap=None):
+    def __init__(self, graph, sources, sinks, offset, meta=None, finite_cap=None):
         self.graph = graph
         self.sources = np.asarray(sources, dtype=np.int64)
         self.sinks = np.asarray(sinks, dtype=np.int64)
         self.offset = int(offset)
-        self.row_shift = row_shift
         self.meta = meta or {}
         # largest decoded value a legitimate source-sink path can have; in
         # undirected gadgets with missing entries, anything above it comes
@@ -166,8 +166,6 @@ class GadgetGraph:
         out = np.where(block == POS_INF, POS_INF, block - self.offset)
         if self.finite_cap is not None:
             out = np.where(out > self.finite_cap, POS_INF, out)
-        if self.row_shift is not None:
-            out = np.where(out == POS_INF, POS_INF, out + self.row_shift[:, None])
         return WeightMatrix(out, copy=False)
 
     def distinct_edge_weights(self):
@@ -312,11 +310,6 @@ def make_scaling_promise(a, b):
 # Row-weights min-plus through node-weighted APSP.
 # ----------------------------------------------------------------------------
 
-def _row_value_lists(m):
-    fin = m != POS_INF
-    return [sorted(set(m[i, fin[i]].tolist())) for i in range(m.shape[0])]
-
-
 def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
                                    undirected=False):
     """Exact min-plus product for row-weights matrices via APSP gadgets.
@@ -354,14 +347,15 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
 def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     n, inner = ax.shape
     out = np.full((n, n), POS_INF, dtype=np.int64)
-    s_sets = _row_value_lists(ax)
-    t_sets = _row_value_lists(np.ascontiguousarray(by.T))
+    rowpos_a = value_positions(ax, POS_INF)
+    colpos_b = value_positions(by.T, POS_INF)
+    s_sets = [set(p) for p in rowpos_a]
+    t_sets = [set(p) for p in colpos_b]
     d_a = max((len(s) for s in s_sets), default=0)
     d_b = max((len(s) for s in t_sets), default=0)
     if d_a == 0 or d_b == 0:
         return out
-    rowpos_a = value_positions(ax, POS_INF)
-    colpos_b = value_positions(by.T, POS_INF)
+    finite = cp != POS_INF
 
     def window(i, j):
         base = cp[i, j]
@@ -371,47 +365,28 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
 
     root = math.sqrt(delta)
     if d_b > d_a * root or d_a > d_b * root:
-        for i in range(n):
-            for j in range(n):
-                for c in window(i, j):
-                    hit = False
-                    for av in s_sets[i]:
-                        for k in colpos_b[j].get(c - av, ()):
-                            if ax[i, k] == av:
-                                hit = True
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        out[i, j] = c
-                        break
+        # the smallest window value with a representation is written last
+        for off in (2, 1, 0):
+            target = np.where(finite, cp + off, BOT)
+            for i, _, j in _list_triangles(rowpos_a, colpos_b, target):
+                out[i, j] = target[i, j]
         return out
 
     d_max = max(d_a, d_b)
-    xdec, ydec = popular_sum_decomposition(
-        [set(s) for s in s_sets], [set(t) for t in t_sets], d_max, delta, rng)
+    xdec, ydec = popular_sum_decomposition(s_sets, t_sets, d_max, delta, rng)
     flag_threshold = max(1.0, 2.0 * d_b / delta)
 
     def rem_pairs(i, j, c):
-        """Representations c = a + b through a remainder on either side."""
-        found = []
-        sx = xdec.remainders[i]
-        ty = set(t_sets[j])
-        for av in sx:
-            if (c - av) in ty:
-                found.append(av)
-        tyr = ydec.remainders[j]
-        sfull = set(s_sets[i])
-        for bv in tyr:
-            if (c - bv) in sfull:
-                found.append(c - bv)
-        return found
+        """Number of representations c = a + b through a remainder value."""
+        t_j, s_i = t_sets[j], s_sets[i]
+        return (sum(1 for av in xdec.remainders[i] if (c - av) in t_j)
+                + sum(1 for bv in ydec.remainders[j] if (c - bv) in s_i))
 
     flagged = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
             for c in window(i, j):
-                if len(rem_pairs(i, j, c)) >= flag_threshold:
+                if rem_pairs(i, j, c) >= flag_threshold:
                     flagged[i, j] = True
                     break
 
@@ -423,22 +398,11 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
         if both.any():
             best = int((ax[i][both] + by[both, j]).min())
         out[i, j] = min(out[i, j], best)
-    for i in range(n):
-        for j in range(n):
-            if flagged[i, j]:
-                continue
-            for c in window(i, j):
-                hit = False
-                for av in rem_pairs(i, j, c):
-                    for k in rowpos_a[i].get(av, ()):
-                        if by[k, j] == c - av:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    out[i, j] = min(out[i, j], c)
-                    break
+    for off in range(3):
+        target = np.where(finite & ~flagged, cp + off, BOT)
+        for i, _, j in _list_remainder_triangles(rowpos_a, colpos_b, target,
+                                                 xdec, ydec):
+            out[i, j] = min(out[i, j], target[i, j])
 
     shifts_x = [xdec.parts[g].shifts for g in range(xdec.level_count)]
     for g in range(xdec.level_count):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fewweights.core import AuditError, BOT, WeightMatrix
+from fewweights.core import AuditError, BOT, WeightMatrix, value_positions
 from fewweights import exact_triangle as et
 from fewweights.generators import (
     random_triangle_instance,
@@ -386,6 +386,90 @@ def test_uniformize_requires_row_promise():
     inst = et.TriangleInstance(a, a, a)
     with pytest.raises(AuditError):
         et.uniformize(inst, 1, 2, np.random.default_rng(0))
+
+
+def listing_reference(a, b, c, a_values=None, b_values=None):
+    """Scalar triple loop over the triangles, optionally restricted to the
+    a values a_values[i] of each row i or the b values b_values[j] of each
+    column j."""
+    n = a.shape[0]
+    out = set()
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                av, bv, cv = int(a[i, k]), int(b[k, j]), int(c[i, j])
+                if BOT in (av, bv, cv) or av + bv != cv:
+                    continue
+                if a_values is not None and av not in a_values[i]:
+                    continue
+                if b_values is not None and bv not in b_values[j]:
+                    continue
+                out.add((i, k, j))
+    return out
+
+
+def random_value_subsets(rng, m):
+    """Per row of m: a random subset of its values plus one absent value."""
+    out = []
+    for row in m:
+        vals = sorted(set(row[row != BOT].tolist()))
+        out.append({v for v in vals if rng.random() < 0.5} | {99})
+    return out
+
+
+def test_list_triangles_matches_scalar_reference():
+    rng = np.random.default_rng(40)
+    for t in range(40):
+        n = (0, 1)[t] if t < 2 else int(rng.integers(2, 9))
+        a = rng.integers(-3, 4, size=(n, n)).astype(np.int64)
+        b = rng.integers(-3, 4, size=(n, n)).astype(np.int64)
+        c = rng.integers(-6, 7, size=(n, n)).astype(np.int64)
+        for m in (a, b, c):
+            m[rng.random((n, n)) < 0.25] = BOT
+        if t % 7 == 3:
+            c[:] = BOT
+        rowpos = value_positions(a, BOT)
+        colpos = value_positions(b.T, BOT)
+        assert et._list_triangles(rowpos, colpos, c) == listing_reference(a, b, c)
+        a_vals = random_value_subsets(rng, a)
+        assert (et._list_triangles(rowpos, colpos, c, a_vals)
+                == listing_reference(a, b, c, a_values=a_vals))
+        # the transposed instance restricts the b side
+        b_vals = random_value_subsets(rng, b.T)
+        flipped = {(i, k, j) for j, k, i in
+                   et._list_triangles(colpos, rowpos, c.T, b_vals)}
+        assert flipped == listing_reference(a, b, c, b_values=b_vals)
+
+
+def test_uniformize_class_lists_unpopular_targets(monkeypatch):
+    # every row of A and column of B holds all of {0, 1, 2}: with d = 3 and
+    # delta = 1 both sides form one part around the core {-2, -1, 0}, whose
+    # only popular sum (t_pop = d = 3 representations) is -2, so targets
+    # other than c = 2 are listed.  uniformize itself never sends such a
+    # class here, since a long column class there holds fewer than d values.
+    rng = np.random.default_rng(41)
+    n, d = 6, 3
+    a = np.stack([rng.permutation(np.arange(n) % d) for _ in range(n)])
+    b = np.stack([rng.permutation(np.arange(n) % d) for _ in range(n)]).T
+    c = rng.integers(-1, 6, size=(n, n)).astype(np.int64)
+    c[rng.random((n, n)) < 0.2] = BOT
+    inst = et.TriangleInstance(a, b, c)
+    listed = []
+    real = et._list_triangles
+
+    def spy(rowpos, colpos, target, a_values=None):
+        out = real(rowpos, colpos, target, a_values)
+        if a_values is None:
+            listed.append(out)
+        return out
+
+    monkeypatch.setattr(et, "_list_triangles", spy)
+    subs, triples = et._uniformize_class(
+        value_positions(a, BOT), value_positions(b.T, BOT),
+        inst.c.data, d, 1, np.random.default_rng(0), n)
+    assert listed and any(listed)
+    assert set().union(*listed) <= triples
+    check_exact_decomposition(inst, subs, triples, uniform_d=d)
 
 
 # ----------------------------------------------------------------------------
