@@ -375,7 +375,7 @@ def _restrict_values(m, values):
 
 
 def aete_uniform_regular(inst, d, big_k, rng=None):
-    """Covering-based solver for d-uniform, (n/d)-regular instances.
+    """Covering-based solver for d-uniform, max(1, n // d)-regular instances.
 
     The structured boxes go to the algebraic small-sumset solver; remainder
     value pairs are enumerated directly through the per-column/per-row
@@ -387,9 +387,10 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
     audit = RegularityAudit(inst)
     if not audit.is_uniform(d):
         raise AuditError(f"instance is not {d}-uniform: {audit.global_distinct}")
-    r = n / max(d, 1)
+    # the split of regularize: for n >= d the same integer bound as n / d
+    r = max(1, n // max(d, 1))
     if not audit.is_regular(r):
-        raise AuditError(f"instance is not {r:g}-regular")
+        raise AuditError(f"instance is not {r}-regular")
     a, b, c = inst.matrices()
     x, y, z = inst.entry_set("a"), inst.entry_set("b"), inst.entry_set("c")
     cover = bsg_cover(x, y, z, big_k, rng)

@@ -4,8 +4,13 @@ Contains the naive cubic oracle, a BLAS boolean matrix product, the
 bucketed rectangular boolean and d-weights min-plus kernels, and
 hop-bounded graph products with witness-path reconstruction.
 
+The bucketed kernels share one bit-packed bucket product: each row of A is
+sorted and cut into buckets of at most 24 positions, each position weighs
+a distinct power of two, and one float32 BLAS product gives per (i, j) the
+first bucket with a qualifying k and, by its top bit, that k itself.
+
 All kernels are pure functions; for a fixed input the result is identical
-regardless of the bucket count or the internal scan strategy.
+regardless of the bucket count.
 """
 
 from __future__ import annotations
@@ -26,10 +31,13 @@ from .core import (
 # witness encodings n*value+k remain clear of the sentinel range.
 MAX_OPERAND = np.int64(2**60)
 
-# Above this many (i, j, k) cells the bucket scan switches from the
-# all-buckets vectorized sweep to per-(row, bucket) groups; both strategies
-# produce identical output.
-_SCAN_DENSE_LIMIT = 2**22
+# Bucket width cap of the bucketed kernels: a bucket's powers 2^0..2^23 sum
+# to an integer below 2^24, which float32 holds exactly.
+_BUCKET_BITS = 24
+
+# Cell budget of one block of the bit-packed bucket product: rows of A are
+# taken in blocks whose float32 indicator and product stay within it.
+_BUCKET_CELLS = 2**22
 
 # Cell budget of one (pending pairs, inner block) candidate array in the
 # witness search behind a min-plus solver `product`.
@@ -127,10 +135,10 @@ def boolean_matrix_multiply(P, Q):
 
 def _scaled_keys(a, want_witnesses, name):
     """Sort keys for the bucket index: n*value+k when witnesses are wanted."""
+    if not want_witnesses:
+        return a, 1
     s, n = a.shape
     finite = a != POS_INF
-    if not want_witnesses:
-        return np.where(finite, a, POS_INF), finite, 1
     scale = np.int64(max(n, 1))
     if finite.any():
         top = np.abs(a[finite]).max()
@@ -138,77 +146,59 @@ def _scaled_keys(a, want_witnesses, name):
             raise WeightError(
                 f"witness encoding n*{name}+k would overflow; reduce weights or n")
     keys = np.where(finite, a * scale + np.arange(n, dtype=np.int64), POS_INF)
-    return keys, finite, int(scale)
-
-
-def _bucket_scan(keys, finite, order, bs, delta, b, has, firstb):
-    """Minimal key per (row, target) over the first hit bucket.
-
-    b is the boolean (n, T) right operand whose columns are the targets.
-    """
-    s = keys.shape[0]
-    T = has.shape[1]
-    out = np.full((s, T), POS_INF, dtype=np.int64)
-    if not has.any():
-        return out
-    if s * keys.shape[1] * T <= _SCAN_DENSE_LIMIT:
-        for bucket in range(delta):
-            pend = has & (firstb == bucket)
-            if not pend.any():
-                continue
-            cols = order[:, bucket * bs:(bucket + 1) * bs]
-            if cols.shape[1] == 0:
-                continue
-            kv = np.take_along_axis(keys, cols, axis=1)
-            cand = np.where(b[cols, :], kv[:, :, None], POS_INF).min(axis=1)
-            out[pend] = cand[pend]
-        return out
-    for i in range(s):
-        hs = has[i]
-        if not hs.any():
-            continue
-        js_all = np.nonzero(hs)[0]
-        fb = firstb[i, js_all]
-        sort = np.argsort(fb, kind="stable")
-        js_all = js_all[sort]
-        fb = fb[sort]
-        edges = np.searchsorted(fb, np.arange(delta + 1))
-        for bucket in range(delta):
-            lo, hi = edges[bucket], edges[bucket + 1]
-            if lo == hi:
-                continue
-            js = js_all[lo:hi]
-            ks = order[i, bucket * bs:(bucket + 1) * bs]
-            ks = ks[finite[i, ks]]
-            if ks.size == 0:
-                continue
-            kv = keys[i, ks]
-            sel = b[np.ix_(ks, js)]
-            out[i, js] = np.where(sel, kv[:, None], POS_INF).min(axis=0)
-    return out
+    return keys, int(scale)
 
 
 def _bucketed_min_keys(a, b, delta, want_witnesses):
     """Smallest sort key of A[i, k] over the k with b[k, j], per (i, j).
 
     Each row of A is sorted by key (n*A[i, k]+k when witnesses are wanted)
-    and cut into delta buckets of ceil(n/delta) entries.  One boolean
-    product of the bucket indicator against b finds, per (i, j), the first
-    bucket holding a qualifying k, and only that bucket is scanned.  Returns
-    the key matrix (+inf where no k qualifies) and the key scale.
+    and cut into nb = max(delta, ceil(n/24)) buckets of bs = ceil(n/nb) <= 24
+    positions.  The finite entry at position p of its bucket is written as
+    2^(bs-1-p) into the float32 bucket indicator, and one BLAS product
+    against b gives, per (i, j) and bucket, the sum of the powers of its
+    qualifying k.  The first nonzero bucket holds the first qualifying k in
+    sorted order, and the top bit of its sum (np.frexp) is that k's position.
+
+    Exactness: every partial sum of a product entry is a sum of distinct
+    powers 2^0..2^23, an integer below 2^24, so float32 holds it exactly in
+    whatever order BLAS adds.  Finite keys sort before +inf, so the first
+    qualifying position is finite.  With witnesses the keys n*value+k are
+    unique; without them tied keys are equal values.
+
+    Cost: the product takes Theta(s*T*n*max(delta, n/24)) multiply-adds for
+    s rows of A and T columns of b.  Rows of A go through it in blocks whose
+    indicator and product hold at most _BUCKET_CELLS cells each, so the
+    working memory beyond the (s, n) sort and the (s, T) result stays
+    bounded.  Returns the key matrix (+inf where no k qualifies) and the
+    key scale.
     """
     s, n = a.shape
-    keys, finite, scale = _scaled_keys(a, want_witnesses, "A")
-    bs = max(1, -(-n // delta))
+    t = b.shape[1]
+    keys, scale = _scaled_keys(a, want_witnesses, "A")
+    nb = max(delta, -(-n // _BUCKET_BITS))
+    bs = -(-n // nb)
     order = np.argsort(keys, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n, dtype=order.dtype)[None, :], axis=1)
-    rows, cols = np.nonzero(finite)
-    aprime = np.zeros((s * delta, n), dtype=bool)
-    aprime[rows * delta + ranks[rows, cols] // bs, cols] = True
-    hits = boolean_matrix_multiply(aprime, b).reshape(s, delta, -1)
-    has, firstb = hits.any(axis=1), hits.argmax(axis=1)
-    return _bucket_scan(keys, finite, order, bs, delta, b, has, firstb), scale
+    skeys = np.take_along_axis(keys, order, axis=1)
+    bt = b.T.astype(np.float32)
+    parts = []
+    block = max(1, _BUCKET_CELLS // (max(n, t) * nb))
+    for r0 in range(0, s, block):
+        bo, bk = order[r0:r0 + block], skeys[r0:r0 + block]
+        rows, pos = np.nonzero(bk != POS_INF)
+        # built transposed, so that the product's bucket axis is the last one
+        aprime = np.zeros((n, bk.shape[0] * nb), dtype=np.float32)
+        aprime[bo[rows, pos], rows * nb + pos // bs] = np.ldexp(
+            np.float32(1), bs - 1 - pos % bs)
+        sums = (bt @ aprime).reshape(t, -1, nb)
+        firstb = (sums > 0).argmax(axis=2)
+        top = np.take_along_axis(sums, firstb[:, :, None], axis=2)[:, :, 0].T
+        has = top > 0
+        first = np.where(has, firstb.T * bs + bs - np.frexp(top)[1], 0)
+        parts.append(np.where(
+            has, np.take_along_axis(bk, first, axis=1), POS_INF))
+    # a single block, the common case, is returned without a copy
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), scale
 
 
 def boolean_min_plus(A, B, delta, return_witnesses=True):
@@ -270,9 +260,11 @@ def _column_slots(bdata, d=None):
 def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     """Rectangular min-plus product for B with few distinct entries per column.
 
-    Builds the n x (sum_j d_j) column-value indicator, takes one
-    boolean product against the bucketed rows of A, and scans the first hit
-    bucket per (row, column, value) before minimizing over values.
+    Builds the n x (sum_j d_j) column-value indicator, finds the best
+    qualifying k per (row, column, value) with one bit-packed bucket product
+    against the sorted rows of A, and minimizes over values.  The witness
+    matrix holds the minimizing k (ties to the smallest), or -1 where the
+    result is +inf.
     """
     a = _as_data(A)
     bm = _as_data(B)
@@ -304,12 +296,11 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     ne_starts = col_start[:-1][nonempty]
     out[:, nonempty] = np.minimum.reduceat(sums, ne_starts, axis=1)
     if return_witnesses:
-        eq = sums == out[:, slot_col]
-        pos = np.where(eq & hit, np.arange(T, dtype=np.int64)[None, :], T)
-        best_t = np.full((s, m), T, dtype=np.int64)
-        best_t[:, nonempty] = np.minimum.reduceat(pos, ne_starts, axis=1)
-        ok = (out != POS_INF) & (best_t < T)
-        wit = np.where(ok, kwit[np.arange(s)[:, None], np.minimum(best_t, T - 1)], -1)
+        # a slot's k is its smallest minimizing k, so the tied slots' least
+        # k is the smallest minimizing k of the column
+        tied = np.where(hit & (sums == out[:, slot_col]), kwit, n)
+        wit[:, nonempty] = np.minimum.reduceat(tied, ne_starts, axis=1)
+        wit[wit == n] = -1
         return WeightMatrix(out, copy=False), wit
     return WeightMatrix(out, copy=False)
 

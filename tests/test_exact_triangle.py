@@ -581,6 +581,26 @@ def test_few_weights_random_sweep():
         assert got == et.aete_brute(inst, with_witnesses=False)
 
 
+def test_few_weights_declared_d_above_n():
+    # with d > n, regularize splits its pieces max(1, n // d) = 1-regular,
+    # and the piece solver audits the same bound
+    inst, _ = random_triangle_instance(3, 4, np.random.default_rng(0), low=-3,
+                                       high=4, structured=True)
+    cases = [(inst, 4)]
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3):
+        for d in range(n + 1, n + 4):
+            for structured in (False, True):
+                inst, _ = random_triangle_instance(n, d, rng, low=-3, high=4,
+                                                   structured=structured)
+                cases.append((inst, d))
+    for t, (inst, d) in enumerate(cases):
+        for delta_exp in (21.0, 28.0):
+            got = et.aete_few_weights(inst, d, delta_exp=delta_exp,
+                                      rng=np.random.default_rng(t))
+            assert got == et.aete_brute(inst, with_witnesses=False), (t, delta_exp)
+
+
 def test_few_weights_seed_replay():
     rng = np.random.default_rng(24)
     inst, _ = random_triangle_instance(12, 4, rng)

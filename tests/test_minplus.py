@@ -2,6 +2,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fewweights.core import (
     AuditError,
@@ -177,31 +179,86 @@ def test_boolean_min_plus_delta_independent():
             assert np.array_equal(wit, ref[1])
 
 
-def test_bucket_scan_per_row_branch_matches_dense(monkeypatch):
+def min_plus_smallest_witness(a, b):
+    """Min-plus product and its smallest minimizing k (-1 where +inf)."""
+    ok = (a[:, :, None] != POS_INF) & (b[None, :, :] != POS_INF)
+    sums = np.where(ok, np.where(ok, a[:, :, None], 0) + np.where(ok, b[None], 0),
+                    POS_INF)
+    vals = sums.min(axis=1, initial=POS_INF)
+    wit = (sums == vals[:, None, :]).argmax(axis=1)
+    return vals, np.where(vals != POS_INF, wit, -1)
+
+
+def check_bucketed_kernels(a, b, bw, deltas):
+    """Both kernels against the references and the smallest witnesses.
+
+    b is a boolean operand and bw a d-weights one; every delta must give the
+    same values and witnesses.
+    """
+    bool_vals, bool_wit = min_plus_smallest_witness(a, np.where(b, 0, POS_INF))
+    assert np.array_equal(bool_vals, bool_minplus_ref(a, b))
+    dw_vals, dw_wit = min_plus_smallest_witness(a, bw)
+    assert np.array_equal(dw_vals, mp.min_plus_naive(a, bw).data)
+    for delta in deltas:
+        got, wit = mp.boolean_min_plus(a, b, delta)
+        assert np.array_equal(got.data, bool_vals), delta
+        assert np.array_equal(wit, bool_wit), delta
+        got, wit = mp.d_weights_min_plus(a, bw, delta, return_witnesses=True)
+        assert np.array_equal(got.data, dw_vals), delta
+        assert np.array_equal(wit, dw_wit), delta
+
+
+def test_bucketed_kernels_at_bucket_width_boundaries():
+    # buckets hold at most 24 sorted positions: n = 24 and 48 fill them, so
+    # an all-finite row against an all-True column sums to 2^24 - 1
     rng = np.random.default_rng(10)
-    cases = []
-    for _ in range(6):
-        s, n, t = rng.integers(1, 14, size=3)
-        a = rand_matrix(rng, s, n, inf_p=0.3)
-        cases.append((a, rng.random((n, t)) < 0.4,
-                      column_capped_matrix(rng, n, t, 3), int(rng.integers(1, 6))))
+    for n in (23, 24, 25, 48, 49, 80):
+        # few distinct values: repeated and negative keys
+        a = rand_matrix(rng, 6, n, inf_p=0.3, lo=-3, hi=3).data.copy()
+        a[0] = rng.integers(-3, 3, size=n)
+        a[1] = POS_INF
+        b = rng.random((n, 7)) < 0.3
+        b[:, 0] = True
+        b[:, 1] = False
+        bw = column_capped_matrix(rng, n, 7, 3, lo=-5, hi=5).data.copy()
+        bw[:, 0] = 2
+        bw[:, 1] = POS_INF
+        for sub_a, sub_b, sub_bw in ((a, b, bw), (a[:1], b, bw),
+                                     (a[1:2], b, bw), (a, b[:, :0], bw[:, :0])):
+            check_bucketed_kernels(sub_a, sub_b, sub_bw, (1, 2, 3, 99))
 
-    def run_all():
-        out = []
-        for a, b, bw, delta in cases:
-            out.append(mp.boolean_min_plus(a, b, delta))
-            out.append(mp.d_weights_min_plus(a, bw, delta, return_witnesses=True))
-        return out
 
-    dense = run_all()
-    monkeypatch.setattr(mp, "_SCAN_DENSE_LIMIT", 0)
-    per_row = run_all()
-    for (a, b, bw, _), (bv, bwit), (dv, dwit) in zip(cases, per_row[::2], per_row[1::2]):
-        assert np.array_equal(bv.data, bool_minplus_ref(a.data, b))
-        assert dv == mp.min_plus_naive(a, bw)
-    for (v1, w1), (v2, w2) in zip(dense, per_row):
-        assert v1 == v2
-        assert np.array_equal(w1, w2)
+@pytest.mark.parametrize("cells", [1, 700])
+def test_bucketed_kernels_in_row_blocks(monkeypatch, cells):
+    # a small cell budget takes the rows of A in blocks of one row, and of
+    # four rows with a shorter last block
+    monkeypatch.setattr(mp, "_BUCKET_CELLS", cells)
+    rng = np.random.default_rng(11)
+    a = rand_matrix(rng, 7, 50, inf_p=0.3, lo=-3, hi=3).data.copy()
+    a[2] = POS_INF
+    b = rng.random((50, 9)) < 0.2
+    bw = column_capped_matrix(rng, 50, 9, 3, lo=-5, hi=5).data
+    check_bucketed_kernels(a, b, bw, (1, 3))
+
+
+@st.composite
+def bucketed_operands(draw):
+    """(A, boolean B, B with at most d values per column, delta); A has +inf entries."""
+    s, n, t = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(0, 5))
+    a = draw(hnp.arrays(np.int64, (s, n), elements=st.integers(-2, 2)))
+    a[draw(hnp.arrays(bool, (s, n)))] = POS_INF
+    d = draw(st.integers(1, 3))
+    palette = draw(hnp.arrays(np.int64, (d, t), elements=st.integers(-2, 2)))
+    pick = draw(hnp.arrays(np.int64, (n, t), elements=st.integers(-1, d - 1)))
+    bw = np.where(pick >= 0, palette[np.maximum(pick, 0), np.arange(t)], POS_INF)
+    return a, draw(hnp.arrays(bool, (n, t))), bw, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(bucketed_operands())
+def test_bucketed_kernels_property(operands):
+    a, b, bw, delta = operands
+    check_bucketed_kernels(a, b, bw, (delta,))
 
 
 # ----------------------------------------------------------------------------
