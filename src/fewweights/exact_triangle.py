@@ -127,8 +127,46 @@ class TriangleReport:
     __hash__ = None
 
 
+def _line_counts(m):
+    """Occurrences of each entry's value within its row and within its column.
+
+    Every entry of m is coded by the rank of its value among m's distinct
+    values (one np.unique, then one searchsorted against it; BOT, the
+    largest, gets code nv), and each line's codes are counted by one
+    bincount into an (n, nv + 1) table whose BOT column is then cleared.
+    When that table would be larger than m (nv at least the length of a
+    line), the counts come from the sorts of occurrence_stats instead.
+    Returns (nv, row_cnt, col_cnt, row_distinct, col_distinct): the number
+    of distinct present values, the per-entry counts (0 at BOT) and the
+    number of distinct values per row and per column.
+    """
+    vals = np.unique(m)
+    nv = vals.size - int(vals.size > 0 and vals[-1] == BOT)
+    if nv >= min(m.shape):
+        row_cnt, _, row_dis = occurrence_stats(m, BOT)
+        col_cnt, _, col_dis = occurrence_stats(m.T, BOT)
+        return nv, row_cnt, col_cnt.T, row_dis, col_dis
+    codes = np.searchsorted(vals, m)
+    out = []
+    for axis, line in ((0, np.arange(m.shape[0])[:, None]),
+                       (1, np.arange(m.shape[1]))):
+        table = np.bincount((line * (nv + 1) + codes).ravel(),
+                            minlength=m.shape[axis] * (nv + 1))
+        table = table.reshape(m.shape[axis], nv + 1)
+        table[:, nv] = 0
+        out.append((table[line, codes], np.count_nonzero(table, axis=1)))
+    (row_cnt, row_dis), (col_cnt, col_dis) = out
+    return nv, row_cnt, col_cnt, row_dis, col_dis
+
+
 class RegularityAudit:
-    """Distinct-entry and occurrence statistics of an instance."""
+    """Distinct-entry and occurrence statistics of an instance.
+
+    Built from value codes by _line_counts.  `regularize` builds one audit per
+    piece it makes and checks uniformity there; the split it then applies is
+    regular by construction.  The public `aete_uniform_regular` audits its
+    own input; the pipeline's pieces go to its body unaudited.
+    """
 
     def __init__(self, inst):
         self.global_distinct = {}
@@ -137,10 +175,8 @@ class RegularityAudit:
         self.max_row_distinct = {}
         self.max_col_distinct = {}
         for name, mat in (("a", inst.a), ("b", inst.b), ("c", inst.c)):
-            m = mat.data
-            self.global_distinct[name] = int(np.unique(m[m != BOT]).size)
-            row_occ, _, row_dis = occurrence_stats(m, BOT)
-            col_occ, _, col_dis = occurrence_stats(m.T, BOT)
+            nv, row_occ, col_occ, row_dis, col_dis = _line_counts(mat.data)
+            self.global_distinct[name] = nv
             self.max_row_occ[name] = int(row_occ.max(initial=0))
             self.max_col_occ[name] = int(col_occ.max(initial=0))
             self.max_row_distinct[name] = int(row_dis.max(initial=0))
@@ -207,6 +243,7 @@ def _is_prime(q):
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def _find_ntt_prime(m, minimum):
     q = max(1, (minimum // m)) * m + 1
     while q <= minimum:
@@ -244,7 +281,7 @@ def _ntt_plan(m, q):
     (so tw.shape == (m2, m1)), where w is a primitive m-th root of unity mod q:
     wtab[t] = w^t as float64 (t < m); f2[e2, t2] = w^(-m1*t2*e2) and
     f1[e1, t1] = w^(-m2*t1*e1) are the float64 inverse DFT matrices of sizes
-    m2 and m1; tw[e2, t1] = w^(-e2*t1) are the int64 twiddles between them.
+    m2 and m1; tw[e2, t1] = w^(-e2*t1) are the float64 twiddles between them.
     """
     omega = pow(_primitive_root(q), (q - 1) // m, q)
     w = np.ones(m, dtype=np.int64)
@@ -256,13 +293,22 @@ def _ntt_plan(m, q):
     m1 = m >> ((m.bit_length() - 1) // 2)
     m2 = m // m1
     i1, i2 = np.arange(m1), np.arange(m2)
-    tables = (w.astype(np.float64),
-              winv[np.outer(i2, i2) * m1 % m].astype(np.float64),
-              winv[np.outer(i2, i1) % m],
-              winv[np.outer(i1, i1) * m2 % m].astype(np.float64))
+    tables = tuple(t.astype(np.float64) for t in (
+        w, winv[np.outer(i2, i2) * m1 % m], winv[np.outer(i2, i1) % m],
+        winv[np.outer(i1, i1) * m2 % m]))
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+def _mod_q(x, q):
+    """Reduce x, a float64 array of integers in [0, 2^53), mod q in place;
+    exact in float64 (proof in poly_matrix_multiply)."""
+    k = x / q
+    np.floor(k, out=k)
+    k *= q
+    x -= k
+    return x
 
 
 def poly_matrix_multiply(a_exp, b_exp, p):
@@ -279,6 +325,14 @@ def poly_matrix_multiply(a_exp, b_exp, p):
     The 1/m factor is skipped: it is a unit mod q and leaves zeros in place.
     Every float64 sum holds at most max(n, m1) products below q, so it is
     exact while max(n, m1)*(q-1)^2 < 2^53, which is checked before any work.
+
+    The reductions mod q stay in float64 too (_mod_q): x - q*floor(x / q).
+    Each operand x is a nonnegative integer below 2^53 by the check above
+    (the twiddle products, below (q-1)^2, included).  If x/q is an integer
+    k, correctly rounded division returns k exactly.  Otherwise x/q lies at
+    least 1/q from both neighbouring integers, while the rounding error is
+    at most 2^-53 * x/q < 1/q, so floor(fl(x / q)) = floor(x/q); the
+    product and difference are then integers below 2^53 and exact as well.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -310,13 +364,13 @@ def poly_matrix_multiply(a_exp, b_exp, p):
         tt = ts[lo:hi, None, None]
         av = np.where(fa, wtab[(tt * ea) & (m - 1)], 0.0)
         bv = np.where(fb, wtab[(tt * eb) & (m - 1)], 0.0)
-        evals[lo:hi] = (np.matmul(av, bv).astype(np.int64) % q).reshape(hi - lo, cols)
+        evals[lo:hi] = _mod_q(np.matmul(av, bv), q).reshape(hi - lo, cols)
     # row t = t1 + m1*t2 of evals is [t2, t1] of its (m2, m1) view, and
     # coefficient e = e2 + m2*e1 comes out at [e2, e1]
-    y = (f2 @ evals.reshape(m2, m1 * cols)).astype(np.int64) % q
-    y = (y.reshape(m2, m1, cols) * tw[:, :, None] % q).astype(np.float64)
+    y = _mod_q(f2 @ evals.reshape(m2, m1 * cols), q).reshape(m2, m1, cols)
+    y = _mod_q(y * tw[:, :, None], q)
     rows = -(-conv_len // m2)
-    coeffs = np.matmul(f1[:rows], y).astype(np.int64) % q
+    coeffs = _mod_q(np.matmul(f1[:rows], y), q)
     presence = (coeffs != 0).transpose(1, 0, 2).reshape(rows * m2, n, n)[:conv_len]
     return np.ascontiguousarray(presence.transpose(1, 2, 0))
 
@@ -367,11 +421,18 @@ def aete_small_doubling(inst):
 # Uniform regular solver.
 # ----------------------------------------------------------------------------
 
+def _value_mask(m, values):
+    """Where m holds one of `values` (a set of integers, never BOT): one
+    searchsorted against the sorted values."""
+    vals = np.sort(np.fromiter(values, dtype=np.int64, count=len(values)))
+    if not vals.size:
+        return np.zeros(m.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(vals, m), vals.size - 1)
+    return vals[pos] == m
+
+
 def _restrict_values(m, values):
-    keep = np.isin(m, np.fromiter(values, dtype=np.int64, count=len(values))) \
-        if values else np.zeros(m.shape, dtype=bool)
-    keep &= m != BOT
-    return np.where(keep, m, BOT)
+    return np.where(_value_mask(m, values), m, BOT)
 
 
 def aete_uniform_regular(inst, d, big_k, rng=None):
@@ -379,18 +440,25 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
 
     The structured boxes go to the algebraic small-sumset solver; remainder
     value pairs are enumerated directly through the per-column/per-row
-    occurrence lists, which regularity keeps short.
+    occurrence lists, which regularity keeps short.  This entry audits its
+    input and raises AuditError when it is not d-uniform or not
+    max(1, n // d)-regular.  aete_few_weights hands the pieces of regularize,
+    which regularize has already checked, to the unaudited body.
     """
-    n = inst.n
     if big_k < 1:
         raise ValueError("K must be >= 1")
     audit = RegularityAudit(inst)
     if not audit.is_uniform(d):
         raise AuditError(f"instance is not {d}-uniform: {audit.global_distinct}")
     # the split of regularize: for n >= d the same integer bound as n / d
-    r = max(1, n // max(d, 1))
+    r = max(1, inst.n // max(d, 1))
     if not audit.is_regular(r):
         raise AuditError(f"instance is not {r}-regular")
+    return _uniform_regular_body(inst, big_k, rng)
+
+
+def _uniform_regular_body(inst, big_k, rng):
+    n = inst.n
     a, b, c = inst.matrices()
     x, y, z = inst.entry_set("a"), inst.entry_set("b"), inst.entry_set("c")
     cover = bsg_cover(x, y, z, big_k, rng)
@@ -653,9 +721,7 @@ def _uniformize_class(rowpos_a, colpos_b, c, d, delta, rng, n):
         for h, (bh, colpos_bh, tshift, th) in sorted(b_shifted.items()):
             pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
             cgh = np.where(c != BOT, c - sshift[:, None] - tshift[None, :], BOT)
-            keep = np.isin(cgh, np.fromiter(pop, dtype=np.int64, count=len(pop))) \
-                if pop else np.zeros((n, n), dtype=bool)
-            keep &= c != BOT
+            keep = _value_mask(cgh, pop)
             # unpopular shifted targets: list their few representations.  A
             # piece value av of row i satisfies shift - av in Y_{j*}, so its
             # ag entry av - shift lies in the core -Y_{j*}; likewise every bh
@@ -723,8 +789,7 @@ def regularize_naive(inst, d, r, big_r, prune=False):
 def _three_way_split(m, threshold):
     """(row-heavy, col-heavy, regular) by occurrence counts in m."""
     fin = m != BOT
-    row_cnt = occurrence_stats(m, BOT)[0]
-    col_cnt = occurrence_stats(m.T, BOT)[0].T
+    _, row_cnt, col_cnt, _, _ = _line_counts(m)
     heavy_row = fin & (row_cnt > threshold)
     heavy_col = fin & ~heavy_row & (col_cnt > threshold)
     regular = fin & ~heavy_row & ~heavy_col
@@ -752,7 +817,39 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
     declared-d' piece is d'-uniform and floor(n/d')-regular.  Returns
     (pieces, T) where pieces are (d', instance) pairs; the triangle sets of
     the pieces plus T disjointly partition the input's triangles.
+
+    Each piece of the recursion is audited once, here: it must be
+    d'-uniform (else AuditError), and its largest row or column occurrence
+    count w fixes R = ceil(w / r) for r = max(1, n // d').  A piece with
+    R = 1 is already r-regular and is kept as it is; any other goes through
+    regularize_naive, whose split raises AuditError unless every part is
+    r-regular, and whose parts hold subsets of the piece's values.  So every
+    returned piece has passed both checks, and aete_few_weights solves them
+    without auditing again.
     """
+    pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng,
+                                          depth_guard, stats)
+    n = inst.n
+    final = []
+    for d_l, piece in pieces:
+        audit = RegularityAudit(piece)
+        if not audit.is_uniform(d_l):
+            raise AuditError(f"regularize piece is not {d_l}-uniform: "
+                             f"{audit.global_distinct}")
+        r = max(1, n // max(d_l, 1))
+        worst = max(*audit.max_row_occ.values(), *audit.max_col_occ.values(), 1)
+        big_r = math.ceil(worst / r)
+        if big_r == 1:
+            final.append((d_l, piece))
+        else:
+            final.extend((d_l, sub) for sub in
+                         regularize_naive(piece, d_l, r, big_r, prune=True))
+    return final, triples
+
+
+def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
+    """The recursion of regularize: its (d', piece) pairs before the final
+    split, plus T."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = inst.n
@@ -807,17 +904,7 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
         return ([(dl, deorient_instance(pi, tag)) for dl, pi in pieces_acc],
                 triples_to_original(t_acc, tag))
 
-    pieces, triples = rec(inst, d, delta, inst.promise, 0)
-    final = []
-    for d_l, piece in pieces:
-        r = max(1, n // max(d_l, 1))
-        audit = RegularityAudit(piece)
-        worst = max(max(audit.max_row_occ.values()),
-                    max(audit.max_col_occ.values()), 1)
-        big_r = max(1, math.ceil(worst / r))
-        for sub in regularize_naive(piece, d_l, r, big_r, prune=True):
-            final.append((d_l, sub))
-    return final, triples
+    return rec(inst, d, delta, inst.promise, 0)
 
 
 # ----------------------------------------------------------------------------
@@ -840,7 +927,9 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
 
     delta_exp is the exponent gap that fixes eps = delta_exp/14 and in turn
     the frequency-stripping factor rho = d^(eps/6).  The pieces are solved by
-    the uniform regular solver with K derived from the configured exponent.
+    the uniform regular solver with K derived from the configured exponent;
+    regularize has audited each of them, so they skip the solver's entry
+    audit.
     """
     n = inst.n
     eps = delta_exp / 14.0
@@ -853,5 +942,5 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     report = TriangleReport(yes)
     for d_l, piece in pieces:
         k = structured_box_count(n, d_l, omega_hat)
-        report = report.merge(aete_uniform_regular(piece, d_l, k, rng))
+        report = report.merge(_uniform_regular_body(piece, k, rng))
     return report

@@ -14,8 +14,9 @@ from fewweights.cli import (
     save_instance,
 )
 from fewweights.core import load_matrix
-from fewweights.exact_triangle import aete_brute
-from fewweights.generators import random_triangle_instance
+from fewweights.exact_triangle import TriangleInstance, aete_brute
+from fewweights.generators import (random_triangle_instance,
+                                   random_uniform_regular_instance)
 
 
 def run(*argv):
@@ -135,6 +136,18 @@ def test_triangle_run_and_verify(tmp_path):
                "--out", r, "--verify") == EXIT_OK
     assert run("verify", "exact-tri", "--input", out / "instance.tri",
                "--result", r / "result.mat") == EXIT_OK
+
+
+def test_uniform_regular_run_audits_input(tmp_path):
+    # 2-uniform, but value 0 fills row 0 of A: not max(1, 4 // 2)-regular
+    a = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 1]])
+    bad = save_instance(TriangleInstance(a, a.T, a + 1), tmp_path / "bad", d=2)
+    assert run("run", "aete-uniform-regular", "--input", bad,
+               "--out", tmp_path / "r1") == EXIT_INPUT
+    good = save_instance(random_uniform_regular_instance(
+        4, 2, np.random.default_rng(3)), tmp_path / "good", d=2)
+    assert run("run", "aete-uniform-regular", "--input", good,
+               "--out", tmp_path / "r2", "--verify") == EXIT_OK
 
 
 def test_instance_manifest_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fewweights.core import AuditError, BOT, WeightMatrix, value_positions
 from fewweights import exact_triangle as et
@@ -177,6 +179,47 @@ def test_ntt_plan_tables_are_read_only():
             table[(0,) * table.ndim] = 0
 
 
+def poly_mm_int64_reference(ae, be, p):
+    """poly_matrix_multiply with every reduction mod q an int64 `%` pass:
+    the product's former body, on the same NTT plan."""
+    ae, be = np.asarray(ae, dtype=np.int64), np.asarray(be, dtype=np.int64)
+    n = ae.shape[0]
+    conv_len = 2 * p - 1
+    m = 1
+    while m < conv_len:
+        m *= 2
+    q = et._find_ntt_prime(m, max(n, 2))
+    wtab, f2, tw, f1 = et._ntt_plan(m, q)
+    tw = tw.astype(np.int64)
+    m1 = f1.shape[0]
+    m2 = m // m1
+    fa, fb = ae != BOT, be != BOT
+    ea, eb = np.where(fa, ae, 0), np.where(fb, be, 0)
+    tt = np.arange(m)[:, None, None]
+    av = np.where(fa, wtab[(tt * ea) & (m - 1)], 0.0)
+    bv = np.where(fb, wtab[(tt * eb) & (m - 1)], 0.0)
+    evals = (np.matmul(av, bv).astype(np.int64) % q).reshape(m, n * n)
+    y = (f2 @ evals.reshape(m2, m1 * n * n).astype(np.float64)).astype(np.int64) % q
+    y = (y.reshape(m2, m1, n * n) * tw[:, :, None] % q).astype(np.float64)
+    rows = -(-conv_len // m2)
+    coeffs = np.matmul(f1[:rows], y).astype(np.int64) % q
+    presence = (coeffs != 0).transpose(1, 0, 2).reshape(rows * m2, n, n)[:conv_len]
+    return presence.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("p", [17, 23, 29, 61])
+@pytest.mark.parametrize("n", [1, 16, 33])
+def test_poly_mm_float_reductions_match_int64(p, n):
+    rng = np.random.default_rng(1000 * p + n)
+    ae = rng.integers(0, p, size=(n, n))
+    be = rng.integers(0, p, size=(n, n))
+    ae[rng.random((n, n)) < 0.2] = BOT
+    be[rng.random((n, n)) < 0.2] = BOT
+    for a_exp, b_exp in ((ae, be), (np.full_like(ae, p - 1), np.full_like(be, p - 1))):
+        got = et.poly_matrix_multiply(a_exp, b_exp, p)
+        assert np.array_equal(got, poly_mm_int64_reference(a_exp, b_exp, p))
+
+
 def test_poly_mm_rejects_bad_exponents():
     with pytest.raises(ValueError):
         et.poly_matrix_multiply([[5]], [[0]], 5)
@@ -325,6 +368,34 @@ def test_uniform_regular_audit_failure():
     inst = et.TriangleInstance(a, a, a)
     with pytest.raises(AuditError):
         et.aete_uniform_regular(inst, 2, 1, np.random.default_rng(0))
+
+
+def uniform_irregular_instance():
+    """n = 4 with 2 values per matrix (2-uniform), but value 0 fills row 0 of
+    A four times, past the max(1, 4 // 2) = 2 occurrences allowed."""
+    a = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, BOT, BOT]])
+    b = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, BOT, 1], [1, 0, 1, BOT]])
+    return et.TriangleInstance(a, b, np.where(a == BOT, BOT, a + 1))
+
+
+def test_uniform_regular_audit_failure_not_regular():
+    inst = uniform_irregular_instance()
+    audit = et.RegularityAudit(inst)
+    assert audit.is_uniform(2) and not audit.is_regular(2)
+    with pytest.raises(AuditError, match="not 2-regular"):
+        et.aete_uniform_regular(inst, 2, 1, np.random.default_rng(0))
+
+
+def test_value_mask_matches_isin():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        m = rng.integers(-6, 7, size=(5, 5))
+        m[rng.random((5, 5)) < 0.3] = BOT
+        values = set(rng.integers(-8, 9, size=int(rng.integers(0, 6))).tolist())
+        want = np.isin(m, list(values)) & (m != BOT)
+        assert np.array_equal(et._value_mask(m, values), want)
+        assert np.array_equal(et._restrict_values(m, values),
+                              np.where(want, m, BOT))
 
 
 # ----------------------------------------------------------------------------
@@ -531,6 +602,48 @@ def test_regularize_exact_decomposition(delta):
             assert stats.max_depth <= bound + 1
 
 
+def test_regularize_splits_like_regularize_naive_on_every_piece():
+    # pieces with R = 1 skip regularize_naive; the output must still equal
+    # sending every piece of the recursion through it, in order
+    # (eps = 2, as aete_few_weights at delta_exp = 28, leaves pieces of both
+    # kinds; eps = 1 at this size leaves almost none)
+    rng = np.random.default_rng(33)
+    big_rs = []
+    for t in range(20):
+        n = int(rng.integers(4, 17))
+        d = int(rng.integers(1, 6))
+        delta = et.default_split_parameter(n, 2.0)
+        inst, _ = random_triangle_instance(n, d, rng, planted=2,
+                                           promise=PROMISES[t % 6])
+        raw, want_t = et._regularize_unsplit(inst, d, delta, 2.0,
+                                             np.random.default_rng(t), None, None)
+        want = []
+        for d_l, piece in raw:
+            r = max(1, n // max(d_l, 1))
+            ref = regularity_reference(piece)
+            worst = max([v[k] for v in ref.values() for k in (1, 2)] + [1])
+            big_rs.append(-(-worst // r))
+            want += [(d_l, sub) for sub in
+                     et.regularize_naive(piece, d_l, r, big_rs[-1], prune=True)]
+        got, got_t = et.regularize(inst, d, delta, eps=2.0,
+                                   rng=np.random.default_rng(t))
+        assert got_t == want_t
+        assert len(got) == len(want), t
+        for (dg, pg), (dw, pw) in zip(got, want):
+            assert dg == dw and pg.promise == pw.promise
+            for mg, mw in zip(pg.matrices(), pw.matrices()):
+                assert mg.dtype == mw.dtype and np.array_equal(mg, mw)
+    assert 1 in big_rs and max(big_rs) > 1
+
+
+def test_regularize_audits_piece_uniformity(monkeypatch):
+    inst = uniform_irregular_instance()
+    monkeypatch.setattr(et, "_regularize_unsplit",
+                        lambda *args: ([(1, inst)], set()))
+    with pytest.raises(AuditError, match="not 1-uniform"):
+        et.regularize(inst, 2, 1, eps=1.0)
+
+
 def test_regularize_depth_guard():
     rng = np.random.default_rng(19)
     inst, _ = random_triangle_instance(8, 4, rng)
@@ -601,6 +714,31 @@ def test_few_weights_declared_d_above_n():
             assert got == et.aete_brute(inst, with_witnesses=False), (t, delta_exp)
 
 
+def test_few_weights_audits_each_regularize_piece_once(monkeypatch):
+    rng = np.random.default_rng(34)
+    inst, _ = random_triangle_instance(16, 4, rng, planted=2)
+    audits, raw_pieces = [], []
+    real_audit, real_unsplit = et.RegularityAudit, et._regularize_unsplit
+
+    class CountingAudit(real_audit):
+        def __init__(self, piece):
+            audits.append(piece)
+            super().__init__(piece)
+
+    def unsplit(*args):
+        pieces, triples = real_unsplit(*args)
+        raw_pieces.extend(pieces)
+        return pieces, triples
+
+    monkeypatch.setattr(et, "RegularityAudit", CountingAudit)
+    monkeypatch.setattr(et, "_regularize_unsplit", unsplit)
+    got = et.aete_few_weights(inst, 4, delta_exp=28.0,
+                              rng=np.random.default_rng(0))
+    assert got == et.aete_brute(inst, with_witnesses=False)
+    assert raw_pieces and len(audits) == len(raw_pieces)
+    assert all(a is p for a, (_, p) in zip(audits, raw_pieces))
+
+
 def test_few_weights_seed_replay():
     rng = np.random.default_rng(24)
     inst, _ = random_triangle_instance(12, 4, rng)
@@ -657,6 +795,29 @@ def test_regularity_audit_matches_loop_reference():
                       audit.max_col_occ[name], audit.max_row_distinct[name],
                       audit.max_col_distinct[name]) for name in "abc"}
         assert got == regularity_reference(inst)
+
+
+@st.composite
+def audit_instances(draw):
+    n = draw(st.integers(0, 5))
+    entries = st.one_of(st.just(int(BOT)), st.integers(-6, 6))
+    mats = [draw(hnp.arrays(np.int64, (n, n), elements=entries)) for _ in "abc"]
+    return et.TriangleInstance(*mats)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(audit_instances())
+@example(et.TriangleInstance(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))))
+@example(et.TriangleInstance([[BOT]], [[-3]], [[BOT]]))
+@example(et.TriangleInstance(np.full((3, 3), BOT), np.full((3, 3), -1),
+                             -np.arange(9).reshape(3, 3)))
+def test_regularity_audit_property(inst):
+    # both counting branches: nv < n (bincount table), nv >= n (sorts)
+    audit = et.RegularityAudit(inst)
+    got = {name: (audit.global_distinct[name], audit.max_row_occ[name],
+                  audit.max_col_occ[name], audit.max_row_distinct[name],
+                  audit.max_col_distinct[name]) for name in "abc"}
+    assert got == regularity_reference(inst)
 
 
 def test_uniform_regular_pure_remainder_path(monkeypatch):
