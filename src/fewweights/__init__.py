@@ -43,11 +43,8 @@ from .minplus import (
 from .apsp import (
     BridgingState,
     apsp_oracle,
-    dweights_apsp,
     eliminate_negative_cycles,
     greedy_hitting_set,
-    nw_apsp_deterministic,
-    nw_apsp_randomized,
     sample_pivots,
     solve_apsp,
 )

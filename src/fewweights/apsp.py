@@ -3,32 +3,31 @@
 apsp_oracle gives exact distances (with -inf for pairs whose shortest path
 can hit a negative cycle) by min-plus repeated squaring of the one-hop
 matrix; weights beyond the min-plus kernel's operand range raise WeightError.
-The multi-level pivot solver comes in a randomized variant (uniform pivot
-samples per level) and a deterministic variant (bridging sets built by
-greedy hitting sets).  There is one graph type, EdgeWeightedGraph: a
-node-weighted graph is the edge graph whose edges into v weigh w(v)
-(core.node_weighted_graph).  Both solvers run through one hop product,
-whose one-hop matrix picks the kernel: the boolean kernel when every column
-(or every row) holds one weight, as for node-weighted graphs and their
-reverse, the d-weights kernel otherwise.
+solve_apsp is the one entry of the multi-level pivot solver, which comes in
+a randomized variant (uniform pivot samples per level) and a deterministic
+variant (bridging sets built by greedy hitting sets); both run one level
+recursion (_level_products, _replay).  There is one graph type,
+EdgeWeightedGraph: a node-weighted graph is the edge graph whose edges into
+v weigh w(v) (core.node_weighted_graph).  Both solvers run through one hop
+product, whose one-hop matrix picks the kernel: the boolean kernel when
+every column (or every row) holds one weight, as for node-weighted graphs
+and their reverse, the d-weights kernel otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .core import (
-    AuditError,
     DistanceMatrix,
     EdgeWeightedGraph,
     NEG_INF,
     POS_INF,
     WeightMatrix,
-    audit_distinct_weights,
     build_one_hop_matrix,
+    require_distinct_weights,
 )
 from .minplus import (
     boolean_matrix_multiply,
@@ -264,18 +263,13 @@ def sample_pivots(n, h, rng, constant=DEFAULT_SAMPLING_CONSTANT):
 def greedy_hitting_set(paths, n):
     """Greedy hitting set: repeatedly take the vertex on the most unhit paths.
 
-    `paths` is a list of node lists or a 2-D int array whose rows are paths
-    padded with -1.  Ties break to the lowest vertex index.  Returns a
-    sorted array that hits every input path.
+    `paths` is a 2-D int array whose rows are paths padded with -1.  Ties
+    break to the lowest vertex index.  Returns a sorted array that hits
+    every row.
     """
-    if isinstance(paths, np.ndarray) and paths.ndim == 2:
-        real = paths >= 0
-        sizes = real.sum(axis=1)
-        flat = paths[real].astype(np.int64, copy=False)
-    else:
-        sizes = np.array([len(p) for p in paths], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64,
-                           count=int(sizes.sum()))
+    real = paths >= 0
+    sizes = real.sum(axis=1)
+    flat = paths[real].astype(np.int64, copy=False)
     if (sizes == 0).any():
         raise ValueError("paths must be nonempty")
     # one (path, vertex) entry per distinct vertex of a path, sorted by path;
@@ -303,58 +297,51 @@ def greedy_hitting_set(paths, n):
 
 
 # ----------------------------------------------------------------------------
-# Hop products: one recurrence for both graph kinds; the one-hop matrix picks
-# the boolean or d-weights kernel, and a min-plus solver `product` can take
-# its place.
+# Level recursion: one bridging level's hop products, and the replay of all
+# levels, shared by the randomized and the deterministic solver.  Every hop
+# product runs through one recurrence whose one-hop matrix picks the boolean
+# or d-weights kernel; a min-plus solver `product` can take its place.
 # ----------------------------------------------------------------------------
 
-def _level_pass(g, delta, product, s_cur, s_next, d_next, ell, m1_hops):
-    """One bridging level: min(M1[S,S], D^{<=2^l}[S,S'] * D' * D^{<=2^l}[S',S])."""
-    n = g.n
-    m1 = hop_bounded_product(trivial_rows(s_cur, n), g, m1_hops, delta,
-                             want_paths=False, product=product).values.data
-    a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
-    a2[:, s_next] = d_next
-    m2 = hop_bounded_product(a2, g, 2 ** ell, delta, want_paths=False,
-                             product=product).values.data
-    a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
-    a3[s_next, :] = m2[:, s_cur]
-    m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, want_paths=False,
-                                  product=product).values.data
-    return np.minimum(m1[:, s_cur], m3[s_cur, :])
+def _level_products(g, delta, product, s_cur, s_next, d_next, m1_hops, hl,
+                    want_paths):
+    """The three hop products of one bridging level, S = s_cur, S' = s_next.
 
-
-def nw_apsp_randomized(g, h=None, rng=None, delta=None,
-                       constant=DEFAULT_SAMPLING_CONSTANT):
-    """Node-weighted APSP via randomly sampled multi-level pivots.
-
-    Requires a graph with no negative cycles (run eliminate_negative_cycles
-    first).  The base level squares D^{<=2^L}[S_L, S_L]; each higher level
-    takes the three-factor minimum through the next level's pivots.
+    m1 = D^{<=m1_hops}[S, V]; m2 = d_next * D^{<=hl}[S', V] for distances
+    d_next over S' x S'; m3 = D^{<=hl}[V, S'] * m2[S', S].  The level's
+    distances are min(m1[:, S], m3[S, :]).
     """
     n = g.n
-    if n == 0:
-        return DistanceMatrix(np.zeros((0, 0), dtype=np.int64))
-    if h is None:
-        h = default_hop_parameter(n)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if delta is None:
-        delta = max(1, h)
-    piv = sample_pivots(n, h, rng, constant)
-    return _pivot_apsp(g, piv.levels, delta)
+    m1 = hop_bounded_product(trivial_rows(s_cur, n), g, m1_hops, delta,
+                             want_paths=want_paths, product=product)
+    a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
+    a2[:, s_next] = d_next
+    m2 = hop_bounded_product(a2, g, hl, delta, want_paths=want_paths,
+                             product=product)
+    a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
+    a3[s_next, :] = m2.values.data[:, s_cur]
+    m3 = hop_bounded_product_left(g, a3, hl, delta, want_paths=want_paths,
+                                  product=product)
+    return m1, m2, m3
 
 
-def _pivot_apsp(g, levels, delta):
-    n = g.n
-    big_l = len(levels) - 1
-    s_last = levels[big_l]
-    base = hop_bounded_product(trivial_rows(s_last, n), g, 2 ** big_l, delta,
-                               want_paths=False).values.data
-    d_cur = _repeated_square(base[:, s_last])
-    for ell in range(big_l - 1, -1, -1):
-        d_cur = _level_pass(g, delta, None, levels[ell], levels[ell + 1], d_cur,
-                            ell, m1_hops=2 ** ell)
+def _replay(g, levels, base_set, base_hops, m1_shift, delta, product):
+    """Distances over V from pivot levels S_0 = V, ..., S_L.
+
+    The base squares D^{<=base_hops}[B, B] for a sorted base set B holding
+    S_L and restricts it to S_L; level l = L-1, ..., 0 then takes
+    min(D^{<=2^(l + m1_shift)}[S_l, S_l], D^{<=2^l} * D_{l+1} * D^{<=2^l})
+    through S_{l+1}.
+    """
+    base = hop_bounded_product(trivial_rows(base_set, g.n), g, base_hops, delta,
+                               want_paths=False, product=product).values.data
+    idx = np.searchsorted(base_set, levels[-1])
+    d_cur = _repeated_square(base[:, base_set])[np.ix_(idx, idx)]
+    for ell in range(len(levels) - 2, -1, -1):
+        s_cur = levels[ell]
+        m1, _, m3 = _level_products(g, delta, product, s_cur, levels[ell + 1],
+                                    d_cur, 2 ** (ell + m1_shift), 2 ** ell, False)
+        d_cur = np.minimum(m1.values.data[:, s_cur], m3.values.data[s_cur, :])
     return DistanceMatrix(d_cur, copy=False)
 
 
@@ -434,14 +421,8 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri = hop_bounded_product(trivial_rows(s_cur, n), g, 2 ** (ell + 1), delta,
-                                 product=product)
-        q_ext = np.full((s_next.size, n), POS_INF, dtype=np.int64)
-        q_ext[:, s_next] = q_w
-        m2 = hop_bounded_product(q_ext, g, 2 ** ell, delta, product=product)
-        a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
-        a3[s_next, :] = m2.values.data[:, s_cur]
-        m3 = hop_bounded_product_left(g, a3, 2 ** ell, delta, product=product)
+        ri, m2, m3 = _level_products(g, delta, product, s_cur, s_next, q_w,
+                                     2 ** (ell + 1), 2 ** ell, True)
         w1 = ri.values.data[:, s_cur]
         w2 = m3.values.data[s_cur, :]
         new_nodes = np.full(w1.shape + (width,), -1, dtype=np.int64)
@@ -469,74 +450,40 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
             (int(u), int(v)): (int(q_w[u, v]), q_nodes[u, v, :q_hops[u, v] + 1].tolist())
             for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
-    # Step 4: replay the level recursion deterministically.
-    base4 = hop_bounded_product(trivial_rows(s_star, n), g, 4 * hl, delta,
-                                want_paths=False, product=product).values.data
-    d_star = _repeated_square(base4[:, s_star])
-    idx = np.searchsorted(s_star, s_last)  # s_star is sorted and holds s_last
-    d_cur = d_star[np.ix_(idx, idx)]
-    for ell in range(big_l - 1, -1, -1):
-        d_cur = _level_pass(g, delta, product, levels[ell], levels[ell + 1],
-                            d_cur, ell, m1_hops=2 ** (ell + 1))
-    return DistanceMatrix(d_cur, copy=False)
-
-
-def nw_apsp_deterministic(g, h=None, delta=None, state=None):
-    """Deterministic node-weighted APSP via bridging sets."""
-    n = g.n
-    if h is None:
-        h = default_hop_parameter(n)
-    if delta is None:
-        delta = max(1, h)
-    return deterministic_pivot_apsp(g, h, delta, state=state)
-
-
-def dweights_apsp(g, d=None, h=None, delta=None):
-    """Deterministic APSP for graphs with at most d distinct incoming weights.
-
-    The same bridging-set solver as the node-weighted one; its hop products
-    take the d-weights kernel unless the one-hop matrix has one weight per
-    column or per row.  Graphs whose promise is on outgoing edges should be
-    solved through the reversed graph.
-    """
-    if d is not None:
-        max_in = audit_distinct_weights(g)[1]
-        if max_in > d:
-            raise AuditError(
-                f"incoming-distinct audit failed: {max_in} > {d}")
-    n = g.n
-    if h is None:
-        h = default_hop_parameter(n)
-    if delta is None:
-        delta = max(1, h)
-    return deterministic_pivot_apsp(g, h, delta)
+    # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*].
+    return _replay(g, levels, s_star, 4 * hl, 1, delta, product)
 
 
 def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
                promise="out", constant=DEFAULT_SAMPLING_CONSTANT):
-    """Composite pipeline: eliminate negative cycles, solve, decode -inf.
+    """APSP by the oracle or a pivot solver; the one entry of the pivot solvers.
 
-    For edge-weighted graphs with the distinct-weights promise on outgoing
-    edges the solver runs on the reversed graph and transposes the result.
+    The pivot solvers eliminate negative cycles, solve, and decode -inf.
+    h defaults to default_hop_parameter(n) and delta to h.  "nw-rand"
+    replays pivot levels sampled from rng (default: seed 0); "nw-det" and
+    "dweights" run the bridging-set solver.  "dweights" audits at most d
+    distinct weights per node on the promised side, and with the promise on
+    outgoing edges it solves the reversed graph and transposes the result.
     """
     if algo == "oracle":
         return apsp_oracle(g)
+    if algo not in ("nw-rand", "nw-det", "dweights"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    h = default_hop_parameter(g.n) if h is None else h
+    delta = h if delta is None else delta
+    rng = np.random.default_rng(0) if rng is None else rng
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    if algo == "dweights":
+        require_distinct_weights(g, d, promise)
     g2, remap = eliminate_negative_cycles(g)
     if algo == "nw-rand":
-        dist = nw_apsp_randomized(g2, h=h, rng=rng, delta=delta, constant=constant)
-    elif algo == "nw-det":
-        dist = nw_apsp_deterministic(g2, h=h, delta=delta)
-    elif algo == "dweights":
-        if d is not None:
-            max_out, max_in = audit_distinct_weights(g)
-            actual = max_out if promise == "out" else max_in
-            if actual > d:
-                raise AuditError(f"{promise}-distinct audit failed: {actual} > {d}")
-        if promise == "out":
-            dist_rev = dweights_apsp(g2.reverse(), d=None, h=h, delta=delta)
-            dist = WeightMatrix(dist_rev.data.T)
-        else:
-            dist = dweights_apsp(g2, d=None, h=h, delta=delta)
+        levels = sample_pivots(g2.n, h, rng, constant).levels
+        dist = _replay(g2, levels, levels[-1], 2 ** (len(levels) - 1), 0, delta, None)
+    elif algo == "dweights" and promise == "out":
+        dist = deterministic_pivot_apsp(g2.reverse(), h, delta).data.T
     else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        dist = deterministic_pivot_apsp(g2, h, delta)
     return remap.decode(dist)

@@ -227,6 +227,19 @@ def audit_distinct_weights(g):
     return int(counts[:g.n].max(initial=0)), int(counts[g.n:].max(initial=0))
 
 
+def require_distinct_weights(g, d, promise):
+    """Raise AuditError unless every node of g has at most d distinct weights
+    on its outgoing (promise "out") or incoming ("in") edges; d=None skips
+    the check.  Any other promise is a ValueError."""
+    if promise not in ("out", "in"):
+        raise ValueError(f"promise must be 'out' or 'in', not {promise!r}")
+    if d is None:
+        return
+    actual = audit_distinct_weights(g)[promise == "in"]
+    if actual > d:
+        raise AuditError(f"{promise}-distinct audit failed: {actual} > {d}")
+
+
 def _row_value_runs(m, absent):
     """Present entries of m sorted by (row, value), equal values in column order.
 

@@ -22,8 +22,8 @@ from .core import (
     POS_INF,
     WeightError,
     WeightMatrix,
-    audit_distinct_weights,
     one_hop_offdiag,
+    require_distinct_weights,
     saturating_add,
 )
 
@@ -441,8 +441,9 @@ def _hop_step(onehop, delta, product, want_paths):
         return step
 
     def step(vals):
-        prod, wit = d_weights_min_plus(vals, onehop, delta, d=None,
-                                       return_witnesses=True)
+        if not want_paths:
+            return d_weights_min_plus(vals, onehop, delta).data, None
+        prod, wit = d_weights_min_plus(vals, onehop, delta, return_witnesses=True)
         return prod.data, wit
 
     return step
@@ -515,10 +516,7 @@ def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
 def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True,
                              product=None):
     """hop_bounded_product after auditing at most d distinct incoming weights."""
-    if d is not None:
-        max_in = audit_distinct_weights(g)[1]
-        if max_in > d:
-            raise AuditError(f"graph has a node with {max_in} distinct incoming weights (> {d})")
+    require_distinct_weights(g, d, "in")
     return hop_bounded_product(A, g, h, delta, want_paths, product)
 
 

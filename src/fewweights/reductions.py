@@ -13,13 +13,12 @@ import numpy as np
 
 from .apsp import deterministic_pivot_apsp, eliminate_negative_cycles
 from .core import (
-    AuditError,
     BOT,
     EdgeWeightedGraph,
     POS_INF,
     WeightMatrix,
-    audit_distinct_weights,
     node_weighted_graph,
+    require_distinct_weights,
     value_positions,
 )
 from .exact_triangle import (
@@ -131,10 +130,7 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
     h = ceil(n^(eps/4)); negative cycles are eliminated up front and decoded
     back to -inf entries.
     """
-    if d is not None:
-        max_in = audit_distinct_weights(g)[1]
-        if max_in > d:
-            raise AuditError(f"incoming-distinct audit failed: {max_in} > {d}")
+    require_distinct_weights(g, d, "in")
     h = max(1, math.ceil(g.n ** (eps / 4.0)))
     g2, remap = eliminate_negative_cycles(g)
     dist = deterministic_pivot_apsp(g2, h, product=minplus_solver)

@@ -297,7 +297,7 @@ def test_criterion_6_reduction_fidelity():
              for _ in range(n)]).T)
         prom = red.make_scaling_promise(a, b)
         got = red.row_weight_minplus_via_nw_apsp(
-            a, b, prom, 2, lambda g: ap.nw_apsp_deterministic(g, h=2),
+            a, b, prom, 2, lambda g: ap.solve_apsp(g, "nw-det", h=2),
             np.random.default_rng(i))
         assert got == mp.min_plus_naive(a, b), ("row-weight", i)
     _record(6, True, f"50 scaling probes + 24 gadget decodes (offsets 2M and "
@@ -357,11 +357,11 @@ def test_criterion_8_determinism():
     a = ap.solve_apsp(ge, "dweights", h=4, d=3).data
     b = ap.solve_apsp(ge, "dweights", h=4, d=3).data
     assert np.array_equal(a, b), "dweights replay"
-    ra = ap.nw_apsp_randomized(random_node_weighted_graph(
-        30, np.random.default_rng(1)), h=8,
+    ra = ap.solve_apsp(random_node_weighted_graph(
+        30, np.random.default_rng(1)), "nw-rand", h=8,
         rng=np.random.default_rng(3), constant=0.7)
-    rb = ap.nw_apsp_randomized(random_node_weighted_graph(
-        30, np.random.default_rng(1)), h=8,
+    rb = ap.solve_apsp(random_node_weighted_graph(
+        30, np.random.default_rng(1)), "nw-rand", h=8,
         rng=np.random.default_rng(3), constant=0.7)
     assert ra == rb, "nw-rand replay"
     x = set(range(64))

@@ -16,6 +16,7 @@ from fewweights.core import (
 )
 from fewweights import apsp as ap
 from fewweights import minplus as mp
+from fewweights import reductions as red
 from fewweights.generators import (
     random_dweights_graph,
     random_node_weighted_graph,
@@ -259,14 +260,24 @@ def test_sample_pivots_binomial_statistics():
     assert abs(np.mean(sizes) - mean) <= 4 * sigma
 
 
+def padded(paths, extra=0):
+    """Node lists as the -1-padded rows greedy_hitting_set reads, with
+    `extra` all -1 columns past the longest path."""
+    width = max((len(p) for p in paths), default=0) + extra
+    out = np.full((len(paths), width), -1, dtype=np.int64)
+    for r, p in enumerate(paths):
+        out[r, :len(p)] = p
+    return out
+
+
 def test_hitting_set_single_path():
-    h = ap.greedy_hitting_set([[3, 5, 7]], 10)
+    h = ap.greedy_hitting_set(padded([[3, 5, 7]]), 10)
     assert h.size == 1 and h[0] in (3, 5, 7)
 
 
 def test_hitting_set_disjoint_singletons():
     paths = [[i] for i in range(8)]
-    assert ap.greedy_hitting_set(paths, 8).tolist() == list(range(8))
+    assert ap.greedy_hitting_set(padded(paths), 8).tolist() == list(range(8))
 
 
 def test_hitting_set_random_paths_bound():
@@ -274,7 +285,7 @@ def test_hitting_set_random_paths_bound():
     n, plen, count = 100, 8, 200
     paths = [rng.choice(n, size=plen, replace=False).tolist()
              for _ in range(count)]
-    h = ap.greedy_hitting_set(paths, n)
+    h = ap.greedy_hitting_set(padded(paths), n)
     hs = set(h.tolist())
     assert all(hs & set(p) for p in paths)
     assert h.size <= (n / plen) * math.log(count) + 1
@@ -282,9 +293,9 @@ def test_hitting_set_random_paths_bound():
 
 def test_hitting_set_rejects_empty_path():
     with pytest.raises(ValueError):
-        ap.greedy_hitting_set([[]], 4)
+        ap.greedy_hitting_set(padded([[]]), 4)
     with pytest.raises(ValueError):
-        ap.greedy_hitting_set([[1, 2], []], 4)
+        ap.greedy_hitting_set(padded([[1, 2], []]), 4)
 
 
 def greedy_hitting_set_loop(paths, n):
@@ -313,37 +324,34 @@ def greedy_hitting_set_loop(paths, n):
 
 def test_hitting_set_matches_loop_reference():
     rng = np.random.default_rng(13)
-    assert ap.greedy_hitting_set([], 5).tolist() == []
+    assert ap.greedy_hitting_set(padded([]), 5).tolist() == []
     for _ in range(300):
         n = int(rng.integers(1, 25))
         # repeated vertices within a path and many ties
         paths = [rng.integers(0, n, size=int(rng.integers(1, 8))).tolist()
                  for _ in range(int(rng.integers(0, 40)))]
-        got = ap.greedy_hitting_set(paths, n)
+        got = ap.greedy_hitting_set(padded(paths), n)
         assert got.dtype == np.int64
         assert np.array_equal(got, greedy_hitting_set_loop(paths, n))
 
 
 def test_hitting_set_padded_array_matches_lists():
     # the random paths of test_hitting_set_matches_loop_reference, padded
-    # with -1 up to the longest path plus 0-2 columns
+    # with -1 up to the longest path plus 0-2 columns, against the loop over
+    # the unpadded node lists
     rng = np.random.default_rng(13)
     assert ap.greedy_hitting_set(np.full((0, 3), -1), 5).tolist() == []
     for case in range(300):
         n = int(rng.integers(1, 25))
         paths = [rng.integers(0, n, size=int(rng.integers(1, 8))).tolist()
                  for _ in range(int(rng.integers(0, 40)))]
-        width = max((len(p) for p in paths), default=0) + case % 3
-        padded = np.full((len(paths), width), -1, dtype=np.int64)
-        for r, p in enumerate(paths):
-            padded[r, :len(p)] = p
-        got = ap.greedy_hitting_set(padded, n)
+        got = ap.greedy_hitting_set(padded(paths, case % 3), n)
         assert got.dtype == np.int64
-        assert np.array_equal(got, ap.greedy_hitting_set(paths, n))
+        assert np.array_equal(got, greedy_hitting_set_loop(paths, n))
     with pytest.raises(ValueError, match="paths must be nonempty"):
         ap.greedy_hitting_set(np.array([[1, 2, -1], [-1, -1, -1]]), 4)
     with pytest.raises(ValueError, match="paths must be nonempty"):
-        ap.greedy_hitting_set([[1, 2], []], 4)
+        ap.greedy_hitting_set(padded([[1, 2], []]), 4)
 
 
 # ----------------------------------------------------------------------------
@@ -352,7 +360,7 @@ def test_hitting_set_padded_array_matches_lists():
 
 def test_simple_path_prefix_sums():
     g = node_weighted_graph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
-    d = ap.nw_apsp_deterministic(g, h=2).data
+    d = ap.solve_apsp(g, "nw-det", h=2).data
     assert d[0].tolist() == [0, 2, 5, 9]
     assert d[1, 3] == 7 and d[3, 0] == POS_INF
 
@@ -361,7 +369,7 @@ def test_complete_graph_unit_weights():
     n = 6
     edges = [(u, v) for u in range(n) for v in range(n) if u != v]
     g = node_weighted_graph(n, edges, [1] * n)
-    d = ap.nw_apsp_deterministic(g, h=2).data
+    d = ap.solve_apsp(g, "nw-det", h=2).data
     assert np.all(d[~np.eye(n, dtype=bool)] == 1)
     assert np.all(np.diag(d) == 0)
 
@@ -370,7 +378,7 @@ def test_h_equals_n_single_level():
     rng = np.random.default_rng(6)
     g = random_node_weighted_graph(12, rng)
     want = ap.apsp_oracle(g)
-    got = ap.nw_apsp_randomized(g, h=12, rng=np.random.default_rng(0))
+    got = ap.solve_apsp(g, "nw-rand", h=12, rng=np.random.default_rng(0))
     assert got == want
 
 
@@ -380,8 +388,8 @@ def test_solvers_match_oracle_nonneg(h):
     for t in range(10):
         g = random_node_weighted_graph(int(rng.integers(5, 30)), rng)
         want = ap.apsp_oracle(g)
-        assert ap.nw_apsp_deterministic(g, h=h) == want
-        assert ap.nw_apsp_randomized(g, h=h, rng=np.random.default_rng(t)) == want
+        assert ap.solve_apsp(g, "nw-det", h=h) == want
+        assert ap.solve_apsp(g, "nw-rand", h=h, rng=np.random.default_rng(t)) == want
 
 
 @pytest.mark.parametrize("h", [2, 4])
@@ -413,7 +421,7 @@ def test_dweights_single_global_weight():
     edges = [(u, v, 7) for u in range(n) for v in range(n)
              if u != v and rng.random() < 0.3]
     g = EdgeWeightedGraph(n, edges)
-    got = ap.dweights_apsp(g, d=1, h=4).data
+    got = ap.solve_apsp(g, "dweights", h=4, d=1, promise="in").data
     hops = ap.apsp_oracle(EdgeWeightedGraph(n, [(u, v, 1) for u, v, _ in edges])).data
     want = np.where(hops == POS_INF, POS_INF, hops * 7)
     assert np.array_equal(got, want)
@@ -422,14 +430,14 @@ def test_dweights_single_global_weight():
 def test_dweights_in_promise_audit():
     g = EdgeWeightedGraph(3, [(0, 2, 1), (1, 2, 2)])
     with pytest.raises(AuditError):
-        ap.dweights_apsp(g, d=1, h=2)
+        ap.solve_apsp(g, "dweights", h=2, d=1, promise="in")
 
 
 def test_dweights_direct_in_promise():
     rng = np.random.default_rng(31)
     g = random_dweights_graph(14, 2, rng, promise="in")
     want = ap.apsp_oracle(g)
-    assert ap.dweights_apsp(g, d=2, h=4) == want
+    assert ap.solve_apsp(g, "dweights", h=4, d=2, promise="in") == want
 
 
 def test_deterministic_solvers_replay_identical():
@@ -447,8 +455,8 @@ def test_deterministic_solvers_replay_identical():
 def test_randomized_seed_replay_identical():
     rng = np.random.default_rng(41)
     g = random_node_weighted_graph(30, rng)
-    a = ap.nw_apsp_randomized(g, h=8, rng=np.random.default_rng(5), constant=0.8)
-    b = ap.nw_apsp_randomized(g, h=8, rng=np.random.default_rng(5), constant=0.8)
+    a = ap.solve_apsp(g, "nw-rand", h=8, rng=np.random.default_rng(5), constant=0.8)
+    b = ap.solve_apsp(g, "nw-rand", h=8, rng=np.random.default_rng(5), constant=0.8)
     assert a == b
 
 
@@ -460,8 +468,8 @@ def test_randomized_low_constant_mostly_correct():
     for seed in range(30):
         g = random_node_weighted_graph(30, rng)
         want = ap.apsp_oracle(g)
-        got = ap.nw_apsp_randomized(g, h=8, rng=np.random.default_rng(seed),
-                                    constant=0.5)
+        got = ap.solve_apsp(g, "nw-rand", h=8, rng=np.random.default_rng(seed),
+                            constant=0.5)
         fails += int(not (got == want))
     assert fails <= 6
 
@@ -479,7 +487,7 @@ def test_bridging_state_q_path_bounds():
         one = build_one_hop_matrix(g).data
         h = 4
         state = ap.BridgingState()
-        dist = ap.nw_apsp_deterministic(g, h=h, state=state)
+        dist = ap.deterministic_pivot_apsp(g, h, h, state=state)
         assert dist == ap.apsp_oracle(g)
         big_l = 2  # ceil(log2(4))
         hop_cap = 3 * 2 ** big_l
@@ -524,21 +532,21 @@ def assert_s_star_hits_long_q_paths(state, hl):
 
 def test_randomized_simple_path_prefix_sums():
     g = node_weighted_graph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4])
-    d = ap.nw_apsp_randomized(g, h=2, rng=np.random.default_rng(0)).data
+    d = ap.solve_apsp(g, "nw-rand", h=2, rng=np.random.default_rng(0)).data
     assert d[0].tolist() == [0, 2, 5, 9]
     assert d[2, 0] == POS_INF
 
 
 def test_deterministic_single_node():
     g = node_weighted_graph(1, [], [7])
-    assert ap.nw_apsp_deterministic(g, h=2).data.tolist() == [[0]]
+    assert ap.solve_apsp(g, "nw-det", h=2).data.tolist() == [[0]]
 
 
 def test_dweights_d1_encoding_matches_node_weighted():
     rng = np.random.default_rng(60)
     g = random_node_weighted_graph(14, rng)
-    want = ap.nw_apsp_deterministic(g, h=4)
-    got = ap.dweights_apsp(g, d=1, h=4)
+    want = ap.solve_apsp(g, "nw-det", h=4)
+    got = ap.solve_apsp(g, "dweights", h=4, d=1, promise="in")
     assert got == want
 
 
@@ -554,3 +562,56 @@ def test_hop_iterations_count_kernel_calls(algo):
     counts = mp.snapshot_counters()
     assert counts["hop_iterations"] > 0
     assert counts["hop_iterations"] == counts[kernel]
+
+
+ALGOS = ["nw-det", "nw-rand", "dweights"]
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_solve_empty_graph(algo):
+    got = ap.solve_apsp(EdgeWeightedGraph(0, []), algo)
+    assert got.data.shape == (0, 0)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("h, delta", [(0, None), (-3, None), (2, 0), (2, -1)])
+def test_solve_rejects_h_and_delta_below_one(algo, h, delta):
+    g = random_node_weighted_graph(6, np.random.default_rng(70))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ap.solve_apsp(g, algo, h=h, delta=delta)
+
+
+@pytest.mark.parametrize("d", [2, None])
+def test_solve_rejects_unknown_promise(d):
+    # an out-promise graph holding d = 2: an unknown promise must not be
+    # read as "in" (which fails the audit) or leave the graph unreversed
+    g = random_dweights_graph(10, 2, np.random.default_rng(71), promise="out")
+    with pytest.raises(ValueError, match="promise must be 'out' or 'in'"):
+        ap.solve_apsp(g, "dweights", h=4, d=d, promise="outgoing")
+    assert ap.solve_apsp(g, "dweights", h=4, d=d, promise="out") == ap.apsp_oracle(g)
+
+
+def test_promise_audit_message_is_shared():
+    # node 2 has two distinct incoming weights; its reverse has two outgoing
+    g = EdgeWeightedGraph(3, [(0, 2, 1), (1, 2, 2)])
+    a = mp.trivial_rows(np.arange(3), 3)
+    in_msg = "in-distinct audit failed: 2 > 1"
+    calls = [
+        (lambda: ap.solve_apsp(g, "dweights", h=2, d=1, promise="in"), in_msg),
+        (lambda: ap.solve_apsp(g.reverse(), "dweights", h=2, d=1, promise="out"),
+         "out-distinct audit failed: 2 > 1"),
+        (lambda: mp.hop_bounded_product_edge(a, g, 1, d=1), in_msg),
+        (lambda: red.apsp_from_minplus(g, 1, mp.min_plus_naive, eps=1.0), in_msg),
+    ]
+    for call, msg in calls:
+        with pytest.raises(AuditError) as err:
+            call()
+        assert str(err.value) == msg
+    # d=None skips the audit
+    want = ap.apsp_oracle(g)
+    assert ap.solve_apsp(g, "dweights", h=2, d=None, promise="in") == want
+    assert ap.solve_apsp(g.reverse(), "dweights", h=2, promise="out") == \
+        ap.apsp_oracle(g.reverse())
+    assert mp.hop_bounded_product_edge(a, g, 1, d=None).values == \
+        mp.hop_bounded_product(a, g, 1).values
+    assert red.apsp_from_minplus(g, None, mp.min_plus_naive, eps=1.0) == want

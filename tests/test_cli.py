@@ -104,6 +104,14 @@ def test_param_error_exit_code(tmp_path):
     assert run("run", "no-such-algo", "--input", "x") == EXIT_PARAM
 
 
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand", "dweights"])
+def test_run_h_zero_exit_code(tmp_path, algo):
+    g = tmp_path / "g"
+    run("gen", "nw-graph", "--n", 8, "--seed", 2, "--out", g)
+    assert run("run", algo, "--input", g / "graph.txt", "--h", 0,
+               "--out", tmp_path / "r") == EXIT_PARAM
+
+
 def test_missing_input_exit_code(tmp_path):
     assert run("run", "oracle", "--input", tmp_path / "nope.txt",
                "--out", tmp_path / "r") == EXIT_INPUT

@@ -732,3 +732,27 @@ def test_solver_witness_scan_matches_loop_reference(monkeypatch):
             prod = mp.min_plus_naive(vals, onehop).data
             got = mp._smallest_witnesses(vals, onehop, prod)
             assert np.array_equal(got, loop_reference(vals, onehop, prod))
+
+
+def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
+    # a graph with two distinct weights in some column and some row, so
+    # both the right and the left product take the d-weights kernel
+    g = EdgeWeightedGraph(4, [(0, 2, 1), (1, 2, 5), (2, 3, 2), (0, 1, 3),
+                              (0, 3, 7), (3, 0, 1)])
+    a = mp.trivial_rows(np.arange(4), 4)
+    asked = []
+    kernel = mp.d_weights_min_plus
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("return_witnesses", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "d_weights_min_plus", spy)
+    for hop in (lambda **k: mp.hop_bounded_product(a, g, 3, 2, **k),
+                lambda **k: mp.hop_bounded_product_left(g, a, 3, 2, **k)):
+        asked.clear()
+        with_paths = hop(want_paths=True).values
+        assert asked == [True] * 3
+        asked.clear()
+        assert hop(want_paths=False).values == with_paths
+        assert asked == [False] * 3

@@ -20,7 +20,7 @@ from fewweights.generators import (
 
 
 def nw_det_solver(g):
-    return ap.nw_apsp_deterministic(g, h=2)
+    return ap.solve_apsp(g, "nw-det", h=2)
 
 
 # ----------------------------------------------------------------------------
