@@ -11,7 +11,10 @@ EdgeWeightedGraph: a node-weighted graph is the edge graph whose edges into
 v weigh w(v) (core.node_weighted_graph).  Both solvers run through one hop
 product, whose one-hop matrix picks the kernel: the boolean kernel when
 every column (or every row) holds one weight, as for node-weighted graphs
-and their reverse, the d-weights kernel otherwise.
+and their reverse, the d-weights kernel otherwise.  Each solve builds one
+HopOperator, so the one-hop matrix and, per side (right products against
+it, left products against its transpose), the kernel with its operand,
+the prepared d-weights B operand included, are built once per solve.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     require_distinct_weights,
 )
 from .minplus import (
+    HopOperator,
     boolean_matrix_multiply,
     compact_paths,
     hop_bounded_product,
@@ -299,33 +303,31 @@ def greedy_hitting_set(paths, n):
 # ----------------------------------------------------------------------------
 # Level recursion: one bridging level's hop products, and the replay of all
 # levels, shared by the randomized and the deterministic solver.  Every hop
-# product runs through one recurrence whose one-hop matrix picks the boolean
-# or d-weights kernel; a min-plus solver `product` can take its place.
+# product steps through the solve's one HopOperator, whose one-hop matrix
+# picks the boolean or d-weights kernel once per side; a min-plus solver
+# `product` can take its place.
 # ----------------------------------------------------------------------------
 
-def _level_products(g, delta, product, s_cur, s_next, d_next, m1_hops, hl,
-                    want_paths):
+def _level_products(op, delta, s_cur, s_next, d_next, m1_hops, hl, want_paths):
     """The three hop products of one bridging level, S = s_cur, S' = s_next.
 
     m1 = D^{<=m1_hops}[S, V]; m2 = d_next * D^{<=hl}[S', V] for distances
     d_next over S' x S'; m3 = D^{<=hl}[V, S'] * m2[S', S].  The level's
     distances are min(m1[:, S], m3[S, :]).
     """
-    n = g.n
-    m1 = hop_bounded_product(trivial_rows(s_cur, n), g, m1_hops, delta,
-                             want_paths=want_paths, product=product)
+    n = op.n
+    m1 = hop_bounded_product(trivial_rows(s_cur, n), op, m1_hops, delta,
+                             want_paths=want_paths)
     a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
     a2[:, s_next] = d_next
-    m2 = hop_bounded_product(a2, g, hl, delta, want_paths=want_paths,
-                             product=product)
+    m2 = hop_bounded_product(a2, op, hl, delta, want_paths=want_paths)
     a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
     a3[s_next, :] = m2.values.data[:, s_cur]
-    m3 = hop_bounded_product_left(g, a3, hl, delta, want_paths=want_paths,
-                                  product=product)
+    m3 = hop_bounded_product_left(op, a3, hl, delta, want_paths=want_paths)
     return m1, m2, m3
 
 
-def _replay(g, levels, base_set, base_hops, m1_shift, delta, product):
+def _replay(op, levels, base_set, base_hops, m1_shift, delta):
     """Distances over V from pivot levels S_0 = V, ..., S_L.
 
     The base squares D^{<=base_hops}[B, B] for a sorted base set B holding
@@ -333,14 +335,14 @@ def _replay(g, levels, base_set, base_hops, m1_shift, delta, product):
     min(D^{<=2^(l + m1_shift)}[S_l, S_l], D^{<=2^l} * D_{l+1} * D^{<=2^l})
     through S_{l+1}.
     """
-    base = hop_bounded_product(trivial_rows(base_set, g.n), g, base_hops, delta,
-                               want_paths=False, product=product).values.data
+    base = hop_bounded_product(trivial_rows(base_set, op.n), op, base_hops, delta,
+                               want_paths=False).values.data
     idx = np.searchsorted(base_set, levels[-1])
     d_cur = _repeated_square(base[:, base_set])[np.ix_(idx, idx)]
     for ell in range(len(levels) - 2, -1, -1):
         s_cur = levels[ell]
-        m1, _, m3 = _level_products(g, delta, product, s_cur, levels[ell + 1],
-                                    d_cur, 2 ** (ell + m1_shift), 2 ** ell, False)
+        m1, _, m3 = _level_products(op, delta, s_cur, levels[ell + 1], d_cur,
+                                    2 ** (ell + m1_shift), 2 ** ell, False)
         d_cur = np.minimum(m1.values.data[:, s_cur], m3.values.data[s_cur, :])
     return DistanceMatrix(d_cur, copy=False)
 
@@ -370,7 +372,8 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     Hop products step against the one-hop matrix by the boolean kernel when
     its columns or rows each hold one weight (node-weighted graphs, d=1
     edge graphs) and by the d-weights kernel otherwise; a solver
-    `product(A, B) -> WeightMatrix` can take the kernel's place.
+    `product(A, B) -> WeightMatrix` can take the kernel's place.  One
+    HopOperator, built here, serves every hop product of the solve.
 
     Four steps: (1) build pivot levels by hitting all exact-length-2^l
     witness paths; (2) build candidate paths Q_uv of hop-length <= 3*2^L and
@@ -385,17 +388,17 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     if n == 0:
         return DistanceMatrix(np.zeros((0, 0), dtype=np.int64))
     big_l = max(0, math.ceil(math.log2(h))) if h > 1 else 0
+    op = HopOperator(g, product)
 
     # Step 1: pivot levels from exact-length witness paths.
     levels = [np.arange(n, dtype=np.int64)]
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        right = hop_bounded_product(trivial_rows(s_cur, n), g, hl, delta,
-                                    product=product)
+        right = hop_bounded_product(trivial_rows(s_cur, n), op, hl, delta)
         a_left = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a_left[s_cur, np.arange(s_cur.size)] = 0
-        left = hop_bounded_product_left(g, a_left, hl, delta, product=product)
+        left = hop_bounded_product_left(op, a_left, hl, delta)
         rows, cols = np.nonzero(right.values.data != POS_INF)
         r_nodes, r_hops = right.paths(rows, cols)
         rows, cols = np.nonzero(left.values.data.T != POS_INF)
@@ -412,7 +415,7 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     # per level, 3*2^L - 2 in all, so every splice fits in width columns
     width = 3 * hl + 1
     s_last = levels[big_l]
-    base = hop_bounded_product(trivial_rows(s_last, n), g, hl, delta, product=product)
+    base = hop_bounded_product(trivial_rows(s_last, n), op, hl, delta)
     q_w = base.values.data[:, s_last]
     q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
     rows, cols = np.nonzero(q_w != POS_INF)
@@ -421,7 +424,7 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri, m2, m3 = _level_products(g, delta, product, s_cur, s_next, q_w,
+        ri, m2, m3 = _level_products(op, delta, s_cur, s_next, q_w,
                                      2 ** (ell + 1), 2 ** ell, True)
         w1 = ri.values.data[:, s_cur]
         w2 = m3.values.data[s_cur, :]
@@ -451,7 +454,7 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
             for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
     # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*].
-    return _replay(g, levels, s_star, 4 * hl, 1, delta, product)
+    return _replay(op, levels, s_star, 4 * hl, 1, delta)
 
 
 def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
@@ -463,12 +466,15 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
     replays pivot levels sampled from rng (default: seed 0); "nw-det" and
     "dweights" run the bridging-set solver.  "dweights" audits at most d
     distinct weights per node on the promised side, and with the promise on
-    outgoing edges it solves the reversed graph and transposes the result.
+    outgoing edges it solves the reversed graph and transposes the result;
+    the other pivot solvers reject a declared d.
     """
     if algo == "oracle":
         return apsp_oracle(g)
     if algo not in ("nw-rand", "nw-det", "dweights"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    if d is not None and algo != "dweights":
+        raise ValueError("d applies to the dweights solver only")
     h = default_hop_parameter(g.n) if h is None else h
     delta = h if delta is None else delta
     rng = np.random.default_rng(0) if rng is None else rng
@@ -481,7 +487,8 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
     g2, remap = eliminate_negative_cycles(g)
     if algo == "nw-rand":
         levels = sample_pivots(g2.n, h, rng, constant).levels
-        dist = _replay(g2, levels, levels[-1], 2 ** (len(levels) - 1), 0, delta, None)
+        dist = _replay(HopOperator(g2), levels, levels[-1], 2 ** (len(levels) - 1),
+                       0, delta)
     elif algo == "dweights" and promise == "out":
         dist = deterministic_pivot_apsp(g2.reverse(), h, delta).data.T
     else:

@@ -45,10 +45,15 @@ def bench_kernels(sizes, seeds, density=0.5):
 
 
 def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
-    """boolean_min_plus at several bucket counts vs the naive product.
+    """The bucketed kernels vs the naive product.
 
-    Uses the node-weighted product shape: s = n/row_fraction rows against a
-    boolean n x n matrix (naive runs on the 0/w equivalent matrix).
+    boolean_min_plus runs at several bucket counts in the node-weighted
+    product shape: s = n/row_fraction rows against a boolean n x n matrix
+    (naive runs on the 0/w equivalent matrix).  d_weights_min_plus runs at
+    the smallest delta against an n x n matrix with at most 4 distinct
+    entries per column, through one prepared operand used for two s-row
+    products; its row is ok when both match the naive product, witnesses
+    included, and its time is the mean of the two.
     """
     rows = []
     s = max(1, n // row_fraction)
@@ -69,6 +74,21 @@ def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
                 want.data))
             rows.append({"algo": f"boolean-minplus-d{delta}", "n": n, "d": 1,
                          "seed": seed, "wall_ns": t_k, "ok": ok})
+        palette = rng.integers(0, n, size=(4, n))
+        bw = np.where(rng.random((n, n)) < 0.7,
+                      palette[rng.integers(0, 4, size=(n, n)), np.arange(n)], POS_INF)
+        op = mp.DWeightsOperand(bw, d=4)
+        ok, t_dw = True, 0
+        for x in (a, random_weight_matrix(s, n, rng, low=-n, high=n, inf_density=0.1)):
+            (got, wit), t_k = _timed(lambda: mp.d_weights_min_plus(
+                x, op, min(deltas), return_witnesses=True))
+            r, c = np.nonzero(got.data != POS_INF)
+            ok = (ok and got == mp.min_plus_naive(x, WeightMatrix(bw))
+                  and (np.count_nonzero(wit >= 0) == r.size)
+                  and bool((x.data[r, wit[r, c]] + bw[wit[r, c], c] == got.data[r, c]).all()))
+            t_dw += t_k
+        rows.append({"algo": "dweights-minplus", "n": n, "d": 4, "seed": seed,
+                     "wall_ns": t_dw // 2, "ok": ok})
     return rows
 
 

@@ -10,7 +10,9 @@ a distinct power of two, and one float32 BLAS product gives per (i, j) the
 first bucket with a qualifying k and, by its top bit, that k itself.
 
 All kernels are pure functions; for a fixed input the result is identical
-regardless of the bucket count.
+regardless of the bucket count.  A HopOperator builds a graph's one-hop
+matrix, and the kernel of each hop-product side with its operand, once
+for all the hop products of a solve.
 """
 
 from __future__ import annotations
@@ -149,14 +151,15 @@ def _scaled_keys(a, want_witnesses, name):
     return keys, int(scale)
 
 
-def _bucketed_min_keys(a, b, delta, want_witnesses):
-    """Smallest sort key of A[i, k] over the k with b[k, j], per (i, j).
+def _bucketed_min_keys(a, bt, delta, want_witnesses):
+    """Smallest sort key of A[i, k] over the k with bt[j, k] > 0, per (i, j).
 
+    bt is the float32 0/1 target indicator, transposed: one row per target.
     Each row of A is sorted by key (n*A[i, k]+k when witnesses are wanted)
     and cut into nb = max(delta, ceil(n/24)) buckets of bs = ceil(n/nb) <= 24
     positions.  The finite entry at position p of its bucket is written as
     2^(bs-1-p) into the float32 bucket indicator, and one BLAS product
-    against b gives, per (i, j) and bucket, the sum of the powers of its
+    against bt gives, per (i, j) and bucket, the sum of the powers of its
     qualifying k.  The first nonzero bucket holds the first qualifying k in
     sorted order, and the top bit of its sum (np.frexp) is that k's position.
 
@@ -167,36 +170,36 @@ def _bucketed_min_keys(a, b, delta, want_witnesses):
     unique; without them tied keys are equal values.
 
     Cost: the product takes Theta(s*T*n*max(delta, n/24)) multiply-adds for
-    s rows of A and T columns of b.  Rows of A go through it in blocks whose
+    s rows of A and T targets.  Rows of A go through it in blocks whose
     indicator and product hold at most _BUCKET_CELLS cells each, so the
     working memory beyond the (s, n) sort and the (s, T) result stays
-    bounded.  Returns the key matrix (+inf where no k qualifies) and the
-    key scale.
+    bounded.  The gathers index the flattened arrays.  Returns the key
+    matrix (+inf where no k qualifies) and the key scale.
     """
     s, n = a.shape
-    t = b.shape[1]
+    t = bt.shape[0]
     keys, scale = _scaled_keys(a, want_witnesses, "A")
     nb = max(delta, -(-n // _BUCKET_BITS))
     bs = -(-n // nb)
     order = np.argsort(keys, axis=1, kind="stable")
-    skeys = np.take_along_axis(keys, order, axis=1)
-    bt = b.T.astype(np.float32)
+    row_start = np.arange(0, s * n, n)[:, None]
+    skeys = keys.ravel()[order + row_start]
     parts = []
     block = max(1, _BUCKET_CELLS // (max(n, t) * nb))
     for r0 in range(0, s, block):
         bo, bk = order[r0:r0 + block], skeys[r0:r0 + block]
+        nr = bk.shape[0]
         rows, pos = np.nonzero(bk != POS_INF)
         # built transposed, so that the product's bucket axis is the last one
-        aprime = np.zeros((n, bk.shape[0] * nb), dtype=np.float32)
+        aprime = np.zeros((n, nr * nb), dtype=np.float32)
         aprime[bo[rows, pos], rows * nb + pos // bs] = np.ldexp(
             np.float32(1), bs - 1 - pos % bs)
-        sums = (bt @ aprime).reshape(t, -1, nb)
-        firstb = (sums > 0).argmax(axis=2)
-        top = np.take_along_axis(sums, firstb[:, :, None], axis=2)[:, :, 0].T
+        sums = bt @ aprime  # (t, nr * nb)
+        firstb = (sums.reshape(t, nr, nb) > 0).argmax(axis=2)
+        top = sums.ravel()[firstb + np.arange(0, t * nr * nb, nb).reshape(t, nr)].T
         has = top > 0
         first = np.where(has, firstb.T * bs + bs - np.frexp(top)[1], 0)
-        parts.append(np.where(
-            has, np.take_along_axis(bk, first, axis=1), POS_INF))
+        parts.append(np.where(has, bk.ravel()[first + row_start[:nr]], POS_INF))
     # a single block, the common case, is returned without a copy
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)), scale
 
@@ -222,7 +225,8 @@ def boolean_min_plus(A, B, delta, return_witnesses=True):
     if s == 0 or t == 0 or n == 0:
         return (WeightMatrix(np.full((s, t), POS_INF, dtype=np.int64), copy=False),
                 np.full((s, t), -1, dtype=np.int64))
-    out_key, scale = _bucketed_min_keys(a, b, delta, return_witnesses)
+    out_key, scale = _bucketed_min_keys(a, b.T.astype(np.float32), delta,
+                                        return_witnesses)
     hit = out_key != POS_INF
     if return_witnesses:
         vals = np.where(hit, np.floor_divide(out_key, scale), POS_INF)
@@ -231,6 +235,12 @@ def boolean_min_plus(A, B, delta, return_witnesses=True):
         vals = out_key
         wit = np.full((s, t), -1, dtype=np.int64)
     return WeightMatrix(vals, copy=False), wit
+
+
+def _audit_column_counts(counts, d):
+    if d is not None and (counts > d).any():
+        j = int(np.argmax(counts > d))
+        raise AuditError(f"column {j} has {counts[j]} distinct entries (> {d})")
 
 
 def _column_slots(bdata, d=None):
@@ -250,11 +260,34 @@ def _column_slots(bdata, d=None):
     first[rows[new], cols[new]] = True
     slot_col, slot_row = np.nonzero(first.T)
     counts = np.bincount(slot_col, minlength=bdata.shape[1])
-    if d is not None and (counts > d).any():
-        j = int(np.argmax(counts > d))
-        raise AuditError(f"column {j} has {counts[j]} distinct entries (> {d})")
+    _audit_column_counts(counts, d)
     col_start = np.concatenate([[0], np.cumsum(counts)])
     return slot_col, bdata[slot_row, slot_col], col_start
+
+
+class DWeightsOperand:
+    """The B operand of d_weights_min_plus, prepared once for many products.
+
+    Holds the validated, read-only B and its shape, its column slots (the
+    distinct finite values per column, audited against d when d is given),
+    the transposed float32 slot indicator bt[t, k] = (B[k, slot_col[t]] ==
+    slot_val[t]) and the nonempty columns with their reduceat starts.  A
+    product against it does no B-only work.
+    """
+
+    def __init__(self, B, d=None):
+        data = np.array(_as_data(B), dtype=np.int64)
+        if data.ndim != 2:
+            raise ValueError(f"B must be 2-d, got shape {data.shape}")
+        _validate_operand(data, "B")
+        data.setflags(write=False)
+        self.data = data
+        self.shape = data.shape
+        self.slot_col, self.slot_val, col_start = _column_slots(data, d)
+        self.counts = np.diff(col_start)
+        self.bt = (data[:, self.slot_col] == self.slot_val[None, :]).T.astype(np.float32)
+        self.nonempty = self.counts > 0
+        self.starts = col_start[:-1][self.nonempty]
 
 
 def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
@@ -262,44 +295,44 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
 
     Builds the n x (sum_j d_j) column-value indicator, finds the best
     qualifying k per (row, column, value) with one bit-packed bucket product
-    against the sorted rows of A, and minimizes over values.  The witness
+    against the sorted rows of A, and minimizes over values.  B may be a
+    DWeightsOperand, which skips that B-only preparation.  The witness
     matrix holds the minimizing k (ties to the smallest), or -1 where the
     result is +inf.
     """
     a = _as_data(A)
-    bm = _as_data(B)
-    if a.ndim != 2 or bm.ndim != 2 or a.shape[1] != bm.shape[0]:
+    prepared = isinstance(B, DWeightsOperand)
+    bm = B if prepared else _as_data(B)
+    if a.ndim != 2 or len(bm.shape) != 2 or a.shape[1] != bm.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {bm.shape}")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     _validate_operand(a, "A")
-    _validate_operand(bm, "B")
+    if prepared:
+        _audit_column_counts(B.counts, d)
+    else:
+        B = DWeightsOperand(bm, d)
     counters["d_weights_min_plus"] += 1
     s, n = a.shape
-    m = bm.shape[1]
+    m = B.shape[1]
     delta = max(1, min(int(delta), max(n, 1)))
     out = np.full((s, m), POS_INF, dtype=np.int64)
     wit = np.full((s, m), -1, dtype=np.int64)
-    slot_col, slot_val, col_start = _column_slots(bm, d)
-    T = slot_val.size
-    if s == 0 or m == 0 or n == 0 or T == 0:
+    if s == 0 or m == 0 or n == 0 or B.slot_val.size == 0:
         if return_witnesses:
             return WeightMatrix(out, copy=False), wit
         return WeightMatrix(out, copy=False)
-    bprime = bm[:, slot_col] == slot_val[None, :]
-    out_key, scale = _bucketed_min_keys(a, bprime, delta, return_witnesses)
+    out_key, scale = _bucketed_min_keys(a, B.bt, delta, return_witnesses)
     hit = out_key != POS_INF
     aval = np.where(hit, np.floor_divide(out_key, scale), 0)
     kwit = np.where(hit, out_key - aval * scale, -1)
-    sums = np.where(hit, aval + slot_val[None, :], POS_INF)
-    nonempty = col_start[:-1] != col_start[1:]
-    ne_starts = col_start[:-1][nonempty]
-    out[:, nonempty] = np.minimum.reduceat(sums, ne_starts, axis=1)
+    sums = np.where(hit, aval + B.slot_val[None, :], POS_INF)
+    out[:, B.nonempty] = np.minimum.reduceat(sums, B.starts, axis=1)
     if return_witnesses:
         # a slot's k is its smallest minimizing k, so the tied slots' least
         # k is the smallest minimizing k of the column
-        tied = np.where(hit & (sums == out[:, slot_col]), kwit, n)
-        wit[:, nonempty] = np.minimum.reduceat(tied, ne_starts, axis=1)
+        tied = np.where(hit & (sums == out[:, B.slot_col]), kwit, n)
+        wit[:, B.nonempty] = np.minimum.reduceat(tied, B.starts, axis=1)
         wit[wit == n] = -1
         return WeightMatrix(out, copy=False), wit
     return WeightMatrix(out, copy=False)
@@ -369,11 +402,11 @@ class HopProduct:
         return nodes[0, :hops[0] + 1].tolist()
 
 
-def _run_hop_recurrence(a0, h, step, want_paths):
+def _run_hop_recurrence(a0, h, step):
     """h rounds of vals = min(vals, step(vals)); one product call per round.
 
-    step(vals) returns the product and its witness matrix (None allowed when
-    paths are not wanted); parents[t] holds the witness of round t where the
+    step(vals) returns the product and its witness matrix (None when paths
+    are not wanted); parents[t] holds the witness of round t where the
     value strictly improved, else -1.
     """
     vals = a0.copy()
@@ -382,7 +415,7 @@ def _run_hop_recurrence(a0, h, step, want_paths):
         counters["hop_iterations"] += 1
         nv, nw = step(vals)
         better = nv < vals
-        if want_paths:
+        if nw is not None:
             parents.append(np.where(better, nw, np.int64(-1)))
         vals = np.where(better, nv, vals)
     return vals, parents
@@ -402,51 +435,89 @@ def _uniform_values(onehop, finite, axis):
     return np.where(empty, np.int64(0), lo)
 
 
-def _hop_step(onehop, delta, product, want_paths):
-    """Hop step X * onehop; the kernel is picked by the shape of onehop.
+class _HopKernel:
+    """Hop step X * onehop; the kernel is picked once by the shape of onehop.
 
     A caller's solver `product` is used as given.  Otherwise, when every
     column of onehop holds one finite value c, the step is the boolean
     kernel against the finite pattern plus c; when every row holds one
     finite value r, it is the boolean kernel on X + r (the node-weight
-    shift); else it is the d-weights kernel.  A solver product carries no
-    witnesses, so they are recovered as the smallest k with
-    X[i, k] + onehop[k, j] equal to the product entry.
+    shift); else it is the d-weights kernel against the prepared onehop.  A
+    solver product carries no witnesses, so they are recovered as the
+    smallest k with X[i, k] + onehop[k, j] equal to the product entry.
     """
+
+    def __init__(self, onehop, product):
+        self.onehop, self.product = onehop, product
+        self.col = self.row = None
+        # operand: WeightMatrix(onehop) for the solver, the finite pattern
+        # for the boolean kernel, or the prepared d-weights operand
+        if product is not None:
+            self.operand = WeightMatrix(onehop)
+            return
+        self.operand = onehop != POS_INF
+        self.col = _uniform_values(onehop, self.operand, axis=0)
+        if self.col is None:
+            self.row = _uniform_values(onehop, self.operand, axis=1)
+        if self.col is None and self.row is None:
+            self.operand = DWeightsOperand(onehop)
+
+    def step(self, vals, delta, want_paths):
+        """The product vals * onehop and its witnesses (None without paths).
+
+        The kernels are looked up by their module names on every call.
+        """
+        if self.product is not None:
+            prod = self.product(WeightMatrix(vals), self.operand).data
+            wit = _smallest_witnesses(vals, self.onehop, prod) if want_paths else None
+            return prod, wit
+        if self.col is not None:
+            prod, wit = boolean_min_plus(vals, self.operand, delta,
+                                         return_witnesses=want_paths)
+            prod = saturating_add(prod.data, self.col[None, :])
+        elif self.row is not None:
+            prod, wit = boolean_min_plus(saturating_add(vals, self.row[None, :]),
+                                         self.operand, delta, return_witnesses=want_paths)
+            prod = prod.data
+        elif want_paths:
+            prod, wit = d_weights_min_plus(vals, self.operand, delta, return_witnesses=True)
+            prod = prod.data
+        else:
+            return d_weights_min_plus(vals, self.operand, delta).data, None
+        return prod, wit if want_paths else None
+
+
+class HopOperator:
+    """A graph's one-hop steps, built once and shared by a solve's hop products.
+
+    Holds M = one_hop_offdiag(g); right products step against M and left
+    products against M.T.  Each side picks its kernel once, on first use:
+    the finite pattern with the column or row weights for the boolean
+    kernel, the prepared d-weights operand, or WeightMatrix(M) for a solver
+    `product`.  It holds n x n arrays, so it lives no longer than the solve
+    that builds it.
+    """
+
+    def __init__(self, g, product=None):
+        self.n = g.n
+        self.product = product
+        self._onehop = one_hop_offdiag(g)
+        self._sides = {}
+
+    def kernel(self, left):
+        if left not in self._sides:
+            m = self._onehop.T if left else self._onehop
+            self._sides[left] = _HopKernel(m, self.product)
+        return self._sides[left]
+
+
+def _hop_operator(g, product):
+    """g itself when it is a HopOperator, else a HopOperator built from it."""
+    if not isinstance(g, HopOperator):
+        return HopOperator(g, product)
     if product is not None:
-        bmat = WeightMatrix(onehop)
-
-        def step(vals):
-            prod = product(WeightMatrix(vals), bmat).data
-            if not want_paths:
-                return prod, None
-            return prod, _smallest_witnesses(vals, onehop, prod)
-
-        return step
-    finite = onehop != POS_INF
-    col = _uniform_values(onehop, finite, axis=0)
-    if col is not None:
-        def step(vals):
-            prod, wit = boolean_min_plus(vals, finite, delta, return_witnesses=want_paths)
-            return saturating_add(prod.data, col[None, :]), wit
-
-        return step
-    row = _uniform_values(onehop, finite, axis=1)
-    if row is not None:
-        def step(vals):
-            prod, wit = boolean_min_plus(saturating_add(vals, row[None, :]), finite,
-                                         delta, return_witnesses=want_paths)
-            return prod.data, wit
-
-        return step
-
-    def step(vals):
-        if not want_paths:
-            return d_weights_min_plus(vals, onehop, delta).data, None
-        prod, wit = d_weights_min_plus(vals, onehop, delta, return_witnesses=True)
-        return prod.data, wit
-
-    return step
+        raise ValueError("a HopOperator carries its own product")
+    return g
 
 
 def _smallest_witnesses(vals, onehop, prod):
@@ -482,18 +553,19 @@ def hop_bounded_product(A, g, h, delta=1, want_paths=True, product=None):
     """A * D_g^{<=h} for a node- or edge-weighted graph, with witness paths.
 
     One hop step is min(A, A * M) where M is the one-hop matrix without its
-    diagonal; _hop_step picks the kernel from M, and a solver
-    `product(A, B) -> WeightMatrix` can take its place.  Values only improve
-    strictly, so recorded paths have minimal hop-length among minimum-weight
-    h-hop-bounded paths.
+    diagonal; the kernel is picked from M, and a solver
+    `product(A, B) -> WeightMatrix` can take its place.  g is a graph or a
+    HopOperator built from one.  Values only improve strictly, so recorded
+    paths have minimal hop-length among minimum-weight h-hop-bounded paths.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
     a0 = _as_data(A)
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
-    step = _hop_step(one_hop_offdiag(g), delta, product, want_paths)
-    vals, parents = _run_hop_recurrence(a0, h, step, want_paths)
+    kernel = _hop_operator(g, product).kernel(left=False)
+    vals, parents = _run_hop_recurrence(
+        a0, h, lambda v: kernel.step(v, delta, want_paths))
     return HopProduct(WeightMatrix(vals, copy=False), parents)
 
 
@@ -501,15 +573,16 @@ def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
     """D_g^{<=h} * A, run as the right product A^T * D^{<=h} of the reverse graph.
 
     The recurrence is hop_bounded_product's, stepping against the transposed
-    one-hop matrix.
+    one-hop matrix; g is a graph or a HopOperator.
     """
     a = _as_data(A)
     if a.shape[0] != g.n:
         raise ValueError("A must have one row per node")
     if h < 0:
         raise ValueError("h must be >= 0")
-    step = _hop_step(one_hop_offdiag(g).T, delta, product, want_paths)
-    vals, parents = _run_hop_recurrence(a.T, h, step, want_paths)
+    kernel = _hop_operator(g, product).kernel(left=True)
+    vals, parents = _run_hop_recurrence(
+        a.T, h, lambda v: kernel.step(v, delta, want_paths))
     return HopProduct(WeightMatrix(vals.T, copy=False), parents, reversed_paths=True)
 
 

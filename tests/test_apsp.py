@@ -558,10 +558,44 @@ def test_hop_iterations_count_kernel_calls(algo):
     else:
         g, kernel = random_node_weighted_graph(14, rng), "boolean_min_plus"
     mp.reset_counters()
-    ap.solve_apsp(g, algo, h=4, d=2, rng=np.random.default_rng(0))
+    ap.solve_apsp(g, algo, h=4, d=2 if algo == "dweights" else None,
+                  rng=np.random.default_rng(0))
     counts = mp.snapshot_counters()
     assert counts["hop_iterations"] > 0
     assert counts["hop_iterations"] == counts[kernel]
+
+
+def test_dweights_solve_builds_one_hop_operator(monkeypatch):
+    g = random_dweights_graph(14, 4, np.random.default_rng(62))
+    want = ap.apsp_oracle(g)
+    built = {"one_hop_offdiag": 0, "_column_slots": 0}
+    for name in built:
+        def counted(*args, _name=name, _fn=getattr(mp, name), **kwargs):
+            built[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+    mp.reset_counters()
+    assert ap.solve_apsp(g, "dweights", h=4, d=4) == want
+    # one one-hop matrix per solve, and one slot set per side, however many
+    # kernel calls the hop products make
+    assert built["one_hop_offdiag"] == 1
+    assert 1 <= built["_column_slots"] <= 2
+    assert mp.snapshot_counters()["d_weights_min_plus"] > 2 * built["_column_slots"]
+
+
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand"])
+def test_declared_d_is_rejected_outside_dweights(algo, monkeypatch):
+    g = random_node_weighted_graph(8, np.random.default_rng(63))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver started before rejecting d")
+
+    with monkeypatch.context() as m:
+        m.setattr(ap, "eliminate_negative_cycles", no_work)
+        with pytest.raises(ValueError, match="d applies to the dweights solver only"):
+            ap.solve_apsp(g, algo, h=4, d=1)
+    assert ap.solve_apsp(g, algo, h=4, d=None) == ap.apsp_oracle(g)
 
 
 ALGOS = ["nw-det", "nw-rand", "dweights"]

@@ -100,6 +100,14 @@ def test_run_bad_d_promise_exit_code(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand"])
+def test_run_d_outside_dweights_exit_code(tmp_path, algo):
+    g = tmp_path / "g"
+    run("gen", "dweights-graph", "--n", 10, "--d", 4, "--seed", 1, "--out", g)
+    assert run("run", algo, "--input", g / "graph.txt", "--d", 1,
+               "--out", tmp_path / "r") == EXIT_PARAM
+
+
 def test_param_error_exit_code(tmp_path):
     assert run("run", "no-such-algo", "--input", "x") == EXIT_PARAM
 

@@ -9,6 +9,7 @@ from fewweights.core import (
     AuditError,
     EdgeWeightedGraph,
     POS_INF,
+    WeightError,
     WeightMatrix,
     build_one_hop_matrix,
     node_weighted_graph,
@@ -324,6 +325,72 @@ def test_dweights_audit_error():
     b = WeightMatrix([[1], [2], [3]])
     with pytest.raises(AuditError):
         mp.d_weights_min_plus(a, b, 1, d=2)
+
+
+@st.composite
+def prepared_operand_cases(draw):
+    """(several A, B with at most d values per column, d, delta).
+
+    Every A shares B's inner dimension; s, n or t may be 0, and some
+    columns of B may be all +inf.
+    """
+    n, t, d = draw(st.integers(0, 30)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    palette = draw(hnp.arrays(np.int64, (d, t), elements=st.integers(-2, 2)))
+    pick = draw(hnp.arrays(np.int64, (n, t), elements=st.integers(-1, d - 1)))
+    bw = np.where(pick >= 0, palette[np.maximum(pick, 0), np.arange(t)], POS_INF)
+    bw[:, draw(hnp.arrays(bool, t))] = POS_INF
+    many = []
+    for s in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        a = draw(hnp.arrays(np.int64, (s, n), elements=st.integers(-2, 2)))
+        a[draw(hnp.arrays(bool, (s, n)))] = POS_INF
+        many.append(a)
+    return many, bw, d, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(prepared_operand_cases())
+def test_prepared_operand_property(case):
+    many, bw, d, delta = case
+    op = mp.DWeightsOperand(bw, d=d)
+    assert op.shape == bw.shape and not op.data.flags.writeable
+    for a in many:  # one operand for every A: no state leaks between calls
+        if a.shape[1]:
+            want, want_wit = min_plus_smallest_witness(a, bw)
+        else:
+            want = np.full((a.shape[0], bw.shape[1]), POS_INF, dtype=np.int64)
+            want_wit = np.full(want.shape, -1, dtype=np.int64)
+        assert np.array_equal(want, mp.min_plus_naive(a, bw).data)
+        for b in (bw, op, op):
+            got, wit = mp.d_weights_min_plus(a, b, delta, return_witnesses=True)
+            assert np.array_equal(got.data, want)
+            assert np.array_equal(wit, want_wit)
+            assert np.array_equal(mp.d_weights_min_plus(a, b, delta, d=d).data, want)
+    # a d below some column's count fails the same way, prepared or not
+    counts = np.diff(mp._column_slots(bw)[2])
+    if counts.size and counts.max() > 1:
+        small = int(counts.max()) - 1
+        with pytest.raises(AuditError) as want_err:
+            mp._column_slots(bw, d=small)
+        calls = (lambda: mp.DWeightsOperand(bw, d=small),
+                 lambda: mp.d_weights_min_plus(many[0], bw, delta, d=small),
+                 lambda: mp.d_weights_min_plus(many[0], op, delta, d=small))
+        for call in calls:
+            with pytest.raises(AuditError) as err:
+                call()
+            assert str(err.value) == str(want_err.value)
+
+
+def test_prepared_operand_checks_b_once():
+    with pytest.raises(WeightError, match="B contains neg_inf entries"):
+        mp.DWeightsOperand(np.array([[1, -POS_INF]], dtype=np.int64))
+    with pytest.raises(ValueError, match="B must be 2-d"):
+        mp.DWeightsOperand(np.zeros(3, dtype=np.int64))
+    b = np.array([[1, 2], [3, POS_INF]], dtype=np.int64)
+    op = mp.DWeightsOperand(b)
+    b[0, 0] = 9  # the operand holds its own copy
+    assert op.data[0, 0] == 1
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mp.d_weights_min_plus(np.zeros((2, 3), dtype=np.int64), op, 1)
 
 
 def column_slots_reference(bdata):
@@ -756,3 +823,60 @@ def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
         asked.clear()
         assert hop(want_paths=False).values == with_paths
         assert asked == [False] * 3
+
+
+def test_hop_operator_matches_graph_on_every_kernel_branch():
+    rng = np.random.default_rng(44)
+    a = rand_matrix(rng, 4, 9, inf_p=0.4, lo=-3, hi=9)
+    # graph, solver product, and the kernels of the right and the left side
+    branches = {
+        "node": (rand_node_graph(rng, 9), None, ("col", "row")),
+        "out-uniform": (uniform_edge_graph(rng, 9, "out"), None, ("row", "col")),
+        "d-weights": (rand_edge_graph(rng, 9, 3, lo=-2), None, ("dweights",) * 2),
+        "solver": (rand_edge_graph(rng, 9, 3), mp.min_plus_naive, ("product",) * 2),
+    }
+
+    def kind(k):
+        if k.product is not None:
+            return "product"
+        return "col" if k.col is not None else "row" if k.row is not None else "dweights"
+
+    everywhere = np.indices((4, 9)).reshape(2, -1)
+    for name, (g, product, kinds) in branches.items():
+        op = mp.HopOperator(g, product)
+        assert (kind(op.kernel(False)), kind(op.kernel(True))) == kinds, name
+        for want_paths in (True, False, True):  # the operator is reused
+            got = (mp.hop_bounded_product(a, op, 3, 2, want_paths),
+                   mp.hop_bounded_product_left(op, a.transpose(), 3, 2, want_paths))
+            want = (mp.hop_bounded_product(a, g, 3, 2, want_paths, product),
+                    mp.hop_bounded_product_left(g, a.transpose(), 3, 2, want_paths,
+                                                product))
+            for side, x, y in zip(("right", "left"), got, want):
+                assert x.values == y.values, (name, side)
+                assert len(x._parents) == len(y._parents) == (3 if want_paths else 0)
+                if want_paths:
+                    i, j = everywhere if side == "right" else everywhere[::-1]
+                    for p, q in zip(x.paths(i, j), y.paths(i, j)):
+                        assert np.array_equal(p, q), (name, side)
+    with pytest.raises(ValueError, match="carries its own product"):
+        mp.hop_bounded_product(a, mp.HopOperator(g), 1, product=mp.min_plus_naive)
+
+
+def test_hop_operator_picks_each_side_once(monkeypatch):
+    g = rand_edge_graph(np.random.default_rng(45), 9, 3, lo=-2)
+    built = []
+    kernel = mp._HopKernel
+
+    def spy(onehop, product):
+        built.append(onehop.shape)
+        return kernel(onehop, product)
+
+    monkeypatch.setattr(mp, "_HopKernel", spy)
+    op = mp.HopOperator(g)
+    a = mp.trivial_rows(np.arange(9), 9)
+    for _ in range(3):
+        mp.hop_bounded_product(a, op, 2, 2)
+        mp.hop_bounded_product_left(op, a, 2, 2)
+    assert built == [(9, 9), (9, 9)]
+    assert isinstance(op.kernel(False).operand, mp.DWeightsOperand)
+    assert isinstance(op.kernel(True).operand, mp.DWeightsOperand)
