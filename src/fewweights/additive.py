@@ -8,6 +8,7 @@ cutoff, so desk-scale callers are deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -177,68 +178,43 @@ class CoverOutput:
 def bsg_cover(x, y, z, big_k, rng=None):
     """Cover the Z-summing pairs of X x Y by K structured boxes plus a rest.
 
-    Each box is found by dependent selection on the summing-pair graph:
-    anchor a random column, refine both sides by common-neighborhood counts,
-    and accept the attempt when the explicit sumset stays within
-    BSG_SUMSET_FACTOR*K^5*d.
+    Each box is found by dependent selection on the summing-pair graph (a
+    boolean |X| x |Y| matrix): anchor a random column, refine both sides by
+    common-neighborhood counts, and accept the attempt when the explicit
+    sumset stays within BSG_SUMSET_FACTOR*K^5*d.
     Pairs never captured by an accepted box end up in the remainder.
     """
     if big_k < 1:
         raise ValueError("K must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    xs, ys, zset = sorted(set(x)), sorted(set(y)), set(z)
-    d = max(len(xs), len(ys), len(zset), 1)
-    pairs = {(a, b) for a in xs for b in ys if a + b in zset}
+    xs, ys, zs = (np.array(sorted(set(s)), dtype=np.int64) for s in (x, y, z))
+    d = max(xs.size, ys.size, zs.size, 1)
+    remaining = (xs[:, None, None] + ys[None, :, None] == zs).any(axis=2)
     structured = []
-    if not pairs:
-        return CoverOutput([(set(), set())] * big_k, set())
-    remaining = set(pairs)
     size_cap = BSG_SUMSET_FACTOR * (big_k ** 5) * d
     for _ in range(big_k):
-        if not remaining:
+        col = remaining.sum(axis=0)
+        anchors = np.flatnonzero(col)
+        if not anchors.size:
             break
-        by_y = {}
-        for a, b in remaining:
-            by_y.setdefault(b, set()).add(a)
-        anchors = sorted(by_y)
-        weights = np.array([len(by_y[b]) for b in anchors], dtype=float)
-        weights /= weights.sum()
-        best = None
-        for _ in range(BSG_RETRIES):
-            y0 = anchors[int(rng.choice(len(anchors), p=weights))]
-            x0 = by_y[y0]
-            if not x0:
-                continue
-            codeg = {}
-            for a, b in remaining:
-                if a in x0:
-                    codeg[b] = codeg.get(b, 0) + 1
-            yk = {b for b, c in codeg.items() if 2 * c >= len(x0)}
-            if not yk:
-                continue
-            back = {}
-            for a, b in remaining:
-                if b in yk and a in x0:
-                    back[a] = back.get(a, 0) + 1
-            xk = {a for a, c in back.items() if 4 * c >= len(yk)}
-            if not xk:
-                continue
-            covered = {(a, b) for (a, b) in remaining if a in xk and b in yk}
-            if not covered:
-                continue
-            size = len(sumset(xk, yk))
-            if best is None or size < best[0]:
-                best = (size, xk, yk, covered)
-        if best is None or best[0] > size_cap:
+        weights = col[anchors] / col.sum()
+        picks = anchors[rng.choice(anchors.size, size=BSG_RETRIES, p=weights)]
+        boxes = []
+        for y0 in dict.fromkeys(picks.tolist()):  # a repeat gives the same box
+            x0 = remaining[:, y0]  # y0 is in yk, so xk and its box are nonempty
+            yk = 2 * remaining[x0].sum(axis=0) >= x0.sum()
+            xk = x0 & (4 * remaining[:, yk].sum(axis=1) >= yk.sum())
+            boxes.append((np.unique(xs[xk][:, None] + ys[yk]).size, xk, yk))
+        size, xk, yk = min(boxes, key=lambda box: box[0])  # first of a tie
+        if size > size_cap:
             structured.append((set(), set()))
             continue
-        _, xk, yk, covered = best
-        structured.append((xk, yk))
-        remaining -= covered
-    while len(structured) < big_k:
-        structured.append((set(), set()))
-    return CoverOutput(structured, remaining)
+        structured.append((xs[xk].tolist(), ys[yk].tolist()))
+        remaining &= ~(xk[:, None] & yk)
+    structured += [(set(), set())] * (big_k - len(structured))
+    ra, rb = np.nonzero(remaining)
+    return CoverOutput(structured, zip(xs[ra].tolist(), ys[rb].tolist()))
 
 
 # ----------------------------------------------------------------------------
@@ -293,44 +269,83 @@ class SideDecomposition:
         return True
 
 
-def _decompose_side(mains, others, d, delta, popular):
+def _padded(sets):
+    """Sets as an (n, w) int64 array of each set's sorted values, zero-padded
+    to the largest size w, plus the mask of real slots."""
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    valid = np.arange(lens.max(initial=0)) < lens[:, None]
+    vals = np.zeros(valid.shape, dtype=np.int64)
+    vals[valid] = list(itertools.chain.from_iterable(map(sorted, sets)))
+    return vals, valid
+
+
+def _least_popular_sums(main, other, need):
+    """Per set pair (i, j) of two padded families: whether some a + b has
+    `need` representations, and the least such sum.  For need > 1 the pair's
+    sums are sorted as one run v, where such a sum starts at s iff v[s] ==
+    v[s+need-1]; padded slots take distinct values above all, in no run."""
+    (a, av), (b, bv) = main, other
+    real = (av[:, None, :, None] & bv[None, :, None, :]).reshape(
+        len(a), len(b), -1)
+    k = max(real.shape[2] - need + 1, 0)
+    top = a.max(initial=0) + b.max(initial=0) + 1
+    sums = np.where(real, (a[:, None, :, None] + b[None, :, None, :]).reshape(
+        real.shape), top + np.arange(real.shape[2]))
+    if need == 1:
+        run = real
+    else:
+        sums.sort(axis=2)
+        run = sums[:, :, :k] == sums[:, :, need - 1:need - 1 + k]
+    return run.any(axis=2), np.where(run, sums[:, :, :k], top).min(
+        axis=2, initial=top)
+
+
+def _decompose_side(mains, others, d, delta, rng):
     n = len(mains)
     work = [set(s) for s in mains]
     other_sets = [frozenset(s) for s in others]
     t = max(1.0, d / delta)
     deg_threshold = n / delta
     rounds = max(1, int(delta * delta))
+    other = _padded(other_sets)
+    per_pair = max(map(len, work), default=0) * other[0].shape[1]
+    # exact: every pair takes popular_sums_approx's exact branch (no draws)
+    exact = (rng is None or RATE_CONSTANT / math.sqrt(t) >= 1.0
+             or per_pair <= EXACT_CUTOFF)
     nonempty = np.zeros((n, n), dtype=bool)
-    dirty = set(range(n))
+    least = np.zeros((n, n), dtype=np.int64)
+    dirty = list(range(n))
+    step = max(1, (1 << 16) // max(1, n * per_pair))  # rows of 2^16 sums
     parts = []
     for _ in range(rounds):
-        for i in sorted(dirty):
-            for j in range(n):
-                nonempty[i, j] = bool(work[i]) and bool(
-                    popular(work[i], other_sets[j], t))
-        dirty.clear()
+        if exact:
+            for lo in range(0, len(dirty), step):
+                rows = dirty[lo:lo + step]
+                nonempty[rows], least[rows] = _least_popular_sums(
+                    _padded([work[i] for i in rows]), other, math.ceil(t))
+        else:
+            for i in dirty:
+                for j in range(n):
+                    nonempty[i, j] = bool(work[i]) and bool(popular_sums_approx(
+                        work[i], other_sets[j], t, rng, EXACT_CUTOFF))
         deg = nonempty.sum(axis=0)
         candidates = np.nonzero(deg >= deg_threshold)[0]
         if candidates.size == 0:
             break
         j_star = int(candidates[0])
-        core = frozenset(-v for v in other_sets[j_star])
+        o_star = other_sets[j_star]
         shifts, members = {}, {}
-        for i in range(n):
-            if not nonempty[i, j_star]:
-                continue
-            pop = popular(work[i], other_sets[j_star], t)
+        for i in np.flatnonzero(nonempty[:, j_star]).tolist():
+            pop = {int(least[i, j_star])} if exact else popular_sums_approx(
+                work[i], o_star, t, rng, EXACT_CUTOFF)
             if not pop:
                 continue
-            shift = min(pop)
-            piece = {v for v in work[i] if (shift - v) in other_sets[j_star]}
-            if not piece:
-                continue
-            shifts[i] = shift
-            members[i] = piece
-            work[i] -= piece
-            dirty.add(i)
-        parts.append(PartLevel(core, shifts, members))
+            # the shift is some a + b with a in work[i]: the piece holds a
+            shifts[i] = min(pop)
+            members[i] = {v for v in work[i] if shifts[i] - v in o_star}
+            work[i] -= members[i]
+        dirty = list(shifts)
+        parts.append(PartLevel({-v for v in o_star}, shifts, members))
         if not dirty:
             break
     return SideDecomposition(mains, parts, work)
@@ -351,9 +366,6 @@ def popular_sum_decomposition(x_sets, y_sets, d, delta, rng=None):
     if len(x_sets) != len(y_sets):
         raise ValueError("need equally many X and Y sets")
 
-    def popular(a, b, t):
-        return popular_sums_approx(a, b, t, rng=rng)
-
-    x_side = _decompose_side(x_sets, y_sets, d, delta, popular)
-    y_side = _decompose_side(y_sets, x_sets, d, delta, popular)
+    x_side = _decompose_side(x_sets, y_sets, d, delta, rng)
+    y_side = _decompose_side(y_sets, x_sets, d, delta, rng)
     return x_side, y_side

@@ -139,22 +139,17 @@ def _strongly_connected_components(n, edge_list):
     return np.array(comp), ncomp
 
 
-def _component_has_negative_cycle(nodes, edge_triples):
-    """Bellman-Ford from a virtual all-zero source inside one component."""
-    if not edge_triples:
-        return False
-    pos = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
-    dist = [0] * k
-    for rounds in range(k + 1):
-        changed = False
-        for u, v, w in edge_triples:
-            nd = dist[pos[u]] + w
-            if nd < dist[pos[v]]:
-                dist[pos[v]] = nd
-                changed = True
-        if not changed:
+def _component_has_negative_cycle(nodes, edges):
+    """Bellman-Ford from a virtual all-zero source inside one component
+    (sorted node ids, (u, v, w) edge rows): each round relaxes every edge."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    u, v = np.searchsorted(nodes, e[:, 0]), np.searchsorted(nodes, e[:, 1])
+    dist = np.zeros(len(nodes), dtype=np.int64)
+    for _ in range(len(nodes) + 1):
+        cand = dist[u] + e[:, 2]
+        if not (cand < dist[v]).any():
             return False
+        np.minimum.at(dist, v, cand)
     return True
 
 
@@ -198,15 +193,11 @@ def eliminate_negative_cycles(g):
         return g, NegativeCycleRemap(np.arange(n), np.zeros(n, dtype=bool), 0,
                                      identity=True)
     comp, ncomp = _strongly_connected_components(n, e[:, :2].tolist())
-    by_comp = [[] for _ in range(ncomp)]
-    for u, v, w in e.tolist():
-        if comp[u] == comp[v]:
-            by_comp[comp[u]].append((u, v, w))
+    edge_comp = np.where(comp[e[:, 0]] == comp[e[:, 1]], comp[e[:, 0]], -1)
     bad_comp = np.zeros(ncomp, dtype=bool)
-    for c in range(ncomp):
-        if by_comp[c]:
-            nodes = np.nonzero(comp == c)[0]
-            bad_comp[c] = _component_has_negative_cycle(nodes, by_comp[c])
+    for c in np.unique(edge_comp[edge_comp >= 0]).tolist():
+        bad_comp[c] = _component_has_negative_cycle(
+            np.flatnonzero(comp == c), e[edge_comp == c])
     bad_nodes = bad_comp[comp]
     if not bad_comp.any():
         return g, NegativeCycleRemap(np.arange(n), bad_nodes, 0, identity=True)

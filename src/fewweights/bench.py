@@ -1,4 +1,4 @@
-"""Benchmark suites: kernel crossover and APSP solver comparisons.
+"""Benchmark suites: kernel crossover, APSP and exact-triangle comparisons.
 
 Each suite returns machine-readable rows (dicts with fixed keys) plus a
 rendered text table of per-(algorithm, n, d) median wall times.
@@ -13,9 +13,11 @@ import numpy as np
 from . import minplus as mp
 from .apsp import apsp_oracle, solve_apsp
 from .core import POS_INF, WeightMatrix
+from .exact_triangle import aete_brute, aete_few_weights
 from .generators import (
     random_dweights_graph,
     random_node_weighted_graph,
+    random_triangle_instance,
     random_weight_matrix,
 )
 
@@ -117,6 +119,22 @@ def bench_apsp(sizes, seeds, d=4, h=4):
     return rows
 
 
+def bench_triangle(sizes, seeds, d=4):
+    """aete_few_weights vs aete_brute on random d-weights instances."""
+    rows = []
+    for n in sizes:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            inst, _ = random_triangle_instance(n, d, rng, planted=2)
+            want, t0 = _timed(lambda: aete_brute(inst, with_witnesses=False))
+            got, t1 = _timed(lambda: aete_few_weights(inst, d, 28.0, rng=rng))
+            ok = bool(np.array_equal(got.yes, want.yes))
+            rows += [{"algo": algo, "n": n, "d": d, "seed": seed,
+                      "wall_ns": t, "ok": ok}
+                     for algo, t in (("aete-brute", t0), ("aete-few-weights", t1))]
+    return rows
+
+
 def median_table(rows):
     """Median wall time per (algo, n, d) as a fixed-width text table."""
     groups = {}
@@ -136,4 +154,5 @@ SUITES = {
     "minplus": lambda sizes, seeds: [r for n in sizes
                                      for r in bench_minplus_crossover(n, seeds)],
     "apsp": lambda sizes, seeds: bench_apsp(sizes, seeds),
+    "triangle": bench_triangle,
 }

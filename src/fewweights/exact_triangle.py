@@ -217,6 +217,7 @@ def aete_brute(inst, with_witnesses=True):
 # ----------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_F64_EXACT = 2 ** 53  # every integer below it is exact in float64
 
 
 def _is_prime(q):
@@ -301,6 +302,17 @@ def _ntt_plan(m, q):
     return tables
 
 
+@functools.lru_cache(maxsize=64)
+def _power_table(m, q, p):
+    """Read-only float64 (m, p+1) table of w^(t*e) mod q at [t, e] (w as in
+    _ntt_plan) and a zero column p for bot: one gather evaluates a matrix.
+    Only tables below 2^16 entries are cached; p can reach m/2."""
+    t, e = np.ogrid[:m, :p]
+    table = np.pad(_ntt_plan(m, q)[0][t * e % m], ((0, 0), (0, 1)))
+    table.flags.writeable = False
+    return table
+
+
 def _mod_q(x, q):
     """Reduce x, a float64 array of integers in [0, 2^53), mod q in place;
     exact in float64 (proof in poly_matrix_multiply)."""
@@ -318,21 +330,26 @@ def poly_matrix_multiply(a_exp, b_exp, p):
     shape (n, n, 2p-1) with P[i, j, e] true iff some k has
     a_exp[i,k] + b_exp[k,j] = e.  Computed by evaluating at the powers of an
     m-th root of unity modulo a prime q > n (m >= 2p-1, so coefficient
-    counts, all at most n < q, are recovered exactly): one float64 BLAS
-    matrix product per evaluation point, then a four-step inverse transform
-    (m = m1*m2, size-m2 and size-m1 inverse DFTs as float64 products with a
-    twiddle multiply between them, only the output rows below 2p-1 kept).
-    The 1/m factor is skipped: it is a unit mod q and leaves zeros in place.
-    Every float64 sum holds at most max(n, m1) products below q, so it is
-    exact while max(n, m1)*(q-1)^2 < 2^53, which is checked before any work.
+    counts, all at most n < q, are recovered exactly): one gather from a
+    power table and one float64 BLAS matrix product per evaluation point,
+    then a four-step inverse transform (m = m1*m2, size-m2 and size-m1
+    inverse DFTs as float64 products with a twiddle multiply between them,
+    only the output rows below 2p-1 kept).  The 1/m factor is skipped: it
+    is a unit mod q and leaves zeros in place.
+    All values are nonnegative integers.  A running bound on them starts at
+    n*(q-1)^2 after the evaluation products (entries below q), and the
+    inverse steps multiply it by m2*(q-1), q-1 and m1*(q-1).  A step's input
+    is reduced mod q first when its result could reach 2^53; the step then
+    stays below max(n, m1)*(q-1)^2 < 2^53, checked before any work, so
+    every float64 sum and product is exact.
 
     The reductions mod q stay in float64 too (_mod_q): x - q*floor(x / q).
-    Each operand x is a nonnegative integer below 2^53 by the check above
-    (the twiddle products, below (q-1)^2, included).  If x/q is an integer
-    k, correctly rounded division returns k exactly.  Otherwise x/q lies at
-    least 1/q from both neighbouring integers, while the rounding error is
-    at most 2^-53 * x/q < 1/q, so floor(fl(x / q)) = floor(x/q); the
-    product and difference are then integers below 2^53 and exact as well.
+    Each operand x is a nonnegative integer below 2^53 by the bound above.
+    If x/q is an integer k, correctly rounded division returns k exactly.
+    Otherwise x/q lies at least 1/q from both neighbouring integers, while
+    the rounding error is at most 2^-53 * x/q < 1/q, so floor(fl(x / q)) =
+    floor(x/q); the product and difference are then integers below 2^53
+    and exact as well.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -345,32 +362,36 @@ def poly_matrix_multiply(a_exp, b_exp, p):
         m *= 2
     q = _find_ntt_prime(m, max(n, 2))
     m1 = m >> ((m.bit_length() - 1) // 2)
-    if max(n, m1) * (q - 1) ** 2 >= 2**53:
+    if max(n, m1) * (q - 1) ** 2 >= _F64_EXACT:
         raise ValueError(f"n={n}, m={m} too large for exact float64 products "
                          f"modulo q={q}: max(n, m1)*(q-1)^2 must stay below 2^53")
     fa, fb = ae != BOT, be != BOT
     if (np.any((ae < 0) & fa) or np.any((ae >= p) & fa)
             or np.any((be < 0) & fb) or np.any((be >= p) & fb)):
         raise ValueError("exponents must lie in [0, p)")
-    wtab, f2, tw, f1 = _ntt_plan(m, q)
+    _, f2, tw, f1 = _ntt_plan(m, q)
+    power = (_power_table if m * (p + 1) < 1 << 16
+             else _power_table.__wrapped__)(m, q, p)
     m2 = m // m1
-    ea, eb = np.where(fa, ae, 0), np.where(fb, be, 0)
+    ea, eb = np.where(fa, ae, p), np.where(fb, be, p)
     cols = n * n
     evals = np.empty((m, cols), dtype=np.float64)
     chunk = max(1, (1 << 20) // max(1, cols))
-    ts = np.arange(m, dtype=np.int64)
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
-        tt = ts[lo:hi, None, None]
-        av = np.where(fa, wtab[(tt * ea) & (m - 1)], 0.0)
-        bv = np.where(fb, wtab[(tt * eb) & (m - 1)], 0.0)
-        evals[lo:hi] = _mod_q(np.matmul(av, bv), q).reshape(hi - lo, cols)
+        evals[lo:hi] = np.matmul(power[lo:hi, ea], power[lo:hi, eb]).reshape(
+            hi - lo, cols)
     # row t = t1 + m1*t2 of evals is [t2, t1] of its (m2, m1) view, and
     # coefficient e = e2 + m2*e1 comes out at [e2, e1]
-    y = _mod_q(f2 @ evals.reshape(m2, m1 * cols), q).reshape(m2, m1, cols)
-    y = _mod_q(y * tw[:, :, None], q)
     rows = -(-conv_len // m2)
-    coeffs = _mod_q(np.matmul(f1[:rows], y), q)
+    x, bound = evals.reshape(m2, m1 * cols), n * (q - 1) ** 2
+    for step, factor in ((lambda x: (f2 @ x).reshape(m2, m1, cols), m2),
+                         (lambda x: x * tw[:, :, None], 1),
+                         (lambda x: np.matmul(f1[:rows], x), m1)):
+        if factor * (q - 1) * bound >= _F64_EXACT:
+            x, bound = _mod_q(x, q), q - 1
+        x, bound = step(x), factor * (q - 1) * bound
+    coeffs = _mod_q(x, q)
     presence = (coeffs != 0).transpose(1, 0, 2).reshape(rows * m2, n, n)[:conv_len]
     return np.ascontiguousarray(presence.transpose(1, 2, 0))
 

@@ -29,7 +29,7 @@ from .exact_triangle import (
     _row_occurrence_classes,
 )
 from .minplus import boolean_matrix_multiply, min_plus_naive
-from .additive import popular_sum_decomposition
+from .additive import _padded, popular_sum_decomposition
 
 
 class PromiseViolation(ValueError):
@@ -353,12 +353,6 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
         return out
     finite = cp != POS_INF
 
-    def window(i, j):
-        base = cp[i, j]
-        if base == POS_INF:
-            return ()
-        return (int(base), int(base) + 1, int(base) + 2)
-
     root = math.sqrt(delta)
     if d_b > d_a * root or d_a > d_b * root:
         # the smallest window value with a representation is written last
@@ -371,20 +365,19 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     d_max = max(d_a, d_b)
     xdec, ydec = popular_sum_decomposition(s_sets, t_sets, d_max, delta, rng)
     flag_threshold = max(1.0, 2.0 * d_b / delta)
+    # representations of c = cp[i, j] + off (off < 3) as a + b with a in
+    # X_i's remainder and b in T_j, or with a in S_i and b in Y_j's remainder
+    window = np.where(finite, cp, 0)[:, :, None] + np.arange(3)
 
-    def rem_pairs(i, j, c):
-        """Number of representations c = a + b through a remainder value."""
-        t_j, s_i = t_sets[j], s_sets[i]
-        return (sum(1 for av in xdec.remainders[i] if (c - av) in t_j)
-                + sum(1 for bv in ydec.remainders[j] if (c - bv) in s_i))
+    def reps(u, uv, w, wv):
+        hits = (u[:, None, None, :, None] + w[None, :, None, None, :]
+                == window[:, :, :, None, None])
+        return (hits & uv[:, None, None, :, None]
+                & wv[None, :, None, None, :]).sum(axis=(3, 4))
 
-    flagged = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            for c in window(i, j):
-                if rem_pairs(i, j, c) >= flag_threshold:
-                    flagged[i, j] = True
-                    break
+    count = (reps(*_padded(xdec.remainders), *_padded(t_sets))
+             + reps(*_padded(s_sets), *_padded(ydec.remainders)))
+    flagged = finite & (count >= flag_threshold).any(axis=2)
 
     ii, jj = np.nonzero(flagged)
     for i, j in zip(ii.tolist(), jj.tolist()):

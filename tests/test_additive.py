@@ -250,3 +250,239 @@ def test_decomposition_assignment_maps_values():
     for i, s in enumerate(xd.originals):
         assign = xd.assignment(i)
         assert set(assign) == set(s)
+
+
+# ----------------------------------------------------------------------------
+# array-native decomposition and cover against the set-based routines
+# ----------------------------------------------------------------------------
+
+def _reference_decompose_side(mains, others, d, delta, popular):
+    """The set-based side decomposition: one popular() call per index pair."""
+    n = len(mains)
+    work = [set(s) for s in mains]
+    other_sets = [frozenset(s) for s in others]
+    t = max(1.0, d / delta)
+    deg_threshold = n / delta
+    rounds = max(1, int(delta * delta))
+    nonempty = np.zeros((n, n), dtype=bool)
+    dirty = set(range(n))
+    parts = []
+    for _ in range(rounds):
+        for i in sorted(dirty):
+            for j in range(n):
+                nonempty[i, j] = bool(work[i]) and bool(
+                    popular(work[i], other_sets[j], t))
+        dirty.clear()
+        deg = nonempty.sum(axis=0)
+        candidates = np.nonzero(deg >= deg_threshold)[0]
+        if candidates.size == 0:
+            break
+        j_star = int(candidates[0])
+        core = frozenset(-v for v in other_sets[j_star])
+        shifts, members = {}, {}
+        for i in range(n):
+            if not nonempty[i, j_star]:
+                continue
+            pop = popular(work[i], other_sets[j_star], t)
+            if not pop:
+                continue
+            shift = min(pop)
+            piece = {v for v in work[i] if (shift - v) in other_sets[j_star]}
+            if not piece:
+                continue
+            shifts[i] = shift
+            members[i] = piece
+            work[i] -= piece
+            dirty.add(i)
+        parts.append(ad.PartLevel(core, shifts, members))
+        if not dirty:
+            break
+    return ad.SideDecomposition(mains, parts, work)
+
+
+def _reference_decomposition(x_sets, y_sets, d, delta, rng):
+    def popular(a, b, t):
+        return ad.popular_sums_approx(a, b, t, rng=rng,
+                                      exact_cutoff=ad.EXACT_CUTOFF)
+
+    return (_reference_decompose_side(x_sets, y_sets, d, delta, popular),
+            _reference_decompose_side(y_sets, x_sets, d, delta, popular))
+
+
+def _reference_bsg_cover(x, y, z, big_k, rng):
+    """The set-based cover: one anchor draw per retry."""
+    xs, ys, zset = sorted(set(x)), sorted(set(y)), set(z)
+    d = max(len(xs), len(ys), len(zset), 1)
+    pairs = {(a, b) for a in xs for b in ys if a + b in zset}
+    structured = []
+    if not pairs:
+        return ad.CoverOutput([(set(), set())] * big_k, set())
+    remaining = set(pairs)
+    size_cap = ad.BSG_SUMSET_FACTOR * (big_k ** 5) * d
+    for _ in range(big_k):
+        if not remaining:
+            break
+        by_y = {}
+        for a, b in remaining:
+            by_y.setdefault(b, set()).add(a)
+        anchors = sorted(by_y)
+        weights = np.array([len(by_y[b]) for b in anchors], dtype=float)
+        weights /= weights.sum()
+        best = None
+        for _ in range(ad.BSG_RETRIES):
+            y0 = anchors[int(rng.choice(len(anchors), p=weights))]
+            x0 = by_y[y0]
+            codeg = {}
+            for a, b in remaining:
+                if a in x0:
+                    codeg[b] = codeg.get(b, 0) + 1
+            yk = {b for b, c in codeg.items() if 2 * c >= len(x0)}
+            back = {}
+            for a, b in remaining:
+                if b in yk and a in x0:
+                    back[a] = back.get(a, 0) + 1
+            xk = {a for a, c in back.items() if 4 * c >= len(yk)}
+            covered = {(a, b) for (a, b) in remaining if a in xk and b in yk}
+            if not covered:
+                continue
+            size = len(ad.sumset(xk, yk))
+            if best is None or size < best[0]:
+                best = (size, xk, yk, covered)
+        if best is None or best[0] > size_cap:
+            structured.append((set(), set()))
+            continue
+        _, xk, yk, covered = best
+        structured.append((xk, yk))
+        remaining -= covered
+    while len(structured) < big_k:
+        structured.append((set(), set()))
+    return ad.CoverOutput(structured, remaining)
+
+
+def _levels(dec):
+    return [(lvl.core, lvl.shifts, lvl.members) for lvl in dec.parts]
+
+
+def assert_decomposition_matches_reference(xs, ys, d, delta, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ad.popular_sum_decomposition(xs, ys, d, delta, got_rng)
+    want = _reference_decomposition(xs, ys, d, delta, want_rng)
+    for g, w in zip(got, want):
+        assert _levels(g) == _levels(w)
+        assert g.remainders == w.remainders
+        assert g.originals == w.originals
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _random_family(rng, n, d, low, high, min_size=0):
+    return [set(rng.integers(low, high,
+                             size=int(rng.integers(min_size, d + 1))).tolist())
+            for _ in range(n)]
+
+
+def test_decomposition_matches_set_reference_aete_shape():
+    # uniformize's call: n = 16 rows of at most d' = d*delta = 16 values,
+    # delta' = delta^2 = 16
+    rng = np.random.default_rng(11)
+    for seed in range(10):
+        xs = _random_family(rng, 16, 16, -20, 20)
+        ys = _random_family(rng, 16, 16, -20, 20)
+        assert_decomposition_matches_reference(xs, ys, 16, 16, seed)
+
+
+def test_decomposition_matches_set_reference_reductions_shape():
+    # the row-weights reduction's call: n = 32, d = 4, delta = 2
+    rng = np.random.default_rng(12)
+    for seed in range(20):
+        xs = _random_family(rng, 32, 4, 0, 30, min_size=1)
+        ys = _random_family(rng, 32, 4, 0, 30, min_size=1)
+        assert_decomposition_matches_reference(xs, ys, 4, 2, seed)
+
+
+def test_decomposition_matches_set_reference_edge_cases():
+    cases = [
+        ([], [], 1, 1),                                  # n = 0
+        ([{3}], [{-3}], 1, 1),                           # n = 1
+        ([set()], [{1, 2}], 2, 1),                       # an empty main set
+        ([{1, 2}], [set()], 2, 1),                       # an empty other set
+        ([set(), set()], [set(), set()], 1, 1),          # all empty
+        ([{0, 1, 2, 3}] * 5, [{0, 1, 2, 3}] * 5, 4, 1),  # all sets equal
+        ([{-9, -4, -1}] * 3, [{-7, -2}] * 3, 3, 1),      # negative values
+        # t = d/delta = 16 exceeds every multiplicity (at most 3)
+        ([{0, 1, 2}, {5, 6, 7}], [{0, 1, 2}, {1, 2, 3}], 16, 1),
+    ]
+    for xs, ys, d, delta in cases:
+        for seed in range(3):
+            assert_decomposition_matches_reference(xs, ys, d, delta, seed)
+
+
+def test_decomposition_matches_set_reference_with_multiplicity_thresholds():
+    # d/delta between 1 and the set sizes: runs of 2 and 3 equal sums decide
+    rng = np.random.default_rng(13)
+    for seed in range(30):
+        n = int(rng.integers(1, 12))
+        d = int(rng.integers(2, 9))
+        delta = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        xs = _random_family(rng, n, d, -6, 6)
+        ys = _random_family(rng, n, d, -6, 6)
+        assert_decomposition_matches_reference(xs, ys, d, delta, seed)
+
+
+def test_decomposition_per_pair_fallback_keeps_draw_order(monkeypatch):
+    # with a zero cutoff and t = 400 the per-pair calls on these sets take
+    # the sampled branch (rate 4*log2(12)/20 < 1), so the array batch must
+    # not run and the draws must match
+    monkeypatch.setattr(ad, "EXACT_CUTOFF", 0)
+    rng = np.random.default_rng(14)
+    for seed in range(6):
+        xs = _random_family(rng, 6, 12, -10, 10, min_size=1)
+        ys = _random_family(rng, 6, 12, -10, 10, min_size=1)
+        before = np.random.default_rng(seed).bit_generator.state
+        got_rng = np.random.default_rng(seed)
+        assert_decomposition_matches_reference(xs, ys, 400, 1, seed)
+        ad.popular_sum_decomposition(xs, ys, 400, 1, got_rng)
+        assert got_rng.bit_generator.state != before  # the branch drew
+
+
+def test_bsg_cover_matches_set_reference():
+    rng = np.random.default_rng(15)
+    for seed in range(60):
+        d = int(rng.integers(0, 24))
+        x = set(rng.integers(-30, 30, size=d).tolist())
+        y = set(rng.integers(-30, 30, size=int(rng.integers(0, 24))).tolist())
+        z = set(rng.integers(-60, 60, size=int(rng.integers(0, 40))).tolist())
+        big_k = int(rng.integers(1, 5))
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = ad.bsg_cover(x, y, z, big_k, got_rng)
+        want = _reference_bsg_cover(x, y, z, big_k, want_rng)
+        assert got.structured == want.structured
+        assert got.remainder == want.remainder
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_bsg_cover_matches_set_reference_edge_cases():
+    cases = [
+        (set(), {1}, {1}, 1), ({1}, set(), {1}, 2), ({1}, {2}, set(), 3),
+        ({0}, {0}, {0}, 1), ({-5, -3}, {-1, 2}, {-6, -4, -1, -3}, 2),
+        (set(range(8)), set(range(8)), set(range(15)), 3),  # all pairs sum
+        # a size cap of 4*K^5*d that rejects no box, and K boxes to fill
+        (set(range(0, 40, 3)), set(range(0, 40, 5)), set(range(0, 80, 2)), 4),
+    ]
+    for x, y, z, big_k in cases:
+        got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+        got = ad.bsg_cover(x, y, z, big_k, got_rng)
+        want = _reference_bsg_cover(x, y, z, big_k, want_rng)
+        assert got.structured == want.structured
+        assert got.remainder == want.remainder
+        assert got.covers(x, y, z)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_one_draw_of_all_retries_matches_single_draws():
+    weights = np.array([0.1, 0.6, 0.3])
+    one, single = np.random.default_rng(5), np.random.default_rng(5)
+    batch = one.choice(3, size=ad.BSG_RETRIES, p=weights)
+    singles = [single.choice(3, p=weights) for _ in range(ad.BSG_RETRIES)]
+    assert batch.tolist() == singles
+    assert one.bit_generator.state == single.bit_generator.state

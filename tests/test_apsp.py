@@ -232,6 +232,67 @@ def test_eliminate_edge_weighted_decode():
         assert np.array_equal(decoded.data, bellman_ford_reference(g))
 
 
+def _scalar_component_has_negative_cycle(nodes, edge_triples):
+    """Bellman-Ford over edge tuples, one edge at a time, updating in place."""
+    if not edge_triples:
+        return False
+    pos = {v: i for i, v in enumerate(nodes)}
+    k = len(nodes)
+    dist = [0] * k
+    for rounds in range(k + 1):
+        changed = False
+        for u, v, w in edge_triples:
+            nd = dist[pos[u]] + w
+            if nd < dist[pos[v]]:
+                dist[pos[v]] = nd
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _random_scc(rng, k, low, high):
+    """Sorted, non-contiguous node ids joined by a Hamiltonian cycle (so the
+    component is strongly connected) plus random chords."""
+    nodes = np.sort(rng.choice(4 * k, size=k, replace=False))
+    order = rng.permutation(nodes)
+    edges = [(int(order[i]), int(order[(i + 1) % k]), int(rng.integers(low, high)))
+             for i in range(k)]
+    for _ in range(int(rng.integers(0, 2 * k))):
+        u, v = rng.choice(nodes, size=2)
+        edges.append((int(u), int(v), int(rng.integers(low, high))))
+    return nodes, edges
+
+
+def test_negative_cycle_test_matches_scalar_bellman_ford():
+    rng = np.random.default_rng(31)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        k = int(rng.integers(1, 10))
+        nodes, edges = _random_scc(rng, k, int(rng.integers(-6, 1)), 7)
+        want = _scalar_component_has_negative_cycle(nodes, edges)
+        assert ap._component_has_negative_cycle(nodes, edges) == want
+        assert ap._component_has_negative_cycle(
+            nodes, np.array(edges, dtype=np.int64)) == want
+        found[want] += 1
+    assert min(found.values()) > 20
+
+
+def test_negative_cycle_test_zero_weight_cycles():
+    nodes = np.array([2, 5, 9])
+    zero = [(2, 5, 0), (5, 9, 0), (9, 2, 0)]
+    balanced = [(2, 5, -4), (5, 9, 1), (9, 2, 3)]  # sums to 0
+    below = [(2, 5, -4), (5, 9, 1), (9, 2, 2)]  # sums to -1
+    for edges, want in ((zero, False), (balanced, False), (below, True),
+                        (balanced + [(5, 2, 4)], False),
+                        (balanced + [(9, 5, -2)], True), ([], False)):
+        assert ap._component_has_negative_cycle(nodes, edges) == want
+        assert _scalar_component_has_negative_cycle(nodes, edges) == want
+    # a self-loop: zero weight is no negative cycle, a negative one is
+    assert not ap._component_has_negative_cycle(np.array([4]), [(4, 4, 0)])
+    assert ap._component_has_negative_cycle(np.array([4]), [(4, 4, -1)])
+
+
 # ----------------------------------------------------------------------------
 # pivots and hitting sets
 # ----------------------------------------------------------------------------

@@ -236,3 +236,24 @@ def test_bench_table_row_count(tmp_path):
     table = (out / "table.txt").read_text().splitlines()
     # header plus one row per (algorithm, size)
     assert len(table) == 1 + 3 * 2
+
+
+def test_bench_triangle_checks_few_weights_against_brute(tmp_path):
+    out = tmp_path / "bench-triangle"
+    assert run("bench", "triangle", "--sizes", "8,12", "--runs", 1,
+               "--out", out) == EXIT_OK
+    rows = [json.loads(l) for l in (out / "bench.jsonl").read_text().splitlines()]
+    assert sorted((r["algo"], r["n"]) for r in rows) == [
+        ("aete-brute", 8), ("aete-brute", 12),
+        ("aete-few-weights", 8), ("aete-few-weights", 12)]
+    assert all(r["ok"] for r in rows)
+
+
+def test_bench_triangle_mismatch_exits_verify(tmp_path, monkeypatch):
+    from fewweights import bench as bench_mod
+    from fewweights.exact_triangle import TriangleReport
+
+    monkeypatch.setattr(bench_mod, "aete_few_weights",
+                        lambda inst, d, *a, **k: TriangleReport.empty(inst.n))
+    assert run("bench", "triangle", "--sizes", "8", "--runs", 1,
+               "--out", tmp_path / "bad") == EXIT_VERIFY

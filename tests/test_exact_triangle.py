@@ -220,6 +220,84 @@ def test_poly_mm_float_reductions_match_int64(p, n):
         assert np.array_equal(got, poly_mm_int64_reference(a_exp, b_exp, p))
 
 
+def poly_triple_loop(ae, be, p):
+    """P[i, j, e] by the triple loop over (i, j, k)."""
+    n = len(ae)
+    out = np.zeros((n, n, 2 * p - 1), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if ae[i][k] != BOT and be[k][j] != BOT:
+                    out[i, j, ae[i][k] + be[k][j]] = True
+    return out
+
+
+def test_poly_mm_matches_triple_loop():
+    rng = np.random.default_rng(41)
+    bot = np.int64(BOT)
+    empty = np.zeros((0, 0), dtype=np.int64)
+    cases = [(empty, empty, 1), (empty, empty, 5),
+             (np.array([[0]]), np.array([[0]]), 1),
+             (np.array([[bot]]), np.array([[0]]), 1),
+             (np.array([[4]]), np.array([[bot]]), 5),
+             (np.full((3, 3), bot), np.full((3, 3), bot), 4),
+             (np.zeros((4, 4), dtype=np.int64), np.full((4, 4), bot), 1)]
+    for n, p in ((2, 1), (5, 1), (1, 9), (7, 3), (16, 17), (16, 29), (20, 40)):
+        cases.append((random_exponents(rng, n, p, 0.3),
+                      random_exponents(rng, n, p, 0.3), p))
+    for ae, be, p in cases:
+        got = et.poly_matrix_multiply(ae, be, p)
+        assert np.array_equal(got, poly_triple_loop(ae.tolist(), be.tolist(), p))
+
+
+def test_poly_mm_reduces_lazily(monkeypatch):
+    # n = 16, p = 17: m = 64 = 8*8, q = 193.  The evaluation products stay
+    # below 16*192^2, and the inverse steps multiply that bound by 8*192,
+    # 192 and 8*192, so below 2^53 only the final reduction is needed
+    calls = []
+    mod_q = et._mod_q
+
+    def spy(x, q):
+        calls.append(x.shape)
+        return mod_q(x, q)
+
+    monkeypatch.setattr(et, "_mod_q", spy)
+    rng = np.random.default_rng(42)
+    ae = random_exponents(rng, 16, 17, 0.2)
+    be = random_exponents(rng, 16, 17, 0.2)
+    want = poly_triple_loop(ae.tolist(), be.tolist(), 17)
+    assert np.array_equal(et.poly_matrix_multiply(ae, be, 17), want)
+    assert len(calls) == 1
+    # no input small enough to hold in memory brings the bound near 2^53
+    # before the last step, so the exact limit is lowered to 2^20: still
+    # above the up-front 16*192^2, but each step's result would now reach
+    # it, so the input of every step is reduced first
+    monkeypatch.setattr(et, "_F64_EXACT", 2 ** 20)
+    calls.clear()
+    assert np.array_equal(et.poly_matrix_multiply(ae, be, 17), want)
+    assert len(calls) == 4
+    assert calls[:3] == [(8, 8 * 256), (8, 8, 256), (8, 8, 256)]
+    # below the up-front bound the same limit rejects the call
+    monkeypatch.setattr(et, "_F64_EXACT", 16 * 192 ** 2)
+    with pytest.raises(ValueError, match="2\\^53"):
+        et.poly_matrix_multiply(ae, be, 17)
+
+
+def test_poly_mm_power_table_is_read_only():
+    table = et._power_table(64, 193, 17)
+    assert table.shape == (64, 18) and not table[:, 17].any()
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def test_poly_mm_caches_small_power_tables_only():
+    et._power_table.cache_clear()
+    for p in (17, 29, 1025):  # m = 64, 64 and 4096
+        et.poly_matrix_multiply(np.zeros((2, 2), dtype=np.int64),
+                                np.zeros((2, 2), dtype=np.int64), p)
+    assert et._power_table.cache_info().currsize == 2
+
+
 def test_poly_mm_rejects_bad_exponents():
     with pytest.raises(ValueError):
         et.poly_matrix_multiply([[5]], [[0]], 5)

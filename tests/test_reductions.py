@@ -3,6 +3,7 @@ import pytest
 
 from fewweights.core import (
     AuditError,
+    BOT,
     EdgeWeightedGraph,
     POS_INF,
     WeightMatrix,
@@ -286,6 +287,77 @@ def test_row_weight_unbalanced_distinct_counts_brute_path():
     got = red.row_weight_minplus_via_nw_apsp(a, b, prom, 4, nw_det_solver,
                                              np.random.default_rng(0))
     assert got == mp.min_plus_naive(a, b)
+
+
+def _reference_remainder_flags(cp, s_sets, t_sets, xdec, ydec, threshold):
+    """The per-(i, j, c) flag loop: (i, j) is flagged when a window value c of
+    cp[i, j] has `threshold` representations c = a + b through a remainder
+    value (a in X_i's remainder and b in T_j, or b in Y_j's and a in S_i)."""
+    n = cp.shape[0]
+
+    def window(i, j):
+        base = cp[i, j]
+        if base == POS_INF:
+            return ()
+        return (int(base), int(base) + 1, int(base) + 2)
+
+    def rem_pairs(i, j, c):
+        t_j, s_i = t_sets[j], s_sets[i]
+        return (sum(1 for av in xdec.remainders[i] if (c - av) in t_j)
+                + sum(1 for bv in ydec.remainders[j] if (c - bv) in s_i))
+
+    flagged = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            for c in window(i, j):
+                if rem_pairs(i, j, c) >= threshold:
+                    flagged[i, j] = True
+                    break
+    return flagged
+
+
+def test_remainder_flags_match_pair_loop(monkeypatch):
+    # the flags are read back from the targets of the first remainder
+    # listing after each decomposition: flagged pairs are BOT there
+    seen = []
+    decompose, listing = red.popular_sum_decomposition, red._list_remainder_triangles
+
+    def spy_decompose(s_sets, t_sets, d, delta, rng):
+        xdec, ydec = decompose(s_sets, t_sets, d, delta, rng)
+        seen.append({"sets": (s_sets, t_sets), "dec": (xdec, ydec),
+                     "delta": delta, "targets": []})
+        return xdec, ydec
+
+    def spy_listing(rowpos, colpos, c, xdec, ydec):
+        seen[-1]["targets"].append(c)
+        return listing(rowpos, colpos, c, xdec, ydec)
+
+    monkeypatch.setattr(red, "popular_sum_decomposition", spy_decompose)
+    monkeypatch.setattr(red, "_list_remainder_triangles", spy_listing)
+    rng = np.random.default_rng(21)
+    n, d, inner = 32, 4, 8  # the shape of the benchmark's row-weight products
+    flag_counts = []
+    for t in range(3):
+        a = WeightMatrix(np.stack([rng.choice(rng.integers(0, 30, size=d),
+                                              size=inner) for _ in range(n)]))
+        b = WeightMatrix(np.stack([rng.choice(rng.integers(0, 30, size=d),
+                                              size=inner) for _ in range(n)]).T)
+        prom = red.make_scaling_promise(a, b)
+        seen.clear()
+        got = red.row_weight_minplus_via_nw_apsp(
+            a, b, prom, 2, ap.apsp_oracle, np.random.default_rng(t))
+        assert got == mp.min_plus_naive(a, b)
+        assert seen
+        cp = prom.data
+        for call in seen:
+            s_sets, t_sets = call["sets"]
+            threshold = max(1.0, 2.0 * max(len(s) for s in t_sets) / call["delta"])
+            want = _reference_remainder_flags(cp, s_sets, t_sets, *call["dec"],
+                                              threshold)
+            got_flags = (cp != POS_INF) & (call["targets"][0] == BOT)
+            assert np.array_equal(got_flags, want)
+            flag_counts.append(int(want.sum()))
+    assert max(flag_counts) > 0 and min(flag_counts) < n * n
 
 
 def test_scaling_frames_window_per_level():
