@@ -32,14 +32,18 @@ class SumsetProfile:
         return set(self.multiplicity)
 
 
+def _sum_counts(x, y):
+    """The distinct sums of X+Y in ascending order and the multiplicity of
+    each: one np.unique with counts over the broadcast sums."""
+    return np.unique(np.add.outer(np.fromiter(x, dtype=np.int64),
+                                  np.fromiter(y, dtype=np.int64)),
+                     return_counts=True)
+
+
 def sumset_with_multiplicities(x, y):
-    """Exact multiplicity map of X+Y by the double loop."""
-    mult = {}
-    for a in x:
-        for b in y:
-            z = a + b
-            mult[z] = mult.get(z, 0) + 1
-    return SumsetProfile(x, y, mult)
+    """Exact multiplicity map of X+Y."""
+    sums, counts = _sum_counts(x, y)
+    return SumsetProfile(x, y, zip(sums.tolist(), counts.tolist()))
 
 
 def sumset(x, y):
@@ -50,8 +54,8 @@ def popular_sums_exact(x, y, t):
     """P_t(X, Y): sums with at least t representations."""
     if t < 1:
         raise ValueError("popularity threshold must be >= 1")
-    mult = sumset_with_multiplicities(x, y).multiplicity
-    return {z for z, r in mult.items() if r >= t}
+    sums, counts = _sum_counts(x, y)
+    return set(sums[counts >= t].tolist())
 
 
 def popular_sums_approx(x, y, t, rng=None, exact_cutoff=EXACT_CUTOFF):
@@ -70,9 +74,8 @@ def popular_sums_approx(x, y, t, rng=None, exact_cutoff=EXACT_CUTOFF):
         return popular_sums_exact(x, y, t)
     xs = [a for a in x if rng.random() < p]
     ys = [b for b in y if rng.random() < p]
-    mult = sumset_with_multiplicities(xs, ys).multiplicity
-    cutoff = 1.5 * p * p * t
-    return {z for z, r in mult.items() if r >= cutoff}
+    sums, counts = _sum_counts(xs, ys)
+    return set(sums[counts >= 1.5 * p * p * t].tolist())
 
 
 # ----------------------------------------------------------------------------

@@ -13,6 +13,7 @@ triple list.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -89,12 +90,11 @@ class TriangleInstance:
 
 
 class TriangleReport:
-    """Per-pair yes/no answers with optional witnesses and triple lists."""
+    """Per-pair yes/no answers with optional witnesses."""
 
-    def __init__(self, yes, witness=None, triples=None):
+    def __init__(self, yes, witness=None):
         self.yes = np.asarray(yes, dtype=bool)
         self.witness = witness
-        self.triples = triples
 
     @classmethod
     def empty(cls, n):
@@ -127,26 +127,31 @@ class TriangleReport:
     __hash__ = None
 
 
+def _value_codes(m):
+    """(nv, codes): the number of distinct present values of m, and per
+    entry the rank of its value among m's distinct values (one np.unique,
+    then one searchsorted against it; BOT, the largest, gets code nv)."""
+    vals = np.unique(m)
+    nv = vals.size - int(vals.size > 0 and vals[-1] == BOT)
+    return nv, np.searchsorted(vals, m)
+
+
 def _line_counts(m):
     """Occurrences of each entry's value within its row and within its column.
 
-    Every entry of m is coded by the rank of its value among m's distinct
-    values (one np.unique, then one searchsorted against it; BOT, the
-    largest, gets code nv), and each line's codes are counted by one
-    bincount into an (n, nv + 1) table whose BOT column is then cleared.
-    When that table would be larger than m (nv at least the length of a
-    line), the counts come from the sorts of occurrence_stats instead.
-    Returns (nv, row_cnt, col_cnt, row_distinct, col_distinct): the number
-    of distinct present values, the per-entry counts (0 at BOT) and the
-    number of distinct values per row and per column.
+    Every entry of m is coded by _value_codes, and each line's codes are
+    counted by one bincount into an (n, nv + 1) table whose BOT column is
+    then cleared.  When that table would be larger than m (nv at least the
+    length of a line), the counts come from the sorts of occurrence_stats
+    instead.  Returns (nv, row_cnt, col_cnt, row_distinct, col_distinct):
+    the number of distinct present values, the per-entry counts (0 at BOT)
+    and the number of distinct values per row and per column.
     """
-    vals = np.unique(m)
-    nv = vals.size - int(vals.size > 0 and vals[-1] == BOT)
+    nv, codes = _value_codes(m)
     if nv >= min(m.shape):
         row_cnt, _, row_dis = occurrence_stats(m, BOT)
         col_cnt, _, col_dis = occurrence_stats(m.T, BOT)
         return nv, row_cnt, col_cnt.T, row_dis, col_dis
-    codes = np.searchsorted(vals, m)
     out = []
     for axis, line in ((0, np.arange(m.shape[0])[:, None]),
                        (1, np.arange(m.shape[1]))):
@@ -216,32 +221,12 @@ def aete_brute(inst, with_witnesses=True):
 # Polynomial matrix product by NTT evaluation / interpolation.
 # ----------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _F64_EXACT = 2 ** 53  # every integer below it is exact in float64
 
 
 def _is_prime(q):
-    if q < 2:
-        return False
-    for p in _MR_BASES:
-        if q % p == 0:
-            return q == p
-    d = q - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; the 2^53 guard keeps every modulus in use below 2^27."""
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -487,8 +472,7 @@ def _uniform_regular_body(inst, big_k, rng):
     for xk, yk in cover.structured:
         if not xk or not yk:
             continue
-        sub = TriangleInstance(WeightMatrix(_restrict_values(a, xk), copy=False),
-                               WeightMatrix(_restrict_values(b, yk), copy=False),
+        sub = TriangleInstance(_restrict_values(a, xk), _restrict_values(b, yk),
                                inst.c)
         yes |= aete_small_doubling(sub).yes
     if cover.remainder:
@@ -554,19 +538,13 @@ def canonical_orientation(inst, promise=None):
     triples_to_original; its promise tag records which rotation was applied.
     """
     tag = normalize_promise(promise if promise is not None else inst.promise)
-    a, b, c = inst.matrices()
-    na, nb, nc = _FORWARD[tag](a, b, c)
-    out = TriangleInstance(WeightMatrix(na), WeightMatrix(nb), WeightMatrix(nc),
-                           promise="A_rows")
-    return out, tag
+    return TriangleInstance(*_FORWARD[tag](*inst.matrices())), tag
 
 
 def deorient_instance(inst, tag):
     """Map an instance in rotated coordinates back to original coordinates."""
-    tag = normalize_promise(tag)
-    a, b, c = inst.matrices()
-    na, nb, nc = _FORWARD[_INVERSE[tag]](a, b, c)
-    return TriangleInstance(WeightMatrix(na), WeightMatrix(nb), WeightMatrix(nc))
+    back = _FORWARD[_INVERSE[normalize_promise(tag)]]
+    return TriangleInstance(*back(*inst.matrices()))
 
 
 def triples_to_original(triples, tag):
@@ -578,40 +556,43 @@ def triples_to_original(triples, tag):
 # Uniformization.
 # ----------------------------------------------------------------------------
 
-def _entry_values_sorted(m):
-    vals = m[m != BOT]
-    return sorted(set(vals.tolist()))
+def _label_pieces(mats, labels):
+    """Split an (a, b, c) triple by per-entry integer labels (-1 at BOT).
+
+    For every label triple (s, t, u) with s a label of a, t of b and u of
+    c, in lexicographic order, yields np.where(label == x, m, BOT) for each
+    matrix m and its label x.  Every matrix of a piece holds an entry, and a
+    triangle lies in the one piece its three entries' labels name, so the
+    pieces' triangle sets partition the triple's.
+    """
+    per_matrix = [[np.where(lab == t, m, BOT) for t in np.unique(lab[lab >= 0])]
+                  for m, lab in zip(mats, labels)]
+    return itertools.product(*per_matrix)
 
 
-def uniformize_naive(inst, d, parts, prune=False):
-    """Split a d*parts-uniform instance into parts^3 d-uniform instances.
+def _rank_labels(m, d):
+    """(nv, labels): m's number of distinct present values, and per entry
+    its value's rank among them divided by d (-1 at BOT)."""
+    nv, codes = _value_codes(m)
+    return nv, np.where(codes < nv, codes // d, -1)
+
+
+def uniformize_naive(inst, d, parts):
+    """Split a d*parts-uniform instance into at most parts^3 d-uniform ones.
 
     Entry sets are partitioned into chunks of at most d values in ascending
-    order; the triangle sets of the output partition the input's.
+    order (an entry's chunk is its value's rank divided by d), and there is
+    one instance per triple of chunks; the triangle sets of the output
+    partition the input's.
     """
-    chunks = []
-    for m in (inst.a.data, inst.b.data, inst.c.data):
-        vals = _entry_values_sorted(m)
-        if len(vals) > d * parts:
-            raise AuditError(f"matrix has {len(vals)} distinct entries, "
+    labels = []
+    for m in inst.matrices():
+        nv, lab = _rank_labels(m, d)
+        if nv > d * parts:
+            raise AuditError(f"matrix has {nv} distinct entries, "
                              f"more than d*parts = {d * parts}")
-        cs = [set(vals[i:i + d]) for i in range(0, len(vals), d)]
-        cs += [set()] * (parts - len(cs))
-        chunks.append(cs)
-    out = []
-    for xa in range(parts):
-        for yb in range(parts):
-            for zc in range(parts):
-                a2 = _restrict_values(inst.a.data, chunks[0][xa])
-                b2 = _restrict_values(inst.b.data, chunks[1][yb])
-                c2 = _restrict_values(inst.c.data, chunks[2][zc])
-                if prune and ((a2 == BOT).all() or (b2 == BOT).all()
-                              or (c2 == BOT).all()):
-                    continue
-                out.append(TriangleInstance(WeightMatrix(a2, copy=False),
-                                            WeightMatrix(b2, copy=False),
-                                            WeightMatrix(c2, copy=False)))
-    return out
+        labels.append(lab)
+    return [TriangleInstance(*p) for p in _label_pieces(inst.matrices(), labels)]
 
 
 def _row_occurrence_classes(m, absent):
@@ -751,14 +732,10 @@ def _uniformize_class(rowpos_a, colpos_b, c, d, delta, rng, n):
                                        np.where(keep, BOT, cgh))
             if not keep.any():
                 continue
-            c_pop = np.where(keep, cgh, BOT)
-            if (ag == BOT).all() or (bh == BOT).all():
-                continue
-            sub = TriangleInstance(WeightMatrix(ag), WeightMatrix(bh),
-                                   WeightMatrix(c_pop, copy=False))
-            parts = max(1, math.ceil(max(len(_entry_values_sorted(m))
-                                         for m in (ag, bh, c_pop)) / d))
-            instances.extend(uniformize_naive(sub, d, parts, prune=True))
+            mats = (ag, bh, np.where(keep, cgh, BOT))
+            labels = [_rank_labels(m, d)[1] for m in mats]
+            instances.extend(TriangleInstance(*p)
+                             for p in _label_pieces(mats, labels))
     return instances, triples
 
 
@@ -766,45 +743,29 @@ def _uniformize_class(rowpos_a, colpos_b, c, d, delta, rng, n):
 # Regularization.
 # ----------------------------------------------------------------------------
 
-def _split_regular(m, r, big_r):
-    """Partition into big_r^2 pieces, each with <= r occurrences per row/col.
+def regularize_naive(inst, d, r, big_r):
+    """Split a d-uniform, r*R-regular instance into at most R^6 r-regular ones.
 
-    An entry's row (column) part is its rank among equal values in its row
-    (column) divided by r.
+    An entry's row part is its rank among equal values in its row divided
+    by r; its column part is its rank among the entries of its column with
+    the same value and row part, divided by r.  There is one instance per
+    triple of (row part, column part) labels, in lexicographic order.
     """
-    row_part = occurrence_stats(m, BOT)[1] // r
-    if (row_part[m != BOT] >= big_r).any():
-        raise AuditError("matrix is not r*R-regular on rows")
-    pieces = {}
-    for t1 in range(big_r):
-        m1 = np.where((row_part == t1) & (m != BOT), m, BOT)
-        col_part = occurrence_stats(m1.T, BOT)[1].T // r
-        if (col_part[m1 != BOT] >= big_r).any():
-            raise AuditError("matrix is not r*R-regular on columns")
-        for t2 in range(big_r):
-            pieces[(t1, t2)] = np.where((col_part == t2) & (m1 != BOT), m1, BOT)
-    return pieces
-
-
-def regularize_naive(inst, d, r, big_r, prune=False):
-    """Split a d-uniform, r*R-regular instance into R^6 r-regular instances."""
     if r < 1 or big_r < 1:
         raise ValueError("r and R must be >= 1")
     r = int(r)
-    pa = _split_regular(inst.a.data, r, big_r)
-    pb = _split_regular(inst.b.data, r, big_r)
-    pc = _split_regular(inst.c.data, r, big_r)
-    out = []
-    for ka in sorted(pa):
-        for kb in sorted(pb):
-            for kc in sorted(pc):
-                a2, b2, c2 = pa[ka], pb[kb], pc[kc]
-                if prune and ((a2 == BOT).all() or (b2 == BOT).all()
-                              or (c2 == BOT).all()):
-                    continue
-                out.append(TriangleInstance(WeightMatrix(a2), WeightMatrix(b2),
-                                            WeightMatrix(c2)))
-    return out
+    labels = []
+    for m in inst.matrices():
+        present = m != BOT
+        row_part = occurrence_stats(m, BOT)[1] // r
+        if (row_part[present] >= big_r).any():
+            raise AuditError("matrix is not r*R-regular on rows")
+        key = np.where(present, _value_codes(m)[1] * big_r + row_part, -1)
+        col_part = occurrence_stats(key.T, -1)[1].T // r
+        if (col_part[present] >= big_r).any():
+            raise AuditError("matrix is not r*R-regular on columns")
+        labels.append(np.where(present, row_part * big_r + col_part, -1))
+    return [TriangleInstance(*p) for p in _label_pieces(inst.matrices(), labels)]
 
 
 def _three_way_split(m, threshold):
@@ -818,9 +779,10 @@ def _three_way_split(m, threshold):
             np.where(regular, m, BOT))
 
 
-def _all_bot(inst):
-    return ((inst.a.data == BOT).all() or (inst.b.data == BOT).all()
-            or (inst.c.data == BOT).all())
+def _all_bot(mats):
+    """Whether some matrix of an (a, b, c) triple has no entry: such a
+    triple holds no triangle."""
+    return any((m == BOT).all() for m in mats)
 
 
 class RegularizeStats:
@@ -864,7 +826,7 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
             final.append((d_l, piece))
         else:
             final.extend((d_l, sub) for sub in
-                         regularize_naive(piece, d_l, r, big_r, prune=True))
+                         regularize_naive(piece, d_l, r, big_r))
     return final, triples
 
 
@@ -883,14 +845,14 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
     if stats is None:
         stats = RegularizeStats()
 
-    def rec(cur, d_cur, delta_cur, promise, depth):
+    def rec(mats, d_cur, delta_cur, tag, depth):
         if depth > depth_guard:
             raise RuntimeError("recursion depth guard exceeded; "
                                "check eps/rho configuration")
         stats.max_depth = max(stats.max_depth, depth)
-        if d_cur <= 0 or _all_bot(cur):
+        if d_cur <= 0 or _all_bot(mats):
             return [], set()
-        oriented, tag = canonical_orientation(cur, promise)
+        oriented = TriangleInstance(*_FORWARD[tag](*mats))
         stats.uniformize_calls += 1
         insts, t_acc = uniformize(oriented, d_cur, delta_cur, rng)
         pieces_acc = []
@@ -899,33 +861,33 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
         delta_next = delta_cur * 12 * big_l
         threshold = (n / max(d_cur, 1)) * rho
         for sub in insts:
-            a_row, a_col, a_reg = _three_way_split(sub.a.data, threshold)
-            b_row, b_col, b_reg = _three_way_split(sub.b.data, threshold)
-            c_row, c_col, c_reg = _three_way_split(sub.c.data, threshold)
+            a, b, c = sub.matrices()
+            a_row, a_col, a_reg = _three_way_split(a, threshold)
+            b_row, b_col, b_reg = _three_way_split(b, threshold)
+            c_row, c_col, c_reg = _three_way_split(c, threshold)
             branches = [
-                ((a_row, sub.b.data, sub.c.data), "A_rows"),
-                ((a_col, sub.b.data, sub.c.data), "A_cols"),
-                ((a_reg, b_row, sub.c.data), "B_rows"),
-                ((a_reg, b_col, sub.c.data), "B_cols"),
+                ((a_row, b, c), "A_rows"),
+                ((a_col, b, c), "A_cols"),
+                ((a_reg, b_row, c), "B_rows"),
+                ((a_reg, b_col, c), "B_cols"),
                 ((a_reg, b_reg, c_row), "C_rows"),
                 ((a_reg, b_reg, c_col), "C_cols"),
             ]
-            for (ma, mb, mc), pr in branches:
-                branch = TriangleInstance(WeightMatrix(ma), WeightMatrix(mb),
-                                          WeightMatrix(mc), promise=pr)
+            for branch, pr in branches:
                 if _all_bot(branch):
                     continue
                 sp, st = rec(branch, d_next, delta_next, pr, depth + 1)
                 pieces_acc.extend(sp)
                 t_acc |= st
-            reg = TriangleInstance(WeightMatrix(a_reg), WeightMatrix(b_reg),
-                                   WeightMatrix(c_reg))
+            reg = (a_reg, b_reg, c_reg)
             if not _all_bot(reg):
                 pieces_acc.append((d_cur, reg))
-        return ([(dl, deorient_instance(pi, tag)) for dl, pi in pieces_acc],
+        back = _FORWARD[_INVERSE[tag]]
+        return ([(dl, back(*m)) for dl, m in pieces_acc],
                 triples_to_original(t_acc, tag))
 
-    return rec(inst, d, delta, inst.promise, 0)
+    pieces, triples = rec(inst.matrices(), d, delta, inst.promise, 0)
+    return [(dl, TriangleInstance(*m)) for dl, m in pieces], triples
 
 
 # ----------------------------------------------------------------------------

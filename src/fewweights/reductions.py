@@ -13,11 +13,13 @@ import numpy as np
 
 from .apsp import deterministic_pivot_apsp, eliminate_negative_cycles
 from .core import (
+    AuditError,
     BOT,
     EdgeWeightedGraph,
     POS_INF,
     WeightMatrix,
     node_weighted_graph,
+    occurrence_stats,
     require_distinct_weights,
     value_positions,
 )
@@ -67,8 +69,9 @@ def minplus_from_aete(a, b, d, solver, frames=None):
     product is within {0,...,4} of the truth, and an All-Edges Exact
     Triangle query per offset pins the exact value.  The solver must answer
     instances whose A rows keep at most d distinct entries (halving
-    preserves that budget).  Passing a list as `frames` records one
-    ScalingFrame per recursion level.
+    preserves that budget); a given d is audited first, with AuditError when
+    some row of A has more finite entries.  Passing a list as `frames`
+    records one ScalingFrame per recursion level.
     """
     a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
     b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
@@ -77,6 +80,8 @@ def minplus_from_aete(a, b, d, solver, frames=None):
     fa, fb = a != POS_INF, b != POS_INF
     if (a[fa] < 0).any() or (b[fb] < 0).any():
         raise ValueError("entries must be nonnegative (shift first)")
+    if d is not None and occurrence_stats(a, POS_INF)[2].max(initial=0) > d:
+        raise AuditError(f"rows of A exceed {d} distinct finite entries")
     n1, n2 = a.shape
     n3 = b.shape[1]
     n = max(n1, n2, n3)
@@ -105,9 +110,7 @@ def minplus_from_aete(a, b, d, solver, frames=None):
             if not pending.any():
                 break
             cml = np.where(pending, 2 * c_prime + ell, BOT)
-            inst = TriangleInstance(WeightMatrix(amat),
-                                    WeightMatrix(bmat),
-                                    WeightMatrix(_pad_square(cml, n, BOT)))
+            inst = TriangleInstance(amat, bmat, _pad_square(cml, n, BOT))
             rep = solver(inst)
             hit = pending & rep.yes[:n1, :n3]
             out[hit] = 2 * c_prime[hit] + ell

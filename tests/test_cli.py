@@ -13,7 +13,7 @@ from fewweights.cli import (
     main,
     save_instance,
 )
-from fewweights.core import load_matrix
+from fewweights.core import WeightMatrix, load_matrix, save_matrix
 from fewweights.exact_triangle import TriangleInstance, aete_brute
 from fewweights.generators import (random_triangle_instance,
                                    random_uniform_regular_instance)
@@ -185,6 +185,17 @@ def test_reduce_minplus_from_aete(tmp_path):
     from fewweights.minplus import min_plus_naive
     a, b = load_matrix(out / "A.mat"), load_matrix(out / "B.mat")
     assert load_matrix(r / "result.mat") == min_plus_naive(a, b)
+
+
+def test_reduce_minplus_from_aete_audits_d(tmp_path):
+    # every row of the 6 x 6 A holds five distinct values
+    a = WeightMatrix((np.arange(6)[:, None] + np.arange(6)) % 5)
+    save_matrix(a, tmp_path / "A.mat")
+    args = ("reduce", "minplus-from-aete", "--input", tmp_path / "A.mat",
+            "--input-b", tmp_path / "A.mat")
+    assert run(*args, "--d", 1, "--out", tmp_path / "r1") == EXIT_INPUT
+    assert not (tmp_path / "r1" / "result.mat").exists()
+    assert run(*args, "--d", 5, "--out", tmp_path / "r5") == EXIT_OK
 
 
 def test_reduce_apsp_from_minplus(tmp_path):

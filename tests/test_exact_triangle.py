@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fewweights.core import AuditError, BOT, WeightMatrix, value_positions
+from fewweights.core import (AuditError, BOT, WeightMatrix, occurrence_stats,
+                             value_positions)
 from fewweights import exact_triangle as et
 from fewweights.generators import (
     random_triangle_instance,
@@ -171,6 +172,20 @@ def test_poly_mm_across_split_shapes():
         for bot_frac in (0.0, 0.5, 0.9):
             assert_poly_mm_matches_reference(random_exponents(rng, 16, p, bot_frac),
                                              random_exponents(rng, 16, p, bot_frac), p)
+
+
+def test_find_ntt_prime_matches_brute_force_scan():
+    limit = 1 << 16
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 256):
+        if sieve[f]:
+            sieve[f * f::f] = False
+    for m in (1 << e for e in range(11)):
+        for minimum in (0, 1, 2, 3, 16, 33, 100, 1000, 5000, 12289, 40000):
+            qs = np.arange(minimum + 1, limit)
+            want = int(qs[sieve[qs] & ((qs - 1) % m == 0)][0])
+            assert et._find_ntt_prime(m, minimum) == want, (m, minimum)
 
 
 def test_ntt_plan_tables_are_read_only():
@@ -504,8 +519,123 @@ def test_uniformize_naive_all_bot_c():
                                WeightMatrix(np.full((5, 5), BOT, np.int64)))
     d = 2
     parts = max(1, -(-max(len(inst.entry_set(w)) for w in "abc") // d))
-    for sub in et.uniformize_naive(inst, d, parts):
-        assert not et.aete_brute(sub).yes.any()
+    assert et.uniformize_naive(inst, d, parts) == []
+
+
+def uniformize_naive_reference(mats, d, parts):
+    """The former loop of uniformize_naive with its pruning on: chunks of d
+    ascending values per matrix, one piece per chunk triple in loop order,
+    pieces with an all-BOT matrix skipped."""
+    chunks = []
+    for m in mats:
+        vals = sorted(set(m[m != BOT].tolist()))
+        if len(vals) > d * parts:
+            raise AuditError(f"matrix has {len(vals)} distinct entries, "
+                             f"more than d*parts = {d * parts}")
+        cs = [set(vals[i:i + d]) for i in range(0, len(vals), d)]
+        chunks.append(cs + [set()] * (parts - len(cs)))
+    out = []
+    for xa in range(parts):
+        for yb in range(parts):
+            for zc in range(parts):
+                piece = tuple(et._restrict_values(m, cs[t]) for m, cs, t in
+                              zip(mats, chunks, (xa, yb, zc)))
+                if not any((p == BOT).all() for p in piece):
+                    out.append(piece)
+    return out
+
+
+def split_regular_reference(m, r, big_r):
+    """The former per-matrix split of regularize_naive: row part by rank in
+    the row, then column part by rank in the column of each row piece."""
+    row_part = occurrence_stats(m, BOT)[1] // r
+    if (row_part[m != BOT] >= big_r).any():
+        raise AuditError("matrix is not r*R-regular on rows")
+    pieces = {}
+    for t1 in range(big_r):
+        m1 = np.where((row_part == t1) & (m != BOT), m, BOT)
+        col_part = occurrence_stats(m1.T, BOT)[1].T // r
+        if (col_part[m1 != BOT] >= big_r).any():
+            raise AuditError("matrix is not r*R-regular on columns")
+        for t2 in range(big_r):
+            pieces[(t1, t2)] = np.where((col_part == t2) & (m1 != BOT), m1, BOT)
+    return pieces
+
+
+def regularize_naive_reference(mats, r, big_r):
+    """The former loop of regularize_naive with its pruning on."""
+    splits = [split_regular_reference(m, r, big_r) for m in mats]
+    out = []
+    for ka in sorted(splits[0]):
+        for kb in sorted(splits[1]):
+            for kc in sorted(splits[2]):
+                piece = (splits[0][ka], splits[1][kb], splits[2][kc])
+                if not any((p == BOT).all() for p in piece):
+                    out.append(piece)
+    return out
+
+
+def assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for inst, ref in zip(got, want):
+        assert inst.promise == "A_rows"
+        for mg, mw in zip(inst.matrices(), ref):
+            assert mg.dtype == mw.dtype and np.array_equal(mg, mw)
+
+
+def assert_same_outcome(fn, reference):
+    """fn() and reference() return the same pieces or raise the same
+    AuditError."""
+    try:
+        want = reference()
+    except AuditError as exc:
+        with pytest.raises(AuditError) as got:
+            fn()
+        assert str(got.value) == str(exc)
+        return
+    assert_same_pieces(fn(), want)
+
+
+def random_split_matrices(rng, n, t):
+    """Three n x n matrices over a few values with BOT holes; every fifth
+    case makes one of them all BOT."""
+    nv = int(rng.integers(1, 6))
+    mats = [rng.integers(-nv, nv, size=(n, n)).astype(np.int64) for _ in "abc"]
+    for m in mats:
+        m[rng.random((n, n)) < rng.choice([0.0, 0.3, 0.8])] = BOT
+    if t % 5 == 4:
+        mats[int(rng.integers(0, 3))][:] = BOT
+    return mats
+
+
+def test_uniformize_naive_matches_loop_reference():
+    rng = np.random.default_rng(42)
+    for t in range(120):
+        n = t % 13
+        mats = random_split_matrices(rng, n, t)
+        inst = et.TriangleInstance(*mats)
+        d = int(rng.integers(1, 5))
+        need = max([len(inst.entry_set(w)) for w in "abc"] + [1])
+        # parts one short of the need raises AuditError in both
+        parts = max(1, -(-need // d) + int(rng.integers(-1, 2)))
+        assert_same_outcome(lambda: et.uniformize_naive(inst, d, parts),
+                            lambda: uniformize_naive_reference(mats, d, parts))
+
+
+def test_regularize_naive_matches_loop_reference():
+    rng = np.random.default_rng(43)
+    for t in range(120):
+        n = t % 13
+        mats = random_split_matrices(rng, n, t)
+        inst = et.TriangleInstance(*mats)
+        ref = regularity_reference(inst)
+        worst = max([v[k] for v in ref.values() for k in (1, 2)] + [1])
+        r = int(rng.integers(1, max(2, worst + 1)))
+        # R = 1 (kept whole when r-regular), the exact ceil(worst / r), and
+        # one short of it, which raises AuditError in both
+        big_r = max(1, (1, -(-worst // r), -(-worst // r) - 1)[t % 3])
+        assert_same_outcome(lambda: et.regularize_naive(inst, 1, r, big_r),
+                            lambda: regularize_naive_reference(mats, r, big_r))
 
 
 @pytest.mark.parametrize("delta", [1, 2])
@@ -649,8 +779,7 @@ def test_regularize_naive_r1_identity():
 def test_regularize_naive_all_bot():
     m = WeightMatrix(np.full((4, 4), BOT, np.int64))
     inst = et.TriangleInstance(m, m, m)
-    for sub in et.regularize_naive(inst, 1, 2, 2):
-        assert (sub.a.data == BOT).all()
+    assert et.regularize_naive(inst, 1, 2, 2) == []
 
 
 def test_regularize_d1_trivial():
@@ -702,7 +831,7 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
             worst = max([v[k] for v in ref.values() for k in (1, 2)] + [1])
             big_rs.append(-(-worst // r))
             want += [(d_l, sub) for sub in
-                     et.regularize_naive(piece, d_l, r, big_rs[-1], prune=True)]
+                     et.regularize_naive(piece, d_l, r, big_rs[-1])]
         got, got_t = et.regularize(inst, d, delta, eps=2.0,
                                    rng=np.random.default_rng(t))
         assert got_t == want_t

@@ -56,6 +56,18 @@ def test_minplus_from_aete_rejects_negative():
                               None, aete_brute)
 
 
+def test_minplus_from_aete_audits_declared_d():
+    # every row of the 6 x 6 A holds five distinct values
+    a = WeightMatrix((np.arange(6)[:, None] + np.arange(6)) % 5)
+    with pytest.raises(AuditError, match="exceed 1 distinct"):
+        red.minplus_from_aete(a, a, 1, aete_brute)
+    # +inf entries are not counted, and d = 5 or d = None passes
+    holes = WeightMatrix(np.where(a.data > 0, a.data, POS_INF))
+    assert red.minplus_from_aete(holes, a, 4, aete_brute) == mp.min_plus_naive(holes, a)
+    for d in (5, None):
+        assert red.minplus_from_aete(a, a, d, aete_brute) == mp.min_plus_naive(a, a)
+
+
 def test_minplus_from_aete_detects_broken_solver():
     class NoSayer:
         def __call__(self, inst):
