@@ -29,6 +29,7 @@ from .core import (
     NEG_INF,
     POS_INF,
     WeightMatrix,
+    _as_data,
     build_one_hop_matrix,
     require_distinct_weights,
 )
@@ -163,7 +164,7 @@ class NegativeCycleRemap:
         self.identity = identity
 
     def decode(self, dist):
-        data = dist.data if isinstance(dist, WeightMatrix) else np.asarray(dist)
+        data = _as_data(dist)
         if self.identity:
             return DistanceMatrix(data)
         raw = data[np.ix_(self.node_map, self.node_map)].copy()

@@ -133,6 +133,13 @@ class DistanceMatrix(WeightMatrix):
     __slots__ = ()
 
 
+def _as_data(mat):
+    """The int64 array of a WeightMatrix, or `mat` as an int64 array."""
+    if isinstance(mat, WeightMatrix):
+        return mat.data
+    return np.asarray(mat, dtype=np.int64)
+
+
 def _int_rows(rows, width):
     """`rows` as an (m, width) int64 array; an array skips the list round trip."""
     if not isinstance(rows, np.ndarray):

@@ -24,6 +24,7 @@ from .core import (
     POS_INF,
     WeightError,
     WeightMatrix,
+    _as_data,
     one_hop_offdiag,
     require_distinct_weights,
     saturating_add,
@@ -61,12 +62,6 @@ def reset_counters():
 
 def snapshot_counters():
     return dict(counters)
-
-
-def _as_data(mat):
-    if isinstance(mat, WeightMatrix):
-        return mat.data
-    return np.asarray(mat, dtype=np.int64)
 
 
 def _validate_operand(data, name):

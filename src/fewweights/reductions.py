@@ -18,9 +18,11 @@ from .core import (
     EdgeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    _as_data,
     node_weighted_graph,
     occurrence_stats,
     require_distinct_weights,
+    saturating_add,
     value_positions,
 )
 from .exact_triangle import (
@@ -73,8 +75,7 @@ def minplus_from_aete(a, b, d, solver, frames=None):
     some row of A has more finite entries.  Passing a list as `frames`
     records one ScalingFrame per recursion level.
     """
-    a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
-    b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
+    a, b = _as_data(a), _as_data(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
     fa, fb = a != POS_INF, b != POS_INF
@@ -160,8 +161,7 @@ class GadgetGraph:
 
     def decode(self, dist):
         """Source-sink block of a distance matrix minus the decode offset."""
-        data = dist.data if isinstance(dist, WeightMatrix) else np.asarray(dist)
-        block = data[np.ix_(self.sources, self.sinks)]
+        block = _as_data(dist)[np.ix_(self.sources, self.sinks)]
         out = np.where(block == POS_INF, POS_INF, block - self.offset)
         if self.finite_cap is not None:
             out = np.where(out > self.finite_cap, POS_INF, out)
@@ -181,8 +181,7 @@ def gen_bounded_minplus_gadget(a, b, eps, undirected=False):
     variant adds M = 2*ceil(n^(1/2+eps)) on every edge touching R or C, so
     distances decode at offset 2M.
     """
-    a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
-    b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
+    a, b = _as_data(a), _as_data(b)
     n, s = a.shape
     if b.shape != (s, n):
         raise ValueError("B must be s x n for A of shape n x s")
@@ -194,32 +193,22 @@ def gen_bounded_minplus_gadget(a, b, eps, undirected=False):
     q = math.ceil(n ** (0.5 - eps))
     big_m = 2 * cap if undirected else 0
     plen = 2 * q - 1
-    total = 2 * n + s * plen
-    edges = []
-
-    def path_vertex(k, pos):
-        return 2 * n + k * plen + pos
-
-    for k in range(s):
-        for pos in range(plen - 1):
-            edges.append((path_vertex(k, pos), path_vertex(k, pos + 1), 1))
     mid = q - 1  # position of the path middle w_k
-    for i in range(n):
-        for k in range(s):
-            v = a[i, k]
-            if v == POS_INF:
-                continue
-            pos = mid - int(v) % q
-            edges.append((i, path_vertex(k, pos), q * (int(v) // q) + big_m))
-    for k in range(s):
-        for j in range(n):
-            v = b[k, j]
-            if v == POS_INF:
-                continue
-            pos = mid + int(v) % q
-            edges.append((path_vertex(k, pos), n + j, q * (int(v) // q) + big_m))
+    total = 2 * n + s * plen
+    # path edges k-major, then A edges i-major, then B edges k-major
+    path = (2 * n + plen * np.arange(s)[:, None] + np.arange(plen - 1)).ravel()
+    ia, ka = np.nonzero(a != POS_INF)
+    kb, jb = np.nonzero(b != POS_INF)
+    va, vb = a[ia, ka], b[kb, jb]
+    edges = np.concatenate([
+        np.column_stack([path, path + 1, np.ones_like(path)]),
+        np.column_stack([ia, 2 * n + ka * plen + mid - va % q,
+                         q * (va // q) + big_m]),
+        np.column_stack([2 * n + kb * plen + mid + vb % q, n + jb,
+                         q * (vb // q) + big_m]),
+    ])
     if undirected:
-        edges = edges + [(v, u, w) for (u, v, w) in edges]
+        edges = np.concatenate([edges, edges[:, [1, 0, 2]]])
     graph = EdgeWeightedGraph(total, edges)
     return GadgetGraph(graph, np.arange(n), np.arange(n, 2 * n),
                        offset=2 * big_m if undirected else 0,
@@ -237,54 +226,41 @@ def gen_column_weight_gadget(a, b, undirected=False):
     I-to-J distances decode at offset 12M (paths of 5 or more nodes then
     cost at least 16M while any 4-node path costs at most 14M).
     """
-    a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
-    b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
+    a, b = _as_data(a), _as_data(b)
     n, dcols = a.shape
     if b.shape != (dcols, n):
         raise ValueError("B must be D x n for A of shape n x D")
     fa, fb = a != POS_INF, b != POS_INF
-    if (fa.any() and (a[fa] < 0).any()) or (fb.any() and (b[fb] < 0).any()):
+    if (a[fa] < 0).any() or (b[fb] < 0).any():
         raise ValueError("entries must be nonnegative")
-    big_m = 0
-    if fa.any():
-        big_m = max(big_m, int(a[fa].max()))
-    if fb.any():
-        big_m = max(big_m, int(b[fb].max()))
+    # M >= 1 keeps the 4M bonus positive when every entry is 0
+    big_m = max(1, int(a[fa].max(initial=0)), int(b[fb].max(initial=0)))
     bonus = 4 * big_m if undirected else 0
-    col_vals = [sorted(set(a[fa[:, k], k].tolist())) for k in range(dcols)]
-    row_vals = [sorted(set(b[k, fb[k, :]].tolist())) for k in range(dcols)]
-    node_weight = [0] * (2 * n)
-    k1_id = {}
-    k2_id = {}
-    nid = 2 * n
-    for k in range(dcols):
-        for z in col_vals[k]:
-            k1_id[(k, z)] = nid
-            node_weight.append(z)
-            nid += 1
-    for k in range(dcols):
-        for y in row_vals[k]:
-            k2_id[(k, y)] = nid
-            node_weight.append(y)
-            nid += 1
-    node_weight = np.array(node_weight, dtype=np.int64) + bonus
-    edges = []
-    for k in range(dcols):
-        for z in col_vals[k]:
-            for y in row_vals[k]:
-                edges.append((k1_id[(k, z)], k2_id[(k, y)]))
-    for i in range(n):
-        for k in range(dcols):
-            if fa[i, k]:
-                edges.append((i, k1_id[(k, int(a[i, k]))]))
-    for k in range(dcols):
-        for j in range(n):
-            if fb[k, j]:
-                edges.append((k2_id[(k, int(b[k, j]))], n + j))
+    # one middle node per (column, value) pair present: K1 nodes, then K2
+    # nodes, each in (column, value) order
+    ia, ka = np.nonzero(fa)
+    kb, jb = np.nonzero(fb)
+    k1, at1 = np.unique(np.column_stack([ka, a[ia, ka]]), axis=0,
+                        return_inverse=True)
+    k2, at2 = np.unique(np.column_stack([kb, b[kb, jb]]), axis=0,
+                        return_inverse=True)
+    first2 = 2 * n + len(k1)
+    # each K1 node (k, z) links to the run of K2 nodes (k, y)
+    lo = np.searchsorted(k2[:, 0], k1[:, 0])
+    run = np.searchsorted(k2[:, 0], k1[:, 0], side="right") - lo
+    src = np.repeat(np.arange(len(k1)), run)
+    dst = np.arange(run.sum()) + np.repeat(lo + run - np.cumsum(run), run)
+    edges = np.concatenate([
+        np.column_stack([2 * n + src, first2 + dst]),
+        np.column_stack([ia, 2 * n + at1.ravel()]),
+        np.column_stack([first2 + at2.ravel(), n + jb]),
+    ])
     if undirected:
-        edges = edges + [(v, u) for (u, v) in edges]
-    graph = node_weighted_graph(nid, edges, node_weight)
-    layer_sizes = (n, len(k1_id), len(k2_id), n)
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    node_weight = np.concatenate([np.zeros(2 * n, dtype=np.int64),
+                                  k1[:, 1], k2[:, 1]]) + bonus
+    graph = node_weighted_graph(first2 + len(k2), edges, node_weight)
+    layer_sizes = (n, len(k1), len(k2), n)
     return GadgetGraph(graph, np.arange(n), np.arange(n, 2 * n),
                        offset=3 * bonus,
                        meta={"M": big_m, "layers": layer_sizes},
@@ -293,10 +269,9 @@ def gen_column_weight_gadget(a, b, undirected=False):
 
 def make_scaling_promise(a, b):
     """3-candidate promise matrix: twice the product of the halved inputs."""
-    a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
-    b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
+    a, b = _as_data(a), _as_data(b)
     fa, fb = a != POS_INF, b != POS_INF
-    if (fa.any() and (a[fa] < 0).any()) or (fb.any() and (b[fb] < 0).any()):
+    if (a[fa] < 0).any() or (b[fb] < 0).any():
         raise ValueError("entries must be nonnegative")
     a2 = np.where(fa, a // 2, POS_INF)
     b2 = np.where(fb, b // 2, POS_INF)
@@ -320,10 +295,8 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
     remainder sums, and one 4-layer node-weighted gadget per pair of
     decomposition parts solved by nw_solver.
     """
-    a = a.data if isinstance(a, WeightMatrix) else np.asarray(a, dtype=np.int64)
-    b = b.data if isinstance(b, WeightMatrix) else np.asarray(b, dtype=np.int64)
-    cp = c_promise.data if isinstance(c_promise, WeightMatrix) else \
-        np.asarray(c_promise, dtype=np.int64)
+    a, b = _as_data(a), _as_data(b)
+    cp = _as_data(c_promise)
     n, inner = a.shape
     if b.shape != (inner, n) or cp.shape != (n, n):
         raise ValueError("shape mismatch")
@@ -344,7 +317,7 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
 
 
 def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
-    n, inner = ax.shape
+    n = ax.shape[0]
     out = np.full((n, n), POS_INF, dtype=np.int64)
     rowpos_a = value_positions(ax, POS_INF)
     colpos_b = value_positions(by.T, POS_INF)
@@ -382,95 +355,51 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
              + reps(*_padded(s_sets), *_padded(ydec.remainders)))
     flagged = finite & (count >= flag_threshold).any(axis=2)
 
-    ii, jj = np.nonzero(flagged)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        best = POS_INF
-        fa = ax[i] != POS_INF
-        both = fa & (by[:, j] != POS_INF)
-        if both.any():
-            best = int((ax[i][both] + by[both, j]).min())
-        out[i, j] = min(out[i, j], best)
+    ii, jj = np.nonzero(flagged)  # still +inf in out: full scans
+    out[ii, jj] = saturating_add(ax[ii], by[:, jj].T).min(axis=1,
+                                                          initial=POS_INF)
     for off in range(3):
         target = np.where(finite & ~flagged, cp + off, BOT)
         for i, _, j in _list_remainder_triangles(rowpos_a, colpos_b, target,
                                                  xdec, ydec):
             out[i, j] = min(out[i, j], target[i, j])
 
-    shifts_x = [xdec.parts[g].shifts for g in range(xdec.level_count)]
-    for g in range(xdec.level_count):
-        core_x = sorted(xdec.parts[g].core)
-        if not core_x:
-            continue
-        sigma = np.array([shifts_x[g].get(i, 0) for i in range(n)],
+    part_min = _part_pair_products(ax, by, xdec.parts, ydec.parts, nw_solver,
+                                   undirected)
+    return np.minimum(out, part_min, out=out)
+
+
+def _part_pair_products(ax, by, xparts, yparts, nw_solver, undirected):
+    """Per pair of part levels (sigma, core_x) and (tau, core_y), the min over
+    k of ax[i, k] + by[k, j] where ax[i, k] - sigma[i] lies in core_x and
+    by[k, j] - tau[j] in core_y, through one column-weight gadget each; the
+    elementwise min over the pairs.
+
+    Each side is shifted by its core minimum, so the gadget sees entries
+    >= 0, and sigma[i] + tau[j] + min(core_x) + min(core_y) is added back.
+    A level pair with no A entry in its core makes no solver call.
+    """
+
+    def side(m, part, axis):
+        # part's shift per row (axis 0) or column (axis 1) of m
+        shift = np.array([part.shifts.get(i, 0) for i in range(m.shape[axis])],
                          dtype=np.int64)
-        for hlev in range(ydec.level_count):
-            core_y = sorted(ydec.parts[hlev].core)
-            if not core_y:
-                continue
-            tau = np.array([ydec.parts[hlev].shifts.get(j, 0) for j in range(n)],
-                           dtype=np.int64)
-            cand = _part_pair_gadget(ax, by, sigma, tau, core_x, core_y,
-                                     nw_solver, undirected)
-            np.minimum(out, cand, out=out)
-    return out
+        lo = min(part.core)
+        rel = m - np.expand_dims(shift, 1 - axis)
+        keep = (m != POS_INF) & np.isin(rel, list(part.core))
+        return np.where(keep, rel - lo, POS_INF), shift + lo
 
-
-def _part_pair_gadget(ax, by, sigma, tau, core_x, core_y, nw_solver,
-                      undirected):
-    """One 4-layer gadget: I (shift sigma), K1 (core x), K2 (core y), J (tau)."""
-    n, inner = ax.shape
-    setx, sety = set(core_x), set(core_y)
-    k1_id, k2_id = {}, {}
-    weights = list(sigma) + list(tau)
-    nid = 2 * n
-    for k in range(inner):
-        for xv in core_x:
-            k1_id[(k, xv)] = nid
-            weights.append(xv)
-            nid += 1
-        for yv in core_y:
-            k2_id[(k, yv)] = nid
-            weights.append(yv)
-            nid += 1
-    edges = []
-    used = False
-    for k in range(inner):
-        for xv in core_x:
-            for yv in core_y:
-                edges.append((k1_id[(k, xv)], k2_id[(k, yv)]))
-    for i in range(n):
-        for k in range(inner):
-            v = ax[i, k]
-            if v != POS_INF and int(v) - int(sigma[i]) in setx:
-                edges.append((i, k1_id[(k, int(v) - int(sigma[i]))]))
-                used = True
-    for j in range(n):
-        for k in range(inner):
-            v = by[k, j]
-            if v != POS_INF and int(v) - int(tau[j]) in sety:
-                edges.append((k2_id[(k, int(v) - int(tau[j]))], n + j))
-    out = np.full((n, n), POS_INF, dtype=np.int64)
-    if not used:
-        return out
-    weights = np.array(weights, dtype=np.int64)
-    bonus = 0
-    offset = 0
-    cap = None
-    if undirected:
-        # 10x the largest node magnitude forces shortest finite paths onto
-        # the 4-layer shape; anything decoding above the largest legitimate
-        # x+y+tau is a weaving path, i.e. not a real candidate
-        top = max(1, int(np.abs(weights).max()))
-        bonus = 10 * top
-        cap = max(core_x) + max(core_y) + int(tau.max())
-        weights = weights + bonus
-        offset = 3 * bonus
-        edges = edges + [(v, u) for (u, v) in edges]
-    graph = node_weighted_graph(nid, edges, weights)
-    dist = nw_solver(graph).data
-    block = dist[np.ix_(np.arange(n), np.arange(n, 2 * n))]
-    fin = block != POS_INF
-    if cap is not None:
-        fin &= (block - offset) <= cap
-    out[fin] = block[fin] - offset + sigma[np.nonzero(fin)[0]]
+    out = np.full((ax.shape[0], by.shape[1]), POS_INF, dtype=np.int64)
+    y_sides = [side(by, ypart, 1) for ypart in yparts if ypart.core]
+    for xpart in xparts:
+        if not xpart.core:
+            continue
+        a_core, add_x = side(ax, xpart, 0)
+        if (a_core == POS_INF).all():
+            continue
+        for b_core, add_y in y_sides:
+            gadget = gen_column_weight_gadget(a_core, b_core, undirected)
+            dist = gadget.decode(nw_solver(gadget.graph)).data
+            np.minimum(out, saturating_add(dist, add_x[:, None] + add_y),
+                       out=out)
     return out

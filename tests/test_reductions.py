@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from fewweights.additive import PartLevel
 from fewweights.core import (
     AuditError,
     BOT,
     EdgeWeightedGraph,
     POS_INF,
     WeightMatrix,
+    node_weighted_graph,
     one_hop_offdiag,
 )
 from fewweights import apsp as ap
@@ -186,6 +188,86 @@ def test_bounded_gadget_entry_range_error():
         red.gen_bounded_minplus_gadget(a, b, 0.25)
 
 
+def _reference_bounded_gadget(a, b, eps, undirected):
+    """The per-entry loop builder: path edges k-major, then A edges i-major,
+    then B edges k-major."""
+    n, s = a.shape
+    cap = int(np.ceil(n ** (0.5 + eps)))
+    q = int(np.ceil(n ** (0.5 - eps)))
+    big_m = 2 * cap if undirected else 0
+    plen = 2 * q - 1
+    mid = q - 1
+    edges = []
+    for k in range(s):
+        for pos in range(plen - 1):
+            base = 2 * n + k * plen
+            edges.append((base + pos, base + pos + 1, 1))
+    for i in range(n):
+        for k in range(s):
+            v = int(a[i, k])
+            if v != POS_INF:
+                edges.append((i, 2 * n + k * plen + mid - v % q,
+                              q * (v // q) + big_m))
+    for k in range(s):
+        for j in range(n):
+            v = int(b[k, j])
+            if v != POS_INF:
+                edges.append((2 * n + k * plen + mid + v % q, n + j,
+                              q * (v // q) + big_m))
+    if undirected:
+        edges = edges + [(v, u, w) for (u, v, w) in edges]
+    graph = EdgeWeightedGraph(2 * n + s * plen, edges)
+    return red.GadgetGraph(graph, np.arange(n), np.arange(n, 2 * n),
+                           offset=2 * big_m if undirected else 0,
+                           meta={"q": q, "M": big_m, "eps": eps,
+                                 "weight_budget": n ** (2 * eps) + 1},
+                           finite_cap=2 * (cap - 1) if undirected else None)
+
+
+def _assert_same_gadget(got, want):
+    assert got.graph.n == want.graph.n
+    e_got, e_want = got.graph.edge_array, want.graph.edge_array
+    assert e_got.dtype == e_want.dtype and e_got.shape == e_want.shape
+    assert e_got.tobytes() == e_want.tobytes()
+    assert (got.offset, got.finite_cap, got.meta) == (
+        want.offset, want.finite_cap, want.meta)
+    assert np.array_equal(got.sources, want.sources)
+    assert np.array_equal(got.sinks, want.sinks)
+
+
+def _holes(rng, m, mode):
+    """m with +inf holes: none, random, a whole row, a whole column, all."""
+    m = m.copy()
+    if mode == "random":
+        m[rng.random(m.shape) < 0.3] = POS_INF
+    elif mode == "row" and m.shape[0]:
+        m[rng.integers(m.shape[0])] = POS_INF
+    elif mode == "col" and m.shape[1]:
+        m[:, rng.integers(m.shape[1])] = POS_INF
+    elif mode == "all":
+        m[:] = POS_INF
+    return m
+
+
+HOLE_MODES = ("none", "random", "row", "col", "all")
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_bounded_gadget_matches_loop_builder(undirected):
+    rng = np.random.default_rng(11)
+    for t in range(120):
+        n = 1 if t < 10 else int(rng.integers(1, 20))
+        s = 1 if t % 7 == 0 else int(rng.integers(0, 8))
+        eps = float(rng.choice([0.1, 0.25, 0.4]))
+        cap = int(np.ceil(n ** (0.5 + eps)))
+        a = _holes(rng, rng.integers(0, cap, size=(n, s)), HOLE_MODES[t % 5])
+        b = _holes(rng, rng.integers(0, cap, size=(s, n)),
+                   HOLE_MODES[(t // 5) % 5])
+        _assert_same_gadget(
+            red.gen_bounded_minplus_gadget(a, b, eps, undirected=undirected),
+            _reference_bounded_gadget(a, b, eps, undirected))
+
+
 # ----------------------------------------------------------------------------
 # column-weight gadget
 # ----------------------------------------------------------------------------
@@ -216,6 +298,67 @@ def test_column_gadget_random(undirected):
         off = one_hop_offdiag(gg.graph)
         for col in off.T:
             assert np.unique(col[col != POS_INF]).size <= 1
+
+
+def _reference_column_gadget(a, b, undirected):
+    """The per-entry loop builder: K1 nodes per (column, value of A), then K2
+    nodes per (row, value of B), each in (k, value) order; M >= 1."""
+    n, dcols = a.shape
+    fa, fb = a != POS_INF, b != POS_INF
+    big_m = max(1, int(a[fa].max(initial=0)), int(b[fb].max(initial=0)))
+    bonus = 4 * big_m if undirected else 0
+    col_vals = [sorted(set(a[fa[:, k], k].tolist())) for k in range(dcols)]
+    row_vals = [sorted(set(b[k, fb[k, :]].tolist())) for k in range(dcols)]
+    node_weight = [0] * (2 * n)
+    k1_id, k2_id = {}, {}
+    for ids, vals in ((k1_id, col_vals), (k2_id, row_vals)):
+        for k in range(dcols):
+            for z in vals[k]:
+                ids[(k, z)] = len(node_weight)
+                node_weight.append(z)
+    edges = [(k1_id[(k, z)], k2_id[(k, y)]) for k in range(dcols)
+             for z in col_vals[k] for y in row_vals[k]]
+    edges += [(i, k1_id[(k, int(a[i, k]))]) for i in range(n)
+              for k in range(dcols) if fa[i, k]]
+    edges += [(k2_id[(k, int(b[k, j]))], n + j) for k in range(dcols)
+              for j in range(n) if fb[k, j]]
+    if undirected:
+        edges = edges + [(v, u) for (u, v) in edges]
+    graph = node_weighted_graph(len(node_weight), edges,
+                                np.array(node_weight, dtype=np.int64) + bonus)
+    return red.GadgetGraph(graph, np.arange(n), np.arange(n, 2 * n),
+                           offset=3 * bonus,
+                           meta={"M": big_m,
+                                 "layers": (n, len(k1_id), len(k2_id), n)},
+                           finite_cap=2 * big_m if undirected else None)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_column_gadget_matches_loop_builder(undirected):
+    rng = np.random.default_rng(12)
+    for t in range(150):
+        n = 1 if t < 10 else int(rng.integers(1, 10))
+        dcols = 1 if t % 7 == 0 else int(rng.integers(0, 6))
+        high = int(rng.integers(1, 12))  # high 1: every finite entry is 0
+        a = _holes(rng, rng.integers(0, high, size=(n, dcols)),
+                   HOLE_MODES[t % 5])
+        b = _holes(rng, rng.integers(0, high, size=(dcols, n)),
+                   HOLE_MODES[(t // 5) % 5])
+        _assert_same_gadget(
+            red.gen_column_weight_gadget(a, b, undirected=undirected),
+            _reference_column_gadget(a, b, undirected))
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_column_gadget_all_zero_entries(undirected):
+    # with every entry 0 the undirected bonus 4M must stay positive, or a
+    # path weaving through the layers decodes to 0 for an unreachable pair
+    a = WeightMatrix([[0, 0], [POS_INF, 0]])
+    b = WeightMatrix([[0, POS_INF], [POS_INF, 0]])
+    gg = red.gen_column_weight_gadget(a, b, undirected=undirected)
+    got = gg.decode(ap.apsp_oracle(gg.graph))
+    assert got == mp.min_plus_naive(a, b)
+    assert got.data[1, 0] == POS_INF
 
 
 # ----------------------------------------------------------------------------
@@ -278,6 +421,57 @@ def test_row_weight_matches_naive(undirected):
             a, b, prom, 2, nw_det_solver, np.random.default_rng(t),
             undirected=undirected)
         assert got == mp.min_plus_naive(a, b)
+
+
+def _masked_part_min(ax, by, xparts, yparts):
+    """Brute force: min over level pairs and k of ax[i, k] + by[k, j] with
+    ax[i, k] - sigma[i] in core_x and by[k, j] - tau[j] in core_y."""
+    n, inner = ax.shape
+    out = np.full((n, by.shape[1]), POS_INF, dtype=np.int64)
+    for xp in xparts:
+        for yp in yparts:
+            for i in range(n):
+                for j in range(by.shape[1]):
+                    for k in range(inner):
+                        a, b = int(ax[i, k]), int(by[k, j])
+                        if (a != POS_INF and b != POS_INF
+                                and a - xp.shifts.get(i, 0) in xp.core
+                                and b - yp.shifts.get(j, 0) in yp.core):
+                            out[i, j] = min(out[i, j], a + b)
+    return out
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_part_pair_products_match_masked_brute_force(undirected):
+    rng = np.random.default_rng(13)
+    n, inner = 7, 5
+    for _ in range(6):
+        ax = rng.integers(0, 12, size=(n, inner))
+        by = rng.integers(0, 12, size=(inner, n))
+        ax[rng.random(ax.shape) < 0.2] = POS_INF
+        by[rng.random(by.shape) < 0.2] = POS_INF
+
+        def level(core, lo, hi):  # per-index shifts in [lo, hi)
+            shifts = {i: int(v) for i, v in
+                      enumerate(rng.integers(lo, hi, size=n)) if v}
+            return PartLevel(core, shifts, {})
+
+        xparts = [level({-3, 0, 2, 5}, 0, 7), level(set(), 0, 3),
+                  level({1000}, 0, 3)]  # the last matches no A entry
+        yparts = [level({-6, -1, 4}, 0, 7), level({0, 1, 2, 3}, -2, 3)]
+        calls = []
+
+        def solver(g):
+            calls.append(g.n)
+            return ap.apsp_oracle(g)
+
+        got = red._part_pair_products(ax, by, xparts, yparts, solver,
+                                      undirected)
+        assert np.array_equal(got, _masked_part_min(ax, by, xparts, yparts))
+        # only the first x level holds A entries: one call per y level, none
+        # for the empty core or the core {1000}
+        assert (got != POS_INF).any()
+        assert len(calls) == 2
 
 
 def test_row_weight_promise_violation():
