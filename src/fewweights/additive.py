@@ -54,6 +54,8 @@ def popular_sums_exact(x, y, t):
     """P_t(X, Y): sums with at least t representations."""
     if t < 1:
         raise ValueError("popularity threshold must be >= 1")
+    if t == 1:  # every sum has a representation
+        return sumset(x, y)
     sums, counts = _sum_counts(x, y)
     return set(sums[counts >= t].tolist())
 

@@ -27,6 +27,7 @@ from .additive import (
 )
 from .core import (AuditError, BOT, POS_INF, WeightMatrix, occurrence_stats,
                    value_positions)
+from .minplus import boolean_matrix_multiply
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
@@ -134,6 +135,44 @@ def _value_codes(m):
     vals = np.unique(m)
     nv = vals.size - int(vals.size > 0 and vals[-1] == BOT)
     return nv, np.searchsorted(vals, m)
+
+
+def _present_values(m):
+    """The distinct present values of m, ascending: one sort, then the
+    first entry of each run (np.unique takes about twice as long on
+    16 x 16 matrices)."""
+    vals = np.sort(m, axis=None)
+    first = np.empty(vals.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    first &= vals != BOT
+    return vals[first]
+
+
+def _summing_pairs(a, b, c):
+    """The summing value pairs of an (a, b, c) triple: every (x, y), in
+    lexicographic order, of a value x of a and a value y of b whose sum is
+    a value of c.  A triangle's a and b values form such a pair, so a
+    triple without one (X+Y misses Z, or a matrix has no entry) holds no
+    triangle.  Costs |X|*|Y| sums against the sorted Z."""
+    x, y, z = (_present_values(m) for m in (a, b, c))
+    if not (x.size and y.size and z.size):
+        return []
+    sums = np.add.outer(x, y)
+    hit = z[np.minimum(np.searchsorted(z, sums), z.size - 1)] == sums
+    ii, jj = np.nonzero(hit)
+    return list(zip(x[ii].tolist(), y[jj].tolist()))
+
+
+def _keeps_a_pair(mats, pairs):
+    """Whether an (a, b, c) triple taken entrywise from a larger one, whose
+    summing pairs are `pairs`, still has one: its value sets are subsets,
+    so its summing pairs are those (x, y) with x in a, y in b and x + y in
+    c.  Three comparisons per pair tried, and no sort: the cheap test for
+    the parts of a triple already tested."""
+    a, b, c = mats
+    return any((a == x).any() and (b == y).any() and (c == x + y).any()
+               for x, y in pairs)
 
 
 def _line_counts(m):
@@ -388,6 +427,11 @@ def aete_small_doubling(inst):
     within n the answer per pair is read off the coefficient of
     x^(C[i,j] mod p) for a prime p isolating C[i,j] in X+Y; otherwise the
     brute-force oracle is just as fast and is used directly.
+
+    Each prime p >= 17 costs an NTT of m >= 2p - 1 >= 64 points, one float64
+    n^3 product per point.  One boolean n^3 product answers one summing
+    value pair (_pair_product), so the uniform regular solver sends a box
+    here only from a piece with more than _MIN_NTT_POINTS summing pairs.
     """
     a, b, c = inst.matrices()
     n = inst.n
@@ -444,9 +488,10 @@ def _restrict_values(m, values):
 def aete_uniform_regular(inst, d, big_k, rng=None):
     """Covering-based solver for d-uniform, max(1, n // d)-regular instances.
 
-    The structured boxes go to the algebraic small-sumset solver; remainder
-    value pairs are enumerated directly through the per-column/per-row
-    occurrence lists, which regularity keeps short.  This entry audits its
+    A piece with few summing value pairs is answered by one boolean product
+    per pair; on a larger one the structured boxes of the cover go to the
+    algebraic small-sumset solver and the remainder pairs to the boolean
+    products (the cost rule is in _uniform_regular_body).  This entry audits its
     input and raises AuditError when it is not d-uniform or not
     max(1, n // d)-regular.  aete_few_weights hands the pieces of regularize,
     which regularize has already checked, to the unaudited body.
@@ -463,30 +508,52 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
     return _uniform_regular_body(inst, big_k, rng)
 
 
+def _pair_product(a, b, c, pairs):
+    """Where some k and some (x, y) of `pairs` have a[i, k] == x,
+    b[k, j] == y and c[i, j] == x + y: one boolean product per pair,
+    yes |= (c == x + y) & boolean_matrix_multiply(a == x, b == y).
+
+    Every pair must sum to a value of c (as _summing_pairs and the cover's
+    pairs do), so a sum never names BOT; the sums are Python integers and
+    do not wrap.
+    """
+    yes = np.zeros(c.shape, dtype=bool)
+    for x, y in pairs:
+        yes |= (c == x + y) & boolean_matrix_multiply(a == x, b == y)
+    return yes
+
+
+# The smallest NTT the algebraic path runs: isolating_primes picks primes
+# p >= 17, and poly_matrix_multiply evaluates at m >= 2p - 1, a power of two.
+_MIN_NTT_POINTS = 64
+
+
 def _uniform_regular_body(inst, big_k, rng):
-    n = inst.n
+    """Answer a piece by pair products, or by the cover and the algebraic
+    path.
+
+    The cost rule: a piece with P summing value pairs costs P boolean n^3
+    products (float32 BLAS) through _pair_product.  The cover path gives
+    every structured box it accepts to aete_small_doubling, which runs at
+    least one NTT of m >= _MIN_NTT_POINTS evaluation points, each a float64
+    n^3 product, and it still answers the remainder pairs by _pair_product.
+    So a piece with P <= _MIN_NTT_POINTS goes straight to _pair_product;
+    a d-uniform piece has P <= d^2, so every piece with d <= 8 does.
+    """
     a, b, c = inst.matrices()
+    pairs = _summing_pairs(a, b, c)
+    if len(pairs) <= _MIN_NTT_POINTS:
+        return TriangleReport(_pair_product(a, b, c, pairs))
     x, y, z = inst.entry_set("a"), inst.entry_set("b"), inst.entry_set("c")
     cover = bsg_cover(x, y, z, big_k, rng)
-    yes = np.zeros((n, n), dtype=bool)
+    yes = np.zeros((inst.n, inst.n), dtype=bool)
     for xk, yk in cover.structured:
         if not xk or not yk:
             continue
         sub = TriangleInstance(_restrict_values(a, xk), _restrict_values(b, yk),
                                inst.c)
         yes |= aete_small_doubling(sub).yes
-    if cover.remainder:
-        col_a = value_positions(a.T, BOT)
-        row_b = value_positions(b, BOT)
-        for av, bv in sorted(cover.remainder):
-            target = av + bv
-            for k in range(n):
-                rows = col_a[k].get(av)
-                cols = row_b[k].get(bv)
-                if not rows or not cols:
-                    continue
-                blk = np.ix_(rows, cols)
-                yes[blk] |= c[blk] == target
+    yes |= _pair_product(a, b, c, sorted(cover.remainder))
     return TriangleReport(yes)
 
 
@@ -779,12 +846,6 @@ def _three_way_split(m, threshold):
             np.where(regular, m, BOT))
 
 
-def _all_bot(mats):
-    """Whether some matrix of an (a, b, c) triple has no entry: such a
-    triple holds no triangle."""
-    return any((m == BOT).all() for m in mats)
-
-
 class RegularizeStats:
     def __init__(self):
         self.max_depth = 0
@@ -809,6 +870,13 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
     r-regular, and whose parts hold subsets of the piece's values.  So every
     returned piece has passed both checks, and aete_few_weights solves them
     without auditing again.
+
+    A triple whose value sumset X+Y misses its C values Z holds no triangle
+    and is dropped unsolved: the input and every uniformize output before
+    its three-way splits (_summing_pairs), and every recursive branch,
+    regular rest and part of the final split (_keeps_a_pair, against the
+    pairs of the triple it was cut from).  So every returned piece has a
+    summing value pair.
     """
     pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng,
                                           depth_guard, stats)
@@ -825,8 +893,10 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
         if big_r == 1:
             final.append((d_l, piece))
         else:
+            pairs = _summing_pairs(*piece.matrices())
             final.extend((d_l, sub) for sub in
-                         regularize_naive(piece, d_l, r, big_r))
+                         regularize_naive(piece, d_l, r, big_r)
+                         if _keeps_a_pair(sub.matrices(), pairs))
     return final, triples
 
 
@@ -850,7 +920,7 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
             raise RuntimeError("recursion depth guard exceeded; "
                                "check eps/rho configuration")
         stats.max_depth = max(stats.max_depth, depth)
-        if d_cur <= 0 or _all_bot(mats):
+        if d_cur <= 0:
             return [], set()
         oriented = TriangleInstance(*_FORWARD[tag](*mats))
         stats.uniformize_calls += 1
@@ -862,6 +932,9 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
         threshold = (n / max(d_cur, 1)) * rho
         for sub in insts:
             a, b, c = sub.matrices()
+            pairs = _summing_pairs(a, b, c)
+            if not pairs:
+                continue
             a_row, a_col, a_reg = _three_way_split(a, threshold)
             b_row, b_col, b_reg = _three_way_split(b, threshold)
             c_row, c_col, c_reg = _three_way_split(c, threshold)
@@ -874,18 +947,20 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
                 ((a_reg, b_reg, c_col), "C_cols"),
             ]
             for branch, pr in branches:
-                if _all_bot(branch):
+                if not _keeps_a_pair(branch, pairs):
                     continue
                 sp, st = rec(branch, d_next, delta_next, pr, depth + 1)
                 pieces_acc.extend(sp)
                 t_acc |= st
             reg = (a_reg, b_reg, c_reg)
-            if not _all_bot(reg):
+            if _keeps_a_pair(reg, pairs):
                 pieces_acc.append((d_cur, reg))
         back = _FORWARD[_INVERSE[tag]]
         return ([(dl, back(*m)) for dl, m in pieces_acc],
                 triples_to_original(t_acc, tag))
 
+    if not _summing_pairs(*inst.matrices()):
+        return [], set()
     pieces, triples = rec(inst.matrices(), d, delta, inst.promise, 0)
     return [(dl, TriangleInstance(*m)) for dl, m in pieces], triples
 

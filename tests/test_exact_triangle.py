@@ -436,16 +436,69 @@ def test_uniform_regular_d1_matches_brute():
     assert got == et.aete_brute(inst, with_witnesses=False)
 
 
-def test_uniform_regular_degenerate_cover_is_brute_remainder():
+# (n, d) of uniform regular instances above the pair rule: with values
+# 0..d-1 in A and B and the d smallest sums in C, d = 11, 12, 13 give 66, 78
+# and 91 summing pairs, more than et._MIN_NTT_POINTS = 64
+ABOVE_PAIR_RULE = ((22, 11), (24, 12), (26, 13))
+
+
+def summing_pair_count(inst):
+    """How many (x, y) of A's and B's values have x + y among C's values."""
+    z = inst.entry_set("c")
+    return sum(x + y in z for x in inst.entry_set("a")
+               for y in inst.entry_set("b"))
+
+
+def above_pair_rule_instance(n, d, rng):
+    inst = random_uniform_regular_instance(n, d, rng, low=0, high=d)
+    assert summing_pair_count(inst) > et._MIN_NTT_POINTS
+    return inst
+
+
+def spy_cover_path(monkeypatch):
+    """Count the calls of the cover, the algebraic path and the pair
+    routine (keeping each pair list) that the solver makes from now on."""
+    seen = {"cover": 0, "small_doubling": 0, "pairs": []}
+    cover, small_doubling, pairs = (et.bsg_cover, et.aete_small_doubling,
+                                    et._pair_product)
+
+    def cover_spy(*args, **kwargs):
+        seen["cover"] += 1
+        return cover(*args, **kwargs)
+
+    def small_doubling_spy(inst):
+        seen["small_doubling"] += 1
+        return small_doubling(inst)
+
+    def pairs_spy(a, b, c, pair_list):
+        pair_list = list(pair_list)
+        seen["pairs"].append(pair_list)
+        return pairs(a, b, c, pair_list)
+
+    monkeypatch.setattr(et, "bsg_cover", cover_spy)
+    monkeypatch.setattr(et, "aete_small_doubling", small_doubling_spy)
+    monkeypatch.setattr(et, "_pair_product", pairs_spy)
+    return seen
+
+
+def test_uniform_regular_degenerate_cover_is_brute_remainder(monkeypatch):
     # an instance small enough that the remainder path does all the work
     rng = np.random.default_rng(10)
     inst = random_uniform_regular_instance(6, 2, rng)
     got = et.aete_uniform_regular(inst, 2, 1, np.random.default_rng(1))
     assert got == et.aete_brute(inst, with_witnesses=False)
+    # above the pair rule: one box for the algebraic path, the rest of the
+    # summing pairs to the pair routine
+    seen = spy_cover_path(monkeypatch)
+    inst = above_pair_rule_instance(24, 12, rng)
+    got = et.aete_uniform_regular(inst, 12, 1, np.random.default_rng(1))
+    assert got == et.aete_brute(inst, with_witnesses=False)
+    assert seen["cover"] == 1 and seen["small_doubling"] == 1
+    assert len(seen["pairs"]) == 1 and seen["pairs"][0]
 
 
 @pytest.mark.parametrize("k_boxes", [1, 2, 4])
-def test_uniform_regular_random(k_boxes):
+def test_uniform_regular_random(k_boxes, monkeypatch):
     rng = np.random.default_rng(11 + k_boxes)
     for _ in range(6):
         d = int(rng.integers(1, 5))
@@ -454,6 +507,76 @@ def test_uniform_regular_random(k_boxes):
         got = et.aete_uniform_regular(inst, d, k_boxes,
                                       np.random.default_rng(0))
         assert got == et.aete_brute(inst, with_witnesses=False)
+    for n, d in ABOVE_PAIR_RULE:
+        seen = spy_cover_path(monkeypatch)
+        inst = above_pair_rule_instance(n, d, rng)
+        got = et.aete_uniform_regular(inst, d, k_boxes,
+                                      np.random.default_rng(0))
+        assert got == et.aete_brute(inst, with_witnesses=False)
+        assert seen["cover"] == 1 and seen["small_doubling"] >= 1
+        assert len(seen["pairs"]) == 1 and seen["pairs"][0]
+        monkeypatch.undo()
+
+
+def test_uniform_regular_below_pair_rule_skips_cover(monkeypatch):
+    rng = np.random.default_rng(35)
+    seen = spy_cover_path(monkeypatch)
+    for d in (1, 4, 8):
+        inst = random_uniform_regular_instance(2 * d, d, rng)
+        got = et.aete_uniform_regular(inst, d, 2, np.random.default_rng(0))
+        assert got == et.aete_brute(inst, with_witnesses=False)
+        assert sorted(seen["pairs"].pop()) == sorted(
+            (x, y) for x in inst.entry_set("a") for y in inst.entry_set("b")
+            if x + y in inst.entry_set("c"))
+    assert seen["cover"] == seen["small_doubling"] == 0
+
+
+def pair_oracle(inst):
+    """The pair routine over every summing value pair of a whole instance:
+    a second triangle oracle, sharing no code with aete_brute."""
+    a, b, c = inst.matrices()
+    return et._pair_product(a, b, c, et._summing_pairs(a, b, c))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[hnp.arrays(
+    np.int64, (n, n), elements=st.one_of(st.just(int(BOT)),
+                                         st.integers(-6, 6)))] * 3)))
+@example((np.zeros((0, 0), np.int64),) * 3)
+@example((np.array([[2]]), np.array([[-5]]), np.array([[-3]])))
+@example((np.array([[2]]), np.array([[-5]]), np.array([[3]])))
+@example((np.full((3, 3), BOT), np.full((3, 3), BOT), np.full((3, 3), BOT)))
+@example((np.full((3, 3), -1), np.full((3, 3), -2), np.full((3, 3), 4)))
+def test_pair_oracle_matches_brute(mats):
+    inst = et.TriangleInstance(*mats)
+    a, b, c = inst.matrices()
+    pairs = et._summing_pairs(a, b, c)
+    z = inst.entry_set("c")
+    assert pairs == sorted((x, y) for x in inst.entry_set("a")
+                           for y in inst.entry_set("b") if x + y in z)
+    # a checkerboard part keeps a pair exactly when it has summing pairs
+    board = np.indices((inst.n, inst.n)).sum(axis=0) % 2 == 0
+    part = [np.where(board, m, BOT) for m in (a, b, c)]
+    assert et._keeps_a_pair(part, pairs) == bool(et._summing_pairs(*part))
+    yes = pair_oracle(inst)
+    assert yes.shape == (inst.n, inst.n)
+    assert np.array_equal(yes, et.aete_brute(inst, with_witnesses=False).yes)
+    assert np.array_equal(yes, brute_reference(inst))
+
+
+def test_pair_oracle_random_instances():
+    rng = np.random.default_rng(36)
+    answered = 0
+    for t in range(24):
+        inst, _ = random_triangle_instance(
+            int(rng.integers(1, 25)), int(rng.integers(1, 7)), rng,
+            promise=PROMISES[t % 6], low=-40, high=40,
+            bot_density=float(rng.choice([0.0, 0.25, 0.9])),
+            structured=bool(t % 2))
+        yes = pair_oracle(inst)
+        assert np.array_equal(yes, et.aete_brute(inst, with_witnesses=False).yes)
+        answered += bool(yes.any())
+    assert 0 < answered < 24
 
 
 def test_uniform_regular_audit_failure():
@@ -811,7 +934,8 @@ def test_regularize_exact_decomposition(delta):
 
 def test_regularize_splits_like_regularize_naive_on_every_piece():
     # pieces with R = 1 skip regularize_naive; the output must still equal
-    # sending every piece of the recursion through it, in order
+    # sending every piece of the recursion through it, in order, and
+    # dropping the parts without a summing value pair
     # (eps = 2, as aete_few_weights at delta_exp = 28, leaves pieces of both
     # kinds; eps = 1 at this size leaves almost none)
     rng = np.random.default_rng(33)
@@ -831,7 +955,8 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
             worst = max([v[k] for v in ref.values() for k in (1, 2)] + [1])
             big_rs.append(-(-worst // r))
             want += [(d_l, sub) for sub in
-                     et.regularize_naive(piece, d_l, r, big_rs[-1])]
+                     et.regularize_naive(piece, d_l, r, big_rs[-1])
+                     if summing_pair_count(sub)]
         got, got_t = et.regularize(inst, d, delta, eps=2.0,
                                    rng=np.random.default_rng(t))
         assert got_t == want_t
@@ -841,6 +966,45 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
             for mg, mw in zip(pg.matrices(), pw.matrices()):
                 assert mg.dtype == mw.dtype and np.array_equal(mg, mw)
     assert 1 in big_rs and max(big_rs) > 1
+
+
+def test_regularize_drops_triples_without_summing_pair(monkeypatch):
+    rng = np.random.default_rng(37)
+    kept = []
+    for name in ("_summing_pairs", "_keeps_a_pair"):
+        def spy(*args, test=getattr(et, name)):
+            out = test(*args)
+            kept.append(bool(out))
+            return out
+        monkeypatch.setattr(et, name, spy)
+    for t in range(8):
+        n = int(rng.integers(4, 17))
+        d = int(rng.integers(1, 6))
+        delta = et.default_split_parameter(n, 2.0)
+        inst, _ = random_triangle_instance(n, d, rng, planted=2,
+                                           promise=PROMISES[t % 6])
+        pieces, triples = et.regularize(inst, d, delta, eps=2.0,
+                                        rng=np.random.default_rng(t))
+        check_exact_decomposition(inst, pieces, triples, regular_r=True)
+        assert all(summing_pair_count(piece) for _, piece in pieces)
+    assert any(kept) and not all(kept)
+
+
+def test_few_weights_skips_instance_whose_sums_miss_c(monkeypatch):
+    # X + Y = {0, 1, 10, 11} misses Z = {5, 20}: no uniformize call
+    rng = np.random.default_rng(38)
+    a = rng.choice([0, 1, BOT], size=(8, 8))
+    b = rng.choice([0, 10, BOT], size=(8, 8))
+    c = rng.choice([5, 20, BOT], size=(8, 8))
+    inst = et.TriangleInstance(a, b, c)
+    calls = []
+    uniformize = et.uniformize
+    monkeypatch.setattr(et, "uniformize",
+                        lambda *args: calls.append(args) or uniformize(*args))
+    got = et.aete_few_weights(inst, 2, delta_exp=28.0,
+                              rng=np.random.default_rng(0))
+    assert not got.yes.any() and got == et.aete_brute(inst)
+    assert calls == []
 
 
 def test_regularize_audits_piece_uniformity(monkeypatch):
@@ -1042,3 +1206,13 @@ def test_uniform_regular_pure_remainder_path(monkeypatch):
     monkeypatch.setattr(et, "bsg_cover", all_remainder)
     got = et.aete_uniform_regular(inst, 3, 2, np.random.default_rng(0))
     assert got == et.aete_brute(inst, with_witnesses=False)
+    # above the pair rule the cover runs, and its remainder, every summing
+    # pair, goes to the pair routine; the forced cover has no box for
+    # aete_small_doubling
+    seen = spy_cover_path(monkeypatch)
+    inst = above_pair_rule_instance(22, 11, rng)
+    got = et.aete_uniform_regular(inst, 11, 2, np.random.default_rng(0))
+    assert got == et.aete_brute(inst, with_witnesses=False)
+    assert seen["cover"] == 1 and seen["small_doubling"] == 0
+    assert len(seen["pairs"]) == 1
+    assert len(seen["pairs"][0]) == summing_pair_count(inst)
