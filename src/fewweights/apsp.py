@@ -15,6 +15,8 @@ and their reverse, the d-weights kernel otherwise.  Each solve builds one
 HopOperator, so the one-hop matrix and, per side (right products against
 it, left products against its transpose), the kernel with its operand,
 the prepared d-weights B operand included, are built once per solve.
+A pivot solve first contracts each strongly connected component (from the
+boolean reachability closure) that one Bellman-Ford finds a negative cycle in.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .core import (
     EdgeWeightedGraph,
     NEG_INF,
     POS_INF,
-    WeightMatrix,
     _as_data,
     build_one_hop_matrix,
     require_distinct_weights,
@@ -56,18 +57,21 @@ def default_hop_parameter(n, omega_hat=DEFAULT_OMEGA_HAT):
 # Oracle.
 # ----------------------------------------------------------------------------
 
-def _repeated_square(m):
-    """Min-plus repeated squaring to the power n, stopping on fixpoint."""
+def _min_plus(x, y):
+    return min_plus_naive(x, y).data
+
+
+def _repeated_square(m, product):
+    """Square m by product(m, m) (_min_plus or boolean_matrix_multiply)
+    ceil(log2 n) times, once for n = 1 and never for n = 0, stopping at a
+    fixpoint."""
     n = m.shape[0]
-    if n == 0:
-        return m
-    cur = WeightMatrix(m)
-    for _ in range(max(1, math.ceil(math.log2(max(n, 2))))):
-        nxt = min_plus_naive(cur, cur)
-        if nxt == cur:
+    for _ in range(max(1, math.ceil(math.log2(n))) if n else 0):
+        nxt = product(m, m)
+        if np.array_equal(nxt, m):
             break
-        cur = nxt
-    return cur.data
+        m = nxt
+    return m
 
 
 def apsp_oracle(g):
@@ -79,7 +83,7 @@ def apsp_oracle(g):
     a simple-path distance.  Weights too large for the min-plus kernel raise
     WeightError instead of wrapping.
     """
-    d = _repeated_square(build_one_hop_matrix(g).data)
+    d = _repeated_square(build_one_hop_matrix(g).data, _min_plus)
     finite = d != POS_INF
     cyc = np.diagonal(d) < 0
     pumped = boolean_matrix_multiply(finite[:, cyc], finite[cyc, :])
@@ -90,68 +94,33 @@ def apsp_oracle(g):
 # Negative-cycle elimination.
 # ----------------------------------------------------------------------------
 
-def _strongly_connected_components(n, edge_list):
-    """Iterative Tarjan; returns component id per node."""
-    adj = [[] for _ in range(n)]
-    for u, v in edge_list:
-        adj[u].append(v)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp = [-1] * n
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return np.array(comp), ncomp
+def _component_labels(n, e):
+    """Per node, the smallest node that it reaches and that reaches it: its
+    strongly connected component's label.  The reachability closure takes
+    ceil(log2 n) boolean squarings of adjacency + I, O(n^omega log n) time,
+    inside the pivot solvers' budget."""
+    reach = np.eye(n, dtype=bool)
+    reach[e[:, 0], e[:, 1]] = True
+    reach = _repeated_square(reach, boolean_matrix_multiply)
+    return np.where(reach & reach.T, np.arange(n), n).min(axis=1, initial=n)
 
 
-def _component_has_negative_cycle(nodes, edges):
-    """Bellman-Ford from a virtual all-zero source inside one component
-    (sorted node ids, (u, v, w) edge rows): each round relaxes every edge."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    u, v = np.searchsorted(nodes, e[:, 0]), np.searchsorted(nodes, e[:, 1])
-    dist = np.zeros(len(nodes), dtype=np.int64)
-    for _ in range(len(nodes) + 1):
-        cand = dist[u] + e[:, 2]
+def _negative_cycle_nodes(e, label):
+    """Whether each node's component holds a negative cycle, by one
+    Bellman-Ford from a virtual all-zero source over the edges inside
+    components.  A component of k nodes without a negative cycle settles
+    within k - 1 rounds, and one with a negative cycle has an edge that
+    relaxes in every round: after n rounds, the edges that still relax name
+    exactly the components that hold a negative cycle."""
+    n = label.size
+    u, v, w = e[label[e[:, 0]] == label[e[:, 1]]].T
+    dist = np.zeros(n, dtype=np.int64)
+    for _ in range(n):
+        cand = dist[u] + w
         if not (cand < dist[v]).any():
-            return False
+            break
         np.minimum.at(dist, v, cand)
-    return True
+    return np.isin(label, label[u[dist[u] + w < dist[v]]])
 
 
 class NegativeCycleRemap:
@@ -190,24 +159,17 @@ def eliminate_negative_cycles(g):
     """
     n = g.n
     e = g.edge_array
-    if (e[:, 2] >= 0).all():
-        return g, NegativeCycleRemap(np.arange(n), np.zeros(n, dtype=bool), 0,
-                                     identity=True)
-    comp, ncomp = _strongly_connected_components(n, e[:, :2].tolist())
-    edge_comp = np.where(comp[e[:, 0]] == comp[e[:, 1]], comp[e[:, 0]], -1)
-    bad_comp = np.zeros(ncomp, dtype=bool)
-    for c in np.unique(edge_comp[edge_comp >= 0]).tolist():
-        bad_comp[c] = _component_has_negative_cycle(
-            np.flatnonzero(comp == c), e[edge_comp == c])
-    bad_nodes = bad_comp[comp]
-    if not bad_comp.any():
+    label = _component_labels(n, e) if (e[:, 2] < 0).any() else np.arange(n)
+    bad_nodes = _negative_cycle_nodes(e, label)
+    if not bad_nodes.any():
         return g, NegativeCycleRemap(np.arange(n), bad_nodes, 0, identity=True)
-    # good nodes keep their order, then one node per bad component
+    # good nodes keep their order, then one node per bad component, in the
+    # order of the components' labels
     node_map = np.empty(n, dtype=np.int64)
     n_good = int((~bad_nodes).sum())
     node_map[~bad_nodes] = np.arange(n_good)
-    bad_ids = np.flatnonzero(bad_comp)
-    node_map[bad_nodes] = n_good + np.searchsorted(bad_ids, comp[bad_nodes])
+    bad_ids, rank = np.unique(label[bad_nodes], return_inverse=True)
+    node_map[bad_nodes] = n_good + rank
     weights_abs = int(np.abs(e[:, 2]).max())
     nu, nv = node_map[e[:, 0]], node_map[e[:, 1]]
     keep = (nu != nv) | ~bad_nodes[e[:, 0]]
@@ -330,7 +292,7 @@ def _replay(op, levels, base_set, base_hops, m1_shift, delta):
     base = hop_bounded_product(trivial_rows(base_set, op.n), op, base_hops, delta,
                                want_paths=False).values.data
     idx = np.searchsorted(base_set, levels[-1])
-    d_cur = _repeated_square(base[:, base_set])[np.ix_(idx, idx)]
+    d_cur = _repeated_square(base[:, base_set], _min_plus)[np.ix_(idx, idx)]
     for ell in range(len(levels) - 2, -1, -1):
         s_cur = levels[ell]
         m1, _, m3 = _level_products(op, delta, s_cur, levels[ell + 1], d_cur,

@@ -284,21 +284,14 @@ def occurrence_stats(m, absent):
     return count, rank, distinct
 
 
-def value_positions(m, absent):
-    """Per row i of m: a dict from each value to its ascending column indices.
-
-    Entries equal to `absent` are skipped.  The column form (per column: value
-    -> row indices) is value_positions(m.T, absent).
-    """
+def row_value_sets(m, absent):
+    """Per row of m: the set of its values other than `absent`, filled in
+    ascending order.  The column form is row_value_sets(m.T, absent)."""
     m = np.asarray(m, dtype=np.int64)
-    rows, cols, vals, starts = _row_value_runs(m, absent)
-    out = [{} for _ in range(m.shape[0])]
-    cols = cols.tolist()
-    bounds = np.append(starts, len(cols)).tolist()
-    for r, v, s, e in zip(rows[starts].tolist(), vals[starts].tolist(),
-                          bounds[:-1], bounds[1:]):
-        out[r][v] = cols[s:e]
-    return out
+    rows, _, vals, starts = _row_value_runs(m, absent)
+    vals = vals[starts].tolist()
+    bounds = np.searchsorted(rows[starts], np.arange(m.shape[0] + 1)).tolist()
+    return [set(vals[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 # ----------------------------------------------------------------------------

@@ -19,14 +19,15 @@ import math
 import numpy as np
 
 from .additive import (
+    _padded,
     bsg_cover,
     isolating_prime_map,
     popular_sums_exact,
     popular_sum_decomposition,
     sumset,
 )
-from .core import (AuditError, BOT, POS_INF, WeightMatrix, occurrence_stats,
-                   value_positions)
+from .core import (AuditError, BOT, NEG_INF, POS_INF, WeightError,
+                   WeightMatrix, occurrence_stats, row_value_sets)
 from .minplus import boolean_matrix_multiply
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
@@ -45,7 +46,9 @@ def normalize_promise(text):
 
 
 class TriangleInstance:
-    """Three n x n matrices with finite or bot entries, plus the promise side."""
+    """Three n x n matrices plus the promise side.  Every entry is BOT or
+    strictly between NEG_INF and POS_INF, else WeightError: no sum of two
+    wraps, and the C of a uniformize piece (a sum) may pass GUARD."""
 
     __slots__ = ("a", "b", "c", "promise")
 
@@ -60,9 +63,11 @@ class TriangleInstance:
         for m in mats:
             if m.shape != (n, n):
                 raise ValueError("instance matrices must be square of equal size")
-            bad = (m.data == POS_INF) | (m.data == -POS_INF)
+            # two comparisons: np.abs(-2**63) is negative
+            bad = (m.data != BOT) & ((m.data <= NEG_INF) | (m.data >= POS_INF))
             if bad.any():
-                raise ValueError("instance entries must be finite or bot")
+                raise WeightError("instance entries must be bot or lie "
+                                  "strictly between -2^62 and 2^62")
         self.a, self.b, self.c = a, b, c
         self.promise = normalize_promise(promise)
 
@@ -676,41 +681,55 @@ def _col_occurrence_classes(m, absent):
     return {y: np.ascontiguousarray(v.T) for y, v in by_rows.items()}
 
 
-def _list_triangles(rowpos, colpos, c, a_values=None):
-    """Every (i, k, j) with c[i, j] not BOT and a[i, k] + b[k, j] == c[i, j].
+# Joined entry pairs per block of _list_triangles (8 MB per index array).
+_JOIN_PAIRS = 2 ** 20
 
-    rowpos is value_positions(a, absent) and colpos is value_positions(b.T,
-    absent).  Each present c[i, j] is tried against the values of row i of
-    a (only those in a_values[i] when given); k qualifies when it lies both
-    under that value in rowpos[i] and under c[i, j] - value in colpos[j].
-    Swapping the roles, (colpos, rowpos, c.T) lists the same triangles as
-    (j, k, i), with a_values then restricting the values of b.
+
+def _list_triangles(a, b, c):
+    """Every (i, k, j) with a[i, k] + b[k, j] == c[i, j], all three present,
+    as three index arrays; a, b and c are BOT-marked arrays.
+
+    Each present a[i, k] is joined with row k's run of b's present entries
+    in row-major order, at most _JOIN_PAIRS joined pairs per block, and the
+    sums are tested against c by one gather.
     """
-    bot = int(BOT)
-    out = set()
-    for i, pos in enumerate(rowpos):
-        vals = pos if a_values is None else a_values[i]
-        row = {av: set(pos[av]) for av in vals if av in pos}
-        if not row:
-            continue
-        for j, cv in enumerate(c[i].tolist()):
-            col = colpos[j]
-            if cv == bot or not col:
-                continue
-            for av, ka in row.items():
-                for k in col.get(cv - av, ()):
-                    if k in ka:
-                        out.add((i, k, j))
-    return out
+    ia, ka = np.nonzero(a != BOT)
+    kb, jb = np.nonzero(b != BOT)
+    av, bv = a[ia, ka], b[kb, jb]
+    per_row = np.bincount(kb, minlength=b.shape[0])
+    # entry e of a makes the joined pairs starts[e] .. ends[e] - 1, and pair
+    # t joins it with b's entry t + lag[e]
+    size = per_row[ka]
+    ends = np.cumsum(size)
+    starts, lag = ends - size, np.cumsum(per_row)[ka] - ends
+    found = [(np.zeros(0, dtype=np.intp),) * 2]
+    for lo in range(0, int(ends[-1]) if ends.size else 0, _JOIN_PAIRS):
+        hi = lo + _JOIN_PAIRS
+        e_lo, e_hi = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi)
+        take = (np.minimum(ends[e_lo:e_hi], hi)
+                - np.maximum(starts[e_lo:e_hi], lo))
+        e = np.repeat(np.arange(e_lo, e_hi), take)
+        pos = np.arange(lo, lo + e.size) + lag[e]
+        cv = c[ia[e], jb[pos]]
+        hit = (av[e] + bv[pos] == cv) & (cv != BOT)
+        found.append((e[hit], pos[hit]))
+    e, pos = (np.concatenate(x) for x in zip(*found))
+    return ia[e], ka[e], jb[pos]
 
 
-def _list_remainder_triangles(rowpos, colpos, c, xdec, ydec):
-    """Triangles whose a value lies in xdec's remainder of its row of a, or
-    whose b value lies in ydec's remainder of its column of b."""
-    out = _list_triangles(rowpos, colpos, c, xdec.remainders)
-    out |= {(i, k, j) for j, k, i in
-            _list_triangles(colpos, rowpos, c.T, ydec.remainders)}
-    return out
+def _keep_row_values(m, sets):
+    """m with BOT wherever row i holds a value outside sets[i]."""
+    vals, valid = _padded(sets)
+    keep = ((m[:, :, None] == vals[:, None, :]) & valid[:, None, :]).any(axis=2)
+    return np.where(keep, m, BOT)
+
+
+def _shifted_part(m, level):
+    """Each row's piece of a PartLevel minus the row's shift, and the shifts."""
+    rows = range(m.shape[0])
+    shift = np.array([level.shifts.get(i, 0) for i in rows], dtype=np.int64)
+    part = _keep_row_values(m, [level.members.get(i, ()) for i in rows])
+    return np.where(part != BOT, part - shift[:, None], BOT), shift
 
 
 def uniformize(inst, d, delta, rng=None):
@@ -727,83 +746,67 @@ def uniformize(inst, d, delta, rng=None):
         raise AuditError(f"rows of A exceed {d} distinct entries")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    triples = set()
+    found = []
     instances = []
-    b_classes = [(y, value_positions(by.T, BOT)) for y, by in
-                 sorted(_col_occurrence_classes(b, BOT).items())]
+    b_classes = sorted(_col_occurrence_classes(b, BOT).items())
     for x, ax in sorted(_row_occurrence_classes(a, BOT).items()):
-        rowpos_a = value_positions(ax, BOT)
-        for y, colpos_b in b_classes:
+        for y, by in b_classes:
             if 2 ** y <= n / (d * delta):
                 # short columns of b: list every triangle of the class
-                triples |= _list_triangles(rowpos_a, colpos_b, c)
+                found.append(_list_triangles(ax, by, c))
             else:
-                sub, st = _uniformize_class(rowpos_a, colpos_b, c, d, delta,
-                                            rng, n)
+                sub, listed = _uniformize_class(ax, by, c, d, delta, rng)
                 instances.extend(sub)
-                triples |= st
-    return instances, triples
+                found.extend(listed)
+    return instances, set(zip(*(np.concatenate(ix).tolist()
+                                for ix in zip(*found))))
 
 
-def _uniformize_class(rowpos_a, colpos_b, c, d, delta, rng, n):
-    d_prime = d * delta
-    delta_prime = delta * delta
+def _uniformize_class(a, b, c, d, delta, rng):
+    """One (row class of A, column class of B) pair of uniformize: its
+    d-uniform instances and a list of _list_triangles results."""
     xdec, ydec = popular_sum_decomposition(
-        [set(p) for p in rowpos_a], [set(p) for p in colpos_b],
-        d_prime, delta_prime, rng)
+        row_value_sets(a, BOT), row_value_sets(b.T, BOT), d * delta,
+        delta * delta, rng)
 
     # Exceptional triangles through the leftover value sets, on either side.
     # Splitting the targets by representation count would list the same
     # triples in both arms: b[k, j] != BOT and a[i, k] + b[k, j] == c[i, j]
     # is the test b[k, j] == c[i, j] - a[i, k], as that difference is finite
     # and so never BOT.
-    triples = _list_remainder_triangles(rowpos_a, colpos_b, c, xdec, ydec)
+    found = []
+    if any(xdec.remainders):
+        found.append(_list_triangles(_keep_row_values(a, xdec.remainders), b, c))
+    if any(ydec.remainders):
+        found.append(_list_triangles(a, _keep_row_values(b.T, ydec.remainders).T, c))
 
     # Ordinary triangles: shift each part pair onto its common cores.
     t_pop = max(1.0, d / float(delta) ** 9)
     instances = []
-    b_shifted = {}
-    for h, ylvl in enumerate(ydec.parts):
-        if not ylvl.members:
-            continue
-        bh = np.full((n, n), BOT, dtype=np.int64)
-        tshift = np.zeros(n, dtype=np.int64)
-        for j, piece in ylvl.members.items():
-            tshift[j] = ylvl.shifts[j]
-            for bv in piece:
-                for k in colpos_b[j].get(bv, ()):
-                    bh[k, j] = bv - ylvl.shifts[j]
-        b_shifted[h] = (bh, value_positions(bh.T, BOT), tshift,
-                        sorted(ylvl.core))
-    for g, xlvl in enumerate(xdec.parts):
+    b_parts = [(*_shifted_part(b.T, lvl), sorted(lvl.core))
+               for lvl in ydec.parts if lvl.members]
+    for xlvl in xdec.parts:
         if not xlvl.members:
             continue
-        ag = np.full((n, n), BOT, dtype=np.int64)
-        sshift = np.zeros(n, dtype=np.int64)
-        for i, piece in xlvl.members.items():
-            sshift[i] = xlvl.shifts[i]
-            for av in piece:
-                for k in rowpos_a[i].get(av, ()):
-                    ag[i, k] = av - xlvl.shifts[i]
+        ag, sshift = _shifted_part(a, xlvl)
         sg = sorted(xlvl.core)
-        rowpos_ag = value_positions(ag, BOT)
-        for h, (bh, colpos_bh, tshift, th) in sorted(b_shifted.items()):
+        for bh_t, tshift, th in b_parts:
+            bh = bh_t.T
             pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
-            cgh = np.where(c != BOT, c - sshift[:, None] - tshift[None, :], BOT)
+            cgh = np.where(c != BOT, c - sshift[:, None] - tshift, BOT)
             keep = _value_mask(cgh, pop)
             # unpopular shifted targets: list their few representations.  A
             # piece value av of row i satisfies shift - av in Y_{j*}, so its
             # ag entry av - shift lies in the core -Y_{j*}; likewise every bh
             # entry lies in its core, so the listing needs no core filter.
-            triples |= _list_triangles(rowpos_ag, colpos_bh,
-                                       np.where(keep, BOT, cgh))
+            found.append(_list_triangles(ag, bh, np.where(keep, BOT, cgh)))
             if not keep.any():
                 continue
             mats = (ag, bh, np.where(keep, cgh, BOT))
             labels = [_rank_labels(m, d)[1] for m in mats]
             instances.extend(TriangleInstance(*p)
                              for p in _label_pieces(mats, labels))
-    return instances, triples
+    return instances, found
 
 
 # ----------------------------------------------------------------------------

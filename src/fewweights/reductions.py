@@ -22,13 +22,13 @@ from .core import (
     node_weighted_graph,
     occurrence_stats,
     require_distinct_weights,
+    row_value_sets,
     saturating_add,
-    value_positions,
 )
 from .exact_triangle import (
     TriangleInstance,
     _col_occurrence_classes,
-    _list_remainder_triangles,
+    _keep_row_values,
     _list_triangles,
     _row_occurrence_classes,
 )
@@ -319,23 +319,24 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
 def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     n = ax.shape[0]
     out = np.full((n, n), POS_INF, dtype=np.int64)
-    rowpos_a = value_positions(ax, POS_INF)
-    colpos_b = value_positions(by.T, POS_INF)
-    s_sets = [set(p) for p in rowpos_a]
-    t_sets = [set(p) for p in colpos_b]
-    d_a = max((len(s) for s in s_sets), default=0)
-    d_b = max((len(s) for s in t_sets), default=0)
+    s_sets = row_value_sets(ax, POS_INF)
+    t_sets = row_value_sets(by.T, POS_INF)
+    d_a = max(map(len, s_sets), default=0)
+    d_b = max(map(len, t_sets), default=0)
     if d_a == 0 or d_b == 0:
         return out
     finite = cp != POS_INF
+    a_bot = np.where(ax == POS_INF, BOT, ax)
+    b_bot = np.where(by == POS_INF, BOT, by)
+
+    def write(a, b, target):
+        i, _, j = _list_triangles(a, b, target)
+        np.minimum.at(out, (i, j), target[i, j])
 
     root = math.sqrt(delta)
     if d_b > d_a * root or d_a > d_b * root:
-        # the smallest window value with a representation is written last
-        for off in (2, 1, 0):
-            target = np.where(finite, cp + off, BOT)
-            for i, _, j in _list_triangles(rowpos_a, colpos_b, target):
-                out[i, j] = target[i, j]
+        for off in range(3):
+            write(a_bot, b_bot, np.where(finite, cp + off, BOT))
         return out
 
     d_max = max(d_a, d_b)
@@ -358,11 +359,12 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     ii, jj = np.nonzero(flagged)  # still +inf in out: full scans
     out[ii, jj] = saturating_add(ax[ii], by[:, jj].T).min(axis=1,
                                                           initial=POS_INF)
+    a_rem = _keep_row_values(a_bot, xdec.remainders)
+    b_rem = _keep_row_values(b_bot.T, ydec.remainders).T
     for off in range(3):
         target = np.where(finite & ~flagged, cp + off, BOT)
-        for i, _, j in _list_remainder_triangles(rowpos_a, colpos_b, target,
-                                                 xdec, ydec):
-            out[i, j] = min(out[i, j], target[i, j])
+        write(a_rem, b_bot, target)
+        write(a_bot, b_rem, target)
 
     part_min = _part_pair_products(ax, by, xdec.parts, ydec.parts, nw_solver,
                                    undirected)

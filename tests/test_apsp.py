@@ -264,17 +264,61 @@ def _random_scc(rng, k, low, high):
     return nodes, edges
 
 
+def negative_cycle_flags(n, edges):
+    """The solver's negative-cycle flags per node of an n-node edge list."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    return ap._negative_cycle_nodes(e, ap._component_labels(n, e))
+
+
+def test_component_labels_match_scipy_strong_components():
+    pytest.importorskip("scipy")
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    assert ap._component_labels(0, np.zeros((0, 3), dtype=np.int64)).size == 0
+    rng = np.random.default_rng(30)
+    for t in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n))
+        # isolated nodes are those no edge touches, self-loops come from
+        # equal endpoints and duplicate edges from repeated draws
+        ends = rng.integers(0, max(1, n - 3), size=(m, 2))
+        ends = np.concatenate([ends, ends[:m // 4], np.zeros((t % 2, 2), int)])
+        e = np.column_stack([ends, rng.integers(-3, 4, size=len(ends))])
+        got = ap._component_labels(n, e)
+        adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+        _, comp = connected_components(adj, directed=True, connection="strong")
+        # scipy numbers components arbitrarily: name each by its least node
+        least = np.full(comp.max() + 1, n)
+        np.minimum.at(least, comp, np.arange(n))
+        assert np.array_equal(got, least[comp])
+
+
 def test_negative_cycle_test_matches_scalar_bellman_ford():
+    # disjoint unions of strongly connected components, joined by edges
+    # from earlier to later components that merge none of them
     rng = np.random.default_rng(31)
     found = {True: 0, False: 0}
-    for _ in range(300):
-        k = int(rng.integers(1, 10))
-        nodes, edges = _random_scc(rng, k, int(rng.integers(-6, 1)), 7)
-        want = _scalar_component_has_negative_cycle(nodes, edges)
-        assert ap._component_has_negative_cycle(nodes, edges) == want
-        assert ap._component_has_negative_cycle(
-            nodes, np.array(edges, dtype=np.int64)) == want
-        found[want] += 1
+    for _ in range(60):
+        comps, edges, n = [], [], 0
+        for _ in range(int(rng.integers(1, 7))):
+            k = int(rng.integers(1, 10))
+            nodes, comp_edges = _random_scc(rng, k, int(rng.integers(-6, 1)), 7)
+            comps.append((nodes + n, [(u + n, v + n, w) for u, v, w in comp_edges]))
+            edges += comps[-1][1]
+            n += 4 * k
+        for _ in range(len(comps)):
+            lo, hi = sorted(rng.choice(len(comps), size=2))
+            if lo < hi:
+                edges.append((int(rng.choice(comps[lo][0])),
+                              int(rng.choice(comps[hi][0])), -50))
+        got = negative_cycle_flags(n, edges)
+        in_comp = np.zeros(n, dtype=bool)
+        for nodes, comp_edges in comps:
+            want = _scalar_component_has_negative_cycle(nodes, comp_edges)
+            assert (got[nodes] == want).all()
+            in_comp[nodes] = True
+            found[want] += 1
+        assert not got[~in_comp].any()
     assert min(found.values()) > 20
 
 
@@ -286,11 +330,14 @@ def test_negative_cycle_test_zero_weight_cycles():
     for edges, want in ((zero, False), (balanced, False), (below, True),
                         (balanced + [(5, 2, 4)], False),
                         (balanced + [(9, 5, -2)], True), ([], False)):
-        assert ap._component_has_negative_cycle(nodes, edges) == want
+        got = negative_cycle_flags(10, edges)
+        assert (got[nodes] == want).all()
+        assert got.sum() == 3 * want
         assert _scalar_component_has_negative_cycle(nodes, edges) == want
     # a self-loop: zero weight is no negative cycle, a negative one is
-    assert not ap._component_has_negative_cycle(np.array([4]), [(4, 4, 0)])
-    assert ap._component_has_negative_cycle(np.array([4]), [(4, 4, -1)])
+    assert not negative_cycle_flags(6, [(4, 4, 0)]).any()
+    assert negative_cycle_flags(6, [(4, 4, -1)]).tolist() == [
+        False, False, False, False, True, False]
 
 
 # ----------------------------------------------------------------------------

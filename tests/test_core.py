@@ -18,8 +18,8 @@ from fewweights.core import (
     occurrence_stats,
     one_hop_offdiag,
     save_graph,
+    row_value_sets,
     save_matrix,
-    value_positions,
 )
 
 
@@ -180,19 +180,13 @@ def test_occurrence_stats_matches_per_row_unique(absent):
                     assert np.array_equal(g, w)
 
 
-def value_positions_reference(m, absent):
-    """Per-row dict loop: the loop value_positions replaces."""
-    out = []
-    for i in range(m.shape[0]):
-        d = {}
-        for j in np.nonzero(m[i] != absent)[0]:
-            d.setdefault(int(m[i, j]), []).append(int(j))
-        out.append(d)
-    return out
+def row_value_sets_reference(m, absent):
+    """Per-row set loop over the present entries."""
+    return [{int(v) for v in row if v != absent} for row in m]
 
 
 @pytest.mark.parametrize("absent", [BOT, POS_INF])
-def test_value_positions_matches_loop_reference(absent):
+def test_row_value_sets_match_loop_reference(absent):
     rng = np.random.default_rng(12)
     shapes = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 7), (7, 1), (5, 9), (9, 4),
               (16, 16)]
@@ -203,8 +197,12 @@ def test_value_positions_matches_loop_reference(absent):
             if rows > 2:
                 m[rows // 2] = absent  # an all-absent row
             for mat in (m, m.T):
-                assert value_positions(mat, absent) == \
-                    value_positions_reference(mat, absent)
+                got = row_value_sets(mat, absent)
+                assert got == row_value_sets_reference(mat, absent)
+                # each set is filled in ascending order, so it iterates
+                # like a set built from the sorted values
+                assert [list(s) for s in got] == \
+                    [list(set(sorted(s))) for s in got]
 
 
 def test_reverse_graph():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fewweights.core import (AuditError, BOT, WeightMatrix, occurrence_stats,
-                             value_positions)
+from fewweights.core import (AuditError, BOT, GUARD, WeightError, WeightMatrix,
+                             occurrence_stats)
 from fewweights import exact_triangle as et
 from fewweights.generators import (
     random_triangle_instance,
@@ -72,6 +72,39 @@ def test_brute_all_bot_c():
     inst = et.TriangleInstance(inst.a, inst.b,
                                WeightMatrix(np.full((6, 6), BOT, np.int64)))
     assert not et.aete_brute(inst).yes.any()
+
+
+def test_instance_rejects_entries_outside_the_domain():
+    # 2^62 + 100 and -2^63 + 200 are neither BOT nor in range: their sums
+    # would wrap in aete_brute
+    big = np.full((2, 2), 2 ** 62 + 100, dtype=np.int64)
+    low = np.full((2, 2), -2 ** 63 + 200, dtype=np.int64)
+    with pytest.raises(WeightError):
+        et.TriangleInstance(big, big, low)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    for v in (2 ** 62, -2 ** 62, 2 ** 62 + 100, 2 ** 63 - 1, -2 ** 63):
+        m = zero.copy()
+        m[1, 0] = v
+        for mats in ((m, zero, zero), (zero, m, zero), (zero, zero, m)):
+            with pytest.raises(WeightError):
+                et.TriangleInstance(*mats)
+    for v in (2 ** 61 - 1, int(GUARD), 2 ** 62 - 1):
+        inst = et.TriangleInstance(np.full((2, 2), v), np.full((2, 2), -v), zero)
+        assert et.aete_brute(inst).yes.all()
+        assert np.array_equal(et.aete_few_weights(inst, 1, 28.0).yes,
+                              brute_reference(inst))
+
+
+def test_sum_equal_to_bot_is_no_triangle():
+    # 2^61 + 4 and 2^61 + 3 are in range, and their sum is BOT's encoding
+    a = np.full((3, 3), 2 ** 61 + 4, dtype=np.int64)
+    b = np.full((3, 3), 2 ** 61 + 3, dtype=np.int64)
+    c = np.full((3, 3), BOT, dtype=np.int64)
+    assert int(a[0, 0]) + int(b[0, 0]) == int(BOT)
+    assert all(ix.size == 0 for ix in et._list_triangles(a, b, c))
+    inst = et.TriangleInstance(a, b, c)
+    assert not et.aete_brute(inst).yes.any()
+    assert not et.aete_few_weights(inst, 1, 28.0).yes.any()
 
 
 def test_brute_matches_independent_loop():
@@ -794,11 +827,10 @@ def listing_reference(a, b, c, a_values=None, b_values=None):
     """Scalar triple loop over the triangles, optionally restricted to the
     a values a_values[i] of each row i or the b values b_values[j] of each
     column j."""
-    n = a.shape[0]
     out = set()
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
+    for i in range(a.shape[0]):
+        for k in range(a.shape[1]):
+            for j in range(b.shape[1]):
                 av, bv, cv = int(a[i, k]), int(b[k, j]), int(c[i, j])
                 if BOT in (av, bv, cv) or av + bv != cv:
                     continue
@@ -819,28 +851,52 @@ def random_value_subsets(rng, m):
     return out
 
 
-def test_list_triangles_matches_scalar_reference():
-    rng = np.random.default_rng(40)
+def triple_set(found):
+    """The (i, k, j) tuples of a list of _list_triangles results."""
+    return {t for ix in found for t in zip(*(x.tolist() for x in ix))}
+
+
+def keep_row_values(m, sets):
+    """m with BOT wherever row i holds a value outside sets[i]."""
+    return np.array([[v if v in sets[i] else BOT for v in row.tolist()]
+                     for i, row in enumerate(m)], dtype=np.int64).reshape(m.shape)
+
+
+def test_list_triangles_matches_scalar_reference(monkeypatch):
+    # blocks of 1 and 7 joined pairs split the inputs into many blocks
+    for join_pairs in (1, 7, et._JOIN_PAIRS):
+        monkeypatch.setattr(et, "_JOIN_PAIRS", join_pairs)
+        check_list_triangles(np.random.default_rng(40))
+
+
+def check_list_triangles(rng):
     for t in range(40):
+        # n in {0, 1}, square n x n, then rectangular n x m times m x p
         n = (0, 1)[t] if t < 2 else int(rng.integers(2, 9))
-        a = rng.integers(-3, 4, size=(n, n)).astype(np.int64)
-        b = rng.integers(-3, 4, size=(n, n)).astype(np.int64)
-        c = rng.integers(-6, 7, size=(n, n)).astype(np.int64)
-        for m in (a, b, c):
-            m[rng.random((n, n)) < 0.25] = BOT
+        m, p = (n, n) if t < 20 else rng.integers(0, 9, size=2)
+        a = rng.integers(-3, 4, size=(n, m)).astype(np.int64)
+        b = rng.integers(-3, 4, size=(m, p)).astype(np.int64)
+        c = rng.integers(-6, 7, size=(n, p)).astype(np.int64)
+        for mat in (a, b, c):
+            mat[rng.random(mat.shape) < 0.25] = BOT
         if t % 7 == 3:
             c[:] = BOT
-        rowpos = value_positions(a, BOT)
-        colpos = value_positions(b.T, BOT)
-        assert et._list_triangles(rowpos, colpos, c) == listing_reference(a, b, c)
+        got = et._list_triangles(a, b, c)
+        assert len(got) == 3
+        listed = triple_set([got])
+        assert len(listed) == got[0].size  # no triangle listed twice
+        assert listed == listing_reference(a, b, c)
+        # restricted to some values per row of a, or per column of b
         a_vals = random_value_subsets(rng, a)
-        assert (et._list_triangles(rowpos, colpos, c, a_vals)
+        a_kept = keep_row_values(a, a_vals)
+        assert np.array_equal(et._keep_row_values(a, a_vals), a_kept)
+        assert (triple_set([et._list_triangles(a_kept, b, c)])
                 == listing_reference(a, b, c, a_values=a_vals))
-        # the transposed instance restricts the b side
         b_vals = random_value_subsets(rng, b.T)
-        flipped = {(i, k, j) for j, k, i in
-                   et._list_triangles(colpos, rowpos, c.T, b_vals)}
-        assert flipped == listing_reference(a, b, c, b_values=b_vals)
+        b_kept = keep_row_values(b.T, b_vals).T
+        assert np.array_equal(et._keep_row_values(b.T, b_vals).T, b_kept)
+        assert (triple_set([et._list_triangles(a, b_kept, c)])
+                == listing_reference(a, b, c, b_values=b_vals))
 
 
 def test_uniformize_class_lists_unpopular_targets(monkeypatch):
@@ -859,16 +915,17 @@ def test_uniformize_class_lists_unpopular_targets(monkeypatch):
     listed = []
     real = et._list_triangles
 
-    def spy(rowpos, colpos, target, a_values=None):
-        out = real(rowpos, colpos, target, a_values)
-        if a_values is None:
-            listed.append(out)
+    def spy(a_side, b_side, target):
+        out = real(a_side, b_side, target)
+        # the remainder listings take c itself as their target
+        if target is not inst.c.data:
+            listed.append(triple_set([out]))
         return out
 
     monkeypatch.setattr(et, "_list_triangles", spy)
-    subs, triples = et._uniformize_class(
-        value_positions(a, BOT), value_positions(b.T, BOT),
-        inst.c.data, d, 1, np.random.default_rng(0), n)
+    subs, found = et._uniformize_class(a, b, inst.c.data, d, 1,
+                                       np.random.default_rng(0))
+    triples = triple_set(found)
     assert listed and any(listed)
     assert set().union(*listed) <= triples
     check_exact_decomposition(inst, subs, triples, uniform_d=d)

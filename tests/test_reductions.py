@@ -526,7 +526,7 @@ def test_remainder_flags_match_pair_loop(monkeypatch):
     # the flags are read back from the targets of the first remainder
     # listing after each decomposition: flagged pairs are BOT there
     seen = []
-    decompose, listing = red.popular_sum_decomposition, red._list_remainder_triangles
+    decompose, listing = red.popular_sum_decomposition, red._list_triangles
 
     def spy_decompose(s_sets, t_sets, d, delta, rng):
         xdec, ydec = decompose(s_sets, t_sets, d, delta, rng)
@@ -534,12 +534,15 @@ def test_remainder_flags_match_pair_loop(monkeypatch):
                      "delta": delta, "targets": []})
         return xdec, ydec
 
-    def spy_listing(rowpos, colpos, c, xdec, ydec):
-        seen[-1]["targets"].append(c)
-        return listing(rowpos, colpos, c, xdec, ydec)
+    def spy_listing(a, b, c):
+        # a class that skips the decomposition lists before any is seen;
+        # after one, such listings follow the first remainder listing
+        if seen:
+            seen[-1]["targets"].append(c)
+        return listing(a, b, c)
 
     monkeypatch.setattr(red, "popular_sum_decomposition", spy_decompose)
-    monkeypatch.setattr(red, "_list_remainder_triangles", spy_listing)
+    monkeypatch.setattr(red, "_list_triangles", spy_listing)
     rng = np.random.default_rng(21)
     n, d, inner = 32, 4, 8  # the shape of the benchmark's row-weight products
     flag_counts = []
