@@ -412,16 +412,17 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
 
 
 def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
-               promise="out", constant=DEFAULT_SAMPLING_CONSTANT):
+               promise=None, constant=DEFAULT_SAMPLING_CONSTANT):
     """APSP by the oracle or a pivot solver; the one entry of the pivot solvers.
 
     The pivot solvers eliminate negative cycles, solve, and decode -inf.
     h defaults to default_hop_parameter(n) and delta to h.  "nw-rand"
     replays pivot levels sampled from rng (default: seed 0); "nw-det" and
     "dweights" run the bridging-set solver.  "dweights" audits at most d
-    distinct weights per node on the promised side, and with the promise on
-    outgoing edges it solves the reversed graph and transposes the result;
-    the other pivot solvers reject a declared d.
+    distinct weights per node on the promised side ("out" when promise is
+    None), and with the promise on outgoing edges it solves the reversed
+    graph and transposes the result; the other pivot solvers reject a
+    declared d or promise.
     """
     if algo == "oracle":
         return apsp_oracle(g)
@@ -429,6 +430,9 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
         raise ValueError(f"unknown algorithm {algo!r}")
     if d is not None and algo != "dweights":
         raise ValueError("d applies to the dweights solver only")
+    if promise is not None and algo != "dweights":
+        raise ValueError("promise applies to the dweights solver only")
+    promise = "out" if promise is None else promise
     h = default_hop_parameter(g.n) if h is None else h
     delta = h if delta is None else delta
     rng = np.random.default_rng(0) if rng is None else rng

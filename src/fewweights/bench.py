@@ -12,7 +12,7 @@ import numpy as np
 
 from . import minplus as mp
 from .apsp import apsp_oracle, solve_apsp
-from .core import POS_INF, WeightMatrix
+from .core import POS_INF, WeightMatrix, _as_data
 from .exact_triangle import aete_brute, aete_few_weights
 from .generators import (
     random_dweights_graph,
@@ -46,16 +46,54 @@ def bench_kernels(sizes, seeds, density=0.5):
     return rows
 
 
+def _dense_palette(n, rng):
+    """n x n, 70 % finite, each column's entries from its own 4 values."""
+    palette = rng.integers(0, n, size=(4, n))
+    return np.where(rng.random((n, n)) < 0.7,
+                    palette[rng.integers(0, 4, size=(n, n)), np.arange(n)], POS_INF)
+
+
+def _sparse_many_values(n, rng):
+    """n x n, 5 % finite, entries drawn from [-n, n): most distinct per column."""
+    return np.where(rng.random((n, n)) < 0.05,
+                    rng.integers(-n, n, size=(n, n)), POS_INF)
+
+
+def _dweights_row(algo, n, d, seed, xs, op, product):
+    """One d-weights row: product(x) for each x in xs, against the naive product.
+
+    ok when every value matches min_plus_naive against the operand op's B
+    and every finite entry has a witness k with x[i, k] + B[k, j] equal to
+    it; the time is the mean.
+    """
+    bw = op.data
+    ok, total = True, 0
+    for x in xs:
+        (got, wit), t = _timed(lambda: product(x))
+        got = _as_data(got)
+        r, c = np.nonzero(got != POS_INF)
+        ok = (ok and np.array_equal(got, mp.min_plus_naive(x, WeightMatrix(bw)).data)
+              and np.count_nonzero(wit >= 0) == r.size
+              and bool((x.data[r, wit[r, c]] + bw[wit[r, c], c] == got[r, c]).all()))
+        total += t
+    return {"algo": algo, "n": n, "d": d, "seed": seed,
+            "wall_ns": total // len(xs), "ok": ok}
+
+
 def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
     """The bucketed kernels vs the naive product.
 
     boolean_min_plus runs at several bucket counts in the node-weighted
     product shape: s = n/row_fraction rows against a boolean n x n matrix
     (naive runs on the 0/w equivalent matrix).  d_weights_min_plus runs at
-    the smallest delta against an n x n matrix with at most 4 distinct
-    entries per column, through one prepared operand used for two s-row
-    products; its row is ok when both match the naive product, witnesses
-    included, and its time is the mean of the two.
+    the smallest delta against a dense n x n matrix with at most 4 distinct
+    entries per column (d = 4), through one prepared operand used for two
+    s-row products, so its cost rule picks the route.  Each of its two
+    routes, dweights-gather and dweights-bucket, runs the same two products
+    against that matrix and against a sparse one with many distinct entries
+    per column (reported as d = n).  A d-weights row is ok when both
+    products match the naive product, witnesses included, and its time is
+    the mean of the two.
     """
     rows = []
     s = max(1, n // row_fraction)
@@ -76,21 +114,18 @@ def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
                 want.data))
             rows.append({"algo": f"boolean-minplus-d{delta}", "n": n, "d": 1,
                          "seed": seed, "wall_ns": t_k, "ok": ok})
-        palette = rng.integers(0, n, size=(4, n))
-        bw = np.where(rng.random((n, n)) < 0.7,
-                      palette[rng.integers(0, 4, size=(n, n)), np.arange(n)], POS_INF)
-        op = mp.DWeightsOperand(bw, d=4)
-        ok, t_dw = True, 0
-        for x in (a, random_weight_matrix(s, n, rng, low=-n, high=n, inf_density=0.1)):
-            (got, wit), t_k = _timed(lambda: mp.d_weights_min_plus(
-                x, op, min(deltas), return_witnesses=True))
-            r, c = np.nonzero(got.data != POS_INF)
-            ok = (ok and got == mp.min_plus_naive(x, WeightMatrix(bw))
-                  and (np.count_nonzero(wit >= 0) == r.size)
-                  and bool((x.data[r, wit[r, c]] + bw[wit[r, c], c] == got.data[r, c]).all()))
-            t_dw += t_k
-        rows.append({"algo": "dweights-minplus", "n": n, "d": 4, "seed": seed,
-                     "wall_ns": t_dw // 2, "ok": ok})
+        dense = mp.DWeightsOperand(_dense_palette(n, rng), d=4)
+        xs = (a, random_weight_matrix(s, n, rng, low=-n, high=n, inf_density=0.1))
+        sparse = mp.DWeightsOperand(_sparse_many_values(n, rng))
+        rows.append(_dweights_row("dweights-minplus", n, 4, seed, xs, dense,
+                                  lambda x: mp.d_weights_min_plus(
+                                      x, dense, min(deltas), return_witnesses=True)))
+        for op, d in ((dense, 4), (sparse, n)):
+            rows.append(_dweights_row("dweights-gather", n, d, seed, xs, op,
+                                      lambda x: mp._dweights_gather(x.data, op, True)))
+            rows.append(_dweights_row("dweights-bucket", n, d, seed, xs, op,
+                                      lambda x: mp._dweights_bucketed(x.data, op, min(deltas),
+                                                                      True)))
     return rows
 
 

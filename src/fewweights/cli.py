@@ -421,7 +421,7 @@ def build_parser():
     r.add_argument("--delta-exp", dest="delta_exp", type=float, default=21.0)
     r.add_argument("--omega-hat", dest="omega_hat", type=float, default=3.0)
     r.add_argument("--constant", type=float, default=10.0)
-    r.add_argument("--promise-dir", default="out", choices=["out", "in"],
+    r.add_argument("--promise-dir", default=None, choices=["out", "in"],
                    dest="promise_dir")
     r.add_argument("--verify", action="store_true")
     r.set_defaults(fn=cmd_run)

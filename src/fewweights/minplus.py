@@ -7,7 +7,13 @@ hop-bounded graph products with witness-path reconstruction.
 The bucketed kernels share one bit-packed bucket product: each row of A is
 sorted and cut into buckets of at most 24 positions, each position weighs
 a distinct power of two, and one float32 BLAS product gives per (i, j) the
-first bucket with a qualifying k and, by its top bit, that k itself.
+first bucket with a qualifying k and, by its top bit, that k itself.  The
+d-weights kernel has a second route, a segment gather: it adds each row of
+A to B's finite entries, sorted by column, and takes one minimum.reduceat
+over the columns.  A cost rule in d_weights_min_plus picks the route per
+product from B's counts (finite entries, column slots) and the call's
+shape (rows of A, n, delta, witnesses or not): the gather wins on sparse B
+or many values per column, the bucket product on dense B with few.
 
 All kernels are pure functions; for a fixed input the result is identical
 regardless of the bucket count.  A HopOperator builds a graph's one-hop
@@ -41,6 +47,12 @@ _BUCKET_BITS = 24
 # Cell budget of one block of the bit-packed bucket product: rows of A are
 # taken in blocks whose float32 indicator and product stay within it.
 _BUCKET_CELLS = 2**22
+
+# Cell budget of one block of the d-weights gather route, below
+# _BUCKET_CELLS: a block's int64 arrays (512 KiB each) stay in cache.  At
+# n = s = 128 with witnesses a product took 3.5 ms, against 8.2 ms in
+# blocks of 2**22 cells (one BLAS thread, best of 5).
+_GATHER_CELLS = 2**16
 
 # Cell budget of one (pending pairs, inner block) candidate array in the
 # witness search behind a min-plus solver `product`.
@@ -130,19 +142,30 @@ def boolean_matrix_multiply(P, Q):
 # Bucketed rectangular kernels.
 # ----------------------------------------------------------------------------
 
+def _check_witness_keys(a, name):
+    """Raise unless every witness key n*a[i, k]+k stays below MAX_OPERAND.
+
+    The bucketed kernels sort by these keys; the gather route of
+    d_weights_min_plus needs none but runs the same check, so that an
+    input's outcome does not depend on the route.
+    """
+    n = a.shape[1]
+    finite = a != POS_INF
+    if finite.any():
+        top = np.abs(a[finite]).max()
+        if (int(top) + 1) * max(n, 1) + n >= int(MAX_OPERAND):
+            raise WeightError(
+                f"witness encoding n*{name}+k would overflow; reduce weights or n")
+
+
 def _scaled_keys(a, want_witnesses, name):
     """Sort keys for the bucket index: n*value+k when witnesses are wanted."""
     if not want_witnesses:
         return a, 1
-    s, n = a.shape
-    finite = a != POS_INF
+    _check_witness_keys(a, name)
+    n = a.shape[1]
     scale = np.int64(max(n, 1))
-    if finite.any():
-        top = np.abs(a[finite]).max()
-        if (int(top) + 1) * int(scale) + n >= int(MAX_OPERAND):
-            raise WeightError(
-                f"witness encoding n*{name}+k would overflow; reduce weights or n")
-    keys = np.where(finite, a * scale + np.arange(n, dtype=np.int64), POS_INF)
+    keys = np.where(a != POS_INF, a * scale + np.arange(n, dtype=np.int64), POS_INF)
     return keys, int(scale)
 
 
@@ -263,11 +286,16 @@ def _column_slots(bdata, d=None):
 class DWeightsOperand:
     """The B operand of d_weights_min_plus, prepared once for many products.
 
-    Holds the validated, read-only B and its shape, its column slots (the
-    distinct finite values per column, audited against d when d is given),
-    the transposed float32 slot indicator bt[t, k] = (B[k, slot_col[t]] ==
-    slot_val[t]) and the nonempty columns with their reduceat starts.  A
-    product against it does no B-only work.
+    Holds the validated, read-only B and its shape, and what each route of
+    the product needs from B alone.  The bucketed route uses the column
+    slots (the distinct finite values per column, audited against d when d
+    is given), the transposed float32 slot indicator bt[t, k] = (B[k,
+    slot_col[t]] == slot_val[t]) and the slots' reduceat starts.  The
+    gather route uses B's nnz finite entries sorted by column, then by row
+    (their rows erow and values eval), cut into chunks of whole nonempty
+    columns: per chunk its columns, its entry range [e0, e1), and each
+    column's reduceat start (from e0) and entry count.  A product against
+    it does no B-only work.
     """
 
     def __init__(self, B, d=None):
@@ -283,17 +311,123 @@ class DWeightsOperand:
         self.bt = (data[:, self.slot_col] == self.slot_val[None, :]).T.astype(np.float32)
         self.nonempty = self.counts > 0
         self.starts = col_start[:-1][self.nonempty]
+        ecol, self.erow = np.nonzero(data.T != POS_INF)
+        self.eval = data[self.erow, ecol]
+        cols = np.flatnonzero(self.nonempty)
+        counts = np.bincount(ecol, minlength=data.shape[1])[cols]
+        starts = np.cumsum(counts) - counts
+        # runs of whole columns whose first entries share one window of
+        # _GATHER_CELLS entries; each holds fewer than _GATHER_CELLS + n
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(starts // _GATHER_CELLS)) + 1,
+                               [cols.size]])
+        self.chunks = [(cols[c0:c1], starts[c0], starts[c0] + counts[c0:c1].sum(),
+                        starts[c0:c1] - starts[c0], counts[c0:c1])
+                       for c0, c1 in zip(cuts[:-1], cuts[1:]) if c1 > c0]
+
+
+def _unreached(s, m):
+    """An all +inf (s, m) product and its all -1 witness matrix."""
+    return (np.full((s, m), POS_INF, dtype=np.int64),
+            np.full((s, m), -1, dtype=np.int64))
+
+
+def _dweights_bucketed(a, B, delta, want_witnesses):
+    """The d-weights product by one bit-packed bucket product over B's slots.
+
+    The bucket product finds, per (row, slot), the best k whose B entry in
+    the slot's column holds the slot's value; each column then minimizes
+    over its slots.  Returns the (s, m) values and witnesses (all -1
+    without witnesses).
+    """
+    s = a.shape[0]
+    out, wit = _unreached(s, B.shape[1])
+    if s == 0 or B.erow.size == 0:
+        return out, wit
+    n = a.shape[1]
+    out_key, scale = _bucketed_min_keys(a, B.bt, delta, want_witnesses)
+    hit = out_key != POS_INF
+    aval = np.where(hit, np.floor_divide(out_key, scale), 0)
+    kwit = np.where(hit, out_key - aval * scale, -1)
+    sums = np.where(hit, aval + B.slot_val[None, :], POS_INF)
+    out[:, B.nonempty] = np.minimum.reduceat(sums, B.starts, axis=1)
+    if want_witnesses:
+        # a slot's k is its smallest minimizing k, so the tied slots' least
+        # k is the smallest minimizing k of the column
+        tied = np.where(hit & (sums == out[:, B.slot_col]), kwit, n)
+        wit[:, B.nonempty] = np.minimum.reduceat(tied, B.starts, axis=1)
+        wit[wit == n] = -1
+    return out, wit
+
+
+def _dweights_gather(a, B, want_witnesses):
+    """The d-weights product by a segment gather over B's finite entries.
+
+    B's entries are taken in chunks of whole columns and the rows of A in
+    blocks, so that one block holds at most about _GATHER_CELLS cells.  A
+    block forms sums[i, e] = A[i, erow[e]] + eval[e] over the chunk's
+    entries e, in column-then-row order, and one minimum.reduceat over the
+    column segments gives the values.  The witness is the least erow[e]
+    whose sum ties its column's value: a second reduceat over erow there
+    and n elsewhere, so no n*value+k key is formed (the key bound is still
+    checked, as on the bucketed route).  A's +inf entries are lifted to
+    POS_INF + MAX_OPERAND first, so every sum through one is at least
+    POS_INF without a mask and none overflows, while the finite sums, within
+    +-2^61, stay below it.  Returns the (s, m) values and witnesses.
+    """
+    s, n = a.shape
+    out, wit = _unreached(s, B.shape[1])
+    if s == 0 or B.erow.size == 0:
+        return out, wit
+    if want_witnesses:
+        _check_witness_keys(a, "A")
+    lifted = np.where(a == POS_INF, POS_INF + MAX_OPERAND, a)
+    for cols, e0, e1, starts, counts in B.chunks:
+        erow = B.erow[e0:e1]
+        block = max(1, _GATHER_CELLS // (e1 - e0))
+        for r0 in range(0, s, block):
+            rows = slice(r0, r0 + block)
+            sums = np.take(lifted[rows], erow, axis=1)
+            sums += B.eval[e0:e1]
+            vals = np.minimum(np.minimum.reduceat(sums, starts, axis=1), POS_INF)
+            out[rows, cols] = vals
+            if want_witnesses:
+                tied = np.where(sums == np.repeat(vals, counts, axis=1), erow, n)
+                least = np.minimum.reduceat(tied, starts, axis=1)
+                wit[rows, cols] = np.where(vals == POS_INF, -1, least)
+    return out, wit
 
 
 def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     """Rectangular min-plus product for B with few distinct entries per column.
 
-    Builds the n x (sum_j d_j) column-value indicator, finds the best
-    qualifying k per (row, column, value) with one bit-packed bucket product
-    against the sorted rows of A, and minimizes over values.  B may be a
-    DWeightsOperand, which skips that B-only preparation.  The witness
+    Two routes give the same values and witnesses.  The bucketed route
+    builds the indicator of B's T column slots (the distinct finite values
+    of each column), finds the best qualifying k per (row, slot) with one
+    bit-packed bucket product against the sorted rows of A, and minimizes
+    over each column's slots.  The gather route adds each row of A to B's
+    nnz finite entries and minimizes over each column's entries.  B may be
+    a DWeightsOperand, which skips the B-only preparation.  The witness
     matrix holds the minimizing k (ties to the smallest), or -1 where the
     result is +inf.
+
+    Cost rule: for s rows of A, n = B's rows and nb = max(delta, ceil(n/24))
+    buckets, the modelled costs in ns are
+      gather:   s*nnz*g, with g = 6 with witnesses and 2.5 without;
+      bucketed: 32000 + s*(64*n + T*(24 + nb*(4 + n/64))), i.e. fixed
+                work, the sort of A, the per-slot and per-bucket passes, and
+                the T*n*nb multiply-adds per row of the float32 product;
+    and the product takes the gather route when its cost is lower.  The
+    constants are rounded from a least-squares fit to 818 timed products
+    of both routes (one BLAS thread, 2-core x86-64 box): n = 16..1024,
+    s = n/8..n, B 2-70 % finite with 1, 4 or 32 values per column, plus
+    the one-hop operands of the d-weights APSP solves at n = 48 (s = 32..48,
+    nnz ~ 700, T ~ 180 or 550), where the gather is 3-6x faster.  Picking
+    by the rule took 0.3 % more time than always picking the faster route,
+    and 0.5 % on 818 products drawn with other seeds (at most 1.7x on one
+    small product), against 1.5x for always the gather and 4x for always
+    the bucket product.  Dense B with few values per column (the bench's
+    palette at n = 128 and 512, with witnesses) stays on the bucketed
+    route.
     """
     a = _as_data(A)
     prepared = isinstance(B, DWeightsOperand)
@@ -309,26 +443,14 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
         B = DWeightsOperand(bm, d)
     counters["d_weights_min_plus"] += 1
     s, n = a.shape
-    m = B.shape[1]
     delta = max(1, min(int(delta), max(n, 1)))
-    out = np.full((s, m), POS_INF, dtype=np.int64)
-    wit = np.full((s, m), -1, dtype=np.int64)
-    if s == 0 or m == 0 or n == 0 or B.slot_val.size == 0:
-        if return_witnesses:
-            return WeightMatrix(out, copy=False), wit
-        return WeightMatrix(out, copy=False)
-    out_key, scale = _bucketed_min_keys(a, B.bt, delta, return_witnesses)
-    hit = out_key != POS_INF
-    aval = np.where(hit, np.floor_divide(out_key, scale), 0)
-    kwit = np.where(hit, out_key - aval * scale, -1)
-    sums = np.where(hit, aval + B.slot_val[None, :], POS_INF)
-    out[:, B.nonempty] = np.minimum.reduceat(sums, B.starts, axis=1)
+    nb = max(delta, -(-n // _BUCKET_BITS))
+    gather = s * B.erow.size * (6 if return_witnesses else 2.5)
+    if gather < 32000 + s * (64 * n + B.slot_val.size * (24 + nb * (4 + n / 64))):
+        out, wit = _dweights_gather(a, B, return_witnesses)
+    else:
+        out, wit = _dweights_bucketed(a, B, delta, return_witnesses)
     if return_witnesses:
-        # a slot's k is its smallest minimizing k, so the tied slots' least
-        # k is the smallest minimizing k of the column
-        tied = np.where(hit & (sums == out[:, B.slot_col]), kwit, n)
-        wit[:, B.nonempty] = np.minimum.reduceat(tied, B.starts, axis=1)
-        wit[wit == n] = -1
         return WeightMatrix(out, copy=False), wit
     return WeightMatrix(out, copy=False)
 

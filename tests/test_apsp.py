@@ -706,6 +706,21 @@ def test_declared_d_is_rejected_outside_dweights(algo, monkeypatch):
     assert ap.solve_apsp(g, algo, h=4, d=None) == ap.apsp_oracle(g)
 
 
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand"])
+@pytest.mark.parametrize("promise", ["out", "in"])
+def test_declared_promise_is_rejected_outside_dweights(algo, promise, monkeypatch):
+    g = random_node_weighted_graph(8, np.random.default_rng(64))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver started before rejecting the promise")
+
+    with monkeypatch.context() as m:
+        m.setattr(ap, "eliminate_negative_cycles", no_work)
+        with pytest.raises(ValueError, match="promise applies to the dweights solver only"):
+            ap.solve_apsp(g, algo, h=4, promise=promise)
+    assert ap.solve_apsp(g, algo, h=4, promise=None) == ap.apsp_oracle(g)
+
+
 ALGOS = ["nw-det", "nw-rand", "dweights"]
 
 

@@ -108,6 +108,16 @@ def test_run_d_outside_dweights_exit_code(tmp_path, algo):
                "--out", tmp_path / "r") == EXIT_PARAM
 
 
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand"])
+def test_run_promise_dir_outside_dweights_exit_code(tmp_path, algo):
+    g = tmp_path / "g"
+    run("gen", "dweights-graph", "--n", 10, "--d", 4, "--seed", 1, "--out", g)
+    assert run("run", algo, "--input", g / "graph.txt", "--promise-dir", "in",
+               "--out", tmp_path / "r") == EXIT_PARAM
+    assert run("run", "dweights", "--input", g / "graph.txt", "--d", 4,
+               "--out", tmp_path / "r") == EXIT_OK
+
+
 def test_param_error_exit_code(tmp_path):
     assert run("run", "no-such-algo", "--input", "x") == EXIT_PARAM
 

@@ -14,6 +14,7 @@ from fewweights.core import (
     build_one_hop_matrix,
     node_weighted_graph,
 )
+from fewweights import apsp, bench, generators
 from fewweights import minplus as mp
 
 
@@ -190,6 +191,37 @@ def min_plus_smallest_witness(a, b):
     return vals, np.where(vals != POS_INF, wit, -1)
 
 
+def smallest_witness_reference(a, bw):
+    """min_plus_smallest_witness, also for an empty inner dimension."""
+    if a.shape[1]:
+        return min_plus_smallest_witness(a, bw)
+    shape = (a.shape[0], bw.shape[1])
+    return (np.full(shape, POS_INF, dtype=np.int64), np.full(shape, -1, dtype=np.int64))
+
+
+def check_dweights_routes(a, bw, deltas):
+    """Each private route of d_weights_min_plus, forced, against the references.
+
+    Both routes must give the naive values and the smallest witnesses, and
+    all -1 witnesses when none are asked for; the bucketed route at every
+    delta (clamped to [1, n] as the public kernel does).
+    """
+    want, want_wit = smallest_witness_reference(a, bw)
+    assert np.array_equal(want, mp.min_plus_naive(a, bw).data)
+    op = mp.DWeightsOperand(bw)
+    n = a.shape[1]
+    runs = [lambda w: mp._dweights_gather(a, op, w)]
+    runs += [lambda w, dl=dl: mp._dweights_bucketed(a, op, max(1, min(dl, n)), w)
+             for dl in deltas]
+    for route in runs:
+        got, wit = route(True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(wit, want_wit)
+        got, wit = route(False)
+        assert np.array_equal(got, want)
+        assert (wit == -1).all()
+
+
 def check_bucketed_kernels(a, b, bw, deltas):
     """Both kernels against the references and the smallest witnesses.
 
@@ -207,6 +239,7 @@ def check_bucketed_kernels(a, b, bw, deltas):
         got, wit = mp.d_weights_min_plus(a, bw, delta, return_witnesses=True)
         assert np.array_equal(got.data, dw_vals), delta
         assert np.array_equal(wit, dw_wit), delta
+    check_dweights_routes(a, bw, deltas)
 
 
 def test_bucketed_kernels_at_bucket_width_boundaries():
@@ -229,11 +262,14 @@ def test_bucketed_kernels_at_bucket_width_boundaries():
             check_bucketed_kernels(sub_a, sub_b, sub_bw, (1, 2, 3, 99))
 
 
-@pytest.mark.parametrize("cells", [1, 700])
+@pytest.mark.parametrize("cells", [1, 150, 700])
 def test_bucketed_kernels_in_row_blocks(monkeypatch, cells):
     # a small cell budget takes the rows of A in blocks of one row, and of
-    # four rows with a shorter last block
+    # four rows (two on the gather route) with a shorter last block; the
+    # gather route cuts B's entries into one chunk per column, into chunks
+    # of several columns, or into one chunk
     monkeypatch.setattr(mp, "_BUCKET_CELLS", cells)
+    monkeypatch.setattr(mp, "_GATHER_CELLS", cells)
     rng = np.random.default_rng(11)
     a = rand_matrix(rng, 7, 50, inf_p=0.3, lo=-3, hi=3).data.copy()
     a[2] = POS_INF
@@ -331,18 +367,25 @@ def test_dweights_audit_error():
 def prepared_operand_cases(draw):
     """(several A, B with at most d values per column, d, delta).
 
-    Every A shares B's inner dimension; s, n or t may be 0, and some
-    columns of B may be all +inf.
+    Every A shares B's inner dimension; s, n or t may be 0, some rows of A
+    and some columns of B may be all +inf, and B may hold a single finite
+    entry.  Entries lie in [-2, 2], so negative values and ties are common.
     """
     n, t, d = draw(st.integers(0, 30)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
     palette = draw(hnp.arrays(np.int64, (d, t), elements=st.integers(-2, 2)))
     pick = draw(hnp.arrays(np.int64, (n, t), elements=st.integers(-1, d - 1)))
     bw = np.where(pick >= 0, palette[np.maximum(pick, 0), np.arange(t)], POS_INF)
     bw[:, draw(hnp.arrays(bool, t))] = POS_INF
+    if n and t and draw(st.booleans()):
+        k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, t - 1))
+        single = np.full((n, t), POS_INF, dtype=np.int64)
+        single[k, j] = draw(st.integers(-2, 2))
+        bw = single
     many = []
     for s in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
         a = draw(hnp.arrays(np.int64, (s, n), elements=st.integers(-2, 2)))
         a[draw(hnp.arrays(bool, (s, n)))] = POS_INF
+        a[draw(hnp.arrays(bool, s))] = POS_INF
         many.append(a)
     return many, bw, d, draw(st.integers(1, n + 2))
 
@@ -354,17 +397,14 @@ def test_prepared_operand_property(case):
     op = mp.DWeightsOperand(bw, d=d)
     assert op.shape == bw.shape and not op.data.flags.writeable
     for a in many:  # one operand for every A: no state leaks between calls
-        if a.shape[1]:
-            want, want_wit = min_plus_smallest_witness(a, bw)
-        else:
-            want = np.full((a.shape[0], bw.shape[1]), POS_INF, dtype=np.int64)
-            want_wit = np.full(want.shape, -1, dtype=np.int64)
+        want, want_wit = smallest_witness_reference(a, bw)
         assert np.array_equal(want, mp.min_plus_naive(a, bw).data)
         for b in (bw, op, op):
             got, wit = mp.d_weights_min_plus(a, b, delta, return_witnesses=True)
             assert np.array_equal(got.data, want)
             assert np.array_equal(wit, want_wit)
             assert np.array_equal(mp.d_weights_min_plus(a, b, delta, d=d).data, want)
+        check_dweights_routes(a, bw, (delta,))
     # a d below some column's count fails the same way, prepared or not
     counts = np.diff(mp._column_slots(bw)[2])
     if counts.size and counts.max() > 1:
@@ -378,6 +418,74 @@ def test_prepared_operand_property(case):
             with pytest.raises(AuditError) as err:
                 call()
             assert str(err.value) == str(want_err.value)
+
+
+def test_dweights_routes_on_edge_operands():
+    rng = np.random.default_rng(13)
+    a = rand_matrix(rng, 5, 9, inf_p=0.3, lo=-3, hi=3).data.copy()
+    a[1] = POS_INF  # an all-+inf row of A
+    # negative values, two per column, so sums tie across k
+    bw = column_capped_matrix(rng, 9, 6, 2, inf_p=0.2, lo=-4, hi=0).data.copy()
+    bw[:, 2] = POS_INF  # an empty column of B
+    single = np.full((9, 6), POS_INF, dtype=np.int64)
+    single[4, 3] = -7
+    empty = np.full((9, 6), POS_INF, dtype=np.int64)
+    for b in (bw, single, empty):
+        for rows in (a, a[:0], a[1:2]):  # s = 0 and an all-+inf A
+            check_dweights_routes(rows, b, (1, 4))
+
+
+def test_dweights_routes_share_the_witness_key_bound():
+    # keys n*A+k must stay below MAX_OPERAND; the gather route forms no key
+    # but must reject the same input with the same message
+    n = 4
+    top = int(mp.MAX_OPERAND) // n - 2  # the smallest |A| past the bound
+    b = np.array([[0, 1], [POS_INF, 2], [3, POS_INF], [1, 1]], dtype=np.int64)
+    op = mp.DWeightsOperand(b)
+    routes = (lambda a, w: mp._dweights_gather(a, op, w),
+              lambda a, w: mp._dweights_bucketed(a, op, 1, w))
+    past = np.array([[-top, 0, POS_INF, 5], [1, 2, 3, 4]], dtype=np.int64)
+    within = past.copy()
+    within[0, 0] += 1
+    messages = []
+    for route in routes:
+        with pytest.raises(WeightError, match="witness encoding") as err:
+            route(past, True)
+        messages.append(str(err.value))
+        want, want_wit = min_plus_smallest_witness(within, b)
+        got, wit = route(within, True)
+        assert np.array_equal(got, want) and np.array_equal(wit, want_wit)
+        # without witnesses no key is needed on either route
+        assert np.array_equal(route(past, False)[0], mp.min_plus_naive(past, b).data)
+    assert messages[0] == messages[1]
+    with pytest.raises(WeightError) as err:
+        mp.d_weights_min_plus(past, op, 1, return_witnesses=True)
+    assert str(err.value) == messages[0]
+
+
+def test_cost_rule_picks_gather_for_dweights_solves_and_bucket_for_dense_palette(
+        monkeypatch):
+    taken = []
+    for name in ("_dweights_gather", "_dweights_bucketed"):
+        def spy(*args, _route=getattr(mp, name), _name=name):
+            taken.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(mp, name, spy)
+    # the one-hop operands of the d-weights APSP solves at n = 48, d = 4,
+    # as both their right and their left hop products see them
+    g = generators.random_dweights_graph(48, 4, np.random.default_rng(1))
+    assert apsp.solve_apsp(g, "dweights", h=4, d=4) == apsp.apsp_oracle(g)
+    assert taken and set(taken) == {"_dweights_gather"}
+    # the minplus bench's operands at n = 512, with witnesses as it asks
+    # for them: s = 64 rows at its smallest delta, 8, against the dense
+    # palette (70 % finite, four values per column) and the sparse B
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 512, size=(64, 512))
+    for bw, route in ((bench._dense_palette(512, rng), "_dweights_bucketed"),
+                      (bench._sparse_many_values(512, rng), "_dweights_gather")):
+        taken.clear()
+        mp.d_weights_min_plus(a, mp.DWeightsOperand(bw), 8, return_witnesses=True)
+        assert taken == [route]
 
 
 def test_prepared_operand_checks_b_once():
