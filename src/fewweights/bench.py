@@ -85,15 +85,21 @@ def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
 
     boolean_min_plus runs at several bucket counts in the node-weighted
     product shape: s = n/row_fraction rows against a boolean n x n matrix
-    (naive runs on the 0/w equivalent matrix).  d_weights_min_plus runs at
-    the smallest delta against a dense n x n matrix with at most 4 distinct
-    entries per column (d = 4), through one prepared operand used for two
-    s-row products, so its cost rule picks the route.  Each of its two
-    routes, dweights-gather and dweights-bucket, runs the same two products
-    against that matrix and against a sparse one with many distinct entries
-    per column (reported as d = n).  A d-weights row is ok when both
-    products match the naive product, witnesses included, and its time is
-    the mean of the two.
+    (naive runs on the 0/w equivalent matrix).  The minplus-naive row is ok
+    when the naive product equals boolean_min_plus at the smallest delta
+    plus the column weights, on A and on A with its finite entries shifted
+    by 2^40, so that both dtypes of min_plus_naive are checked against an
+    independent kernel; its time is that of the unshifted product.  A
+    boolean row is ok when it equals the naive product.
+
+    d_weights_min_plus runs at the smallest delta against a dense n x n
+    matrix with at most 4 distinct entries per column (d = 4), through one
+    prepared operand used for two s-row products, so its cost rule picks
+    the route.  Each of its two routes, dweights-gather and dweights-bucket,
+    runs the same two products against that matrix and against a sparse one
+    with many distinct entries per column (reported as d = n).  A d-weights
+    row is ok when both products match the naive product, witnesses
+    included, and its time is the mean of the two.
     """
     rows = []
     s = max(1, n // row_fraction)
@@ -104,14 +110,22 @@ def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
         w = rng.integers(0, n, size=n)
         bmat = np.where(adj, w[None, :].repeat(n, axis=0),
                         POS_INF).astype(np.int64)
+
+        def plus_w(vals):
+            return np.where(vals == POS_INF, vals, vals + w[None, :])
+
         want, t_naive = _timed(lambda: mp.min_plus_naive(a, WeightMatrix(bmat)))
+        shifted = WeightMatrix(np.where(a.data == POS_INF, POS_INF, a.data + 2**40))
+        ok = all(np.array_equal(
+            naive.data,
+            plus_w(mp.boolean_min_plus(x, adj, min(deltas), return_witnesses=False)[0].data))
+            for x, naive in ((a, want),
+                             (shifted, mp.min_plus_naive(shifted, WeightMatrix(bmat)))))
         rows.append({"algo": "minplus-naive", "n": n, "d": 1, "seed": seed,
-                     "wall_ns": t_naive, "ok": True})
+                     "wall_ns": t_naive, "ok": ok})
         for delta in deltas:
             (got, wit), t_k = _timed(lambda: mp.boolean_min_plus(a, adj, delta))
-            ok = bool(np.array_equal(
-                np.where(got.data == POS_INF, got.data, got.data + w[None, :]),
-                want.data))
+            ok = bool(np.array_equal(plus_w(got.data), want.data))
             rows.append({"algo": f"boolean-minplus-d{delta}", "n": n, "d": 1,
                          "seed": seed, "wall_ns": t_k, "ok": ok})
         dense = mp.DWeightsOperand(_dense_palette(n, rng), d=4)

@@ -4,6 +4,12 @@ Contains the naive cubic oracle, a BLAS boolean matrix product, the
 bucketed rectangular boolean and d-weights min-plus kernels, and
 hop-bounded graph products with witness-path reconstruction.
 
+The naive oracle min_plus_naive sums over every k, with no masks: +inf is
+lifted to a value just below half the dtype's range, the rows of A go in
+blocks of bounded memory, each block is one add and one minimum over k,
+and entries above the cut become +inf again.  It runs in int32 when both
+operands' finite magnitudes are at most 2^28, else in int64.
+
 The bucketed kernels share one bit-packed bucket product: each row of A is
 sorted and cut into buckets of at most 24 positions, each position weighs
 a distinct power of two, and one float32 BLAS product gives per (i, j) the
@@ -22,6 +28,8 @@ for all the hop products of a solve.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +62,12 @@ _BUCKET_CELLS = 2**22
 # blocks of 2**22 cells (one BLAS thread, best of 5).
 _GATHER_CELLS = 2**16
 
+# Cell budget of one block of min_plus_naive: the block's (inner, rows, m)
+# sum array holds at most 512 KiB in int64, or one row of B when m alone is
+# larger.  At 80 x 80 x 80 a product took 0.57 ms, against 0.79 ms in
+# blocks of 2**14 cells (one BLAS thread, 2-core x86-64 box, best of 5).
+_NAIVE_CELLS = 2**16
+
 # Cell budget of one (pending pairs, inner block) candidate array in the
 # witness search behind a min-plus solver `product`.
 _WITNESS_SCAN_CELLS = 2**18
@@ -77,33 +91,65 @@ def snapshot_counters():
 
 
 def _validate_operand(data, name):
+    """Raise on bot, -inf or out-of-bound entries; return the largest finite |entry|."""
     if np.any(data == np.int64(2**62 + 7)):  # BOT
         raise WeightError(f"{name} contains bot entries")
     if np.any(data == -POS_INF):
         raise WeightError(f"{name} contains neg_inf entries")
     finite = data != POS_INF
-    if finite.any() and np.abs(data[finite]).max() > MAX_OPERAND:
+    top = int(np.abs(data[finite]).max()) if finite.any() else 0
+    if top > MAX_OPERAND:
         raise WeightError(f"{name} has finite entries beyond the kernel operand bound")
+    return top
 
 
 def min_plus_naive(A, B):
-    """Definitional min-plus product; the oracle for every other kernel."""
+    """Definitional min-plus product; the oracle for every other kernel.
+
+    out[i, j] = min over all k of A[i, k] + B[k, j], +inf where no k has
+    both entries finite.  No k is pruned; only the order of evaluation
+    differs from the per-k loop.  Both operands have +inf lifted to a value
+    L just below half the working dtype's range, and each block is one add
+    and one minimum over k, with no masks.  Rows of A go in blocks whose
+    (n, rows, m) sum array holds at most _NAIVE_CELLS cells; when one row's
+    n*m is larger, k goes in blocks too, each folded into the row's
+    minimum, so no temporary holds more than _NAIVE_CELLS cells, or one row
+    of B when m alone is larger.
+
+    Overflow: operands hold |x| <= MAX_OPERAND = 2^60, so in int64, with
+    L = 2^62 - 1, a finite sum lies within +-2^61 (the cut), a sum through
+    one lifted entry is at least L - 2^60 > 2^61, and L + L = 2^63 - 2 does
+    not wrap.  When every finite entry of both operands has |x| <= 2^28 the
+    same runs in int32 with L = 2^30 - 1 and cut 2^29, by the same
+    argument (L - 2^28 > 2^29, L + L = 2^31 - 2).  Entries above the cut
+    become POS_INF.
+    """
     a, b = _as_data(A), _as_data(B)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    _validate_operand(a, "A")
-    _validate_operand(b, "B")
+    top = max(_validate_operand(a, "A"), _validate_operand(b, "B"))
     counters["min_plus_naive"] += 1
     n1, n2 = a.shape
     n3 = b.shape[1]
-    out = np.full((n1, n3), POS_INF, dtype=np.int64)
-    for k in range(n2):
-        col = a[:, k]
-        row = b[k, :]
-        bad = (col[:, None] == POS_INF) | (row[None, :] == POS_INF)
-        s = np.where(bad, POS_INF, col[:, None] + row[None, :])
-        np.minimum(out, s, out=out)
-    return WeightMatrix(out, copy=False)
+    if n1 == 0 or n2 == 0 or n3 == 0:
+        return WeightMatrix(np.full((n1, n3), POS_INF, dtype=np.int64), copy=False)
+    if top <= 2**28:
+        dtype, lift, cut = np.int32, 2**30 - 1, 2**29
+    else:
+        dtype, lift, cut = np.int64, 2**62 - 1, 2**61
+    at = np.where(a == POS_INF, lift, a).T.astype(dtype, order="C")
+    bl = np.where(b == POS_INF, lift, b).astype(dtype, copy=False)
+    work = np.empty((n1, n3), dtype=dtype)
+    kb = min(n2, max(1, _NAIVE_CELLS // n3))
+    rb = max(1, _NAIVE_CELLS // (kb * n3))
+    for r0 in range(0, n1, rb):
+        rows = slice(r0, r0 + rb)
+        np.min(at[:kb, rows, None] + bl[:kb, None, :], axis=0, out=work[rows])
+        for k0 in range(kb, n2, kb):
+            ks = slice(k0, k0 + kb)
+            np.minimum(work[rows], np.min(at[ks, rows, None] + bl[ks, None, :], axis=0),
+                       out=work[rows])
+    return WeightMatrix(np.where(work > cut, POS_INF, work), copy=False)
 
 
 # ----------------------------------------------------------------------------
@@ -185,7 +231,8 @@ def _bucketed_min_keys(a, bt, delta, want_witnesses):
     powers 2^0..2^23, an integer below 2^24, so float32 holds it exactly in
     whatever order BLAS adds.  Finite keys sort before +inf, so the first
     qualifying position is finite.  With witnesses the keys n*value+k are
-    unique; without them tied keys are equal values.
+    unique; without them tied keys are equal values and only the value is
+    returned, so the sort need not be stable.
 
     Cost: the product takes Theta(s*T*n*max(delta, n/24)) multiply-adds for
     s rows of A and T targets.  Rows of A go through it in blocks whose
@@ -199,7 +246,7 @@ def _bucketed_min_keys(a, bt, delta, want_witnesses):
     keys, scale = _scaled_keys(a, want_witnesses, "A")
     nb = max(delta, -(-n // _BUCKET_BITS))
     bs = -(-n // nb)
-    order = np.argsort(keys, axis=1, kind="stable")
+    order = np.argsort(keys, axis=1)
     row_start = np.arange(0, s * n, n)[:, None]
     skeys = keys.ravel()[order + row_start]
     parts = []
@@ -290,12 +337,12 @@ class DWeightsOperand:
     the product needs from B alone.  The bucketed route uses the column
     slots (the distinct finite values per column, audited against d when d
     is given), the transposed float32 slot indicator bt[t, k] = (B[k,
-    slot_col[t]] == slot_val[t]) and the slots' reduceat starts.  The
-    gather route uses B's nnz finite entries sorted by column, then by row
-    (their rows erow and values eval), cut into chunks of whole nonempty
-    columns: per chunk its columns, its entry range [e0, e1), and each
-    column's reduceat start (from e0) and entry count.  A product against
-    it does no B-only work.
+    slot_col[t]] == slot_val[t]), built on the route's first use, and the
+    slots' reduceat starts.  The gather route uses B's nnz finite entries
+    sorted by column, then by row (their rows erow and values eval), cut
+    into chunks of whole nonempty columns: per chunk its columns, its entry
+    range [e0, e1), and each column's reduceat start (from e0) and entry
+    count.  A product against it repeats no B-only work.
     """
 
     def __init__(self, B, d=None):
@@ -308,7 +355,6 @@ class DWeightsOperand:
         self.shape = data.shape
         self.slot_col, self.slot_val, col_start = _column_slots(data, d)
         self.counts = np.diff(col_start)
-        self.bt = (data[:, self.slot_col] == self.slot_val[None, :]).T.astype(np.float32)
         self.nonempty = self.counts > 0
         self.starts = col_start[:-1][self.nonempty]
         ecol, self.erow = np.nonzero(data.T != POS_INF)
@@ -323,6 +369,11 @@ class DWeightsOperand:
         self.chunks = [(cols[c0:c1], starts[c0], starts[c0] + counts[c0:c1].sum(),
                         starts[c0:c1] - starts[c0], counts[c0:c1])
                        for c0, c1 in zip(cuts[:-1], cuts[1:]) if c1 > c0]
+
+    @cached_property
+    def bt(self):
+        """The (T, n) float32 slot indicator, built on the first bucketed product."""
+        return (self.data[:, self.slot_col] == self.slot_val[None, :]).T.astype(np.float32)
 
 
 def _unreached(s, m):
@@ -644,22 +695,24 @@ def _smallest_witnesses(vals, onehop, prod):
     scanned in blocks over the pending (i, j) pairs; a block's (pairs, k)
     candidate array holds at most _WITNESS_SCAN_CELLS cells, and a pair
     leaves the search at its first block with a match.  A +inf operand
-    matches nothing, as under saturating_add.
+    matches nothing, as under saturating_add: both operands have +inf
+    lifted to 2^62 - 1, so with finite entries and targets below GUARD =
+    2^61 in magnitude a sum through a lifted entry is at least 2^61 and
+    equals no target, and two lifted entries sum to 2^63 - 2 without
+    wrapping.
     """
     wit = np.full(prod.shape, -1, dtype=np.int64)
     rows, cols = np.nonzero(prod < vals)
     target = prod[rows, cols]
-    vals_finite = vals < POS_INF
-    onehop_t = np.ascontiguousarray(onehop.T)
-    onehop_finite_t = onehop_t < POS_INF
+    lift = POS_INF - 1
+    vals = np.where(vals == POS_INF, lift, vals)
+    onehop_t = np.ascontiguousarray(np.where(onehop == POS_INF, lift, onehop).T)
     block = max(1, _WITNESS_SCAN_CELLS // max(1, rows.size))
     for k0 in range(0, vals.shape[1], block):
         if rows.size == 0:
             break
         ks = slice(k0, k0 + block)
         match = (vals[rows, ks] + onehop_t[cols, ks]) == target[:, None]
-        match &= vals_finite[rows, ks]
-        match &= onehop_finite_t[cols, ks]
         hit = match.any(axis=1)
         wit[rows[hit], cols[hit]] = k0 + match[hit].argmax(axis=1)
         rows, cols, target = rows[~hit], cols[~hit], target[~hit]

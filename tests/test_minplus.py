@@ -81,6 +81,67 @@ def test_naive_matches_triple_loop():
                           triple_loop_minplus(a.data, b.data))
 
 
+@st.composite
+def naive_operands(draw):
+    """(A, B) with 0-8 rows, inner and columns, and all-+inf rows of A and
+    columns of B.  Each operand draws its own magnitude cap, 9, 2^28,
+    2^28 + 1 or MAX_OPERAND, on either side of min_plus_naive's int32 rule,
+    and holds +-cap, values within it and +inf."""
+    n1, n2, n3 = (draw(st.integers(0, 8)) for _ in range(3))
+
+    def operand(shape):
+        cap = draw(st.sampled_from([9, 2**28, 2**28 + 1, int(mp.MAX_OPERAND)]))
+        values = st.one_of(st.integers(-cap, cap), st.sampled_from([cap, -cap, int(POS_INF)]))
+        return draw(hnp.arrays(np.int64, shape, elements=values))
+
+    a, b = operand((n1, n2)), operand((n2, n3))
+    a[draw(hnp.arrays(bool, n1))] = POS_INF
+    b[:, draw(hnp.arrays(bool, n3))] = POS_INF
+    return a, b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(naive_operands())
+def test_naive_matches_triple_loop_on_edge_operands(operands):
+    a, b = operands
+    got = mp.min_plus_naive(a, b).data
+    assert got.dtype == np.int64
+    assert np.array_equal(got, triple_loop_minplus(a, b))
+
+
+def test_naive_extreme_sums_stay_finite():
+    # every sum of two entries at +-2^28, +-(2^28 + 1) or +-MAX_OPERAND is
+    # finite, including 2^28 + 1 + 2^28 + 1 past the int32 cut and
+    # MAX_OPERAND + MAX_OPERAND at the int64 one
+    ext = [v * sign for v in (2**28, 2**28 + 1, int(mp.MAX_OPERAND)) for sign in (1, -1)]
+    for x in ext:
+        for y in ext:
+            assert mp.min_plus_naive([[x, POS_INF]], [[y], [0]]).data.tolist() == [[x + y]]
+
+
+@pytest.mark.parametrize("cells", [1, 2 * 5, 3 * 9 * 5])
+def test_naive_in_row_blocks(monkeypatch, cells):
+    # a budget of 1 takes the 7 rows of A one per block and k one at a
+    # time; 2 * 5 cells take one row and k in blocks of 2, 2, 2, 2, 1;
+    # 3 * 9 * 5 cells take all of k and the rows 3 per block, with a last
+    # block of one row; small entries run in int32, entries up to 2^40 in
+    # int64.  Each k in turn gets a row of B at 3 * lo, so that it is the
+    # unique minimizer wherever it is finite and no block of k goes unseen.
+    monkeypatch.setattr(mp, "_NAIVE_CELLS", cells)
+    rng = np.random.default_rng(12)
+    for lo, hi in ((-20, 20), (-2**40, 2**40)):
+        a = rand_matrix(rng, 7, 9, lo=lo, hi=hi).data.copy()
+        a[2] = POS_INF
+        b = rand_matrix(rng, 9, 5, lo=lo, hi=hi).data.copy()
+        b[:, 3] = POS_INF
+        assert (a != POS_INF).any(axis=0).all()
+        assert np.array_equal(mp.min_plus_naive(a, b).data, triple_loop_minplus(a, b))
+        for k in range(9):
+            bk = b.copy()
+            bk[k] = np.where(b[k] == POS_INF, POS_INF, 3 * lo)
+            assert np.array_equal(mp.min_plus_naive(a, bk).data, triple_loop_minplus(a, bk))
+
+
 def test_naive_shape_mismatch():
     with pytest.raises(ValueError):
         mp.min_plus_naive(WeightMatrix([[1]]), WeightMatrix([[1], [2]]))
