@@ -328,7 +328,15 @@ def cmd_bench(args):
     seeds = list(range(args.seed, args.seed + args.runs))
     if args.suite not in bench_mod.SUITES:
         raise ValueError(f"unknown suite {args.suite}")
-    rows = bench_mod.SUITES[args.suite](sizes, seeds)
+    if args.suite == "triangle":
+        d = 4 if args.d is None else args.d
+        if d < 1:
+            raise ValueError("--d must be >= 1")
+        rows = bench_mod.bench_triangle(sizes, seeds, d=d)
+    elif args.d is not None:
+        raise ValueError("--d applies to the triangle suite only")
+    else:
+        rows = bench_mod.SUITES[args.suite](sizes, seeds)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "bench.jsonl", "w") as f:
@@ -438,6 +446,9 @@ def build_parser():
     b.add_argument("--sizes", default="64,128,256")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--runs", type=int, default=3)
+    b.add_argument("--d", type=int, default=None,
+                   help="weights per row of the triangle suite's instances "
+                        "(default 4; other suites reject it)")
     b.add_argument("--out", default="out")
     b.set_defaults(fn=cmd_bench)
 

@@ -7,6 +7,8 @@ and "bot" (absent entry).  Finite magnitudes stay below GUARD.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Sentinel encodings.  All finite weights must stay strictly below GUARD in
@@ -247,20 +249,68 @@ def require_distinct_weights(g, d, promise):
         raise AuditError(f"{promise}-distinct audit failed: {actual} > {d}")
 
 
-def _row_value_runs(m, absent):
-    """Present entries of m sorted by (row, value), equal values in column order.
+def _sorted_lines(lines, kind=None):
+    """Each row of a 2-d array sorted: (flat indices, values), row-major."""
+    flat = np.argsort(lines, axis=1, kind=kind)
+    flat += np.arange(lines.shape[0])[:, None] * lines.shape[1]
+    flat = flat.ravel()
+    return flat, lines.ravel()[flat]
 
-    Returns (rows, cols, vals, starts): the sorted entries and the index at
-    which each run of one value within one row begins.
-    """
-    rows, cols = np.nonzero(m != absent)
-    vals = m[rows, cols]
-    # stable sort by (row, value): equal values keep their column order
-    order = np.lexsort((vals, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])
-    return rows, cols, vals, np.flatnonzero(first)
+
+def _run_firsts(vals, size):
+    """Where runs of equal values start in sorted rows of length size."""
+    first = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    first[::max(1, size)] = True
+    return first
+
+
+def _stack_codes(stack):
+    """(nv, codes, vals) of each matrix of a stack (matrices on axis 0): its
+    number of distinct present values, each entry's value rank (BOT, the
+    largest, gets nv), and its values by rank in a row of an (M, w + 1)
+    table (w the largest nv; slots from nv on are padding)."""
+    lines = stack.reshape(stack.shape[0], -1)
+    flat, vals = _sorted_lines(lines)
+    rank = np.cumsum(_run_firsts(vals, lines.shape[1]), dtype=np.int32)
+    rank = rank.reshape(lines.shape)
+    rank -= rank[:, :1]
+    codes = np.empty(lines.size, dtype=np.int32)
+    codes[flat] = rank.ravel()
+    vals = vals.reshape(lines.shape)
+    if lines.shape[1]:
+        nv = rank[:, -1] + (vals[:, -1] != BOT)
+    else:
+        nv = np.zeros(lines.shape[0], dtype=np.int32)
+    table = np.zeros((lines.shape[0], int(nv.max(initial=0)) + 1), dtype=np.int64)
+    table[np.arange(lines.shape[0])[:, None],
+          np.minimum(rank, table.shape[1] - 1)] = vals
+    return nv.astype(np.int64), codes.reshape(stack.shape), table
+
+
+def _line_runs(m, axis, ranks=True):
+    """Per entry of a stack of matrices: how often its value occurs in its
+    row (axis -1) or column (axis -2) and, if `ranks`, how many equal
+    values come before it there.  One sort per line (a stable one for
+    ranks)."""
+    x = m if axis == -1 else m.swapaxes(-1, -2)
+    size = x.shape[-1]
+    flat, vals = _sorted_lines(x.reshape(math.prod(x.shape[:-1]), size),
+                               "stable" if ranks else None)
+    first = _run_firsts(vals, size)
+    run = np.cumsum(first, dtype=np.int32)
+    run -= 1
+    starts = np.flatnonzero(first).astype(np.int32)
+    length = np.empty_like(starts)
+    length[:-1] = starts[1:] - starts[:-1]
+    length[-1:] = flat.size - starts[-1:]
+    out = [np.empty(flat.size, dtype=np.int32)]
+    out[0][flat] = length[run]
+    if ranks:
+        out.append(np.empty(flat.size, dtype=np.int32))
+        out[1][flat] = np.arange(flat.size, dtype=np.int32) - starts[run]
+    out = [v.reshape(x.shape) for v in out]
+    return tuple(out if axis == -1 else (v.swapaxes(-1, -2) for v in out))
 
 
 def occurrence_stats(m, absent):
@@ -273,24 +323,21 @@ def occurrence_stats(m, absent):
     Column statistics are occurrence_stats(m.T, absent) transposed back.
     """
     m = np.asarray(m, dtype=np.int64)
-    rows, cols, _, starts = _row_value_runs(m, absent)
-    sizes = np.diff(np.append(starts, rows.size))
-    group = np.repeat(np.arange(starts.size), sizes)
-    count = np.zeros(m.shape, dtype=np.int64)
-    rank = np.zeros(m.shape, dtype=np.int64)
-    count[rows, cols] = sizes[group]
-    rank[rows, cols] = np.arange(rows.size) - starts[group]
-    distinct = np.bincount(rows[starts], minlength=m.shape[0])
-    return count, rank, distinct
+    present = m != absent
+    count, rank = _line_runs(m, -1)
+    count, rank = np.where(present, count, 0), np.where(present, rank, 0)
+    return count, rank, (present & (rank == 0)).sum(axis=1)
 
 
 def row_value_sets(m, absent):
     """Per row of m: the set of its values other than `absent`, filled in
     ascending order.  The column form is row_value_sets(m.T, absent)."""
     m = np.asarray(m, dtype=np.int64)
-    rows, _, vals, starts = _row_value_runs(m, absent)
-    vals = vals[starts].tolist()
-    bounds = np.searchsorted(rows[starts], np.arange(m.shape[0] + 1)).tolist()
+    flat, vals = _sorted_lines(m)
+    first = _run_firsts(vals, m.shape[1]) & (vals != absent)
+    rows = flat[first] // max(1, m.shape[1])
+    vals = vals[first].tolist()
+    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
     return [set(vals[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
 

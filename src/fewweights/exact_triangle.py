@@ -13,7 +13,6 @@ triple list.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -27,10 +26,19 @@ from .additive import (
     sumset,
 )
 from .core import (AuditError, BOT, NEG_INF, POS_INF, WeightError,
-                   WeightMatrix, occurrence_stats, row_value_sets)
-from .minplus import boolean_matrix_multiply
+                   WeightMatrix, _line_runs, _run_firsts, _stack_codes,
+                   occurrence_stats, row_value_sets)
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
+
+
+def _check_domain(m):
+    """Raise WeightError unless every entry of the array m is BOT or lies
+    strictly between NEG_INF and POS_INF (two comparisons: np.abs(-2**63)
+    is negative)."""
+    if ((m != BOT) & ((m <= NEG_INF) | (m >= POS_INF))).any():
+        raise WeightError("instance entries must be bot or lie "
+                          "strictly between -2^62 and 2^62")
 
 
 def normalize_promise(text):
@@ -63,11 +71,7 @@ class TriangleInstance:
         for m in mats:
             if m.shape != (n, n):
                 raise ValueError("instance matrices must be square of equal size")
-            # two comparisons: np.abs(-2**63) is negative
-            bad = (m.data != BOT) & ((m.data <= NEG_INF) | (m.data >= POS_INF))
-            if bad.any():
-                raise WeightError("instance entries must be bot or lie "
-                                  "strictly between -2^62 and 2^62")
+            _check_domain(m.data)
         self.a, self.b, self.c = a, b, c
         self.promise = normalize_promise(promise)
 
@@ -133,13 +137,22 @@ class TriangleReport:
     __hash__ = None
 
 
-def _value_codes(m):
-    """(nv, codes): the number of distinct present values of m, and per
-    entry the rank of its value among m's distinct values (one np.unique,
-    then one searchsorted against it; BOT, the largest, gets code nv)."""
-    vals = np.unique(m)
-    nv = vals.size - int(vals.size > 0 and vals[-1] == BOT)
-    return nv, np.searchsorted(vals, m)
+def _line_counts(codes, width):
+    """Per entry of a stack of value codes below `width`: how often its code
+    occurs in its row, and in its column.  One bincount per axis over
+    (line, code) keys while that table is no larger than the stack (width
+    at most the line length), else the sorts of _line_runs."""
+    if width > min(codes.shape[-2:]):
+        return tuple(_line_runs(codes, axis, ranks=False)[0] for axis in (-1, -2))
+    out = []
+    for axis in (-1, -2):
+        x = codes if axis == -1 else codes.swapaxes(-1, -2)
+        line = np.arange(math.prod(x.shape[:-1]), dtype=np.int32)
+        key = line.reshape(*x.shape[:-1], 1) * np.int32(width) + x
+        table = np.bincount(key.ravel(), minlength=line.size * width)
+        count = table.astype(np.int32)[key]
+        out.append(count if axis == -1 else count.swapaxes(-1, -2))
+    return tuple(out)
 
 
 def _present_values(m):
@@ -147,11 +160,7 @@ def _present_values(m):
     first entry of each run (np.unique takes about twice as long on
     16 x 16 matrices)."""
     vals = np.sort(m, axis=None)
-    first = np.empty(vals.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(vals[1:], vals[:-1], out=first[1:])
-    first &= vals != BOT
-    return vals[first]
+    return vals[_run_firsts(vals, vals.size) & (vals != BOT)]
 
 
 def _summing_pairs(a, b, c):
@@ -159,77 +168,118 @@ def _summing_pairs(a, b, c):
     lexicographic order, of a value x of a and a value y of b whose sum is
     a value of c.  A triangle's a and b values form such a pair, so a
     triple without one (X+Y misses Z, or a matrix has no entry) holds no
-    triangle.  Costs |X|*|Y| sums against the sorted Z."""
-    x, y, z = (_present_values(m) for m in (a, b, c))
-    if not (x.size and y.size and z.size):
-        return []
-    sums = np.add.outer(x, y)
-    hit = z[np.minimum(np.searchsorted(z, sums), z.size - 1)] == sums
-    ii, jj = np.nonzero(hit)
-    return list(zip(x[ii].tolist(), y[jj].tolist()))
+    triangle."""
+    vals = [_present_values(m) for m in (a, b, c)]
+    _, i, j, _ = _summing_slots(*((v[None], np.ones((1, v.size), dtype=bool))
+                                  for v in vals))
+    return list(zip(vals[0][i].tolist(), vals[1][j].tolist()))
 
 
-def _keeps_a_pair(mats, pairs):
-    """Whether an (a, b, c) triple taken entrywise from a larger one, whose
-    summing pairs are `pairs`, still has one: its value sets are subsets,
-    so its summing pairs are those (x, y) with x in a, y in b and x + y in
-    c.  Three comparisons per pair tried, and no sort: the cheap test for
-    the parts of a triple already tested."""
-    a, b, c = mats
-    return any((a == x).any() and (b == y).any() and (c == x + y).any()
-               for x, y in pairs)
+def _summing_slots(x, y, z):
+    """x, y and z are (values, real) pairs of (owners, slots) arrays, z's
+    real values ascending in each row: the (o, i, j, k) of every real
+    x[o, i] + y[o, j] == z[o, k], in order.  Each sum is looked up by its
+    owner and its rank among all real z values, so the cost is two
+    searchsorted per slot pair.  Real values lie within +-2^62, so no real
+    sum wraps."""
+    (x, vx), (y, vy), (z, vz) = x, y, z
+    o, i, j = np.nonzero(vx[:, :, None] & vy[:, None, :])
+    zo, k = np.nonzero(vz)
+    zv = z[zo, k]
+    u = np.sort(zv)
+    if not (o.size and u.size):
+        return (np.zeros(0, dtype=np.intp),) * 4
+    sums = x[o, i] + y[o, j]
+    rank = np.minimum(np.searchsorted(u, sums), u.size - 1)
+    key = o * u.size + rank
+    zkey = zo * u.size + np.searchsorted(u, zv)
+    at = np.minimum(np.searchsorted(zkey, key), zkey.size - 1)
+    hit = (u[rank] == sums) & (zkey[at] == key)
+    return o[hit], i[hit], j[hit], k[at[hit]]
 
 
-def _line_counts(m):
-    """Occurrences of each entry's value within its row and within its column.
+def _label_triples(labels):
+    """(o, la, lb, lc): every triple of a label of a, one of b and one of c
+    present in owner o of a (3, owners, n, n) stack of entry labels (-1 at
+    BOT), in lexicographic order."""
+    # has[m, o, l]: label l occurs in matrix m of owner o (slot 0 is BOT's)
+    width = int(labels.max(initial=0)) + 2
+    lines = labels.reshape(3 * labels.shape[1], -1)
+    key = lines + (np.arange(lines.shape[0]) * width + 1)[:, None]
+    has = np.bincount(key.ravel(), minlength=lines.shape[0] * width) > 0
+    has = has.reshape(3, labels.shape[1], width)[:, :, 1:]
+    # each (matrix, owner)'s present labels, ascending, from its offset on
+    label = np.nonzero(has)[2]
+    count = has.sum(axis=2)
+    first = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+    na, nb, nc = count
+    size = na * nb * nc
+    o = np.repeat(np.arange(size.size), size)
+    q = np.arange(o.size) - np.repeat(np.cumsum(size) - size, size)
+    nb, nc = nb[o], nc[o]
+    return (o, label[first[0, o] + q // (nb * nc)],
+            label[first[1, o] + q // nc % nb], label[first[2, o] + q % nc])
 
-    Every entry of m is coded by _value_codes, and each line's codes are
-    counted by one bincount into an (n, nv + 1) table whose BOT column is
-    then cleared.  When that table would be larger than m (nv at least the
-    length of a line), the counts come from the sorts of occurrence_stats
-    instead.  Returns (nv, row_cnt, col_cnt, row_distinct, col_distinct):
-    the number of distinct present values, the per-entry counts (0 at BOT)
-    and the number of distinct values per row and per column.
-    """
-    nv, codes = _value_codes(m)
-    if nv >= min(m.shape):
-        row_cnt, _, row_dis = occurrence_stats(m, BOT)
-        col_cnt, _, col_dis = occurrence_stats(m.T, BOT)
-        return nv, row_cnt, col_cnt.T, row_dis, col_dis
-    out = []
-    for axis, line in ((0, np.arange(m.shape[0])[:, None]),
-                       (1, np.arange(m.shape[1]))):
-        table = np.bincount((line * (nv + 1) + codes).ravel(),
-                            minlength=m.shape[axis] * (nv + 1))
-        table = table.reshape(m.shape[axis], nv + 1)
-        table[:, nv] = 0
-        out.append((table[line, codes], np.count_nonzero(table, axis=1)))
-    (row_cnt, row_dis), (col_cnt, col_dis) = out
-    return nv, row_cnt, col_cnt, row_dis, col_dis
+
+class _LabelStack:
+    """(a, b, c) array triples stacked into (3, G, n, n), with each
+    matrix's value codes (_stack_codes: nv, codes, and the value table
+    vals), split by per-entry labels: the pieces are each triple's label
+    triples (_label_triples), and piece p keeps label parts[m][p] of
+    matrix m of triple owner[p].  Each entry is checked against the domain
+    once, here."""
+
+    classes = None
+
+    def __init__(self, triples):
+        self.mats = mats = np.stack([np.stack(m) for m in zip(*triples)])
+        _check_domain(mats)
+        nv, codes, vals = _stack_codes(
+            mats.reshape(3 * mats.shape[1], *mats.shape[2:]))
+        self.nv, self.codes = nv.reshape(mats.shape[:2]), codes.reshape(mats.shape)
+        self.vals = vals.reshape(*mats.shape[:2], -1)
+        self.present = mats != BOT
+
+    def _split(self, labels):
+        self.labels = np.where(self.present, labels, -1)
+        self.owner, *self.parts = _label_triples(self.labels)
+        self.size = self.owner.size
+
+    def arrays(self, p, classes=(3, 3, 3)):
+        """Piece p's three matrices, each keeping the entries of its class
+        (3 keeps all; _LabelGroups sets the classes)."""
+        g = self.owner[p]
+        out = []
+        for m, cls in enumerate(classes):
+            keep = self.labels[m, g] == self.parts[m][p]
+            if cls != 3:
+                keep &= self.classes[m, g] == cls
+            out.append(np.where(keep, self.mats[m, g], BOT))
+        return tuple(out)
 
 
 class RegularityAudit:
     """Distinct-entry and occurrence statistics of an instance.
 
-    Built from value codes by _line_counts.  `regularize` builds one audit per
-    piece it makes and checks uniformity there; the split it then applies is
-    regular by construction.  The public `aete_uniform_regular` audits its
-    own input; the pipeline's pieces go to its body unaudited.
+    Built from _stack_codes and _line_runs over the three matrices.
+    `regularize` audits its pieces by the same statistics over whole stacks
+    (_PieceStack); the split it then applies is regular by construction.
+    The public `aete_uniform_regular` audits its own input.
     """
 
     def __init__(self, inst):
-        self.global_distinct = {}
-        self.max_row_occ = {}
-        self.max_col_occ = {}
-        self.max_row_distinct = {}
-        self.max_col_distinct = {}
-        for name, mat in (("a", inst.a), ("b", inst.b), ("c", inst.c)):
-            nv, row_occ, col_occ, row_dis, col_dis = _line_counts(mat.data)
-            self.global_distinct[name] = nv
-            self.max_row_occ[name] = int(row_occ.max(initial=0))
-            self.max_col_occ[name] = int(col_occ.max(initial=0))
-            self.max_row_distinct[name] = int(row_dis.max(initial=0))
-            self.max_col_distinct[name] = int(col_dis.max(initial=0))
+        stack = np.stack(inst.matrices())
+        present = stack != BOT
+        nv, codes, _ = _stack_codes(stack)
+        stats = [nv]
+        for axis in (-1, -2):
+            count, rank = _line_runs(codes, axis)
+            stats.append(np.where(present, count, 0).max(axis=(1, 2), initial=0))
+            distinct = (present & (rank == 0)).sum(axis=axis)
+            stats.append(distinct.max(axis=1, initial=0))
+        (self.global_distinct, self.max_row_occ, self.max_row_distinct,
+         self.max_col_occ, self.max_col_distinct) = (
+            dict(zip("abc", s.tolist())) for s in stats)
 
     def is_uniform(self, d):
         return all(v <= d for v in self.global_distinct.values())
@@ -498,8 +548,10 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
     algebraic small-sumset solver and the remainder pairs to the boolean
     products (the cost rule is in _uniform_regular_body).  This entry audits its
     input and raises AuditError when it is not d-uniform or not
-    max(1, n // d)-regular.  aete_few_weights hands the pieces of regularize,
-    which regularize has already checked, to the unaudited body.
+    max(1, n // d)-regular.  aete_few_weights answers the pieces of
+    regularize, which regularize has already checked, by the same rule
+    without this audit: their pair products stacked (_PieceStack), the
+    rest through the unaudited body.
     """
     if big_k < 1:
         raise ValueError("K must be >= 1")
@@ -515,16 +567,34 @@ def aete_uniform_regular(inst, d, big_k, rng=None):
 
 def _pair_product(a, b, c, pairs):
     """Where some k and some (x, y) of `pairs` have a[i, k] == x,
-    b[k, j] == y and c[i, j] == x + y: one boolean product per pair,
-    yes |= (c == x + y) & boolean_matrix_multiply(a == x, b == y).
+    b[k, j] == y and c[i, j] == x + y (_pair_hits with one owner).
 
     Every pair must sum to a value of c (as _summing_pairs and the cover's
-    pairs do), so a sum never names BOT; the sums are Python integers and
-    do not wrap.
+    pairs do), so a sum never names BOT; values lie within +-2^62, so a
+    sum does not wrap.
     """
-    yes = np.zeros(c.shape, dtype=bool)
-    for x, y in pairs:
-        yes |= (c == x + y) & boolean_matrix_multiply(a == x, b == y)
+    x, y = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return _pair_hits(np.stack((a, b, c))[:, None],
+                      np.zeros(x.size, dtype=np.intp), (x, y, x + y))
+
+
+def _pair_hits(keys, owner, want):
+    """yes[i, j]: some t and k have keys[0, o, i, k] == want[0][t],
+    keys[1, o, k, j] == want[1][t] and keys[2, o, i, j] == want[2][t] for
+    o = owner[t]; keys is a (3, owners, n, n) stack.  One boolean product
+    per t: the masks are multiplied by float32 np.matmul (terms are 0 or
+    1, so a positive sum is exact) in blocks of about _STACK_CELLS output
+    cells."""
+    n = keys.shape[-1]
+    yes = np.zeros(keys.shape[-2:], dtype=bool)
+    step = max(1, _STACK_CELLS // max(1, n * n))
+    for lo in range(0, owner.size, step):
+        o = owner[lo:lo + step]
+        w = [v[lo:lo + step, None, None] for v in want]
+        hit = np.matmul((keys[0, o] == w[0]).astype(np.float32),
+                        (keys[1, o] == w[1]).astype(np.float32)) > 0
+        hit &= keys[2, o] == w[2]
+        yes |= hit.any(axis=0)
     return yes
 
 
@@ -628,27 +698,6 @@ def triples_to_original(triples, tag):
 # Uniformization.
 # ----------------------------------------------------------------------------
 
-def _label_pieces(mats, labels):
-    """Split an (a, b, c) triple by per-entry integer labels (-1 at BOT).
-
-    For every label triple (s, t, u) with s a label of a, t of b and u of
-    c, in lexicographic order, yields np.where(label == x, m, BOT) for each
-    matrix m and its label x.  Every matrix of a piece holds an entry, and a
-    triangle lies in the one piece its three entries' labels name, so the
-    pieces' triangle sets partition the triple's.
-    """
-    per_matrix = [[np.where(lab == t, m, BOT) for t in np.unique(lab[lab >= 0])]
-                  for m, lab in zip(mats, labels)]
-    return itertools.product(*per_matrix)
-
-
-def _rank_labels(m, d):
-    """(nv, labels): m's number of distinct present values, and per entry
-    its value's rank among them divided by d (-1 at BOT)."""
-    nv, codes = _value_codes(m)
-    return nv, np.where(codes < nv, codes // d, -1)
-
-
 def uniformize_naive(inst, d, parts):
     """Split a d*parts-uniform instance into at most parts^3 d-uniform ones.
 
@@ -657,14 +706,11 @@ def uniformize_naive(inst, d, parts):
     one instance per triple of chunks; the triangle sets of the output
     partition the input's.
     """
-    labels = []
-    for m in inst.matrices():
-        nv, lab = _rank_labels(m, d)
-        if nv > d * parts:
-            raise AuditError(f"matrix has {nv} distinct entries, "
+    for count in _stack_codes(np.stack(inst.matrices()))[0].tolist():
+        if count > d * parts:
+            raise AuditError(f"matrix has {count} distinct entries, "
                              f"more than d*parts = {d * parts}")
-        labels.append(lab)
-    return [TriangleInstance(*p) for p in _label_pieces(inst.matrices(), labels)]
+    return _label_instances([inst.matrices()], d)
 
 
 def _row_occurrence_classes(m, absent):
@@ -738,16 +784,32 @@ def uniformize(inst, d, delta, rng=None):
     The input must already have at most d distinct entries per row of A
     (apply canonical_orientation first).  Returns (instances, T) where the
     triangle sets of the instances together with T disjointly partition the
-    input's triangles and every instance is d-uniform.
+    input's triangles and every instance is d-uniform: the pieces of the
+    label groups of _uniformize, in order.
     """
-    a, b, c = inst.matrices()
-    n = inst.n
+    groups, triples = _uniformize(*inst.matrices(), d, delta, rng)
+    return _label_instances(groups, d), triples
+
+
+def _label_instances(groups, d):
+    """The label pieces of groups (_LabelGroups) as instances, in order."""
+    if not groups:
+        return []
+    stack = _LabelGroups(groups, d)
+    return [TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
+
+
+def _uniformize(a, b, c, d, delta, rng):
+    """uniformize on bot-marked arrays: (groups, T), each group an (a, b, c)
+    triple of arrays whose label pieces (_LabelGroups) are the d-uniform
+    instances."""
+    n = a.shape[0]
     if occurrence_stats(a, BOT)[2].max(initial=0) > d:
         raise AuditError(f"rows of A exceed {d} distinct entries")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     found = []
-    instances = []
+    groups = []
     b_classes = sorted(_col_occurrence_classes(b, BOT).items())
     for x, ax in sorted(_row_occurrence_classes(a, BOT).items()):
         for y, by in b_classes:
@@ -756,15 +818,14 @@ def uniformize(inst, d, delta, rng=None):
                 found.append(_list_triangles(ax, by, c))
             else:
                 sub, listed = _uniformize_class(ax, by, c, d, delta, rng)
-                instances.extend(sub)
+                groups.extend(sub)
                 found.extend(listed)
-    return instances, set(zip(*(np.concatenate(ix).tolist()
-                                for ix in zip(*found))))
+    return groups, set(zip(*(np.concatenate(ix).tolist() for ix in zip(*found))))
 
 
 def _uniformize_class(a, b, c, d, delta, rng):
     """One (row class of A, column class of B) pair of uniformize: its
-    d-uniform instances and a list of _list_triangles results."""
+    label groups and a list of _list_triangles results."""
     xdec, ydec = popular_sum_decomposition(
         row_value_sets(a, BOT), row_value_sets(b.T, BOT), d * delta,
         delta * delta, rng)
@@ -782,7 +843,7 @@ def _uniformize_class(a, b, c, d, delta, rng):
 
     # Ordinary triangles: shift each part pair onto its common cores.
     t_pop = max(1.0, d / float(delta) ** 9)
-    instances = []
+    groups = []
     b_parts = [(*_shifted_part(b.T, lvl), sorted(lvl.core))
                for lvl in ydec.parts if lvl.members]
     for xlvl in xdec.parts:
@@ -800,53 +861,191 @@ def _uniformize_class(a, b, c, d, delta, rng):
             # ag entry av - shift lies in the core -Y_{j*}; likewise every bh
             # entry lies in its core, so the listing needs no core filter.
             found.append(_list_triangles(ag, bh, np.where(keep, BOT, cgh)))
-            if not keep.any():
-                continue
-            mats = (ag, bh, np.where(keep, cgh, BOT))
-            labels = [_rank_labels(m, d)[1] for m in mats]
-            instances.extend(TriangleInstance(*p)
-                             for p in _label_pieces(mats, labels))
-    return instances, found
+            if keep.any():
+                groups.append((ag, bh, np.where(keep, cgh, BOT)))
+    return groups, found
 
 
 # ----------------------------------------------------------------------------
 # Regularization.
 # ----------------------------------------------------------------------------
 
+def _split_parts(codes, r, big_r):
+    """regularize_naive's parts of the entries of a stack of matrices, from
+    their value ranks: the row part is an entry's rank among equal values in
+    its row divided by r, the column part its rank among the entries of its
+    column with the same value and row part, divided by r.  r and big_r
+    broadcast against the stack; a row part past big_r - 1 (which
+    regularize_naive reports) counts as big_r - 1 in the column key."""
+    row_part = _line_runs(codes, -1)[1] // r
+    key = codes * big_r + np.minimum(row_part, big_r - 1)
+    return row_part, _line_runs(key, -2)[1] // r
+
+
 def regularize_naive(inst, d, r, big_r):
     """Split a d-uniform, r*R-regular instance into at most R^6 r-regular ones.
 
     An entry's row part is its rank among equal values in its row divided
     by r; its column part is its rank among the entries of its column with
-    the same value and row part, divided by r.  There is one instance per
-    triple of (row part, column part) labels, in lexicographic order.
+    the same value and row part, divided by r (_split_parts).  There is one
+    instance per triple of (row part, column part) labels, in lexicographic
+    order.
     """
     if r < 1 or big_r < 1:
         raise ValueError("r and R must be >= 1")
-    r = int(r)
-    labels = []
-    for m in inst.matrices():
-        present = m != BOT
-        row_part = occurrence_stats(m, BOT)[1] // r
-        if (row_part[present] >= big_r).any():
-            raise AuditError("matrix is not r*R-regular on rows")
-        key = np.where(present, _value_codes(m)[1] * big_r + row_part, -1)
-        col_part = occurrence_stats(key.T, -1)[1].T // r
-        if (col_part[present] >= big_r).any():
-            raise AuditError("matrix is not r*R-regular on columns")
-        labels.append(np.where(present, row_part * big_r + col_part, -1))
-    return [TriangleInstance(*p) for p in _label_pieces(inst.matrices(), labels)]
+    stack = _LabelStack([inst.matrices()])
+    row_part, col_part = _split_parts(stack.codes, int(r), big_r)
+    for m in range(3):
+        for part, side in ((row_part, "rows"), (col_part, "columns")):
+            if (part[m][stack.present[m]] >= big_r).any():
+                raise AuditError(f"matrix is not r*R-regular on {side}")
+    stack._split(row_part * big_r + col_part)
+    return [TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
 
 
-def _three_way_split(m, threshold):
-    """(row-heavy, col-heavy, regular) by occurrence counts in m."""
-    fin = m != BOT
-    _, row_cnt, col_cnt, _, _ = _line_counts(m)
-    heavy_row = fin & (row_cnt > threshold)
-    heavy_col = fin & ~heavy_row & (col_cnt > threshold)
-    regular = fin & ~heavy_row & ~heavy_col
-    return (np.where(heavy_row, m, BOT), np.where(heavy_col, m, BOT),
-            np.where(regular, m, BOT))
+# The branches of one regularize level, in order: the promise side each
+# recurses on, and per matrix the entries it keeps, by class: 0 heavy in
+# its row, 1 heavy in its column but not its row, 2 heavy in neither, 3
+# all.  The last, without a side, is the doubly-regular rest.
+_BRANCHES = (("A_rows", (0, 3, 3)), ("A_cols", (1, 3, 3)),
+             ("B_rows", (2, 0, 3)), ("B_cols", (2, 1, 3)),
+             ("C_rows", (2, 2, 0)), ("C_cols", (2, 2, 1)), (None, (2, 2, 2)))
+
+
+class _LabelGroups(_LabelStack):
+    """The label groups of one uniformize call, stacked (_LabelStack).
+
+    A group's d-uniform pieces are its label triples: an entry's label is
+    its value's rank in its matrix divided by d, so piece (s, t, u) keeps
+    label s of a, t of b and u of c, in the order uniformize returns them.
+
+    Given regularize's threshold, each entry gets a class (0 heavy in its
+    row, 1 in its column only, 2 neither: its value occurs more than
+    threshold times there; a label holds every entry of its values, so
+    in-piece counts are in-group counts), and `kept[p, br]` says whether
+    branch br (_BRANCHES) of piece p has a summing value pair: a slot
+    triple x + y == z of the piece (at most d slots per label) whose values
+    occur in the classes the branch keeps.
+    """
+
+    def __init__(self, groups, d, threshold=None):
+        super().__init__(groups)
+        self._split(self.codes // d)
+        if threshold is not None:
+            row_cnt, col_cnt = _line_counts(self.codes, int(self.nv.max()) + 1)
+            self.classes = np.where(row_cnt > threshold, 0,
+                                    np.where(col_cnt > threshold, 1, 2))
+            self.kept = self._branch_tests(d)
+
+    def _branch_tests(self, d):
+        # held[m, g, v, cls]: value rank v of matrix m of group g occurs in
+        # class cls (3: in any); the padding slot at the end of the value
+        # axis never does
+        width = self.vals.shape[2]
+        held = np.zeros((*self.nv.shape, width, 4), dtype=bool)
+        at = np.nonzero(self.present)
+        held[at[:2] + (self.codes[at], self.classes[at])] = True
+        held[..., 3] = held[..., :3].any(axis=-1)
+        group = self.owner[:, None]
+        slots = []
+        for m in range(3):
+            span = np.arange(min(d, int(self.nv[m].max())))
+            rank = self.parts[m][:, None] * d + span
+            real = rank < self.nv[m][group]
+            slots.append((np.where(real, rank, width - 1), real))
+        hit = _summing_slots(*((self.vals[m][group, rank], real)
+                               for m, (rank, real) in enumerate(slots)))
+        flags = np.ones((hit[0].size, len(_BRANCHES)), dtype=bool)
+        owner = self.owner[hit[0]]
+        for m in range(3):
+            cls = [branch_classes[m] for _, branch_classes in _BRANCHES]
+            flags &= held[m][owner, slots[m][0][hit[0], hit[m + 1]]][:, cls]
+        kept = np.zeros((self.size, len(_BRANCHES)), dtype=bool)
+        row, branch = np.nonzero(flags)
+        kept[hit[0][row], branch] = True
+        return kept
+
+
+class _PieceStack(_LabelStack):
+    """A block of regularize's (d_p, (a, b, c)) pieces, stacked
+    (_LabelStack), audited and split into r-regular parts.
+
+    Piece p must be d_p-uniform (else AuditError); its largest row or
+    column occurrence count w fixes R = ceil(w / r), r = max(1, n // d_p).
+    Its entries are labelled by the parts of regularize_naive (one label
+    where R = 1), and its parts are its label triples in lexicographic
+    order, kept when they have a summing value pair: a slot triple
+    x + y == z of the piece's values that the part's labels hold.  `owner`
+    and `parts` describe the kept parts, `count` their numbers of pairs,
+    and `pairs` holds (part, x rank, y rank, z rank) of every pair in
+    order.  An entry of value rank v under label l has key l * width + v
+    (-1 at BOT).
+    """
+
+    def __init__(self, pieces):
+        self.d_ls = [d_l for d_l, _ in pieces]
+        super().__init__([m for _, m in pieces])
+        d_ls = np.array(self.d_ls, dtype=np.int64)
+        bad = np.flatnonzero((self.nv > d_ls).any(axis=0))
+        if bad.size:
+            p = bad[0]
+            raise AuditError(f"regularize piece is not {self.d_ls[p]}-uniform: "
+                             f"{dict(zip('abc', self.nv[:, p].tolist()))}")
+        counts = _line_counts(self.codes, int(self.nv.max(initial=0)) + 1)
+        worst = np.where(self.present, np.maximum(*counts), 0).max(
+            axis=(0, 2, 3), initial=1)
+        r = np.maximum(1, self.mats.shape[2] // np.maximum(d_ls, 1))
+        big_r = -(-worst // r)
+        # pieces with R = 1 are already r-regular and keep one label
+        labels = np.zeros(self.mats.shape, dtype=np.int64)
+        split = np.flatnonzero(big_r > 1)
+        if split.size:
+            r, big_r = r[split, None, None], big_r[split, None, None]
+            row_part, col_part = _split_parts(self.codes[:, split], r, big_r)
+            labels[:, split] = row_part * big_r + col_part
+        self._split(labels)
+
+        # held[m, p, l, v]: label l of matrix m of piece p holds value rank
+        # v; the padding slot at the end of the value axis never does
+        width = self.vals.shape[2]
+        held = np.zeros((3, labels.shape[1], int(self.labels.max(initial=0)) + 1,
+                         width), dtype=bool)
+        at = np.nonzero(self.present)
+        held[at[:2] + (self.labels[at], self.codes[at])] = True
+        q, i, j, k = _summing_slots(*((self.vals[m][self.owner],
+                                       held[m, self.owner, self.parts[m]])
+                                      for m in range(3)))
+        count = np.bincount(q, minlength=self.size)
+        kept = count > 0
+        self.owner, self.count = self.owner[kept], count[kept]
+        self.parts = [x[kept] for x in self.parts]
+        self.size = self.owner.size
+        self.pairs = (np.cumsum(kept)[q] - 1, i, j, k)
+        self.keys = np.where(self.present, self.labels * width + self.codes, -1)
+        self.width = width
+
+    def pair_products(self, chosen):
+        """_pair_hits over every pair of the chosen parts (a mask over
+        parts)."""
+        q, i, j, k = self.pairs
+        rows = np.flatnonzero(chosen[q])
+        q = q[rows]
+        return _pair_hits(self.keys, self.owner[q],
+                          [self.parts[m][q] * self.width + v[rows]
+                           for m, v in enumerate((i, j, k))])
+
+
+# Cells per block of stacked work (a _PieceStack's matrices, one np.matmul
+# call's products, one _summing_slots block): larger blocks save little
+# time at n = 16 and raise peak memory.
+_STACK_CELLS = 2 ** 15
+
+
+def _piece_stacks(pieces, n):
+    """_PieceStack blocks of regularize's pieces, in order."""
+    step = max(1, _STACK_CELLS // max(1, 3 * n * n))
+    for lo in range(0, len(pieces), step):
+        yield _PieceStack(pieces[lo:lo + step])
 
 
 class RegularizeStats:
@@ -865,47 +1064,32 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
     (pieces, T) where pieces are (d', instance) pairs; the triangle sets of
     the pieces plus T disjointly partition the input's triangles.
 
-    Each piece of the recursion is audited once, here: it must be
-    d'-uniform (else AuditError), and its largest row or column occurrence
-    count w fixes R = ceil(w / r) for r = max(1, n // d').  A piece with
-    R = 1 is already r-regular and is kept as it is; any other goes through
-    regularize_naive, whose split raises AuditError unless every part is
-    r-regular, and whose parts hold subsets of the piece's values.  So every
-    returned piece has passed both checks, and aete_few_weights solves them
-    without auditing again.
+    Each piece of the recursion is audited once, in the _PieceStack that
+    holds it: it must be d'-uniform (else AuditError), and its largest row
+    or column occurrence count w fixes R = ceil(w / r) for r = max(1,
+    n // d').  Its split by the parts of regularize_naive then makes every
+    part r-regular, and every part holds a subset of the piece's values.
+    So every returned piece has passed both checks, and aete_few_weights
+    solves them without auditing again.
 
     A triple whose value sumset X+Y misses its C values Z holds no triangle
-    and is dropped unsolved: the input and every uniformize output before
-    its three-way splits (_summing_pairs), and every recursive branch,
-    regular rest and part of the final split (_keeps_a_pair, against the
-    pairs of the triple it was cut from).  So every returned piece has a
-    summing value pair.
+    and is dropped unsolved: the input (_summing_pairs), every label piece
+    of a uniformize call with every one of its recursive branches and its
+    regular rest (_LabelGroups), and every part of the final
+    split (_PieceStack).  So every returned piece has a summing value pair.
     """
     pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng,
                                           depth_guard, stats)
-    n = inst.n
     final = []
-    for d_l, piece in pieces:
-        audit = RegularityAudit(piece)
-        if not audit.is_uniform(d_l):
-            raise AuditError(f"regularize piece is not {d_l}-uniform: "
-                             f"{audit.global_distinct}")
-        r = max(1, n // max(d_l, 1))
-        worst = max(*audit.max_row_occ.values(), *audit.max_col_occ.values(), 1)
-        big_r = math.ceil(worst / r)
-        if big_r == 1:
-            final.append((d_l, piece))
-        else:
-            pairs = _summing_pairs(*piece.matrices())
-            final.extend((d_l, sub) for sub in
-                         regularize_naive(piece, d_l, r, big_r)
-                         if _keeps_a_pair(sub.matrices(), pairs))
+    for stack in _piece_stacks(pieces, inst.n):
+        final.extend((stack.d_ls[stack.owner[q]],
+                      TriangleInstance(*stack.arrays(q))) for q in range(stack.size))
     return final, triples
 
 
 def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
-    """The recursion of regularize: its (d', piece) pairs before the final
-    split, plus T."""
+    """The recursion of regularize: its (d', (a, b, c)) pieces before the
+    final split, as arrays in the input's coordinates, plus T."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = inst.n
@@ -925,47 +1109,29 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
         stats.max_depth = max(stats.max_depth, depth)
         if d_cur <= 0:
             return [], set()
-        oriented = TriangleInstance(*_FORWARD[tag](*mats))
         stats.uniformize_calls += 1
-        insts, t_acc = uniformize(oriented, d_cur, delta_cur, rng)
+        groups, t_acc = _uniformize(*_FORWARD[tag](*mats), d_cur, delta_cur, rng)
         pieces_acc = []
-        big_l = max(1, len(insts))
-        d_next = int(d_cur // rho)
-        delta_next = delta_cur * 12 * big_l
-        threshold = (n / max(d_cur, 1)) * rho
-        for sub in insts:
-            a, b, c = sub.matrices()
-            pairs = _summing_pairs(a, b, c)
-            if not pairs:
-                continue
-            a_row, a_col, a_reg = _three_way_split(a, threshold)
-            b_row, b_col, b_reg = _three_way_split(b, threshold)
-            c_row, c_col, c_reg = _three_way_split(c, threshold)
-            branches = [
-                ((a_row, b, c), "A_rows"),
-                ((a_col, b, c), "A_cols"),
-                ((a_reg, b_row, c), "B_rows"),
-                ((a_reg, b_col, c), "B_cols"),
-                ((a_reg, b_reg, c_row), "C_rows"),
-                ((a_reg, b_reg, c_col), "C_cols"),
-            ]
-            for branch, pr in branches:
-                if not _keeps_a_pair(branch, pairs):
-                    continue
-                sp, st = rec(branch, d_next, delta_next, pr, depth + 1)
-                pieces_acc.extend(sp)
-                t_acc |= st
-            reg = (a_reg, b_reg, c_reg)
-            if _keeps_a_pair(reg, pairs):
-                pieces_acc.append((d_cur, reg))
+        if groups:
+            stack = _LabelGroups(groups, d_cur, (n / max(d_cur, 1)) * rho)
+            d_next = int(d_cur // rho)
+            delta_next = delta_cur * 12 * max(1, stack.size)
+            for p, br in zip(*(x.tolist() for x in np.nonzero(stack.kept))):
+                side, classes = _BRANCHES[br]
+                branch = stack.arrays(p, classes)
+                if side is None:
+                    pieces_acc.append((d_cur, branch))
+                else:
+                    sp, st = rec(branch, d_next, delta_next, side, depth + 1)
+                    pieces_acc.extend(sp)
+                    t_acc |= st
         back = _FORWARD[_INVERSE[tag]]
         return ([(dl, back(*m)) for dl, m in pieces_acc],
                 triples_to_original(t_acc, tag))
 
     if not _summing_pairs(*inst.matrices()):
         return [], set()
-    pieces, triples = rec(inst.matrices(), d, delta, inst.promise, 0)
-    return [(dl, TriangleInstance(*m)) for dl, m in pieces], triples
+    return rec(inst.matrices(), d, delta, inst.promise, 0)
 
 
 # ----------------------------------------------------------------------------
@@ -987,21 +1153,26 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     """Solve a d-weights instance: regularize, then cover-and-conquer.
 
     delta_exp is the exponent gap that fixes eps = delta_exp/14 and in turn
-    the frequency-stripping factor rho = d^(eps/6).  The pieces are solved by
-    the uniform regular solver with K derived from the configured exponent;
-    regularize has audited each of them, so they skip the solver's entry
-    audit.
+    the frequency-stripping factor rho = d^(eps/6).  The pieces, audited
+    once in their _PieceStack, are solved by the uniform regular solver's
+    cost rule without its entry audit: a piece with at most
+    _MIN_NTT_POINTS summing pairs by the stack's pair products, any other
+    (in order, as it draws from rng) by _uniform_regular_body with K
+    derived from the configured exponent.
     """
     n = inst.n
     eps = delta_exp / 14.0
     if delta is None:
         delta = default_split_parameter(n, eps)
-    pieces, triples = regularize(inst, d, delta, eps, rng=rng)
+    pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng, None, None)
     yes = np.zeros((n, n), dtype=bool)
     for i, _, j in triples:
         yes[i, j] = True
-    report = TriangleReport(yes)
-    for d_l, piece in pieces:
-        k = structured_box_count(n, d_l, omega_hat)
-        report = report.merge(_uniform_regular_body(piece, k, rng))
-    return report
+    for stack in _piece_stacks(pieces, n):
+        small = stack.count <= _MIN_NTT_POINTS
+        yes |= stack.pair_products(small)
+        for q in np.flatnonzero(~small).tolist():
+            k = structured_box_count(n, stack.d_ls[stack.owner[q]], omega_hat)
+            piece = TriangleInstance(*stack.arrays(q))
+            yes |= _uniform_regular_body(piece, k, rng).yes
+    return TriangleReport(yes)

@@ -270,6 +270,19 @@ def test_bench_triangle_checks_few_weights_against_brute(tmp_path):
     assert all(r["ok"] for r in rows)
 
 
+def test_bench_triangle_takes_weights_per_row(tmp_path):
+    out = tmp_path / "bench-triangle-d"
+    for d in (1, 8):
+        assert run("bench", "triangle", "--sizes", "8", "--runs", 1, "--d", d,
+                   "--out", out) == EXIT_OK
+        rows = [json.loads(l) for l in (out / "bench.jsonl").read_text().splitlines()]
+        assert {r["d"] for r in rows} == {d} and all(r["ok"] for r in rows)
+    assert run("bench", "triangle", "--sizes", "8", "--runs", 1, "--d", 0,
+               "--out", out) == EXIT_PARAM
+    assert run("bench", "kernels", "--sizes", "8", "--runs", 1, "--d", 8,
+               "--out", out) == EXIT_PARAM
+
+
 def test_bench_triangle_mismatch_exits_verify(tmp_path, monkeypatch):
     from fewweights import bench as bench_mod
     from fewweights.exact_triangle import TriangleReport

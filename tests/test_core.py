@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fewweights.core import (
+    _line_runs,
     BOT,
     EdgeWeightedGraph,
     FormatError,
@@ -178,6 +179,22 @@ def test_occurrence_stats_matches_per_row_unique(absent):
                 for g, w in zip(got, want):
                     assert g.shape == w.shape
                     assert np.array_equal(g, w)
+
+
+def test_line_runs_match_per_line_reference():
+    # counts and ranks of a stack of codes along rows and along columns
+    rng = np.random.default_rng(46)
+    for t in range(30):
+        n, width = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        codes = rng.integers(0, width, size=(2, 3, n, n))
+        for axis in (-1, -2):
+            count, rank = _line_runs(codes, axis)
+            assert np.array_equal(_line_runs(codes, axis, ranks=False)[0], count)
+            for m, cnt, rnk in zip(*(x.reshape(-1, n, n) for x in (codes, count, rank))):
+                if axis == -2:
+                    m, cnt, rnk = m.T, cnt.T, rnk.T
+                want = occurrence_reference(m, -1)
+                assert np.array_equal(cnt, want[0]) and np.array_equal(rnk, want[1])
 
 
 def row_value_sets_reference(m, absent):

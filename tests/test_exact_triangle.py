@@ -1,10 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fewweights.additive import popular_sum_decomposition, popular_sums_exact
 from fewweights.core import (AuditError, BOT, GUARD, WeightError, WeightMatrix,
-                             occurrence_stats)
+                             occurrence_stats, row_value_sets)
 from fewweights import exact_triangle as et
 from fewweights.generators import (
     random_triangle_instance,
@@ -587,14 +591,53 @@ def test_pair_oracle_matches_brute(mats):
     z = inst.entry_set("c")
     assert pairs == sorted((x, y) for x in inst.entry_set("a")
                            for y in inst.entry_set("b") if x + y in z)
-    # a checkerboard part keeps a pair exactly when it has summing pairs
+    # the stacked slot test finds each owner's summing pairs in order: the
+    # triple and a checkerboard part, value tables padded with 0 slots
     board = np.indices((inst.n, inst.n)).sum(axis=0) % 2 == 0
-    part = [np.where(board, m, BOT) for m in (a, b, c)]
-    assert et._keeps_a_pair(part, pairs) == bool(et._summing_pairs(*part))
+    owners = [[et._present_values(m) for m in mats]
+              for mats in ((a, b, c), [np.where(board, m, BOT) for m in (a, b, c)])]
+    slots = []
+    for m in range(3):
+        table = np.zeros((2, max(v[m].size for v in owners) + 1), dtype=np.int64)
+        real = np.zeros(table.shape, dtype=bool)
+        for o, v in enumerate(owners):
+            table[o, :v[m].size], real[o, :v[m].size] = v[m], True
+        slots.append((table, real))
+    o, i, j, k = et._summing_slots(*slots)
+    for own, (x, y, z) in enumerate(owners):
+        at = o == own
+        assert np.array_equal(x[i[at]] + y[j[at]], z[k[at]])
+        assert list(zip(x[i[at]].tolist(), y[j[at]].tolist())) == sorted(
+            (u, v) for u in x.tolist() for v in y.tolist() if u + v in set(z.tolist()))
     yes = pair_oracle(inst)
     assert yes.shape == (inst.n, inst.n)
     assert np.array_equal(yes, et.aete_brute(inst, with_witnesses=False).yes)
     assert np.array_equal(yes, brute_reference(inst))
+
+
+def test_summing_slots_at_257_slots_stays_quadratic():
+    # 4 owners of 257 slots per matrix, as a d'-uniform piece with 256
+    # values gives: a dense slot-triple test would hold 4 * 257^3 (68M)
+    # cells per temporary, the lookup holds a few arrays of 4 * 257^2
+    rng = np.random.default_rng(47)
+    slots = []
+    for m in range(3):
+        vals = np.sort([rng.choice(2000, size=257, replace=False) for _ in range(4)])
+        real = np.ones(vals.shape, dtype=bool)
+        real[:, -1] = False
+        slots.append((vals - 1000 * (m < 2), real))
+    tracemalloc.start()
+    o, i, j, k = et._summing_slots(*slots)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    (x, _), (y, _), (z, _) = slots
+    want = []
+    for own in range(4):
+        at = {int(w): t for t, w in enumerate(z[own, :256])}
+        want += [(own, u, v, at[s]) for u in range(256) for v in range(256)
+                 if (s := int(x[own, u] + y[own, v])) in at]
+    assert want and list(zip(*(t.tolist() for t in (o, i, j, k)))) == want
 
 
 def test_pair_oracle_random_instances():
@@ -923,8 +966,10 @@ def test_uniformize_class_lists_unpopular_targets(monkeypatch):
         return out
 
     monkeypatch.setattr(et, "_list_triangles", spy)
-    subs, found = et._uniformize_class(a, b, inst.c.data, d, 1,
-                                       np.random.default_rng(0))
+    groups, found = et._uniformize_class(a, b, inst.c.data, d, 1,
+                                         np.random.default_rng(0))
+    stack = et._LabelGroups(groups, d)
+    subs = [et.TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
     triples = triple_set(found)
     assert listed and any(listed)
     assert set().union(*listed) <= triples
@@ -1006,7 +1051,8 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
         raw, want_t = et._regularize_unsplit(inst, d, delta, 2.0,
                                              np.random.default_rng(t), None, None)
         want = []
-        for d_l, piece in raw:
+        for d_l, mats in raw:
+            piece = et.TriangleInstance(*mats)
             r = max(1, n // max(d_l, 1))
             ref = regularity_reference(piece)
             worst = max([v[k] for v in ref.values() for k in (1, 2)] + [1])
@@ -1026,14 +1072,25 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
 
 
 def test_regularize_drops_triples_without_summing_pair(monkeypatch):
+    # the input's test (_summing_pairs) and the stacked branch and rest
+    # tests of every uniformize call (_LabelGroups.kept) drop some triples
+    # and keep others
     rng = np.random.default_rng(37)
     kept = []
-    for name in ("_summing_pairs", "_keeps_a_pair"):
-        def spy(*args, test=getattr(et, name)):
-            out = test(*args)
-            kept.append(bool(out))
-            return out
-        monkeypatch.setattr(et, name, spy)
+    summing_pairs, label_groups = et._summing_pairs, et._LabelGroups.__init__
+
+    def pairs_spy(*args):
+        out = summing_pairs(*args)
+        kept.append(bool(out))
+        return out
+
+    def groups_spy(self, groups, d, threshold=None):
+        label_groups(self, groups, d, threshold)
+        if threshold is not None:
+            kept.extend(self.kept.ravel().tolist())
+
+    monkeypatch.setattr(et, "_summing_pairs", pairs_spy)
+    monkeypatch.setattr(et._LabelGroups, "__init__", groups_spy)
     for t in range(8):
         n = int(rng.integers(4, 17))
         d = int(rng.integers(1, 6))
@@ -1048,16 +1105,19 @@ def test_regularize_drops_triples_without_summing_pair(monkeypatch):
 
 
 def test_few_weights_skips_instance_whose_sums_miss_c(monkeypatch):
-    # X + Y = {0, 1, 10, 11} misses Z = {5, 20}: no uniformize call
+    # X + Y = {0, 1, 10, 11} misses Z = {5, 20}: no uniformize call and
+    # no label groups
     rng = np.random.default_rng(38)
     a = rng.choice([0, 1, BOT], size=(8, 8))
     b = rng.choice([0, 10, BOT], size=(8, 8))
     c = rng.choice([5, 20, BOT], size=(8, 8))
     inst = et.TriangleInstance(a, b, c)
     calls = []
-    uniformize = et.uniformize
-    monkeypatch.setattr(et, "uniformize",
+    uniformize, label_groups = et._uniformize, et._LabelGroups
+    monkeypatch.setattr(et, "_uniformize",
                         lambda *args: calls.append(args) or uniformize(*args))
+    monkeypatch.setattr(et, "_LabelGroups",
+                        lambda *args: calls.append(args) or label_groups(*args))
     got = et.aete_few_weights(inst, 2, delta_exp=28.0,
                               rng=np.random.default_rng(0))
     assert not got.yes.any() and got == et.aete_brute(inst)
@@ -1067,7 +1127,7 @@ def test_few_weights_skips_instance_whose_sums_miss_c(monkeypatch):
 def test_regularize_audits_piece_uniformity(monkeypatch):
     inst = uniform_irregular_instance()
     monkeypatch.setattr(et, "_regularize_unsplit",
-                        lambda *args: ([(1, inst)], set()))
+                        lambda *args: ([(1, inst.matrices())], set()))
     with pytest.raises(AuditError, match="not 1-uniform"):
         et.regularize(inst, 2, 1, eps=1.0)
 
@@ -1078,6 +1138,246 @@ def test_regularize_depth_guard():
     with pytest.raises(RuntimeError):
         et.regularize(inst, 4, 1, eps=1.0, rng=np.random.default_rng(0),
                       depth_guard=-1)
+
+
+# ----------------------------------------------------------------------------
+# regularize against its former per-piece code
+# ----------------------------------------------------------------------------
+
+def uniformize_reference(inst, d, delta, rng):
+    """The former uniformize: one TriangleInstance per label piece of each
+    (x-part, y-part) pair, labels from np.unique per matrix."""
+    a, b, c = inst.matrices()
+    n = inst.n
+    if occurrence_stats(a, BOT)[2].max(initial=0) > d:
+        raise AuditError(f"rows of A exceed {d} distinct entries")
+    found, instances = [], []
+    b_classes = sorted(et._col_occurrence_classes(b, BOT).items())
+    for _, ax in sorted(et._row_occurrence_classes(a, BOT).items()):
+        for y, by in b_classes:
+            if 2 ** y <= n / (d * delta):
+                found.append(et._list_triangles(ax, by, c))
+                continue
+            xdec, ydec = popular_sum_decomposition(
+                row_value_sets(ax, BOT), row_value_sets(by.T, BOT), d * delta,
+                delta * delta, rng)
+            if any(xdec.remainders):
+                found.append(et._list_triangles(
+                    et._keep_row_values(ax, xdec.remainders), by, c))
+            if any(ydec.remainders):
+                found.append(et._list_triangles(
+                    ax, et._keep_row_values(by.T, ydec.remainders).T, c))
+            t_pop = max(1.0, d / float(delta) ** 9)
+            b_parts = [(*et._shifted_part(by.T, lvl), sorted(lvl.core))
+                       for lvl in ydec.parts if lvl.members]
+            for xlvl in xdec.parts:
+                if not xlvl.members:
+                    continue
+                ag, sshift = et._shifted_part(ax, xlvl)
+                sg = sorted(xlvl.core)
+                for bh_t, tshift, th in b_parts:
+                    bh = bh_t.T
+                    pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
+                    cgh = np.where(c != BOT, c - sshift[:, None] - tshift, BOT)
+                    keep = et._value_mask(cgh, pop)
+                    found.append(et._list_triangles(ag, bh, np.where(keep, BOT, cgh)))
+                    if not keep.any():
+                        continue
+                    mats = (ag, bh, np.where(keep, cgh, BOT))
+                    labels = [np.where(m != BOT, np.searchsorted(
+                        np.unique(m[m != BOT]), m) // d, -1) for m in mats]
+                    per_matrix = [[np.where(lab == t, m, BOT)
+                                   for t in np.unique(lab[lab >= 0])]
+                                  for m, lab in zip(mats, labels)]
+                    instances.extend(et.TriangleInstance(*p)
+                                     for p in itertools.product(*per_matrix))
+    return instances, set(zip(*(np.concatenate(ix).tolist() for ix in zip(*found))))
+
+
+def three_way_split_reference(m, threshold):
+    """The former (row-heavy, col-heavy, regular) split by occurrence counts."""
+    fin = m != BOT
+    heavy_row = fin & (occurrence_stats(m, BOT)[0] > threshold)
+    heavy_col = fin & ~heavy_row & (occurrence_stats(m.T, BOT)[0].T > threshold)
+    regular = fin & ~heavy_row & ~heavy_col
+    return tuple(np.where(mask, m, BOT) for mask in (heavy_row, heavy_col, regular))
+
+
+def keeps_a_pair_reference(mats, pairs):
+    """The former test of a triple cut from one whose summing pairs are known."""
+    a, b, c = mats
+    return any((a == x).any() and (b == y).any() and (c == x + y).any()
+               for x, y in pairs)
+
+
+def regularize_reference(inst, d, delta, eps, rng):
+    """The former regularize: per-piece recursion over uniformize_reference
+    instances, then one RegularityAudit and regularize_naive per piece."""
+    n = inst.n
+    rho = max(float(d), 1.0) ** (eps / 6.0)
+
+    def rec(mats, d_cur, delta_cur, tag):
+        if d_cur <= 0:
+            return [], set()
+        oriented = et.TriangleInstance(*et._FORWARD[tag](*mats))
+        insts, t_acc = uniformize_reference(oriented, d_cur, delta_cur, rng)
+        pieces_acc = []
+        delta_next = delta_cur * 12 * max(1, len(insts))
+        threshold = (n / max(d_cur, 1)) * rho
+        for sub in insts:
+            pairs = et._summing_pairs(*sub.matrices())
+            if not pairs:
+                continue
+            (a_row, a_col, a_reg), (b_row, b_col, b_reg), (c_row, c_col, c_reg) = (
+                three_way_split_reference(m, threshold) for m in sub.matrices())
+            a, b, c = sub.matrices()
+            for branch, side in (((a_row, b, c), "A_rows"), ((a_col, b, c), "A_cols"),
+                                 ((a_reg, b_row, c), "B_rows"),
+                                 ((a_reg, b_col, c), "B_cols"),
+                                 ((a_reg, b_reg, c_row), "C_rows"),
+                                 ((a_reg, b_reg, c_col), "C_cols")):
+                if keeps_a_pair_reference(branch, pairs):
+                    sp, st = rec(branch, int(d_cur // rho), delta_next, side)
+                    pieces_acc.extend(sp)
+                    t_acc |= st
+            if keeps_a_pair_reference((a_reg, b_reg, c_reg), pairs):
+                pieces_acc.append((d_cur, (a_reg, b_reg, c_reg)))
+        back = et._FORWARD[et._INVERSE[tag]]
+        return ([(dl, back(*m)) for dl, m in pieces_acc],
+                et.triples_to_original(t_acc, tag))
+
+    if not et._summing_pairs(*inst.matrices()):
+        return [], set()
+    raw, triples = rec(inst.matrices(), d, delta, inst.promise)
+    final = []
+    for d_l, mats in raw:
+        piece = et.TriangleInstance(*mats)
+        audit = et.RegularityAudit(piece)
+        if not audit.is_uniform(d_l):
+            raise AuditError(f"regularize piece is not {d_l}-uniform: "
+                             f"{audit.global_distinct}")
+        r = max(1, n // max(d_l, 1))
+        worst = max(*audit.max_row_occ.values(), *audit.max_col_occ.values(), 1)
+        big_r = -(-worst // r)
+        if big_r == 1:
+            final.append((d_l, piece))
+            continue
+        pairs = et._summing_pairs(*mats)
+        final.extend((d_l, sub) for sub in et.regularize_naive(piece, d_l, r, big_r)
+                     if keeps_a_pair_reference(sub.matrices(), pairs))
+    return final, triples
+
+
+def few_weights_reference(inst, d, delta_exp, rng):
+    """The former aete_few_weights: one uniform regular body per piece."""
+    n = inst.n
+    eps = delta_exp / 14.0
+    pieces, triples = regularize_reference(
+        inst, d, et.default_split_parameter(n, eps), eps, rng)
+    yes = np.zeros((n, n), dtype=bool)
+    for i, _, j in triples:
+        yes[i, j] = True
+    for d_l, piece in pieces:
+        yes |= et._uniform_regular_body(
+            piece, et.structured_box_count(n, d_l), rng).yes
+    return yes
+
+
+def assert_same_instances(got, want):
+    """Equal (d', instance) lists: d', promise, matrices with dtype, order."""
+    assert len(got) == len(want)
+    for (dg, pg), (dw, pw) in zip(got, want):
+        assert dg == dw and pg.promise == pw.promise
+        for mg, mw in zip(pg.matrices(), pw.matrices()):
+            assert mg.dtype == mw.dtype and np.array_equal(mg, mw)
+
+
+def differential_cases():
+    """42 instances: every promise, n from 1 to 33, d from 1 to 7 (so d > n
+    at the small n), bot densities 0 to 0.6, and an all-bot A, B or C in
+    every fourteenth."""
+    rng = np.random.default_rng(44)
+    sizes = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 33)
+    for t in range(42):
+        n, d = sizes[t % len(sizes)], 1 + t % 7
+        inst, _ = random_triangle_instance(
+            n, d, rng, planted=2, promise=PROMISES[t % 6],
+            bot_density=(0.0, 0.25, 0.6)[t % 3], structured=t % 5 == 4)
+        if t % 14 == 13:
+            mats = list(inst.matrices())
+            mats[t // 14] = np.full((n, n), BOT, dtype=np.int64)
+            inst = et.TriangleInstance(*mats, promise=inst.promise)
+        yield t, d, inst
+
+
+def test_regularize_matches_per_piece_reference():
+    splits = 0
+    for t, d, inst in differential_cases():
+        delta = et.default_split_parameter(inst.n, 2.0)
+        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
+        got, got_t = et.regularize(inst, d, delta, eps=2.0, rng=got_rng)
+        want, want_t = regularize_reference(inst, d, delta, 2.0, want_rng)
+        assert got_t == want_t, t
+        assert_same_instances(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        splits += len(got)
+
+        oriented, _ = et.canonical_orientation(inst)
+        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
+        got, got_t = et.uniformize(oriented, d, delta, got_rng)
+        want, want_t = uniformize_reference(oriented, d, delta, want_rng)
+        assert got_t == want_t, t
+        assert_same_instances([(0, x) for x in got], [(0, x) for x in want])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
+        got = et.aete_few_weights(inst, d, 28.0, rng=got_rng).yes
+        assert np.array_equal(got, few_weights_reference(inst, d, 28.0, want_rng))
+        assert np.array_equal(got, brute_reference(inst))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert splits
+
+
+def test_few_weights_cover_pieces_match_reference(monkeypatch):
+    # with the pair rule lowered to 0, every piece takes the cover path,
+    # which draws from rng in piece order (pieces at d = 4 rarely have more
+    # than two summing pairs)
+    monkeypatch.setattr(et, "_MIN_NTT_POINTS", 0)
+    covers = []
+    cover = et.bsg_cover
+    monkeypatch.setattr(et, "bsg_cover",
+                        lambda *args: covers.append(args) or cover(*args))
+    rng = np.random.default_rng(45)
+    total = 0
+    for t in range(4):
+        inst, _ = random_triangle_instance(12 + 4 * t, 4, rng, planted=2,
+                                           promise=PROMISES[t])
+        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
+        got = et.aete_few_weights(inst, 4, 28.0, rng=got_rng).yes
+        calls = len(covers)
+        assert np.array_equal(got, few_weights_reference(inst, 4, 28.0, want_rng))
+        assert len(covers) == 2 * calls
+        assert np.array_equal(got, brute_reference(inst))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        total += calls
+        covers.clear()
+    assert total
+
+
+def test_stacked_domain_checks():
+    # each label group stack and each piece stack is checked once: an entry
+    # at +-2^62 raises WeightError, bot and +-(2^62 - 1) pass
+    ok = np.array([[BOT, 2 ** 62 - 1], [0, -(2 ** 62 - 1)]], dtype=np.int64)
+    et._LabelGroups([(ok, ok, ok)], 1)
+    et._PieceStack([(4, (ok, ok, ok))])
+    for v in (2 ** 62, -2 ** 62):
+        bad = ok.copy()
+        bad[1, 0] = v
+        for mats in ((bad, ok, ok), (ok, bad, ok), (ok, ok, bad)):
+            with pytest.raises(WeightError):
+                et._LabelGroups([(ok, ok, ok), mats], 1)
+            with pytest.raises(WeightError):
+                et._PieceStack([(4, (ok, ok, ok)), (4, mats)])
 
 
 # ----------------------------------------------------------------------------
@@ -1145,12 +1445,16 @@ def test_few_weights_declared_d_above_n():
 def test_few_weights_audits_each_regularize_piece_once(monkeypatch):
     rng = np.random.default_rng(34)
     inst, _ = random_triangle_instance(16, 4, rng, planted=2)
-    audits, raw_pieces = [], []
-    real_audit, real_unsplit = et.RegularityAudit, et._regularize_unsplit
+    audits, raw_pieces, single = [], [], []
+    real_stack, real_unsplit = et._PieceStack.__init__, et._regularize_unsplit
 
-    class CountingAudit(real_audit):
+    def stacked_audit(self, pieces):
+        audits.extend(pieces)
+        real_stack(self, pieces)
+
+    class CountingAudit(et.RegularityAudit):
         def __init__(self, piece):
-            audits.append(piece)
+            single.append(piece)
             super().__init__(piece)
 
     def unsplit(*args):
@@ -1158,13 +1462,17 @@ def test_few_weights_audits_each_regularize_piece_once(monkeypatch):
         raw_pieces.extend(pieces)
         return pieces, triples
 
+    monkeypatch.setattr(et._PieceStack, "__init__", stacked_audit)
     monkeypatch.setattr(et, "RegularityAudit", CountingAudit)
     monkeypatch.setattr(et, "_regularize_unsplit", unsplit)
+    # one stack per 2 pieces, so the pieces span several stacks
+    monkeypatch.setattr(et, "_STACK_CELLS", 2 * 3 * 16 * 16)
     got = et.aete_few_weights(inst, 4, delta_exp=28.0,
                               rng=np.random.default_rng(0))
     assert got == et.aete_brute(inst, with_witnesses=False)
-    assert raw_pieces and len(audits) == len(raw_pieces)
-    assert all(a is p for a, (_, p) in zip(audits, raw_pieces))
+    assert len(raw_pieces) > 2 and len(audits) == len(raw_pieces)
+    assert all(a is p for a, p in zip(audits, raw_pieces))
+    assert single == []
 
 
 def test_few_weights_seed_replay():
