@@ -9,12 +9,12 @@ variant (bridging sets built by greedy hitting sets); both run one level
 recursion (_level_products, _replay).  There is one graph type,
 EdgeWeightedGraph: a node-weighted graph is the edge graph whose edges into
 v weigh w(v) (core.node_weighted_graph).  Both solvers run through one hop
-product, whose one-hop matrix picks the kernel: the boolean kernel when
-every column (or every row) holds one weight, as for node-weighted graphs
-and their reverse, the d-weights kernel otherwise.  Each solve builds one
+product, and every hop step is one d-weights product: against the one-hop
+matrix, or against its 0/+inf pattern on X + r when every row holds one
+weight r (node-weighted graphs' left products).  Each solve builds one
 HopOperator, so the one-hop matrix and, per side (right products against
-it, left products against its transpose), the kernel with its operand,
-the prepared d-weights B operand included, are built once per solve.
+it, left products against its transpose), the prepared d-weights B
+operand are built once per solve.
 A pivot solve first contracts each strongly connected component (from the
 boolean reachability closure) that one Bellman-Ford finds a negative cycle in.
 """
@@ -257,9 +257,9 @@ def greedy_hitting_set(paths, n):
 # ----------------------------------------------------------------------------
 # Level recursion: one bridging level's hop products, and the replay of all
 # levels, shared by the randomized and the deterministic solver.  Every hop
-# product steps through the solve's one HopOperator, whose one-hop matrix
-# picks the boolean or d-weights kernel once per side; a min-plus solver
-# `product` can take its place.
+# product steps through the solve's one HopOperator, which prepares the
+# d-weights operand of each side once; a min-plus solver `product` can take
+# the kernel's place.
 # ----------------------------------------------------------------------------
 
 def _level_products(op, delta, s_cur, s_next, d_next, m1_hops, hl, want_paths):
@@ -323,10 +323,10 @@ class BridgingState:
 def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     """Bridging-set APSP (no randomness) on a negative-cycle-free graph.
 
-    Hop products step against the one-hop matrix by the boolean kernel when
-    its columns or rows each hold one weight (node-weighted graphs, d=1
-    edge graphs) and by the d-weights kernel otherwise; a solver
-    `product(A, B) -> WeightMatrix` can take the kernel's place.  One
+    Hop products step against the one-hop matrix by the d-weights kernel
+    (with one slot per nonempty column for node-weighted graphs and d=1
+    edge graphs); a solver `product(A, B) -> WeightMatrix` can take the
+    kernel's place.  One
     HopOperator, built here, serves every hop product of the solve.
 
     Four steps: (1) build pivot levels by hitting all exact-length-2^l

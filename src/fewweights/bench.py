@@ -81,11 +81,12 @@ def _dweights_row(algo, n, d, seed, xs, op, product):
 
 
 def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
-    """The bucketed kernels vs the naive product.
+    """The d-weights kernel, and its 0/+inf case, vs the naive product.
 
-    boolean_min_plus runs at several bucket counts in the node-weighted
-    product shape: s = n/row_fraction rows against a boolean n x n matrix
-    (naive runs on the 0/w equivalent matrix).  The minplus-naive row is ok
+    boolean_min_plus (the kernel on a boolean B's 0/+inf operand, built per
+    call) runs at several bucket counts in the node-weighted product shape:
+    s = n/row_fraction rows against a boolean n x n matrix (naive runs on
+    the 0/w equivalent matrix).  The minplus-naive row is ok
     when the naive product equals boolean_min_plus at the smallest delta
     plus the column weights, on A and on A with its finite entries shifted
     by 2^40, so that both dtypes of min_plus_naive are checked against an

@@ -187,8 +187,8 @@ def node_weighted_graph(n, edges, node_weight):
 
     The weight of a path v_0 .. v_l is then w(v_1)+...+w(v_l): the first
     vertex is excluded so that concatenated paths add up.  Every column of
-    the one-hop matrix holds one weight, so hop products take the boolean
-    kernel.
+    the one-hop matrix holds one weight, so the d-weights kernel of its hop
+    products has one slot per nonempty column.
     """
     n = int(n)
     w = np.asarray(node_weight, dtype=np.int64)

@@ -1,8 +1,8 @@
 """Min-plus product kernels.
 
 Contains the naive cubic oracle, a BLAS boolean matrix product, the
-bucketed rectangular boolean and d-weights min-plus kernels, and
-hop-bounded graph products with witness-path reconstruction.
+bucketed rectangular d-weights min-plus kernel, and hop-bounded graph
+products with witness-path reconstruction.
 
 The naive oracle min_plus_naive sums over every k, with no masks: +inf is
 lifted to a value just below half the dtype's range, the rows of A go in
@@ -10,21 +10,24 @@ blocks of bounded memory, each block is one add and one minimum over k,
 and entries above the cut become +inf again.  It runs in int32 when both
 operands' finite magnitudes are at most 2^28, else in int64.
 
-The bucketed kernels share one bit-packed bucket product: each row of A is
-sorted and cut into buckets of at most 24 positions, each position weighs
-a distinct power of two, and one float32 BLAS product gives per (i, j) the
-first bucket with a qualifying k and, by its top bit, that k itself.  The
-d-weights kernel has a second route, a segment gather: it adds each row of
-A to B's finite entries, sorted by column, and takes one minimum.reduceat
-over the columns.  A cost rule in d_weights_min_plus picks the route per
-product from B's counts (finite entries, column slots) and the call's
-shape (rows of A, n, delta, witnesses or not): the gather wins on sparse B
-or many values per column, the bucket product on dense B with few.
+There is one min-plus kernel, d_weights_min_plus, with two routes.  The
+bucket product: each row of A is sorted and cut into buckets of at most 24
+positions, each position weighs a distinct power of two, and one float32
+BLAS product against B's column slots (the distinct finite values of each
+column) gives per (i, slot) the first bucket with a qualifying k and, by
+its top bit, that k itself.  The segment gather: each row of A is added to
+B's finite entries, sorted by column, and one minimum.reduceat over the
+columns takes the minimum.  A cost rule picks the route per product from
+B's counts (finite entries, column slots) and the call's shape (rows of A,
+n, delta, witnesses or not): the gather wins on sparse B or many values
+per column, the bucket product on dense B with few.  boolean_min_plus is
+the kernel's 0/+inf case: B's pattern as 0 where True and +inf elsewhere,
+one slot per nonempty column.
 
 All kernels are pure functions; for a fixed input the result is identical
 regardless of the bucket count.  A HopOperator builds a graph's one-hop
-matrix, and the kernel of each hop-product side with its operand, once
-for all the hop products of a solve.
+matrix, and each hop-product side's prepared kernel operand, once for all
+the hop products of a solve.
 """
 
 from __future__ import annotations
@@ -91,13 +94,18 @@ def snapshot_counters():
 
 
 def _validate_operand(data, name):
-    """Raise on bot, -inf or out-of-bound entries; return the largest finite |entry|."""
-    if np.any(data == np.int64(2**62 + 7)):  # BOT
+    """Raise on bot, -inf or out-of-bound entries; return the largest finite |entry|.
+
+    The exact tests run only where the overall min and max leave room.
+    """
+    lo, hi = int(data.min(initial=0)), int(data.max(initial=0))
+    if hi > POS_INF and np.any(data == np.int64(2**62 + 7)):  # BOT
         raise WeightError(f"{name} contains bot entries")
-    if np.any(data == -POS_INF):
+    if lo <= -POS_INF and np.any(data == -POS_INF):
         raise WeightError(f"{name} contains neg_inf entries")
-    finite = data != POS_INF
-    top = int(np.abs(data[finite]).max()) if finite.any() else 0
+    if hi >= POS_INF:
+        hi = int(np.where(data == POS_INF, 0, data).max())
+    top = max(-lo, hi)
     if top > MAX_OPERAND:
         raise WeightError(f"{name} has finite entries beyond the kernel operand bound")
     return top
@@ -269,65 +277,31 @@ def _bucketed_min_keys(a, bt, delta, want_witnesses):
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)), scale
 
 
-def boolean_min_plus(A, B, delta, return_witnesses=True):
-    """Rectangular boolean min-plus product (A (*) B) with witnesses.
-
-    result[i, j] = min{A[i, k] : B[k, j]}, +inf when no k qualifies.  The
-    witness matrix holds the minimizing k (ties to the smallest column), or
-    -1 where the result is +inf.
-    """
-    a = _as_data(A)
-    b = np.asarray(B, dtype=bool)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    _validate_operand(a, "A")
-    counters["boolean_min_plus"] += 1
-    s, n = a.shape
-    t = b.shape[1]
-    delta = max(1, min(int(delta), max(n, 1)))
-    if s == 0 or t == 0 or n == 0:
-        return (WeightMatrix(np.full((s, t), POS_INF, dtype=np.int64), copy=False),
-                np.full((s, t), -1, dtype=np.int64))
-    out_key, scale = _bucketed_min_keys(a, b.T.astype(np.float32), delta,
-                                        return_witnesses)
-    hit = out_key != POS_INF
-    if return_witnesses:
-        vals = np.where(hit, np.floor_divide(out_key, scale), POS_INF)
-        wit = np.where(hit, out_key - vals * scale, -1)
-    else:
-        vals = out_key
-        wit = np.full((s, t), -1, dtype=np.int64)
-    return WeightMatrix(vals, copy=False), wit
-
-
 def _audit_column_counts(counts, d):
     if d is not None and (counts > d).any():
         j = int(np.argmax(counts > d))
         raise AuditError(f"column {j} has {counts[j]} distinct entries (> {d})")
 
 
-def _column_slots(bdata, d=None):
+def _column_slots(ecol, evals, m, d=None):
     """Distinct finite values per column in first-occurrence order.
 
-    Returns (slot_col, slot_val, col_start): the slots of column j are
-    col_start[j]:col_start[j + 1], ordered by the row where each value first
-    occurs.
+    ecol and evals are the columns and values of B's finite entries sorted
+    by column, then by row, and m is B's column count.  Returns (slot_col,
+    slot_val, col_start): the slots of column j are col_start[j]:col_start[j
+    + 1], ordered by the row where each value first occurs (the first of
+    its run in a stable sort by column and value).
     """
-    rows, cols = np.nonzero(bdata != POS_INF)
-    vals = bdata[rows, cols]
-    order = np.lexsort((rows, vals, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])
-    first = np.zeros(bdata.shape, dtype=bool)
-    first[rows[new], cols[new]] = True
-    slot_col, slot_row = np.nonzero(first.T)
-    counts = np.bincount(slot_col, minlength=bdata.shape[1])
+    order = np.lexsort((evals, ecol))
+    c, v = ecol[order], evals[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (v[1:] != v[:-1])
+    first = np.zeros(order.size, dtype=bool)
+    first[order[new]] = True
+    slot_col = ecol[first]
+    counts = np.bincount(slot_col, minlength=m)
     _audit_column_counts(counts, d)
-    col_start = np.concatenate([[0], np.cumsum(counts)])
-    return slot_col, bdata[slot_row, slot_col], col_start
+    return slot_col, evals[first], np.concatenate([[0], np.cumsum(counts)])
 
 
 class DWeightsOperand:
@@ -353,12 +327,15 @@ class DWeightsOperand:
         data.setflags(write=False)
         self.data = data
         self.shape = data.shape
-        self.slot_col, self.slot_val, col_start = _column_slots(data, d)
+        bt_flat = data.T.ravel()  # 1-d nonzero and take: cheaper than 2-d
+        idx = np.flatnonzero(bt_flat != POS_INF)
+        ecol, self.erow = np.divmod(idx, max(data.shape[0], 1))
+        self.eval = bt_flat[idx]
+        self.slot_col, self.slot_val, col_start = _column_slots(
+            ecol, self.eval, data.shape[1], d)
         self.counts = np.diff(col_start)
         self.nonempty = self.counts > 0
         self.starts = col_start[:-1][self.nonempty]
-        ecol, self.erow = np.nonzero(data.T != POS_INF)
-        self.eval = data[self.erow, ecol]
         cols = np.flatnonzero(self.nonempty)
         counts = np.bincount(ecol, minlength=data.shape[1])[cols]
         starts = np.cumsum(counts) - counts
@@ -387,26 +364,36 @@ def _dweights_bucketed(a, B, delta, want_witnesses):
 
     The bucket product finds, per (row, slot), the best k whose B entry in
     the slot's column holds the slot's value; each column then minimizes
-    over its slots.  Returns the (s, m) values and witnesses (all -1
-    without witnesses).
+    over its slots.  With one slot per nonempty column (a 0/+inf pattern, a
+    node-weighted one-hop matrix) the slots' values and k are the columns',
+    and without witnesses the keys are A's values, so neither pass runs.
+    Returns the (s, m) values and witnesses (all -1 without witnesses).
     """
-    s = a.shape[0]
-    out, wit = _unreached(s, B.shape[1])
+    s, n = a.shape
     if s == 0 or B.erow.size == 0:
-        return out, wit
-    n = a.shape[1]
+        return _unreached(s, B.shape[1])
     out_key, scale = _bucketed_min_keys(a, B.bt, delta, want_witnesses)
     hit = out_key != POS_INF
-    aval = np.where(hit, np.floor_divide(out_key, scale), 0)
-    kwit = np.where(hit, out_key - aval * scale, -1)
-    sums = np.where(hit, aval + B.slot_val[None, :], POS_INF)
-    out[:, B.nonempty] = np.minimum.reduceat(sums, B.starts, axis=1)
+    aval = out_key  # +inf off the hits, where the sum below is masked
     if want_witnesses:
-        # a slot's k is its smallest minimizing k, so the tied slots' least
-        # k is the smallest minimizing k of the column
-        tied = np.where(hit & (sums == out[:, B.slot_col]), kwit, n)
-        wit[:, B.nonempty] = np.minimum.reduceat(tied, B.starts, axis=1)
-        wit[wit == n] = -1
+        aval = np.where(hit, np.floor_divide(out_key, scale), 0)
+        kwit = np.where(hit, out_key - aval * scale, -1)
+    vals = np.where(hit, aval + B.slot_val[None, :], POS_INF)
+    if B.slot_val.size > B.starts.size:
+        sums, vals = vals, np.minimum.reduceat(vals, B.starts, axis=1)
+        if want_witnesses:
+            # a slot's k is its smallest minimizing k, so the tied slots'
+            # least k is the smallest minimizing k of the column
+            tied = np.where(hit & (sums == np.repeat(vals, B.counts[B.nonempty], axis=1)),
+                            kwit, n)
+            kwit = np.minimum.reduceat(tied, B.starts, axis=1)
+            kwit[kwit == n] = -1
+    if not want_witnesses:
+        kwit = np.full(vals.shape, -1, dtype=np.int64)
+    if B.nonempty.all():
+        return vals, kwit
+    out, wit = _unreached(s, B.shape[1])
+    out[:, B.nonempty], wit[:, B.nonempty] = vals, kwit
     return out, wit
 
 
@@ -459,7 +446,8 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     nnz finite entries and minimizes over each column's entries.  B may be
     a DWeightsOperand, which skips the B-only preparation.  The witness
     matrix holds the minimizing k (ties to the smallest), or -1 where the
-    result is +inf.
+    result is +inf.  This is the library's one min-plus kernel:
+    boolean_min_plus and every hop step without a solver `product` run it.
 
     Cost rule: for s rows of A, n = B's rows and nb = max(delta, ceil(n/24))
     buckets, the modelled costs in ns are
@@ -480,30 +468,56 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     palette at n = 128 and 512, with witnesses) stays on the bucketed
     route.
     """
-    a = _as_data(A)
-    prepared = isinstance(B, DWeightsOperand)
-    bm = B if prepared else _as_data(B)
-    if a.ndim != 2 or len(bm.shape) != 2 or a.shape[1] != bm.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} x {bm.shape}")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    _validate_operand(a, "A")
-    if prepared:
+    a = _checked_a(A, B, delta)
+    if isinstance(B, DWeightsOperand):
         _audit_column_counts(B.counts, d)
     else:
-        B = DWeightsOperand(bm, d)
+        B = DWeightsOperand(B, d)
     counters["d_weights_min_plus"] += 1
-    s, n = a.shape
-    delta = max(1, min(int(delta), max(n, 1)))
-    nb = max(delta, -(-n // _BUCKET_BITS))
-    gather = s * B.erow.size * (6 if return_witnesses else 2.5)
-    if gather < 32000 + s * (64 * n + B.slot_val.size * (24 + nb * (4 + n / 64))):
-        out, wit = _dweights_gather(a, B, return_witnesses)
-    else:
-        out, wit = _dweights_bucketed(a, B, delta, return_witnesses)
+    out, wit = _dweights_product(a, B, delta, return_witnesses)
     if return_witnesses:
         return WeightMatrix(out, copy=False), wit
     return WeightMatrix(out, copy=False)
+
+
+def _checked_a(A, B, delta):
+    """A's validated data, after the shape and delta checks of a product A x B."""
+    a = _as_data(A)
+    shape = np.shape(B)  # a DWeightsOperand and a WeightMatrix have .shape
+    if a.ndim != 2 or len(shape) != 2 or a.shape[1] != shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} x {shape}")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    _validate_operand(a, "A")
+    return a
+
+
+def _dweights_product(a, B, delta, want_witnesses):
+    """A checked A times a prepared B on the route of d_weights_min_plus's cost rule."""
+    s, n = a.shape
+    delta = max(1, min(int(delta), max(n, 1)))
+    nb = max(delta, -(-n // _BUCKET_BITS))
+    gather = s * B.erow.size * (6 if want_witnesses else 2.5)
+    if gather < 32000 + s * (64 * n + B.slot_val.size * (24 + nb * (4 + n / 64))):
+        return _dweights_gather(a, B, want_witnesses)
+    return _dweights_bucketed(a, B, delta, want_witnesses)
+
+
+def boolean_min_plus(A, B, delta, return_witnesses=True):
+    """Rectangular boolean min-plus product (A (*) B) with witnesses.
+
+    result[i, j] = min{A[i, k] : B[k, j]}, +inf when no k qualifies.  This
+    is the d-weights product against B's 0/+inf matrix (0 where B is True),
+    one slot per nonempty column, on the route its cost rule picks.  The
+    witness matrix holds the minimizing k (ties to the smallest column), or
+    -1 where the result is +inf or no witnesses are asked for.
+    """
+    b = np.asarray(B, dtype=bool)
+    a = _checked_a(A, b, delta)
+    counters["boolean_min_plus"] += 1
+    out, wit = _dweights_product(a, DWeightsOperand(np.where(b, 0, POS_INF)), delta,
+                                 return_witnesses)
+    return WeightMatrix(out, copy=False), wit
 
 
 # ----------------------------------------------------------------------------
@@ -589,81 +603,64 @@ def _run_hop_recurrence(a0, h, step):
     return vals, parents
 
 
-def _uniform_values(onehop, finite, axis):
-    """The one finite value of each column (axis=0) or row (axis=1) of onehop.
+def _uniform_values(onehop, finite):
+    """The one finite value of each row of onehop; 0 for a row without one.
 
-    Lines without a finite entry take 0.  Returns None when some line holds
+    onehop holds finite entries and +inf.  Returns None when some row holds
     two different finite values.
     """
-    lo = np.where(finite, onehop, POS_INF).min(axis=axis, initial=POS_INF)
-    hi = np.where(finite, onehop, -POS_INF).max(axis=axis, initial=-POS_INF)
-    empty = lo == POS_INF
-    if not (empty | (lo == hi)).all():
+    lo = onehop.min(axis=1, initial=POS_INF)
+    if (finite & (onehop != lo[:, None])).any():
         return None
-    return np.where(empty, np.int64(0), lo)
+    return np.where(lo == POS_INF, np.int64(0), lo)
 
 
 class _HopKernel:
-    """Hop step X * onehop; the kernel is picked once by the shape of onehop.
+    """Hop step X * onehop: one d_weights_min_plus call on a prepared operand.
 
-    A caller's solver `product` is used as given.  Otherwise, when every
-    column of onehop holds one finite value c, the step is the boolean
-    kernel against the finite pattern plus c; when every row holds one
-    finite value r, it is the boolean kernel on X + r (the node-weight
-    shift); else it is the d-weights kernel against the prepared onehop.  A
-    solver product carries no witnesses, so they are recovered as the
+    When every row k of onehop holds one finite value r[k], the operand is
+    onehop's 0/+inf pattern and the step runs on X + r (the node-weight
+    shift); else it is onehop.  Either way a node-weighted graph's sides
+    have one slot per nonempty column.  A caller's solver `product` is used
+    as given; it carries no witnesses, so they are recovered as the
     smallest k with X[i, k] + onehop[k, j] equal to the product entry.
     """
 
     def __init__(self, onehop, product):
         self.onehop, self.product = onehop, product
-        self.col = self.row = None
-        # operand: WeightMatrix(onehop) for the solver, the finite pattern
-        # for the boolean kernel, or the prepared d-weights operand
+        self.shift = None
         if product is not None:
             self.operand = WeightMatrix(onehop)
             return
-        self.operand = onehop != POS_INF
-        self.col = _uniform_values(onehop, self.operand, axis=0)
-        if self.col is None:
-            self.row = _uniform_values(onehop, self.operand, axis=1)
-        if self.col is None and self.row is None:
-            self.operand = DWeightsOperand(onehop)
+        finite = onehop != POS_INF
+        self.shift = _uniform_values(onehop, finite)
+        self.operand = DWeightsOperand(
+            onehop if self.shift is None else np.where(finite, 0, POS_INF))
 
     def step(self, vals, delta, want_paths):
         """The product vals * onehop and its witnesses (None without paths).
 
-        The kernels are looked up by their module names on every call.
+        The kernel is looked up by its module name on every call.
         """
         if self.product is not None:
             prod = self.product(WeightMatrix(vals), self.operand).data
             wit = _smallest_witnesses(vals, self.onehop, prod) if want_paths else None
             return prod, wit
-        if self.col is not None:
-            prod, wit = boolean_min_plus(vals, self.operand, delta,
-                                         return_witnesses=want_paths)
-            prod = saturating_add(prod.data, self.col[None, :])
-        elif self.row is not None:
-            prod, wit = boolean_min_plus(saturating_add(vals, self.row[None, :]),
-                                         self.operand, delta, return_witnesses=want_paths)
-            prod = prod.data
-        elif want_paths:
-            prod, wit = d_weights_min_plus(vals, self.operand, delta, return_witnesses=True)
-            prod = prod.data
-        else:
-            return d_weights_min_plus(vals, self.operand, delta).data, None
-        return prod, wit if want_paths else None
+        if self.shift is not None:
+            vals = saturating_add(vals, self.shift[None, :])
+        out = d_weights_min_plus(vals, self.operand, delta, return_witnesses=want_paths)
+        return (out[0].data, out[1]) if want_paths else (out.data, None)
 
 
 class HopOperator:
     """A graph's one-hop steps, built once and shared by a solve's hop products.
 
     Holds M = one_hop_offdiag(g); right products step against M and left
-    products against M.T.  Each side picks its kernel once, on first use:
-    the finite pattern with the column or row weights for the boolean
-    kernel, the prepared d-weights operand, or WeightMatrix(M) for a solver
-    `product`.  It holds n x n arrays, so it lives no longer than the solve
-    that builds it.
+    products against M.T.  Each side prepares its operand once, on first
+    use: a DWeightsOperand of the side's matrix, or of its 0/+inf pattern
+    with the row weights as a shift of X when every row holds one weight,
+    or WeightMatrix(M) for a solver `product`.  It holds n x n arrays, so
+    it lives no longer than the solve that builds it.
     """
 
     def __init__(self, g, product=None):
@@ -723,7 +720,7 @@ def hop_bounded_product(A, g, h, delta=1, want_paths=True, product=None):
     """A * D_g^{<=h} for a node- or edge-weighted graph, with witness paths.
 
     One hop step is min(A, A * M) where M is the one-hop matrix without its
-    diagonal; the kernel is picked from M, and a solver
+    diagonal, by one d-weights product, and a solver
     `product(A, B) -> WeightMatrix` can take its place.  g is a graph or a
     HopOperator built from one.  Values only improve strictly, so recorded
     paths have minimal hop-length among minimum-weight h-hop-bounded paths.

@@ -201,11 +201,12 @@ def test_eliminate_all_negative_cycle_graph():
     assert g2.n == 1
 
 
-def test_eliminate_node_weighted_keeps_boolean_kernel():
+def test_eliminate_node_weighted_keeps_one_slot_per_column():
     # a planted negative 2-cycle {1, 2} entered from 0 (into w(1) = -3) and
     # from 3 (into w(2) = 1): both entering edges weigh the penalty, so each
-    # one-hop column of the contracted graph still holds one weight and
-    # nw-det stays on the boolean kernel
+    # one-hop column of the contracted graph still holds one weight, and
+    # every hop step of nw-det is one d-weights product with one slot per
+    # nonempty column
     edges = [(0, 1), (3, 2), (0, 3), (1, 2), (2, 1), (2, 4), (4, 5), (5, 4),
              (5, 6), (6, 7), (1, 7)]
     g = node_weighted_graph(8, edges, [2, -3, 1, 4, 0, 5, 3, 2])
@@ -214,10 +215,13 @@ def test_eliminate_node_weighted_keeps_boolean_kernel():
     off = one_hop_offdiag(g2)
     for col in off.T:
         assert np.unique(col[col != POS_INF]).size <= 1
+    for left in (False, True):
+        operand = mp.HopOperator(g2).kernel(left).operand
+        assert operand.slot_val.size == operand.starts.size
     mp.reset_counters()
     got = ap.solve_apsp(g, "nw-det", h=4)
-    assert mp.counters["d_weights_min_plus"] == 0
-    assert mp.counters["boolean_min_plus"] > 0
+    assert mp.counters["d_weights_min_plus"] == mp.counters["hop_iterations"] > 0
+    assert mp.counters["boolean_min_plus"] == 0
     assert np.array_equal(got.data, ap.apsp_oracle(g).data)
     assert got.data[0, 7] == NEG_INF and got.data[4, 6] == 8
 
@@ -662,15 +666,17 @@ def test_dweights_d1_encoding_matches_node_weighted():
 def test_hop_iterations_count_kernel_calls(algo):
     rng = np.random.default_rng(61)
     if algo == "dweights":
-        g, kernel = random_dweights_graph(14, 2, rng), "d_weights_min_plus"
+        g = random_dweights_graph(14, 2, rng)
     else:
-        g, kernel = random_node_weighted_graph(14, rng), "boolean_min_plus"
+        g = random_node_weighted_graph(14, rng)
     mp.reset_counters()
     ap.solve_apsp(g, algo, h=4, d=2 if algo == "dweights" else None,
                   rng=np.random.default_rng(0))
     counts = mp.snapshot_counters()
+    # every solver's hop steps are d-weights products
     assert counts["hop_iterations"] > 0
-    assert counts["hop_iterations"] == counts[kernel]
+    assert counts["hop_iterations"] == counts["d_weights_min_plus"]
+    assert counts["boolean_min_plus"] == 0
 
 
 def test_dweights_solve_builds_one_hop_operator(monkeypatch):

@@ -287,7 +287,9 @@ def check_bucketed_kernels(a, b, bw, deltas):
     """Both kernels against the references and the smallest witnesses.
 
     b is a boolean operand and bw a d-weights one; every delta must give the
-    same values and witnesses.
+    same values and witnesses.  The routes also run on two one-slot
+    operands: b's 0/+inf pattern, and one weight per column of b with the
+    first column empty.
     """
     bool_vals, bool_wit = min_plus_smallest_witness(a, np.where(b, 0, POS_INF))
     assert np.array_equal(bool_vals, bool_minplus_ref(a, b))
@@ -301,6 +303,12 @@ def check_bucketed_kernels(a, b, bw, deltas):
         assert np.array_equal(got.data, dw_vals), delta
         assert np.array_equal(wit, dw_wit), delta
     check_dweights_routes(a, bw, deltas)
+    uniform = np.where(b, np.arange(b.shape[1]) % 5 - 2, POS_INF)
+    uniform[:, :1] = POS_INF
+    for one_slot in (np.where(b, 0, POS_INF), uniform):
+        op = mp.DWeightsOperand(one_slot)
+        assert op.slot_val.size == op.starts.size
+        check_dweights_routes(a, one_slot, deltas)
 
 
 def test_bucketed_kernels_at_bucket_width_boundaries():
@@ -467,11 +475,11 @@ def test_prepared_operand_property(case):
             assert np.array_equal(mp.d_weights_min_plus(a, b, delta, d=d).data, want)
         check_dweights_routes(a, bw, (delta,))
     # a d below some column's count fails the same way, prepared or not
-    counts = np.diff(mp._column_slots(bw)[2])
+    counts = np.diff(mp._column_slots(*column_slot_inputs(bw))[2])
     if counts.size and counts.max() > 1:
         small = int(counts.max()) - 1
         with pytest.raises(AuditError) as want_err:
-            mp._column_slots(bw, d=small)
+            mp._column_slots(*column_slot_inputs(bw), d=small)
         calls = (lambda: mp.DWeightsOperand(bw, d=small),
                  lambda: mp.d_weights_min_plus(many[0], bw, delta, d=small),
                  lambda: mp.d_weights_min_plus(many[0], op, delta, d=small))
@@ -552,6 +560,14 @@ def test_cost_rule_picks_gather_for_dweights_solves_and_bucket_for_dense_palette
 def test_prepared_operand_checks_b_once():
     with pytest.raises(WeightError, match="B contains neg_inf entries"):
         mp.DWeightsOperand(np.array([[1, -POS_INF]], dtype=np.int64))
+    # bot, and finite entries past the bound on either side, next to +inf
+    for bad, match in ((POS_INF + 7, "bot entries"), (POS_INF + 1, "beyond the kernel"),
+                       (mp.MAX_OPERAND + 1, "beyond the kernel"),
+                       (-mp.MAX_OPERAND - 1, "beyond the kernel"),
+                       (np.iinfo(np.int64).min, "beyond the kernel")):
+        with pytest.raises(WeightError, match=f"B (contains|has finite entries) {match}"):
+            mp.DWeightsOperand(np.array([[1, POS_INF, bad]], dtype=np.int64))
+    assert mp.DWeightsOperand(np.array([[-mp.MAX_OPERAND, POS_INF, mp.MAX_OPERAND]]))
     with pytest.raises(ValueError, match="B must be 2-d"):
         mp.DWeightsOperand(np.zeros(3, dtype=np.int64))
     b = np.array([[1, 2], [3, POS_INF]], dtype=np.int64)
@@ -560,6 +576,12 @@ def test_prepared_operand_checks_b_once():
     assert op.data[0, 0] == 1
     with pytest.raises(ValueError, match="shape mismatch"):
         mp.d_weights_min_plus(np.zeros((2, 3), dtype=np.int64), op, 1)
+
+
+def column_slot_inputs(bdata):
+    """_column_slots's inputs: B's finite entries by column, then row, and m."""
+    ecol, erow = np.nonzero(bdata.T != POS_INF)
+    return ecol, bdata[erow, ecol], bdata.shape[1]
 
 
 def column_slots_reference(bdata):
@@ -579,15 +601,16 @@ def test_column_slots_match_loop_reference():
     shapes += [tuple(rng.integers(1, 12, size=2)) for _ in range(12)]
     for n, m in shapes:
         b = column_capped_matrix(rng, n, m, int(rng.integers(1, 5)), inf_p=0.4).data
-        got = mp._column_slots(b)
+        got = mp._column_slots(*column_slot_inputs(b))
         for g, w in zip(got, column_slots_reference(b)):
             assert g.dtype == np.int64
             assert g.tolist() == w
     b = np.array([[1, 5, POS_INF], [2, 5, 4], [1, 6, 3]], dtype=np.int64)
     with pytest.raises(AuditError, match="column 0 has 2 distinct entries"):
-        mp._column_slots(b, d=1)
+        mp._column_slots(*column_slot_inputs(b), d=1)
+    b = np.array([[1, 5], [1, 6], [1, 7]], dtype=np.int64)
     with pytest.raises(AuditError, match="column 1 has 3 distinct entries"):
-        mp._column_slots(np.array([[1, 5], [1, 6], [1, 7]], dtype=np.int64), d=2)
+        mp._column_slots(*column_slot_inputs(b), d=2)
 
 
 # ----------------------------------------------------------------------------
@@ -847,10 +870,9 @@ def test_hop_products_edge_cases(name):
         left = mp.hop_bounded_product_left(g, a.transpose(), h, delta=2,
                                            want_paths=want_paths)
         counts = mp.snapshot_counters()
-        if name in ("in-uniform", "out-uniform"):
-            # one weight per column or per row of the one-hop matrix, both ways
-            assert counts["boolean_min_plus"] == 2 * h, name
-            assert counts["d_weights_min_plus"] == 0, name
+        # every step, whatever the one-hop matrix, is one d-weights product
+        assert counts["d_weights_min_plus"] == counts["hop_iterations"] == 2 * h, name
+        assert counts["boolean_min_plus"] == 0, name
         assert right.values == want_right, name
         assert left.values == want_left, name
         if not want_paths:
@@ -997,23 +1019,31 @@ def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
 def test_hop_operator_matches_graph_on_every_kernel_branch():
     rng = np.random.default_rng(44)
     a = rand_matrix(rng, 4, 9, inf_p=0.4, lo=-3, hi=9)
-    # graph, solver product, and the kernels of the right and the left side
+    # graph, solver product, and the operands of the right and the left side
     branches = {
-        "node": (rand_node_graph(rng, 9), None, ("col", "row")),
-        "out-uniform": (uniform_edge_graph(rng, 9, "out"), None, ("row", "col")),
+        "node": (rand_node_graph(rng, 9), None, ("dweights", "shift")),
+        "out-uniform": (uniform_edge_graph(rng, 9, "out"), None, ("shift", "dweights")),
         "d-weights": (rand_edge_graph(rng, 9, 3, lo=-2), None, ("dweights",) * 2),
         "solver": (rand_edge_graph(rng, 9, 3), mp.min_plus_naive, ("product",) * 2),
     }
+    # a node without out-edges: an all-+inf one-hop row, shifted by 0
+    sink = uniform_edge_graph(rng, 9, "out")
+    sink = EdgeWeightedGraph(9, [e for e in sink.edges() if e[0] != 4])
+    assert (mp.one_hop_offdiag(sink)[4] == POS_INF).all()
+    branches["out-uniform sink"] = (sink, None, ("shift", "dweights"))
 
     def kind(k):
         if k.product is not None:
             return "product"
-        return "col" if k.col is not None else "row" if k.row is not None else "dweights"
+        return "dweights" if k.shift is None else "shift"
 
     everywhere = np.indices((4, 9)).reshape(2, -1)
     for name, (g, product, kinds) in branches.items():
         op = mp.HopOperator(g, product)
         assert (kind(op.kernel(False)), kind(op.kernel(True))) == kinds, name
+        if name == "node":  # one slot per nonempty column on both sides
+            for k in (op.kernel(False), op.kernel(True)):
+                assert k.operand.slot_val.size == k.operand.starts.size
         for want_paths in (True, False, True):  # the operator is reused
             got = (mp.hop_bounded_product(a, op, 3, 2, want_paths),
                    mp.hop_bounded_product_left(op, a.transpose(), 3, 2, want_paths))
