@@ -2,13 +2,14 @@
 covering decomposition of summing pairs, and the popular-sum decomposition
 of set families.
 
-Every randomized routine falls back to the exact computation below a size
-cutoff, so desk-scale callers are deterministic under a fixed seed.
+The decomposition is exact, on padded families (core.row_values).  The one
+sampled routine, popular_sums_approx, is called by no pipeline and is exact
+below a size cutoff.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 
 import numpy as np
@@ -226,151 +227,125 @@ def bsg_cover(x, y, z, big_k, rng=None):
 # Popular-sum decomposition of set families.
 # ----------------------------------------------------------------------------
 
-class PartLevel:
-    """One extraction round: core set, per-index shift, per-index members."""
-
-    __slots__ = ("core", "shifts", "members")
-
-    def __init__(self, core, shifts, members):
-        self.core = frozenset(core)
-        self.shifts = dict(shifts)
-        self.members = {i: frozenset(s) for i, s in members.items()}
+# One extraction round on a padded family: core is the chosen other set
+# negated (ascending), shift[i] each row's shift (0 outside the piece rows)
+# and member the (n, w) mask of the slots in each row's piece.
+PartLevel = collections.namedtuple("PartLevel", "core shift member")
 
 
-class SideDecomposition:
-    """Partition of each set into translate-structured parts plus a remainder."""
+class SideDecomposition(collections.namedtuple(
+        "SideDecomposition", "vals valid parts rest")):
+    """Partition of each set's slots of a padded family (vals, valid) into
+    translate-structured pieces (one mask per level) plus the rest."""
 
-    def __init__(self, originals, parts, remainders):
-        self.originals = [frozenset(s) for s in originals]
-        self.parts = parts
-        self.remainders = [frozenset(s) for s in remainders]
+    __slots__ = ()
 
     @property
     def level_count(self):
         return len(self.parts)
 
-    def assignment(self, i):
-        """Value -> ('part', level) or ('rem',) for set i."""
-        out = {}
-        for ell, level in enumerate(self.parts):
-            for v in level.members.get(i, ()):  # disjoint by construction
-                out[v] = ("part", ell)
-        for v in self.remainders[i]:
-            out[v] = ("rem",)
-        return out
-
     def check_partition(self):
-        for i, orig in enumerate(self.originals):
-            seen = set()
-            for level in self.parts:
-                piece = level.members.get(i, frozenset())
-                if piece & seen:
-                    return False
-                seen |= piece
-            if seen & self.remainders[i]:
-                return False
-            if seen | self.remainders[i] != orig:
-                return False
-        return True
+        """Every real slot lies in exactly one piece or in the rest, and no
+        padding slot in any."""
+        count = sum((level.member for level in self.parts), self.rest.astype(int))
+        return bool(np.array_equal(count, self.valid))
 
 
-def _padded(sets):
-    """Sets as an (n, w) int64 array of each set's sorted values, zero-padded
-    to the largest size w, plus the mask of real slots."""
-    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    valid = np.arange(lens.max(initial=0)) < lens[:, None]
-    vals = np.zeros(valid.shape, dtype=np.int64)
-    vals[valid] = list(itertools.chain.from_iterable(map(sorted, sets)))
-    return vals, valid
+# Sums per block of _least_popular_sums and of the piece test, unless one
+# pair of sets alone holds more.
+_BLOCK_SUMS = 2 ** 16
 
 
 def _least_popular_sums(main, other, need):
     """Per set pair (i, j) of two padded families: whether some a + b has
     `need` representations, and the least such sum.  For need > 1 the pair's
     sums are sorted as one run v, where such a sum starts at s iff v[s] ==
-    v[s+need-1]; padded slots take distinct values above all, in no run."""
+    v[s+need-1]; padded slots sum to a value above all real sums."""
     (a, av), (b, bv) = main, other
-    real = (av[:, None, :, None] & bv[None, :, None, :]).reshape(
-        len(a), len(b), -1)
-    k = max(real.shape[2] - need + 1, 0)
     top = a.max(initial=0) + b.max(initial=0) + 1
-    sums = np.where(real, (a[:, None, :, None] + b[None, :, None, :]).reshape(
-        real.shape), top + np.arange(real.shape[2]))
-    if need == 1:
-        run = real
-    else:
+    sums = a[:, None, :, None] + b[None, :, None, :]
+    if not (av.all() and bv.all()):
+        sums = np.where(av[:, None, :, None] & bv[None, :, None, :], sums, top)
+    sums = sums.reshape(len(a), len(b), -1)
+    if need > 1:
         sums.sort(axis=2)
-        run = sums[:, :, :k] == sums[:, :, need - 1:need - 1 + k]
-    return run.any(axis=2), np.where(run, sums[:, :, :k], top).min(
-        axis=2, initial=top)
+        k = max(sums.shape[2] - need + 1, 0)
+        run = sums[:, :, :k]
+        least = run.min(axis=2, initial=top,
+                        where=run == sums[:, :, need - 1:need - 1 + k])
+    else:
+        least = sums.min(axis=2, initial=top)
+    return least < top, least
 
 
-def _decompose_side(mains, others, d, delta, rng):
-    n = len(mains)
-    work = [set(s) for s in mains]
-    other_sets = [frozenset(s) for s in others]
-    t = max(1.0, d / delta)
+def _trimmed(vals, mask):
+    """A padded family cut after its last column with a real slot."""
+    width = mask.shape[1] - int(mask[:, ::-1].any(axis=0).argmax())
+    return vals[:, :width], mask[:, :width]
+
+
+def _blocks(items, size):
+    return (items[lo:lo + size] for lo in range(0, len(items), size))
+
+
+def _decompose_side(main, other, d, delta):
+    (vals, valid), (ovals, ovalid) = main, other
+    n, w = vals.shape
+    work = valid.copy()
+    need = math.ceil(max(1.0, d / delta))
     deg_threshold = n / delta
     rounds = max(1, int(delta * delta))
-    other = _padded(other_sets)
-    per_pair = max(map(len, work), default=0) * other[0].shape[1]
-    # exact: every pair takes popular_sums_approx's exact branch (no draws)
-    exact = (rng is None or RATE_CONSTANT / math.sqrt(t) >= 1.0
-             or per_pair <= EXACT_CUTOFF)
+    pair = w * ovals.shape[1]
+    # blocks of rows x other sets with at most _BLOCK_SUMS sums, or one pair
+    col_step = max(1, min(n, _BLOCK_SUMS // pair))
+    row_step = max(1, _BLOCK_SUMS // (pair * max(1, n))) if col_step == n else 1
     nonempty = np.zeros((n, n), dtype=bool)
     least = np.zeros((n, n), dtype=np.int64)
-    dirty = list(range(n))
-    step = max(1, (1 << 16) // max(1, n * per_pair))  # rows of 2^16 sums
+    dirty = np.arange(n)
     parts = []
     for _ in range(rounds):
-        if exact:
-            for lo in range(0, len(dirty), step):
-                rows = dirty[lo:lo + step]
-                nonempty[rows], least[rows] = _least_popular_sums(
-                    _padded([work[i] for i in rows]), other, math.ceil(t))
-        else:
-            for i in dirty:
-                for j in range(n):
-                    nonempty[i, j] = bool(work[i]) and bool(popular_sums_approx(
-                        work[i], other_sets[j], t, rng, EXACT_CUTOFF))
-        deg = nonempty.sum(axis=0)
-        candidates = np.nonzero(deg >= deg_threshold)[0]
+        for rows in _blocks(dirty, row_step):
+            for lo in range(0, n, col_step):
+                cols = slice(lo, lo + col_step)
+                block = (vals[rows], work[rows]), (ovals[cols], ovalid[cols])
+                if col_step < n:  # large sets: cut each side's padding
+                    block = [_trimmed(*side) for side in block]
+                nonempty[rows, cols], least[rows, cols] = _least_popular_sums(
+                    *block, need)
+        candidates = np.flatnonzero(nonempty.sum(axis=0) >= deg_threshold)
         if candidates.size == 0:
             break
-        j_star = int(candidates[0])
-        o_star = other_sets[j_star]
-        shifts, members = {}, {}
-        for i in np.flatnonzero(nonempty[:, j_star]).tolist():
-            pop = {int(least[i, j_star])} if exact else popular_sums_approx(
-                work[i], o_star, t, rng, EXACT_CUTOFF)
-            if not pop:
-                continue
-            # the shift is some a + b with a in work[i]: the piece holds a
-            shifts[i] = min(pop)
-            members[i] = {v for v in work[i] if shifts[i] - v in o_star}
-            work[i] -= members[i]
-        dirty = list(shifts)
-        parts.append(PartLevel({-v for v in o_star}, shifts, members))
-        if not dirty:
-            break
-    return SideDecomposition(mains, parts, work)
+        j_star = candidates[0]
+        o_star = ovals[j_star, ovalid[j_star]]
+        # the shift is some a + b with a a work slot: the piece holds a
+        dirty = np.flatnonzero(nonempty[:, j_star])
+        shift = np.zeros(n, dtype=np.int64)
+        shift[dirty] = least[dirty, j_star]
+        member = np.zeros_like(work)
+        for rows in _blocks(dirty, max(1, _BLOCK_SUMS // (w * o_star.size))):
+            member[rows] = work[rows] & (
+                shift[rows, None, None] - vals[rows, :, None] == o_star).any(axis=2)
+        work &= ~member
+        parts.append(PartLevel(-o_star[::-1], shift, member))
+    return SideDecomposition(vals, valid, parts, work)
 
 
-def popular_sum_decomposition(x_sets, y_sets, d, delta, rng=None):
+def popular_sum_decomposition(x, y, d, delta):
     """Partition every X_i (and Y_j) into shifted-core parts plus remainders.
 
-    Each extraction round finds a column index whose approximate popular-sum
-    sets are nonempty for many rows, negates that column's set as the
-    common core, and peels the matching translates off every such row.  The
-    leftover families have popular sums for at most n^2/delta index pairs.
+    x and y are padded families (vals, valid), as core.row_values builds
+    them.  Each extraction round finds the first column index whose exact
+    popular-sum sets (sums with at least d/delta representations) are
+    nonempty for at least n/delta rows, negates that column's set as the
+    common core, and peels off every such row the slots whose translate by
+    the row's least popular sum lies in the core.  The leftover families
+    have popular sums for at most n^2/delta index pairs.  No random numbers
+    are drawn.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if any(len(s) > d for s in x_sets) or any(len(s) > d for s in y_sets):
-        raise ValueError("input sets exceed the declared size bound d")
-    if len(x_sets) != len(y_sets):
+    if len(x[0]) != len(y[0]):
         raise ValueError("need equally many X and Y sets")
-
-    x_side = _decompose_side(x_sets, y_sets, d, delta, rng)
-    y_side = _decompose_side(y_sets, x_sets, d, delta, rng)
-    return x_side, y_side
+    if max(x[1].sum(axis=1).max(initial=0), y[1].sum(axis=1).max(initial=0)) > d:
+        raise ValueError("input sets exceed the declared size bound d")
+    return (_decompose_side(x, y, d, delta), _decompose_side(y, x, d, delta))

@@ -270,7 +270,7 @@ def _stack_codes(stack):
     number of distinct present values, each entry's value rank (BOT, the
     largest, gets nv), and its values by rank in a row of an (M, w + 1)
     table (w the largest nv; slots from nv on are padding)."""
-    lines = stack.reshape(stack.shape[0], -1)
+    lines = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
     flat, vals = _sorted_lines(lines)
     rank = np.cumsum(_run_firsts(vals, lines.shape[1]), dtype=np.int32)
     rank = rank.reshape(lines.shape)
@@ -329,16 +329,17 @@ def occurrence_stats(m, absent):
     return count, rank, (present & (rank == 0)).sum(axis=1)
 
 
-def row_value_sets(m, absent):
-    """Per row of m: the set of its values other than `absent`, filled in
-    ascending order.  The column form is row_value_sets(m.T, absent)."""
-    m = np.asarray(m, dtype=np.int64)
-    flat, vals = _sorted_lines(m)
-    first = _run_firsts(vals, m.shape[1]) & (vals != absent)
-    rows = flat[first] // max(1, m.shape[1])
-    vals = vals[first].tolist()
-    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
-    return [set(vals[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+def row_values(m, absent):
+    """Per row of m, its distinct values other than `absent` (BOT counts as
+    absent too), as a padded family (vals, valid, slot): vals holds each
+    row's values in ascending order, zero-padded to the widest row (at least
+    one slot), valid marks the real slots, and slot[i, k] is the slot of
+    m[i, k] in row i (-1 where it is absent).  The value codes of
+    _stack_codes; the column form is row_values(m.T, absent)."""
+    nv, codes, table = _stack_codes(np.where(m == absent, BOT, m))
+    valid = np.arange(max(1, nv.max(initial=0))) < nv[:, None]
+    return (np.where(valid, table[:, :valid.shape[1]], 0), valid,
+            np.where(codes < nv[:, None], codes, -1))
 
 
 # ----------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .additive import (
-    _padded,
     bsg_cover,
     isolating_prime_map,
     popular_sums_exact,
@@ -27,7 +26,7 @@ from .additive import (
 )
 from .core import (AuditError, BOT, NEG_INF, POS_INF, WeightError,
                    WeightMatrix, _line_runs, _run_firsts, _stack_codes,
-                   occurrence_stats, row_value_sets)
+                   occurrence_stats, row_values)
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
@@ -731,13 +730,14 @@ def _col_occurrence_classes(m, absent):
 _JOIN_PAIRS = 2 ** 20
 
 
-def _list_triangles(a, b, c):
-    """Every (i, k, j) with a[i, k] + b[k, j] == c[i, j], all three present,
-    as three index arrays; a, b and c are BOT-marked arrays.
+def _list_triangles(a, b, c, width=1):
+    """Every (i, k, j) with a[i, k] + b[k, j] - c[i, j] in [0, width), all
+    three present, as three index arrays; a, b and c are BOT-marked arrays.
 
     Each present a[i, k] is joined with row k's run of b's present entries
     in row-major order, at most _JOIN_PAIRS joined pairs per block, and the
-    sums are tested against c by one gather.
+    sums are tested against c by one gather.  The gap to a BOT c can wrap
+    around int64, but the c != BOT mask drops it.
     """
     ia, ka = np.nonzero(a != BOT)
     kb, jb = np.nonzero(b != BOT)
@@ -757,37 +757,35 @@ def _list_triangles(a, b, c):
         e = np.repeat(np.arange(e_lo, e_hi), take)
         pos = np.arange(lo, lo + e.size) + lag[e]
         cv = c[ia[e], jb[pos]]
-        hit = (av[e] + bv[pos] == cv) & (cv != BOT)
+        gap = av[e] + bv[pos] - cv  # in [0, width) iff below it unsigned
+        hit = (gap.view(np.uint64) < width) & (cv != BOT)
         found.append((e[hit], pos[hit]))
     e, pos = (np.concatenate(x) for x in zip(*found))
     return ia[e], ka[e], jb[pos]
 
 
-def _keep_row_values(m, sets):
-    """m with BOT wherever row i holds a value outside sets[i]."""
-    vals, valid = _padded(sets)
-    keep = ((m[:, :, None] == vals[:, None, :]) & valid[:, None, :]).any(axis=2)
-    return np.where(keep, m, BOT)
+def _keep_slots(m, slot, keep):
+    """m with BOT wherever the slot of m[i, k] in row i (core.row_values)
+    is not kept in keep[i]; absent entries (slot -1) must be BOT in m."""
+    return np.where(np.take_along_axis(keep, slot, axis=1), m, BOT)
 
 
-def _shifted_part(m, level):
-    """Each row's piece of a PartLevel minus the row's shift, and the shifts."""
-    rows = range(m.shape[0])
-    shift = np.array([level.shifts.get(i, 0) for i in rows], dtype=np.int64)
-    part = _keep_row_values(m, [level.members.get(i, ()) for i in rows])
-    return np.where(part != BOT, part - shift[:, None], BOT), shift
+def _shifted_part(m, slot, level):
+    """Each row's piece of a PartLevel, minus the row's shift."""
+    part = _keep_slots(m, slot, level.member)
+    return np.where(part != BOT, part - level.shift[:, None], BOT)
 
 
-def uniformize(inst, d, delta, rng=None):
+def uniformize(inst, d, delta):
     """Decompose a row-d-weights instance into d-uniform instances plus triples.
 
     The input must already have at most d distinct entries per row of A
     (apply canonical_orientation first).  Returns (instances, T) where the
     triangle sets of the instances together with T disjointly partition the
     input's triangles and every instance is d-uniform: the pieces of the
-    label groups of _uniformize, in order.
+    label groups of _uniformize, in order.  No random numbers are drawn.
     """
-    groups, triples = _uniformize(*inst.matrices(), d, delta, rng)
+    groups, triples = _uniformize(*inst.matrices(), d, delta)
     return _label_instances(groups, d), triples
 
 
@@ -799,7 +797,7 @@ def _label_instances(groups, d):
     return [TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
 
 
-def _uniformize(a, b, c, d, delta, rng):
+def _uniformize(a, b, c, d, delta):
     """uniformize on bot-marked arrays: (groups, T), each group an (a, b, c)
     triple of arrays whose label pieces (_LabelGroups) are the d-uniform
     instances."""
@@ -817,18 +815,19 @@ def _uniformize(a, b, c, d, delta, rng):
                 # short columns of b: list every triangle of the class
                 found.append(_list_triangles(ax, by, c))
             else:
-                sub, listed = _uniformize_class(ax, by, c, d, delta, rng)
+                sub, listed = _uniformize_class(ax, by, c, d, delta)
                 groups.extend(sub)
                 found.extend(listed)
     return groups, set(zip(*(np.concatenate(ix).tolist() for ix in zip(*found))))
 
 
-def _uniformize_class(a, b, c, d, delta, rng):
+def _uniformize_class(a, b, c, d, delta):
     """One (row class of A, column class of B) pair of uniformize: its
     label groups and a list of _list_triangles results."""
+    avals, avalid, aslot = row_values(a, BOT)
+    bvals, bvalid, bslot = row_values(b.T, BOT)
     xdec, ydec = popular_sum_decomposition(
-        row_value_sets(a, BOT), row_value_sets(b.T, BOT), d * delta,
-        delta * delta, rng)
+        (avals, avalid), (bvals, bvalid), d * delta, delta * delta)
 
     # Exceptional triangles through the leftover value sets, on either side.
     # Splitting the targets by representation count would list the same
@@ -836,25 +835,22 @@ def _uniformize_class(a, b, c, d, delta, rng):
     # is the test b[k, j] == c[i, j] - a[i, k], as that difference is finite
     # and so never BOT.
     found = []
-    if any(xdec.remainders):
-        found.append(_list_triangles(_keep_row_values(a, xdec.remainders), b, c))
-    if any(ydec.remainders):
-        found.append(_list_triangles(a, _keep_row_values(b.T, ydec.remainders).T, c))
+    if xdec.rest.any():
+        found.append(_list_triangles(_keep_slots(a, aslot, xdec.rest), b, c))
+    if ydec.rest.any():
+        found.append(_list_triangles(a, _keep_slots(b.T, bslot, ydec.rest).T, c))
 
     # Ordinary triangles: shift each part pair onto its common cores.
     t_pop = max(1.0, d / float(delta) ** 9)
     groups = []
-    b_parts = [(*_shifted_part(b.T, lvl), sorted(lvl.core))
-               for lvl in ydec.parts if lvl.members]
+    b_parts = [(_shifted_part(b.T, bslot, lvl).T, lvl.shift, lvl.core.tolist())
+               for lvl in ydec.parts]
     for xlvl in xdec.parts:
-        if not xlvl.members:
-            continue
-        ag, sshift = _shifted_part(a, xlvl)
-        sg = sorted(xlvl.core)
-        for bh_t, tshift, th in b_parts:
-            bh = bh_t.T
-            pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
-            cgh = np.where(c != BOT, c - sshift[:, None] - tshift, BOT)
+        ag = _shifted_part(a, aslot, xlvl)
+        sg = xlvl.core.tolist()
+        for bh, tshift, th in b_parts:
+            pop = popular_sums_exact(sg, th, t_pop)
+            cgh = np.where(c != BOT, c - xlvl.shift[:, None] - tshift, BOT)
             keep = _value_mask(cgh, pop)
             # unpopular shifted targets: list their few representations.  A
             # piece value av of row i satisfies shift - av in Y_{j*}, so its
@@ -1054,7 +1050,7 @@ class RegularizeStats:
         self.uniformize_calls = 0
 
 
-def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
+def regularize(inst, d, delta, eps, depth_guard=None, stats=None):
     """Decompose a d-weights instance into uniform regular pieces plus triples.
 
     Recursive scheme: uniformize, strip the entries that are too frequent in
@@ -1077,9 +1073,10 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
     of a uniformize call with every one of its recursive branches and its
     regular rest (_LabelGroups), and every part of the final
     split (_PieceStack).  So every returned piece has a summing value pair.
+    No random numbers are drawn.
     """
-    pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng,
-                                          depth_guard, stats)
+    pieces, triples = _regularize_unsplit(inst, d, delta, eps, depth_guard,
+                                          stats)
     final = []
     for stack in _piece_stacks(pieces, inst.n):
         final.extend((stack.d_ls[stack.owner[q]],
@@ -1087,7 +1084,7 @@ def regularize(inst, d, delta, eps, rng=None, depth_guard=None, stats=None):
     return final, triples
 
 
-def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
+def _regularize_unsplit(inst, d, delta, eps, depth_guard, stats):
     """The recursion of regularize: its (d', (a, b, c)) pieces before the
     final split, as arrays in the input's coordinates, plus T."""
     if eps <= 0:
@@ -1110,7 +1107,7 @@ def _regularize_unsplit(inst, d, delta, eps, rng, depth_guard, stats):
         if d_cur <= 0:
             return [], set()
         stats.uniformize_calls += 1
-        groups, t_acc = _uniformize(*_FORWARD[tag](*mats), d_cur, delta_cur, rng)
+        groups, t_acc = _uniformize(*_FORWARD[tag](*mats), d_cur, delta_cur)
         pieces_acc = []
         if groups:
             stack = _LabelGroups(groups, d_cur, (n / max(d_cur, 1)) * rho)
@@ -1164,7 +1161,7 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     eps = delta_exp / 14.0
     if delta is None:
         delta = default_split_parameter(n, eps)
-    pieces, triples = _regularize_unsplit(inst, d, delta, eps, rng, None, None)
+    pieces, triples = _regularize_unsplit(inst, d, delta, eps, None, None)
     yes = np.zeros((n, n), dtype=bool)
     for i, _, j in triples:
         yes[i, j] = True

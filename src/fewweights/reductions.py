@@ -22,18 +22,18 @@ from .core import (
     node_weighted_graph,
     occurrence_stats,
     require_distinct_weights,
-    row_value_sets,
+    row_values,
     saturating_add,
 )
 from .exact_triangle import (
     TriangleInstance,
     _col_occurrence_classes,
-    _keep_row_values,
+    _keep_slots,
     _list_triangles,
     _row_occurrence_classes,
 )
 from .minplus import boolean_matrix_multiply, min_plus_naive
-from .additive import _padded, popular_sum_decomposition
+from .additive import popular_sum_decomposition
 
 
 class PromiseViolation(ValueError):
@@ -293,7 +293,9 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
     are out of balance), enumeration of representations through the
     decomposition remainders, full scans for the few pairs with popular
     remainder sums, and one 4-layer node-weighted gadget per pair of
-    decomposition parts solved by nw_solver.
+    decomposition parts solved by nw_solver.  The popular-sum decomposition
+    is exact, so rng is unused; it stays for callers that pass it
+    positionally.
     """
     a, b = _as_data(a), _as_data(b)
     cp = _as_data(c_promise)
@@ -305,8 +307,7 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
     result = np.full((n, n), POS_INF, dtype=np.int64)
     for x, ax in sorted(_row_occurrence_classes(a, POS_INF).items()):
         for y, by in sorted(_col_occurrence_classes(b, POS_INF).items()):
-            sub = _row_weight_subcase(ax, by, cp, delta, nw_solver, rng,
-                                      undirected)
+            sub = _row_weight_subcase(ax, by, cp, delta, nw_solver, undirected)
             np.minimum(result, sub, out=result)
     window_ok = ((result == POS_INF) & (cp == POS_INF)) | (
         (cp != POS_INF) & (result != POS_INF)
@@ -316,13 +317,13 @@ def row_weight_minplus_via_nw_apsp(a, b, c_promise, delta, nw_solver, rng=None,
     return WeightMatrix(result, copy=False)
 
 
-def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
+def _row_weight_subcase(ax, by, cp, delta, nw_solver, undirected):
     n = ax.shape[0]
     out = np.full((n, n), POS_INF, dtype=np.int64)
-    s_sets = row_value_sets(ax, POS_INF)
-    t_sets = row_value_sets(by.T, POS_INF)
-    d_a = max(map(len, s_sets), default=0)
-    d_b = max(map(len, t_sets), default=0)
+    s_vals, s_valid, s_slot = row_values(ax, POS_INF)
+    t_vals, t_valid, t_slot = row_values(by.T, POS_INF)
+    d_a = int(s_valid.sum(axis=1).max(initial=0))
+    d_b = int(t_valid.sum(axis=1).max(initial=0))
     if d_a == 0 or d_b == 0:
         return out
     finite = cp != POS_INF
@@ -330,17 +331,17 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
     b_bot = np.where(by == POS_INF, BOT, by)
 
     def write(a, b, target):
-        i, _, j = _list_triangles(a, b, target)
-        np.minimum.at(out, (i, j), target[i, j])
+        # the least listed a + b per pair, over its 3-candidate window
+        i, k, j = _list_triangles(a, b, target, width=3)
+        np.minimum.at(out, (i, j), a[i, k] + b[k, j])
 
     root = math.sqrt(delta)
     if d_b > d_a * root or d_a > d_b * root:
-        for off in range(3):
-            write(a_bot, b_bot, np.where(finite, cp + off, BOT))
+        write(a_bot, b_bot, np.where(finite, cp, BOT))
         return out
 
-    d_max = max(d_a, d_b)
-    xdec, ydec = popular_sum_decomposition(s_sets, t_sets, d_max, delta, rng)
+    xdec, ydec = popular_sum_decomposition(
+        (s_vals, s_valid), (t_vals, t_valid), max(d_a, d_b), delta)
     flag_threshold = max(1.0, 2.0 * d_b / delta)
     # representations of c = cp[i, j] + off (off < 3) as a + b with a in
     # X_i's remainder and b in T_j, or with a in S_i and b in Y_j's remainder
@@ -352,19 +353,16 @@ def _row_weight_subcase(ax, by, cp, delta, nw_solver, rng, undirected):
         return (hits & uv[:, None, None, :, None]
                 & wv[None, :, None, None, :]).sum(axis=(3, 4))
 
-    count = (reps(*_padded(xdec.remainders), *_padded(t_sets))
-             + reps(*_padded(s_sets), *_padded(ydec.remainders)))
+    count = (reps(s_vals, xdec.rest, t_vals, t_valid)
+             + reps(s_vals, s_valid, t_vals, ydec.rest))
     flagged = finite & (count >= flag_threshold).any(axis=2)
 
     ii, jj = np.nonzero(flagged)  # still +inf in out: full scans
     out[ii, jj] = saturating_add(ax[ii], by[:, jj].T).min(axis=1,
                                                           initial=POS_INF)
-    a_rem = _keep_row_values(a_bot, xdec.remainders)
-    b_rem = _keep_row_values(b_bot.T, ydec.remainders).T
-    for off in range(3):
-        target = np.where(finite & ~flagged, cp + off, BOT)
-        write(a_rem, b_bot, target)
-        write(a_bot, b_rem, target)
+    target = np.where(finite & ~flagged, cp, BOT)
+    write(_keep_slots(a_bot, s_slot, xdec.rest), b_bot, target)
+    write(a_bot, _keep_slots(b_bot.T, t_slot, ydec.rest).T, target)
 
     part_min = _part_pair_products(ax, by, xdec.parts, ydec.parts, nw_solver,
                                    undirected)
@@ -384,17 +382,15 @@ def _part_pair_products(ax, by, xparts, yparts, nw_solver, undirected):
 
     def side(m, part, axis):
         # part's shift per row (axis 0) or column (axis 1) of m
-        shift = np.array([part.shifts.get(i, 0) for i in range(m.shape[axis])],
-                         dtype=np.int64)
-        lo = min(part.core)
-        rel = m - np.expand_dims(shift, 1 - axis)
-        keep = (m != POS_INF) & np.isin(rel, list(part.core))
-        return np.where(keep, rel - lo, POS_INF), shift + lo
+        lo = part.core[0]
+        rel = m - np.expand_dims(part.shift, 1 - axis)
+        keep = (m != POS_INF) & np.isin(rel, part.core)
+        return np.where(keep, rel - lo, POS_INF), part.shift + lo
 
     out = np.full((ax.shape[0], by.shape[1]), POS_INF, dtype=np.int64)
-    y_sides = [side(by, ypart, 1) for ypart in yparts if ypart.core]
+    y_sides = [side(by, ypart, 1) for ypart in yparts if ypart.core.size]
     for xpart in xparts:
-        if not xpart.core:
+        if not xpart.core.size:
             continue
         a_core, add_x = side(ax, xpart, 0)
         if (a_core == POS_INF).all():

@@ -36,6 +36,16 @@ def _record(num, ok, detail):
     assert ok, line
 
 
+def _padded_family(sets):
+    """Sets as the padded arrays (vals, valid) that the decomposition takes:
+    each set's sorted values in one zero-padded row."""
+    sizes = np.array([len(s) for s in sets])
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    vals = np.zeros(valid.shape, dtype=np.int64)
+    vals[valid] = [v for s in sets for v in sorted(s)]
+    return vals, valid
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _summary():
     yield
@@ -155,8 +165,7 @@ def test_criterion_4_decomposition_exactness():
         inst, _ = random_triangle_instance(n, d, rng)
         whole = inst.triangles()
 
-        subs, triples = et.uniformize(inst, d, delta,
-                                      np.random.default_rng(i))
+        subs, triples = et.uniformize(inst, d, delta)
         acc = set(triples)
         count = len(triples)
         for sub in subs:
@@ -167,8 +176,7 @@ def test_criterion_4_decomposition_exactness():
             count += len(ts)
         assert acc == whole and count == len(whole), ("uniformize", i)
 
-        pieces, triples = et.regularize(inst, d, delta, eps=1.0,
-                                        rng=np.random.default_rng(i))
+        pieces, triples = et.regularize(inst, d, delta, eps=1.0)
         acc = set(triples)
         count = len(triples)
         for d_l, sub in pieces:
@@ -227,19 +235,22 @@ def test_criterion_5_additive_toolkit_contracts():
         ys = [set(rng.integers(-30, 30,
                                size=int(rng.integers(1, d + 1))).tolist())
               for _ in range(n)]
-        xd, yd = ad.popular_sum_decomposition(xs, ys, d, delta,
-                                              np.random.default_rng(i))
+        xd, yd = ad.popular_sum_decomposition(_padded_family(xs),
+                                              _padded_family(ys), d, delta)
         for dec, others in ((xd, ys), (yd, xs)):
             assert dec.check_partition(), i
             for lvl in dec.parts:
                 assert len(lvl.core) <= d, i
-                for idx, piece in lvl.members.items():
-                    shift = lvl.shifts[idx]
-                    assert all((v - shift) in lvl.core for v in piece), i
+                core = set(lvl.core.tolist())
+                for idx in range(n):
+                    piece = dec.vals[idx, lvl.member[idx]].tolist()
+                    shift = int(lvl.shift[idx])
+                    assert all((v - shift) in core for v in piece), i
+            remainders = [set(v[m].tolist()) for v, m in zip(dec.vals, dec.rest)]
             thr = max(1.0, 2 * d / delta)
-            cnt = sum(1 for a in range(n) if dec.remainders[a]
+            cnt = sum(1 for a in range(n) if remainders[a]
                       for b in range(n)
-                      if ad.popular_sums_exact(dec.remainders[a], others[b],
+                      if ad.popular_sums_exact(remainders[a], others[b],
                                                thr))
             assert cnt <= n * n / delta + 1e-9, i
     _record(5, True, f"prime isolation, sandwich {good}/100, covering "

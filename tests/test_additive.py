@@ -189,17 +189,44 @@ def test_cover_seed_replay():
 # popular-sum decomposition
 # ----------------------------------------------------------------------------
 
-def _check_translate_property(dec, d):
+def padded(sets):
+    """A set family as padded arrays (vals, valid): each set's sorted values
+    in one row, zero-padded to the largest set (at least one slot)."""
+    sizes = np.array([len(s) for s in sets], dtype=np.int64)
+    valid = np.arange(max(1, sizes.max(initial=0))) < sizes[:, None]
+    vals = np.zeros(valid.shape, dtype=np.int64)
+    for i, s in enumerate(sets):
+        vals[i, :len(s)] = sorted(s)
+    return vals, valid
+
+
+def decompose(xs, ys, d, delta):
+    return ad.popular_sum_decomposition(padded(xs), padded(ys), d, delta)
+
+
+def decomposition_sets(dec):
+    """A SideDecomposition as sets: per level (core, {i: shift},
+    {i: piece}) over the rows with a nonempty piece, and the remainders."""
+    levels = []
     for lvl in dec.parts:
-        assert len(lvl.core) <= d
-        for i, piece in lvl.members.items():
-            shift = lvl.shifts[i]
-            assert all((v - shift) in lvl.core for v in piece)
+        rows = np.flatnonzero(lvl.member.any(axis=1)).tolist()
+        levels.append((frozenset(lvl.core.tolist()),
+                       {i: int(lvl.shift[i]) for i in rows},
+                       {i: frozenset(dec.vals[i, lvl.member[i]].tolist())
+                        for i in rows}))
+    return levels, [frozenset(v[m].tolist()) for v, m in zip(dec.vals, dec.rest)]
+
+
+def _check_translate_property(dec, d):
+    for core, shifts, members in decomposition_sets(dec)[0]:
+        assert len(core) <= d
+        for i, piece in members.items():
+            shift = shifts[i]
+            assert all((v - shift) in core for v in piece)
 
 
 def test_decomposition_trivial_single_set():
-    xd, yd = ad.popular_sum_decomposition([{0}], [{0}], 1, 1,
-                                          np.random.default_rng(0))
+    xd, yd = decompose([{0}], [{0}], 1, 1)
     assert xd.check_partition() and yd.check_partition()
 
 
@@ -207,10 +234,10 @@ def test_decomposition_identical_negated_sets():
     d, n = 8, 6
     xs = [set(range(d)) for _ in range(n)]
     ys = [set(range(-(d - 1), 1)) for _ in range(n)]
-    xd, yd = ad.popular_sum_decomposition(xs, ys, d, 2, np.random.default_rng(0))
+    xd, yd = decompose(xs, ys, d, 2)
     assert xd.check_partition() and yd.check_partition()
     assert 1 <= xd.level_count <= 4
-    first = sum(len(p) for p in xd.parts[0].members.values())
+    first = int(xd.parts[0].member.sum())
     assert first >= (n / 2) * (d / 2)
 
 
@@ -226,8 +253,7 @@ def test_decomposition_properties_random():
         ys = [set(rng.integers(-25, 25,
                                size=int(rng.integers(1, d + 1))).tolist())
               for _ in range(n)]
-        xd, yd = ad.popular_sum_decomposition(xs, ys, d, delta,
-                                              np.random.default_rng(t))
+        xd, yd = decompose(xs, ys, d, delta)
         assert xd.check_partition() and yd.check_partition()
         assert xd.level_count <= delta * delta
         assert yd.level_count <= delta * delta
@@ -236,28 +262,32 @@ def test_decomposition_properties_random():
         # property (2): exact popular-sum recount on the remainders
         thr = max(1.0, 2 * d / delta)
         for dec, others in ((xd, ys), (yd, xs)):
-            cnt = sum(1 for i in range(n) if dec.remainders[i]
+            remainders = decomposition_sets(dec)[1]
+            cnt = sum(1 for i in range(n) if remainders[i]
                       for j in range(n)
-                      if ad.popular_sums_exact(dec.remainders[i], others[j], thr))
+                      if ad.popular_sums_exact(remainders[i], others[j], thr))
             assert cnt <= n * n / delta + 1e-9
 
 
-def test_decomposition_assignment_maps_values():
-    rng = np.random.default_rng(6)
-    xs = [set(rng.integers(0, 30, size=8).tolist()) for _ in range(10)]
-    ys = [set(rng.integers(-30, 0, size=8).tolist()) for _ in range(10)]
-    xd, _ = ad.popular_sum_decomposition(xs, ys, 8, 2, np.random.default_rng(0))
-    for i, s in enumerate(xd.originals):
-        assign = xd.assignment(i)
-        assert set(assign) == set(s)
+def test_check_partition_rejects_overlap_and_padding():
+    xd, _ = decompose([{0, 1, 2, 3}] * 3 + [{9}], [{0, -1, -2, -3}] * 3 + [{7}],
+                      4, 2)
+    assert xd.check_partition() and xd.level_count
+    # a piece slot also in the rest
+    assert not xd._replace(rest=xd.rest | xd.parts[0].member).check_partition()
+    rest = xd.valid.copy()
+    assert xd._replace(parts=[], rest=rest).check_partition()
+    rest[3, 1] = True  # a padding slot of {9}
+    assert not xd._replace(parts=[], rest=rest).check_partition()
 
 
 # ----------------------------------------------------------------------------
 # array-native decomposition and cover against the set-based routines
 # ----------------------------------------------------------------------------
 
-def _reference_decompose_side(mains, others, d, delta, popular):
-    """The set-based side decomposition: one popular() call per index pair."""
+def _reference_decompose_side(mains, others, d, delta):
+    """The set-based side decomposition: one popular_sums_exact call per
+    index pair.  Returns decomposition_sets' form."""
     n = len(mains)
     work = [set(s) for s in mains]
     other_sets = [frozenset(s) for s in others]
@@ -271,7 +301,7 @@ def _reference_decompose_side(mains, others, d, delta, popular):
         for i in sorted(dirty):
             for j in range(n):
                 nonempty[i, j] = bool(work[i]) and bool(
-                    popular(work[i], other_sets[j], t))
+                    ad.popular_sums_exact(work[i], other_sets[j], t))
         dirty.clear()
         deg = nonempty.sum(axis=0)
         candidates = np.nonzero(deg >= deg_threshold)[0]
@@ -283,7 +313,7 @@ def _reference_decompose_side(mains, others, d, delta, popular):
         for i in range(n):
             if not nonempty[i, j_star]:
                 continue
-            pop = popular(work[i], other_sets[j_star], t)
+            pop = ad.popular_sums_exact(work[i], other_sets[j_star], t)
             if not pop:
                 continue
             shift = min(pop)
@@ -294,19 +324,10 @@ def _reference_decompose_side(mains, others, d, delta, popular):
             members[i] = piece
             work[i] -= piece
             dirty.add(i)
-        parts.append(ad.PartLevel(core, shifts, members))
+        parts.append((core, shifts, members))
         if not dirty:
             break
-    return ad.SideDecomposition(mains, parts, work)
-
-
-def _reference_decomposition(x_sets, y_sets, d, delta, rng):
-    def popular(a, b, t):
-        return ad.popular_sums_approx(a, b, t, rng=rng,
-                                      exact_cutoff=ad.EXACT_CUTOFF)
-
-    return (_reference_decompose_side(x_sets, y_sets, d, delta, popular),
-            _reference_decompose_side(y_sets, x_sets, d, delta, popular))
+    return parts, work
 
 
 def _reference_bsg_cover(x, y, z, big_k, rng):
@@ -359,19 +380,15 @@ def _reference_bsg_cover(x, y, z, big_k, rng):
     return ad.CoverOutput(structured, remaining)
 
 
-def _levels(dec):
-    return [(lvl.core, lvl.shifts, lvl.members) for lvl in dec.parts]
-
-
-def assert_decomposition_matches_reference(xs, ys, d, delta, seed):
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = ad.popular_sum_decomposition(xs, ys, d, delta, got_rng)
-    want = _reference_decomposition(xs, ys, d, delta, want_rng)
-    for g, w in zip(got, want):
-        assert _levels(g) == _levels(w)
-        assert g.remainders == w.remainders
-        assert g.originals == w.originals
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+def assert_decomposition_matches_reference(xs, ys, d, delta):
+    got = decompose(xs, ys, d, delta)
+    want = (_reference_decompose_side(xs, ys, d, delta),
+            _reference_decompose_side(ys, xs, d, delta))
+    for g, w, sets in zip(got, want, (xs, ys)):
+        assert g.check_partition()
+        assert decomposition_sets(g) == w
+        assert [set(v[m].tolist()) for v, m in zip(g.vals, g.valid)] == sets
+    return got
 
 
 def _random_family(rng, n, d, low, high, min_size=0):
@@ -387,7 +404,7 @@ def test_decomposition_matches_set_reference_aete_shape():
     for seed in range(10):
         xs = _random_family(rng, 16, 16, -20, 20)
         ys = _random_family(rng, 16, 16, -20, 20)
-        assert_decomposition_matches_reference(xs, ys, 16, 16, seed)
+        assert_decomposition_matches_reference(xs, ys, 16, 16)
 
 
 def test_decomposition_matches_set_reference_reductions_shape():
@@ -396,7 +413,7 @@ def test_decomposition_matches_set_reference_reductions_shape():
     for seed in range(20):
         xs = _random_family(rng, 32, 4, 0, 30, min_size=1)
         ys = _random_family(rng, 32, 4, 0, 30, min_size=1)
-        assert_decomposition_matches_reference(xs, ys, 4, 2, seed)
+        assert_decomposition_matches_reference(xs, ys, 4, 2)
 
 
 def test_decomposition_matches_set_reference_edge_cases():
@@ -412,8 +429,7 @@ def test_decomposition_matches_set_reference_edge_cases():
         ([{0, 1, 2}, {5, 6, 7}], [{0, 1, 2}, {1, 2, 3}], 16, 1),
     ]
     for xs, ys, d, delta in cases:
-        for seed in range(3):
-            assert_decomposition_matches_reference(xs, ys, d, delta, seed)
+        assert_decomposition_matches_reference(xs, ys, d, delta)
 
 
 def test_decomposition_matches_set_reference_with_multiplicity_thresholds():
@@ -425,23 +441,38 @@ def test_decomposition_matches_set_reference_with_multiplicity_thresholds():
         delta = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         xs = _random_family(rng, n, d, -6, 6)
         ys = _random_family(rng, n, d, -6, 6)
-        assert_decomposition_matches_reference(xs, ys, d, delta, seed)
+        assert_decomposition_matches_reference(xs, ys, d, delta)
 
 
-def test_decomposition_per_pair_fallback_keeps_draw_order(monkeypatch):
-    # with a zero cutoff and t = 400 the per-pair calls on these sets take
-    # the sampled branch (rate 4*log2(12)/20 < 1), so the array batch must
-    # not run and the draws must match
-    monkeypatch.setattr(ad, "EXACT_CUTOFF", 0)
+def test_decomposition_matches_set_reference_with_large_sets(monkeypatch):
+    # 4 sets of 300 values: one pair has 90,000 > 2^16 sums, so each block
+    # of the popular-sum search is one pair; at 150 values a block holds two
+    # of the other sets.  Intervals against negated intervals make sums
+    # with up to `size` representations, so levels form.
+    blocks = []
+    least = ad._least_popular_sums
+
+    def spy(main, other, need):
+        blocks.append((len(main[0]), len(other[0]),
+                       main[1].size * other[1].size))
+        return least(main, other, need)
+
+    monkeypatch.setattr(ad, "_least_popular_sums", spy)
     rng = np.random.default_rng(14)
-    for seed in range(6):
-        xs = _random_family(rng, 6, 12, -10, 10, min_size=1)
-        ys = _random_family(rng, 6, 12, -10, 10, min_size=1)
-        before = np.random.default_rng(seed).bit_generator.state
-        got_rng = np.random.default_rng(seed)
-        assert_decomposition_matches_reference(xs, ys, 400, 1, seed)
-        ad.popular_sum_decomposition(xs, ys, 400, 1, got_rng)
-        assert got_rng.bit_generator.state != before  # the branch drew
+    levels = 0
+    for size, delta in ((300, 1), (300, 2), (150, 1)):
+        xs = [set(range(o, o + size)) for o in rng.integers(-50, 50, size=3)]
+        ys = [set(range(-o - size + 1, -o + 1))
+              for o in rng.integers(-50, 50, size=3)]
+        xs.append(set(rng.choice(800, size=size, replace=False).tolist()))
+        ys.append(set((-rng.choice(800, size=size, replace=False)).tolist()))
+        xd, yd = assert_decomposition_matches_reference(xs, ys, size, delta)
+        levels += xd.level_count + yd.level_count
+    assert levels
+    # at most 2^16 sums per block, or one pair's
+    assert all(sums <= 2 ** 16 or r == c == 1 for r, c, sums in blocks)
+    assert max(sums for _, _, sums in blocks) > 2 ** 16
+    assert any(c == 2 for _, c, _ in blocks)
 
 
 def test_bsg_cover_matches_set_reference():

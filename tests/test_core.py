@@ -19,7 +19,7 @@ from fewweights.core import (
     occurrence_stats,
     one_hop_offdiag,
     save_graph,
-    row_value_sets,
+    row_values,
     save_matrix,
 )
 
@@ -197,13 +197,17 @@ def test_line_runs_match_per_line_reference():
                 assert np.array_equal(cnt, want[0]) and np.array_equal(rnk, want[1])
 
 
-def row_value_sets_reference(m, absent):
-    """Per-row set loop over the present entries."""
-    return [{int(v) for v in row if v != absent} for row in m]
+def row_values_reference(m, absent):
+    """Per-row loop over the present entries: each row's sorted distinct
+    values, and each entry's index among them (-1 where absent)."""
+    rows = [sorted({int(v) for v in row if v != absent}) for row in m]
+    slot = [[r.index(int(v)) if v != absent else -1 for v in row]
+            for r, row in zip(rows, m)]
+    return rows, np.array(slot, dtype=np.int64).reshape(m.shape)
 
 
 @pytest.mark.parametrize("absent", [BOT, POS_INF])
-def test_row_value_sets_match_loop_reference(absent):
+def test_row_values_match_loop_reference(absent):
     rng = np.random.default_rng(12)
     shapes = [(0, 0), (1, 1), (0, 3), (3, 0), (1, 7), (7, 1), (5, 9), (9, 4),
               (16, 16)]
@@ -214,12 +218,16 @@ def test_row_value_sets_match_loop_reference(absent):
             if rows > 2:
                 m[rows // 2] = absent  # an all-absent row
             for mat in (m, m.T):
-                got = row_value_sets(mat, absent)
-                assert got == row_value_sets_reference(mat, absent)
-                # each set is filled in ascending order, so it iterates
-                # like a set built from the sorted values
-                assert [list(s) for s in got] == \
-                    [list(set(sorted(s))) for s in got]
+                vals, valid, slot = row_values(mat, absent)
+                want, want_slot = row_values_reference(mat, absent)
+                width = max([1] + [len(r) for r in want])
+                sizes = np.array([len(r) for r in want]).reshape(-1, 1)
+                assert np.array_equal(valid, np.arange(width) < sizes)
+                assert [v[k].tolist() for v, k in zip(vals, valid)] == want
+                assert (vals[~valid] == 0).all()
+                assert np.array_equal(slot, want_slot)
+                i, k = np.nonzero(mat != absent)
+                assert np.array_equal(vals[i, slot[i, k]], mat[i, k])
 
 
 def test_reverse_graph():

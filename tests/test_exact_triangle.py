@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fewweights.additive import popular_sum_decomposition, popular_sums_exact
 from fewweights.core import (AuditError, BOT, GUARD, WeightError, WeightMatrix,
-                             occurrence_stats, row_value_sets)
+                             occurrence_stats, row_values)
 from fewweights import exact_triangle as et
 from fewweights.generators import (
     random_triangle_instance,
@@ -844,7 +844,7 @@ def test_uniformize_exact_decomposition(delta):
         n = int(rng.integers(4, 13))
         d = int(rng.integers(1, 4))
         inst, _ = random_triangle_instance(n, d, rng)
-        subs, triples = et.uniformize(inst, d, delta, np.random.default_rng(t))
+        subs, triples = et.uniformize(inst, d, delta)
         check_exact_decomposition(inst, subs, triples, uniform_d=d)
 
 
@@ -853,7 +853,7 @@ def test_uniformize_no_triangles():
     b = np.zeros((6, 6), dtype=np.int64)
     c = np.full((6, 6), 5, dtype=np.int64)
     inst = et.TriangleInstance(a, b, c)
-    subs, triples = et.uniformize(inst, 1, 2, np.random.default_rng(0))
+    subs, triples = et.uniformize(inst, 1, 2)
     assert triples == set()
     for sub in subs:
         assert not et.aete_brute(sub).yes.any()
@@ -863,19 +863,19 @@ def test_uniformize_requires_row_promise():
     a = np.arange(9, dtype=np.int64).reshape(3, 3)
     inst = et.TriangleInstance(a, a, a)
     with pytest.raises(AuditError):
-        et.uniformize(inst, 1, 2, np.random.default_rng(0))
+        et.uniformize(inst, 1, 2)
 
 
-def listing_reference(a, b, c, a_values=None, b_values=None):
-    """Scalar triple loop over the triangles, optionally restricted to the
-    a values a_values[i] of each row i or the b values b_values[j] of each
-    column j."""
+def listing_reference(a, b, c, a_values=None, b_values=None, width=1):
+    """Scalar triple loop over the triangles (a + b - c in [0, width)),
+    optionally restricted to the a values a_values[i] of each row i or the
+    b values b_values[j] of each column j."""
     out = set()
     for i in range(a.shape[0]):
         for k in range(a.shape[1]):
             for j in range(b.shape[1]):
                 av, bv, cv = int(a[i, k]), int(b[k, j]), int(c[i, j])
-                if BOT in (av, bv, cv) or av + bv != cv:
+                if BOT in (av, bv, cv) or not 0 <= av + bv - cv < width:
                     continue
                 if a_values is not None and av not in a_values[i]:
                     continue
@@ -905,6 +905,15 @@ def keep_row_values(m, sets):
                      for i, row in enumerate(m)], dtype=np.int64).reshape(m.shape)
 
 
+def keep_slots(m, sets):
+    """_keep_slots with the slots of row i that hold a value of sets[i]."""
+    vals, valid, slot = row_values(m, BOT)
+    keep = valid & np.array([[v in sets[i] for v in row.tolist()]
+                             for i, row in enumerate(vals)],
+                            dtype=bool).reshape(vals.shape)
+    return et._keep_slots(m, slot, keep)
+
+
 def test_list_triangles_matches_scalar_reference(monkeypatch):
     # blocks of 1 and 7 joined pairs split the inputs into many blocks
     for join_pairs in (1, 7, et._JOIN_PAIRS):
@@ -929,15 +938,20 @@ def check_list_triangles(rng):
         listed = triple_set([got])
         assert len(listed) == got[0].size  # no triangle listed twice
         assert listed == listing_reference(a, b, c)
+        # a window of three: a + b - c in {0, 1, 2}
+        got = et._list_triangles(a, b, c, width=3)
+        listed = triple_set([got])
+        assert len(listed) == got[0].size
+        assert listed == listing_reference(a, b, c, width=3)
         # restricted to some values per row of a, or per column of b
         a_vals = random_value_subsets(rng, a)
         a_kept = keep_row_values(a, a_vals)
-        assert np.array_equal(et._keep_row_values(a, a_vals), a_kept)
+        assert np.array_equal(keep_slots(a, a_vals), a_kept)
         assert (triple_set([et._list_triangles(a_kept, b, c)])
                 == listing_reference(a, b, c, a_values=a_vals))
         b_vals = random_value_subsets(rng, b.T)
         b_kept = keep_row_values(b.T, b_vals).T
-        assert np.array_equal(et._keep_row_values(b.T, b_vals).T, b_kept)
+        assert np.array_equal(keep_slots(b.T, b_vals).T, b_kept)
         assert (triple_set([et._list_triangles(a, b_kept, c)])
                 == listing_reference(a, b, c, b_values=b_vals))
 
@@ -966,8 +980,7 @@ def test_uniformize_class_lists_unpopular_targets(monkeypatch):
         return out
 
     monkeypatch.setattr(et, "_list_triangles", spy)
-    groups, found = et._uniformize_class(a, b, inst.c.data, d, 1,
-                                         np.random.default_rng(0))
+    groups, found = et._uniformize_class(a, b, inst.c.data, d, 1)
     stack = et._LabelGroups(groups, d)
     subs = [et.TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
     triples = triple_set(found)
@@ -1010,8 +1023,7 @@ def test_regularize_naive_all_bot():
 def test_regularize_d1_trivial():
     rng = np.random.default_rng(17)
     inst, _ = random_triangle_instance(8, 1, rng)
-    pieces, triples = et.regularize(inst, 1, 2, eps=1.0,
-                                    rng=np.random.default_rng(0))
+    pieces, triples = et.regularize(inst, 1, 2, eps=1.0)
     check_exact_decomposition(inst, pieces, triples, uniform_d=1,
                               regular_r=True)
 
@@ -1024,9 +1036,7 @@ def test_regularize_exact_decomposition(delta):
         d = int(rng.integers(1, 5))
         inst, _ = random_triangle_instance(n, d, rng)
         stats = et.RegularizeStats()
-        pieces, triples = et.regularize(inst, d, delta, eps=1.0,
-                                        rng=np.random.default_rng(t),
-                                        stats=stats)
+        pieces, triples = et.regularize(inst, d, delta, eps=1.0, stats=stats)
         check_exact_decomposition(inst, pieces, triples, regular_r=True)
         rho = max(float(d), 1.0) ** (1.0 / 6.0)
         if rho > 1.0000001:
@@ -1048,8 +1058,7 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
         delta = et.default_split_parameter(n, 2.0)
         inst, _ = random_triangle_instance(n, d, rng, planted=2,
                                            promise=PROMISES[t % 6])
-        raw, want_t = et._regularize_unsplit(inst, d, delta, 2.0,
-                                             np.random.default_rng(t), None, None)
+        raw, want_t = et._regularize_unsplit(inst, d, delta, 2.0, None, None)
         want = []
         for d_l, mats in raw:
             piece = et.TriangleInstance(*mats)
@@ -1060,8 +1069,7 @@ def test_regularize_splits_like_regularize_naive_on_every_piece():
             want += [(d_l, sub) for sub in
                      et.regularize_naive(piece, d_l, r, big_rs[-1])
                      if summing_pair_count(sub)]
-        got, got_t = et.regularize(inst, d, delta, eps=2.0,
-                                   rng=np.random.default_rng(t))
+        got, got_t = et.regularize(inst, d, delta, eps=2.0)
         assert got_t == want_t
         assert len(got) == len(want), t
         for (dg, pg), (dw, pw) in zip(got, want):
@@ -1097,8 +1105,7 @@ def test_regularize_drops_triples_without_summing_pair(monkeypatch):
         delta = et.default_split_parameter(n, 2.0)
         inst, _ = random_triangle_instance(n, d, rng, planted=2,
                                            promise=PROMISES[t % 6])
-        pieces, triples = et.regularize(inst, d, delta, eps=2.0,
-                                        rng=np.random.default_rng(t))
+        pieces, triples = et.regularize(inst, d, delta, eps=2.0)
         check_exact_decomposition(inst, pieces, triples, regular_r=True)
         assert all(summing_pair_count(piece) for _, piece in pieces)
     assert any(kept) and not all(kept)
@@ -1136,15 +1143,14 @@ def test_regularize_depth_guard():
     rng = np.random.default_rng(19)
     inst, _ = random_triangle_instance(8, 4, rng)
     with pytest.raises(RuntimeError):
-        et.regularize(inst, 4, 1, eps=1.0, rng=np.random.default_rng(0),
-                      depth_guard=-1)
+        et.regularize(inst, 4, 1, eps=1.0, depth_guard=-1)
 
 
 # ----------------------------------------------------------------------------
 # regularize against its former per-piece code
 # ----------------------------------------------------------------------------
 
-def uniformize_reference(inst, d, delta, rng):
+def uniformize_reference(inst, d, delta):
     """The former uniformize: one TriangleInstance per label piece of each
     (x-part, y-part) pair, labels from np.unique per matrix."""
     a, b, c = inst.matrices()
@@ -1158,23 +1164,25 @@ def uniformize_reference(inst, d, delta, rng):
             if 2 ** y <= n / (d * delta):
                 found.append(et._list_triangles(ax, by, c))
                 continue
+            avals, avalid, aslot = row_values(ax, BOT)
+            bvals, bvalid, bslot = row_values(by.T, BOT)
             xdec, ydec = popular_sum_decomposition(
-                row_value_sets(ax, BOT), row_value_sets(by.T, BOT), d * delta,
-                delta * delta, rng)
-            if any(xdec.remainders):
+                (avals, avalid), (bvals, bvalid), d * delta, delta * delta)
+            if xdec.rest.any():
                 found.append(et._list_triangles(
-                    et._keep_row_values(ax, xdec.remainders), by, c))
-            if any(ydec.remainders):
+                    et._keep_slots(ax, aslot, xdec.rest), by, c))
+            if ydec.rest.any():
                 found.append(et._list_triangles(
-                    ax, et._keep_row_values(by.T, ydec.remainders).T, c))
+                    ax, et._keep_slots(by.T, bslot, ydec.rest).T, c))
             t_pop = max(1.0, d / float(delta) ** 9)
-            b_parts = [(*et._shifted_part(by.T, lvl), sorted(lvl.core))
-                       for lvl in ydec.parts if lvl.members]
+            b_parts = [(et._shifted_part(by.T, bslot, lvl), lvl.shift,
+                        sorted(lvl.core.tolist()))
+                       for lvl in ydec.parts if lvl.member.any()]
             for xlvl in xdec.parts:
-                if not xlvl.members:
+                if not xlvl.member.any():
                     continue
-                ag, sshift = et._shifted_part(ax, xlvl)
-                sg = sorted(xlvl.core)
+                ag, sshift = et._shifted_part(ax, aslot, xlvl), xlvl.shift
+                sg = sorted(xlvl.core.tolist())
                 for bh_t, tshift, th in b_parts:
                     bh = bh_t.T
                     pop = popular_sums_exact(sg, th, t_pop) if sg and th else set()
@@ -1210,7 +1218,7 @@ def keeps_a_pair_reference(mats, pairs):
                for x, y in pairs)
 
 
-def regularize_reference(inst, d, delta, eps, rng):
+def regularize_reference(inst, d, delta, eps):
     """The former regularize: per-piece recursion over uniformize_reference
     instances, then one RegularityAudit and regularize_naive per piece."""
     n = inst.n
@@ -1220,7 +1228,7 @@ def regularize_reference(inst, d, delta, eps, rng):
         if d_cur <= 0:
             return [], set()
         oriented = et.TriangleInstance(*et._FORWARD[tag](*mats))
-        insts, t_acc = uniformize_reference(oriented, d_cur, delta_cur, rng)
+        insts, t_acc = uniformize_reference(oriented, d_cur, delta_cur)
         pieces_acc = []
         delta_next = delta_cur * 12 * max(1, len(insts))
         threshold = (n / max(d_cur, 1)) * rho
@@ -1273,7 +1281,7 @@ def few_weights_reference(inst, d, delta_exp, rng):
     n = inst.n
     eps = delta_exp / 14.0
     pieces, triples = regularize_reference(
-        inst, d, et.default_split_parameter(n, eps), eps, rng)
+        inst, d, et.default_split_parameter(n, eps), eps)
     yes = np.zeros((n, n), dtype=bool)
     for i, _, j in triples:
         yes[i, j] = True
@@ -1314,21 +1322,17 @@ def test_regularize_matches_per_piece_reference():
     splits = 0
     for t, d, inst in differential_cases():
         delta = et.default_split_parameter(inst.n, 2.0)
-        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
-        got, got_t = et.regularize(inst, d, delta, eps=2.0, rng=got_rng)
-        want, want_t = regularize_reference(inst, d, delta, 2.0, want_rng)
+        got, got_t = et.regularize(inst, d, delta, eps=2.0)
+        want, want_t = regularize_reference(inst, d, delta, 2.0)
         assert got_t == want_t, t
         assert_same_instances(got, want)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
         splits += len(got)
 
         oriented, _ = et.canonical_orientation(inst)
-        got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
-        got, got_t = et.uniformize(oriented, d, delta, got_rng)
-        want, want_t = uniformize_reference(oriented, d, delta, want_rng)
+        got, got_t = et.uniformize(oriented, d, delta)
+        want, want_t = uniformize_reference(oriented, d, delta)
         assert got_t == want_t, t
         assert_same_instances([(0, x) for x in got], [(0, x) for x in want])
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
         got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
         got = et.aete_few_weights(inst, d, 28.0, rng=got_rng).yes

@@ -435,8 +435,8 @@ def _masked_part_min(ax, by, xparts, yparts):
                     for k in range(inner):
                         a, b = int(ax[i, k]), int(by[k, j])
                         if (a != POS_INF and b != POS_INF
-                                and a - xp.shifts.get(i, 0) in xp.core
-                                and b - yp.shifts.get(j, 0) in yp.core):
+                                and a - xp.shift[i] in xp.core
+                                and b - yp.shift[j] in yp.core):
                             out[i, j] = min(out[i, j], a + b)
     return out
 
@@ -452,9 +452,9 @@ def test_part_pair_products_match_masked_brute_force(undirected):
         by[rng.random(by.shape) < 0.2] = POS_INF
 
         def level(core, lo, hi):  # per-index shifts in [lo, hi)
-            shifts = {i: int(v) for i, v in
-                      enumerate(rng.integers(lo, hi, size=n)) if v}
-            return PartLevel(core, shifts, {})
+            return PartLevel(np.array(sorted(core), dtype=np.int64),
+                             rng.integers(lo, hi, size=n),
+                             np.zeros((n, 1), dtype=bool))
 
         xparts = [level({-3, 0, 2, 5}, 0, 7), level(set(), 0, 3),
                   level({1000}, 0, 3)]  # the last matches no A entry
@@ -495,7 +495,12 @@ def test_row_weight_unbalanced_distinct_counts_brute_path():
     assert got == mp.min_plus_naive(a, b)
 
 
-def _reference_remainder_flags(cp, s_sets, t_sets, xdec, ydec, threshold):
+def family_sets(vals, mask):
+    """The sets of a padded family under a slot mask."""
+    return [set(v[m].tolist()) for v, m in zip(vals, mask)]
+
+
+def _reference_remainder_flags(cp, s_sets, t_sets, x_rest, y_rest, threshold):
     """The per-(i, j, c) flag loop: (i, j) is flagged when a window value c of
     cp[i, j] has `threshold` representations c = a + b through a remainder
     value (a in X_i's remainder and b in T_j, or b in Y_j's and a in S_i)."""
@@ -509,8 +514,8 @@ def _reference_remainder_flags(cp, s_sets, t_sets, xdec, ydec, threshold):
 
     def rem_pairs(i, j, c):
         t_j, s_i = t_sets[j], s_sets[i]
-        return (sum(1 for av in xdec.remainders[i] if (c - av) in t_j)
-                + sum(1 for bv in ydec.remainders[j] if (c - bv) in s_i))
+        return (sum(1 for av in x_rest[i] if (c - av) in t_j)
+                + sum(1 for bv in y_rest[j] if (c - bv) in s_i))
 
     flagged = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -528,18 +533,20 @@ def test_remainder_flags_match_pair_loop(monkeypatch):
     seen = []
     decompose, listing = red.popular_sum_decomposition, red._list_triangles
 
-    def spy_decompose(s_sets, t_sets, d, delta, rng):
-        xdec, ydec = decompose(s_sets, t_sets, d, delta, rng)
-        seen.append({"sets": (s_sets, t_sets), "dec": (xdec, ydec),
+    def spy_decompose(s_family, t_family, d, delta):
+        xdec, ydec = decompose(s_family, t_family, d, delta)
+        seen.append({"sets": (family_sets(*s_family), family_sets(*t_family)),
+                     "dec": (family_sets(xdec.vals, xdec.rest),
+                             family_sets(ydec.vals, ydec.rest)),
                      "delta": delta, "targets": []})
         return xdec, ydec
 
-    def spy_listing(a, b, c):
+    def spy_listing(a, b, c, width=1):
         # a class that skips the decomposition lists before any is seen;
         # after one, such listings follow the first remainder listing
         if seen:
             seen[-1]["targets"].append(c)
-        return listing(a, b, c)
+        return listing(a, b, c, width=width)
 
     monkeypatch.setattr(red, "popular_sum_decomposition", spy_decompose)
     monkeypatch.setattr(red, "_list_triangles", spy_listing)
