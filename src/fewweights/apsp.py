@@ -14,7 +14,9 @@ matrix, or against its 0/+inf pattern on X + r when every row holds one
 weight r (node-weighted graphs' left products).  Each solve builds one
 HopOperator, so the one-hop matrix and, per side (right products against
 it, left products against its transpose), the prepared d-weights B
-operand are built once per solve.
+operand are built once per solve.  _replay skips the levels when every
+level is V (its squared base is then exact), and the bridging solver hands
+its step-2 products to _replay as the levels' direct terms.
 A pivot solve first contracts each strongly connected component (from the
 boolean reachability closure) that one Bellman-Ford finds a negative cycle in.
 """
@@ -262,42 +264,57 @@ def greedy_hitting_set(paths, n):
 # the kernel's place.
 # ----------------------------------------------------------------------------
 
-def _level_products(op, delta, s_cur, s_next, d_next, m1_hops, hl, want_paths):
-    """The three hop products of one bridging level, S = s_cur, S' = s_next.
+def _level_products(op, delta, s_cur, s_next, d_next, hl, want_paths):
+    """The two bridging hop products of one level, S = s_cur, S' = s_next.
 
-    m1 = D^{<=m1_hops}[S, V]; m2 = d_next * D^{<=hl}[S', V] for distances
-    d_next over S' x S'; m3 = D^{<=hl}[V, S'] * m2[S', S].  The level's
-    distances are min(m1[:, S], m3[S, :]).
+    m2 = d_next * D^{<=hl}[S', V] for distances d_next over S' x S', and
+    m3 = D^{<=hl}[V, S'] * m2[S', S].  The level's distances are
+    min(m1[:, S], m3[S, :]), where the caller supplies m1, the level's
+    direct bounded-hop distances D^{<=2^(l + m1_shift)}[S, V].
     """
     n = op.n
-    m1 = hop_bounded_product(trivial_rows(s_cur, n), op, m1_hops, delta,
-                             want_paths=want_paths)
     a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
     a2[:, s_next] = d_next
     m2 = hop_bounded_product(a2, op, hl, delta, want_paths=want_paths)
     a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
     a3[s_next, :] = m2.values.data[:, s_cur]
     m3 = hop_bounded_product_left(op, a3, hl, delta, want_paths=want_paths)
-    return m1, m2, m3
+    return m2, m3
 
 
-def _replay(op, levels, base_set, base_hops, m1_shift, delta):
+def _replay(op, levels, base_set, base_hops, m1_shift, delta, m1=None):
     """Distances over V from pivot levels S_0 = V, ..., S_L.
 
     The base squares D^{<=base_hops}[B, B] for a sorted base set B holding
     S_L and restricts it to S_L; level l = L-1, ..., 0 then takes
     min(D^{<=2^(l + m1_shift)}[S_l, S_l], D^{<=2^l} * D_{l+1} * D^{<=2^l})
-    through S_{l+1}.
+    through S_{l+1}.  m1, when given, holds those first terms per level,
+    already computed by the caller, and no level recomputes them.
+
+    When every level is all of V, so is B, and the squared base is the
+    answer: with no negative cycle, ceil(log2 n) squarings of D^{<=k}
+    (k >= 1) give exact distances.  A level's min(m1, m3) is the weight of
+    some walk, so at least the distance, and on S_{l+1} x S_{l+1} at most
+    D_{l+1} (m3 runs through S_{l+1} with zero-hop ends); with every level
+    V, each level would return the exact distances it was given.
     """
-    base = hop_bounded_product(trivial_rows(base_set, op.n), op, base_hops, delta,
+    n = op.n
+    base = hop_bounded_product(trivial_rows(base_set, n), op, base_hops, delta,
                                want_paths=False).values.data
+    d_cur = _repeated_square(base[:, base_set], _min_plus)
+    if all(s.size == n for s in levels):
+        return DistanceMatrix(d_cur, copy=False)
     idx = np.searchsorted(base_set, levels[-1])
-    d_cur = _repeated_square(base[:, base_set], _min_plus)[np.ix_(idx, idx)]
+    d_cur = d_cur[np.ix_(idx, idx)]
     for ell in range(len(levels) - 2, -1, -1):
         s_cur = levels[ell]
-        m1, _, m3 = _level_products(op, delta, s_cur, levels[ell + 1], d_cur,
-                                    2 ** (ell + m1_shift), 2 ** ell, False)
-        d_cur = np.minimum(m1.values.data[:, s_cur], m3.values.data[s_cur, :])
+        if m1 is None:
+            w1 = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + m1_shift),
+                                     delta, want_paths=False).values.data[:, s_cur]
+        else:
+            w1 = m1[ell]
+        _, m3 = _level_products(op, delta, s_cur, levels[ell + 1], d_cur, 2 ** ell, False)
+        d_cur = np.minimum(w1, m3.values.data[s_cur, :])
     return DistanceMatrix(d_cur, copy=False)
 
 
@@ -374,13 +391,15 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
     rows, cols = np.nonzero(q_w != POS_INF)
     q_nodes[rows, cols, :hl + 1] = base.paths(rows, s_last[cols])[0]
+    # step 2's D^{<=2^(l+1)}[S_l, S_l], the replay's m1 terms
+    m1 = [None] * big_l
     for ell in range(big_l - 1, -1, -1):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri, m2, m3 = _level_products(op, delta, s_cur, s_next, q_w,
-                                     2 ** (ell + 1), 2 ** ell, True)
-        w1 = ri.values.data[:, s_cur]
+        ri = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + 1), delta)
+        m2, m3 = _level_products(op, delta, s_cur, s_next, q_w, 2 ** ell, True)
+        w1 = m1[ell] = ri.values.data[:, s_cur]
         w2 = m3.values.data[s_cur, :]
         new_nodes = np.full(w1.shape + (width,), -1, dtype=np.int64)
         rows, cols = np.nonzero((w1 <= w2) & (w1 != POS_INF))
@@ -407,8 +426,9 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
             (int(u), int(v)): (int(q_w[u, v]), q_nodes[u, v, :q_hops[u, v] + 1].tolist())
             for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
-    # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*].
-    return _replay(op, levels, s_star, 4 * hl, 1, delta)
+    # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*], with
+    # step 2's m1 terms.
+    return _replay(op, levels, s_star, 4 * hl, 1, delta, m1)
 
 
 def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,

@@ -225,14 +225,20 @@ def build_one_hop_matrix(g):
 
 
 def audit_distinct_weights(g):
-    """Exact per-node distinct-weight maxima (max_out, max_in) of a graph."""
+    """Exact per-node distinct-weight maxima (max_out, max_in) of a graph.
+
+    Each edge gives two (line, weight) pairs: line u for its tail (outgoing)
+    and n + v for its head (incoming).  One lexsort by line, then weight,
+    and a neighbour test find the distinct pairs, counted per line.
+    """
     e = g.edge_array
-    # distinct (direction, node, weight) triples; direction 0 keys the tail
-    # of an edge (outgoing), 1 its head (incoming)
-    side = np.repeat(np.arange(2, dtype=np.int64), e.shape[0])
-    keys = np.unique(np.column_stack([side, np.concatenate([e[:, 0], e[:, 1]]),
-                                      np.tile(e[:, 2], 2)]), axis=0)
-    counts = np.bincount(keys[:, 0] * g.n + keys[:, 1], minlength=2 * g.n)
+    line = np.concatenate([e[:, 0], g.n + e[:, 1]])
+    w = np.tile(e[:, 2], 2)
+    order = np.lexsort((w, line))
+    line, w = line[order], w[order]
+    first = np.ones(line.size, dtype=bool)
+    first[1:] = (line[1:] != line[:-1]) | (w[1:] != w[:-1])
+    counts = np.bincount(line[first], minlength=2 * g.n)
     return int(counts[:g.n].max(initial=0)), int(counts[g.n:].max(initial=0))
 
 

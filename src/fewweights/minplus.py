@@ -27,7 +27,10 @@ one slot per nonempty column.
 All kernels are pure functions; for a fixed input the result is identical
 regardless of the bucket count.  A HopOperator builds a graph's one-hop
 matrix, and each hop-product side's prepared kernel operand, once for all
-the hop products of a solve.
+the hop products of a solve.  A hop product's recurrence runs over a row
+frontier: a round steps only the rows that strictly improved in the round
+before, and the recurrence stops when no row is left, since row i of
+X * M depends on row i of X alone.
 """
 
 from __future__ import annotations
@@ -538,13 +541,15 @@ class HopProduct:
 
     Witness paths have hop-length at most h and re-evaluate exactly to the
     reported value; they are backtraced from the per-round witness matrices
-    recorded while running the hop recurrence.  `paths` backtraces many
+    recorded while running the hop recurrence, one per round that ran (a
+    round that did not run improves nothing).  `paths` backtraces many
     entries at once into one -1-padded array; `path` is its per-pair view.
     """
 
-    def __init__(self, values, parents, reversed_paths=False):
+    def __init__(self, values, parents, h, reversed_paths=False):
         self.values = values
         self._parents = parents
+        self._h = int(h)
         self._reversed = reversed_paths
 
     def paths(self, i, j):
@@ -552,21 +557,22 @@ class HopProduct:
 
         nodes is a (P, h+1) int64 array whose row p holds the hops[p] + 1
         nodes of its path followed by -1 padding.  An infinite entry gives
-        an all -1 row and hops -1.  One gather per round walks every path
-        back from its end node; the rounds without a parent leave gaps that
-        one stable compaction closes.
+        an all -1 row and hops -1.  One gather per recorded round walks
+        every path back from its end node; the rounds without a parent
+        leave gaps that one stable compaction closes.
         """
         i = np.asarray(i, dtype=np.int64).reshape(-1)
         j = np.asarray(j, dtype=np.int64).reshape(-1)
         infinite = self.values.data[i, j] == POS_INF
         if self._reversed:
             i, j = j, i
-        h = len(self._parents)
-        # column t holds the node reached in round t, column h the end node
+        h = self._h
+        # column t holds the node reached in round t, column h the end node;
+        # the columns of rounds that did not run stay -1
         nodes = np.full((i.size, h + 1), -1, dtype=np.int64)
         nodes[:, h] = j
         cur = j
-        for t in range(h - 1, -1, -1):
+        for t in range(len(self._parents) - 1, -1, -1):
             p = self._parents[t][i, cur]
             nodes[:, t] = p
             cur = np.where(p >= 0, p, cur)
@@ -585,21 +591,34 @@ class HopProduct:
 
 
 def _run_hop_recurrence(a0, h, step):
-    """h rounds of vals = min(vals, step(vals)); one product call per round.
+    """Up to h rounds of vals = min(vals, step(vals)) over a row frontier.
 
-    step(vals) returns the product and its witness matrix (None when paths
-    are not wanted); parents[t] holds the witness of round t where the
-    value strictly improved, else -1.
+    Row i of X * M depends on row i of X alone, so a row that does not
+    strictly improve in a round gives the same product in the next one and
+    cannot improve again.  The first round steps every row; each later round
+    steps only the rows that strictly improved in the round before, and the
+    recurrence stops after h rounds or when no row is left.  The values are
+    those of h full rounds.  step(x) takes the active rows and returns their
+    product and its witness matrix (None when paths are not wanted); one
+    parent matrix of vals' shape is recorded per round that ran, holding the
+    round's witness where the value strictly improved, else -1.
     """
     vals = a0.copy()
     parents = []
+    active = np.arange(vals.shape[0])
     for _ in range(int(h)):
+        if active.size == 0:
+            break
         counters["hop_iterations"] += 1
-        nv, nw = step(vals)
-        better = nv < vals
+        cur = vals[active]
+        nv, nw = step(cur)
+        better = nv < cur
         if nw is not None:
-            parents.append(np.where(better, nw, np.int64(-1)))
-        vals = np.where(better, nv, vals)
+            parent = np.full(vals.shape, -1, dtype=np.int64)
+            parent[active] = np.where(better, nw, np.int64(-1))
+            parents.append(parent)
+        vals[active] = np.where(better, nv, cur)
+        active = active[better.any(axis=1)]
     return vals, parents
 
 
@@ -733,7 +752,7 @@ def hop_bounded_product(A, g, h, delta=1, want_paths=True, product=None):
     kernel = _hop_operator(g, product).kernel(left=False)
     vals, parents = _run_hop_recurrence(
         a0, h, lambda v: kernel.step(v, delta, want_paths))
-    return HopProduct(WeightMatrix(vals, copy=False), parents)
+    return HopProduct(WeightMatrix(vals, copy=False), parents, h)
 
 
 def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
@@ -750,7 +769,7 @@ def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
     kernel = _hop_operator(g, product).kernel(left=True)
     vals, parents = _run_hop_recurrence(
         a.T, h, lambda v: kernel.step(v, delta, want_paths))
-    return HopProduct(WeightMatrix(vals.T, copy=False), parents, reversed_paths=True)
+    return HopProduct(WeightMatrix(vals.T, copy=False), parents, h, reversed_paths=True)
 
 
 def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True,

@@ -586,6 +586,73 @@ def test_randomized_low_constant_mostly_correct():
     assert fails <= 6
 
 
+def test_full_base_replay_runs_no_level_product(monkeypatch):
+    # at h=4 and the default constant every sampling rate is 1: every level
+    # is V, and the replay returns its squared base without a level product
+    levels = []
+    level_products = ap._level_products
+
+    def spy(op, delta, s_cur, *args):
+        levels.append(s_cur.size)
+        return level_products(op, delta, s_cur, *args)
+
+    monkeypatch.setattr(ap, "_level_products", spy)
+    rng = np.random.default_rng(74)
+    for t, low in enumerate((0, -3, 0, -3)):
+        g = random_node_weighted_graph(20, rng, low=low, high=12)
+        assert all(s.size == 20 for s in ap.sample_pivots(20, 4, rng).levels)
+        mp.reset_counters()
+        got = ap.solve_apsp(g, "nw-rand", h=4, rng=np.random.default_rng(t))
+        assert got == ap.apsp_oracle(g)
+        # one hop product, the base of 2^L = 4 hops
+        assert mp.snapshot_counters()["hop_iterations"] <= 4
+    assert levels == []
+    # sampled levels (rates below 1) still run every level
+    g = random_node_weighted_graph(20, rng)
+    ap.solve_apsp(g, "nw-rand", h=8, rng=np.random.default_rng(0), constant=0.5)
+    assert len(levels) == 3
+
+
+def test_bridging_replay_reuses_step_two_products(monkeypatch):
+    # the replay's m1 terms D^{<=2^(l+1)}[S_l, S_l] are step 2's: inside the
+    # replay the right products are the base and each level's m2 alone
+    in_replay, hops = [False], []
+    replay, right_product = ap._replay, ap.hop_bounded_product
+
+    def replay_spy(*args):
+        in_replay[0] = True
+        try:
+            return replay(*args)
+        finally:
+            in_replay[0] = False
+
+    def product_spy(a, g, h, *args, **kwargs):
+        if in_replay[0]:
+            hops.append(h)
+        return right_product(a, g, h, *args, **kwargs)
+
+    monkeypatch.setattr(ap, "_replay", replay_spy)
+    monkeypatch.setattr(ap, "hop_bounded_product", product_spy)
+    rng = np.random.default_rng(75)
+    graphs = [random_node_weighted_graph(20, rng, low=0, high=12),
+              random_dweights_graph(20, 3, rng, low=-1, promise="in")]
+    for g in graphs:
+        g2, remap = ap.eliminate_negative_cycles(g)
+        for product in (None, mp.min_plus_naive):
+            hops.clear()
+            state = ap.BridgingState()
+            got = ap.deterministic_pivot_apsp(g2, 4, 4, product=product, state=state)
+            assert remap.decode(got) == ap.apsp_oracle(g)
+            assert state.levels[-1].size < g2.n  # the levels run
+            assert hops == [16, 2, 1]
+            # without step 2's terms the replay computes D^{<=4}[S_1, V] and
+            # D^{<=2}[S_0, V] itself, with the same result
+            hops.clear()
+            op = mp.HopOperator(g2, product)
+            assert replay_spy(op, state.levels, state.s_star, 16, 1, 4) == got
+            assert hops == [16, 4, 2, 2, 1]
+
+
 def test_bridging_state_q_path_bounds():
     # after step 2 every stored Q path has hop-length <= 3*2^L and weight
     # at most the 2^L-hop-bounded distance of its endpoints, and S* hits

@@ -141,6 +141,34 @@ def test_audit_empty_graph_and_repeated_edges():
     assert audit_distinct_weights(g) == (2, 1)
 
 
+def audit_set_reference(g):
+    """Per-node distinct weights by Python sets: (max_out, max_in)."""
+    outs = [set() for _ in range(g.n)]
+    ins = [set() for _ in range(g.n)]
+    for u, v, w in g.edges():
+        outs[u].add(w)
+        ins[v].add(w)
+    return max(map(len, outs), default=0), max(map(len, ins), default=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_matches_set_reference_near_guard(seed):
+    # weights next to +-GUARD, where a combined node-and-weight key would
+    # overflow, and duplicate edges, on graphs down to n = 0 and n = 1
+    rng = np.random.default_rng(seed)
+    top = int(GUARD) - 1
+    palette = np.array([-top, -top + 1, -1, 0, 1, top - 1, top], dtype=np.int64)
+    for n in (0, 1, 2, 7):
+        m = int(rng.integers(0, 3 * n * n + 2)) if n else 0
+        edges = np.column_stack([rng.integers(0, max(n, 1), m),
+                                 rng.integers(0, max(n, 1), m),
+                                 rng.choice(palette, m)]).astype(np.int64)
+        edges = np.concatenate([edges, edges[:m // 2]])
+        g = EdgeWeightedGraph(n, edges)
+        assert audit_distinct_weights(g) == audit_set_reference(g), (seed, n)
+        assert audit_distinct_weights(g.reverse()) == audit_set_reference(g)[::-1]
+
+
 def occurrence_reference(m, absent):
     """Per-row np.unique statistics: the loop occurrence_stats replaces."""
     count = np.zeros(m.shape, dtype=np.int64)

@@ -860,10 +860,18 @@ def test_hop_products_edge_cases(name):
     a = rand_matrix(rng, 3, n, inf_p=0.3, lo=-4, hi=9)
     one = build_one_hop_matrix(g)
     offdiag = mp.one_hop_offdiag(g)
+    # h rounds of the reference, and the rounds the row frontier runs: every
+    # round through the first that improves no entry
+    rounds = 0
     want_right, want_left = a, a.transpose()
+    moving_right = moving_left = True
     for _ in range(h):
-        want_right = mp.min_plus_naive(want_right, one)
-        want_left = mp.min_plus_naive(one, want_left)
+        next_right = mp.min_plus_naive(want_right, one)
+        next_left = mp.min_plus_naive(one, want_left)
+        rounds += moving_right + moving_left
+        moving_right &= not np.array_equal(next_right.data, want_right.data)
+        moving_left &= not np.array_equal(next_left.data, want_left.data)
+        want_right, want_left = next_right, next_left
     for want_paths in (True, False):
         mp.reset_counters()
         right = mp.hop_bounded_product(a, g, h, delta=2, want_paths=want_paths)
@@ -871,7 +879,7 @@ def test_hop_products_edge_cases(name):
                                            want_paths=want_paths)
         counts = mp.snapshot_counters()
         # every step, whatever the one-hop matrix, is one d-weights product
-        assert counts["d_weights_min_plus"] == counts["hop_iterations"] == 2 * h, name
+        assert counts["d_weights_min_plus"] == counts["hop_iterations"] == rounds, name
         assert counts["boolean_min_plus"] == 0, name
         assert right.values == want_right, name
         assert left.values == want_left, name
@@ -894,6 +902,88 @@ def test_hop_products_edge_cases(name):
                     w = sum(int(offdiag[x, y]) for x, y in zip(q, q[1:])) + int(a.data[i, q[-1]])
                     assert q[0] == v and len(q) - 1 <= h
                     assert w == want_left.data[v, i], name
+
+
+def full_round_reference(a, onehop, h):
+    """h rounds of vals = min(vals, vals * onehop) that step every row in
+    every round, with min_plus_naive: the hop recurrence without its row
+    frontier.  Each round's parent matrix holds the smallest k that attains
+    a strictly improved entry, else -1."""
+    vals, parents = a.copy(), []
+    for _ in range(h):
+        prod = mp.min_plus_naive(vals, onehop).data
+        finite = (vals != POS_INF)[:, :, None] & (onehop != POS_INF)[None]
+        sums = np.where(finite, vals[:, :, None] + onehop[None], POS_INF)
+        better = prod < vals
+        parents.append(np.where(better, (sums == prod[:, None, :]).argmax(axis=1), -1))
+        vals = np.where(better, prod, vals)
+    return vals, parents
+
+
+def negative_edge_graphs():
+    """A node-weighted and a d-weights graph with negative edges and no
+    negative cycle.  In the node-weighted one no edge joins two of the
+    negative nodes (weights -3..-1) and the others weigh 3..8, so every cycle
+    weighs at least 0; the d-weights one has its negative cycles contracted."""
+    rng = np.random.default_rng(70)
+    n = 16
+    weights = rng.integers(3, 9, size=n)
+    negative = rng.random(n) < 0.3
+    weights[negative] = rng.integers(-3, 0, size=negative.sum())
+    node_edges = [(u, v) for u in range(n) for v in range(n)
+                  if rng.random() < 0.2 and not (negative[u] and negative[v])]
+    graphs = {
+        "node": node_weighted_graph(n, node_edges, weights),
+        "dweights": apsp.eliminate_negative_cycles(
+            rand_edge_graph(rng, n, 3, p=0.2, lo=-2, hi=9))[0],
+    }
+    for g in graphs.values():
+        assert g.n == n and (g.edge_array[:, 2] < 0).any()
+        assert apsp.eliminate_negative_cycles(g)[1].identity
+    return graphs
+
+
+@pytest.mark.parametrize("h", [1, 2, 4, 8])
+def test_row_frontier_matches_full_rounds(h, monkeypatch):
+    stepped = []  # rows of every kernel or solver step
+    kernel = mp.d_weights_min_plus
+
+    def counted(a, *args, **kwargs):
+        stepped.append(np.shape(a)[0])
+        return kernel(a, *args, **kwargs)
+
+    def solver(x, y):
+        stepped.append(x.rows)
+        return mp.min_plus_naive(x, y)
+
+    monkeypatch.setattr(mp, "d_weights_min_plus", counted)
+    stopped = 0
+    for name, g in negative_edge_graphs().items():
+        rng = np.random.default_rng(71 + h)
+        a = rand_matrix(rng, 6, g.n, inf_p=0.7, lo=-3, hi=9).data.copy()
+        a[1] = POS_INF  # a row that never steps after the first round
+        a[2] = mp.trivial_rows([3], g.n)[0]
+        onehop = mp.one_hop_offdiag(g)
+        for product in (None, solver):
+            stepped.clear()
+            right = mp.hop_bounded_product(a, g, h, delta=2, product=product)
+            left = mp.hop_bounded_product_left(g, a.T, h, delta=2, product=product)
+            # the first round steps all 6 rows of each side; the all-inf row
+            # improves nothing, so later rounds step fewer
+            assert stepped[0] == 6 and (h == 1 or sum(stepped) < 2 * 6 * h), (name, h)
+            for side, got, m in (("right", right, onehop), ("left", left, onehop.T)):
+                vals, parents = full_round_reference(a, m, h)
+                if side == "left":
+                    want = mp.HopProduct(WeightMatrix(vals.T), parents, h, reversed_paths=True)
+                else:
+                    want = mp.HopProduct(WeightMatrix(vals), parents, h)
+                assert got.values == want.values, (name, side, h)
+                i, j = np.nonzero(want.values.data != POS_INF)
+                for x, y in zip(got.paths(i, j), want.paths(i, j)):
+                    assert np.array_equal(x, y), (name, side, h)
+                stopped += len(got._parents) < h
+    if h == 8:  # the recurrence ran out of improving rows before round h
+        assert stopped > 0
 
 
 def backtrace_loop_reference(prod, i, j):
