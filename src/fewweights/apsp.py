@@ -264,32 +264,33 @@ def greedy_hitting_set(paths, n):
 # the kernel's place.
 # ----------------------------------------------------------------------------
 
-def _level_products(op, delta, s_cur, s_next, d_next, hl, want_paths):
+def _level_products(op, s_cur, s_next, d_next, hl, want_paths):
     """The two bridging hop products of one level, S = s_cur, S' = s_next.
 
     m2 = d_next * D^{<=hl}[S', V] for distances d_next over S' x S', and
     m3 = D^{<=hl}[V, S'] * m2[S', S].  The level's distances are
     min(m1[:, S], m3[S, :]), where the caller supplies m1, the level's
-    direct bounded-hop distances D^{<=2^(l + m1_shift)}[S, V].
+    direct bounded-hop distances D^{<=k}[S, V] for some k >= hl.
     """
     n = op.n
     a2 = np.full((s_next.size, n), POS_INF, dtype=np.int64)
     a2[:, s_next] = d_next
-    m2 = hop_bounded_product(a2, op, hl, delta, want_paths=want_paths)
+    m2 = hop_bounded_product(a2, op, hl, want_paths=want_paths)
     a3 = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
     a3[s_next, :] = m2.values.data[:, s_cur]
-    m3 = hop_bounded_product_left(op, a3, hl, delta, want_paths=want_paths)
+    m3 = hop_bounded_product_left(op, a3, hl, want_paths=want_paths)
     return m2, m3
 
 
-def _replay(op, levels, base_set, base_hops, m1_shift, delta, m1=None):
+def _replay(op, levels, base_set, base_hops, m1=None):
     """Distances over V from pivot levels S_0 = V, ..., S_L.
 
     The base squares D^{<=base_hops}[B, B] for a sorted base set B holding
     S_L and restricts it to S_L; level l = L-1, ..., 0 then takes
-    min(D^{<=2^(l + m1_shift)}[S_l, S_l], D^{<=2^l} * D_{l+1} * D^{<=2^l})
-    through S_{l+1}.  m1, when given, holds those first terms per level,
-    already computed by the caller, and no level recomputes them.
+    min(m1[l], D^{<=2^l} * D_{l+1} * D^{<=2^l}) through S_{l+1}, where
+    m1[l] is a direct bounded-hop term D^{<=k}[S_l, S_l] with k >= 2^l.
+    The caller may hand in m1, already computed (the bridging solver's step
+    2 gives k = 2^(l+1)); else each level computes D^{<=2^l}[S_l, S_l].
 
     When every level is all of V, so is B, and the squared base is the
     answer: with no negative cycle, ceil(log2 n) squarings of D^{<=k}
@@ -299,7 +300,7 @@ def _replay(op, levels, base_set, base_hops, m1_shift, delta, m1=None):
     V, each level would return the exact distances it was given.
     """
     n = op.n
-    base = hop_bounded_product(trivial_rows(base_set, n), op, base_hops, delta,
+    base = hop_bounded_product(trivial_rows(base_set, n), op, base_hops,
                                want_paths=False).values.data
     d_cur = _repeated_square(base[:, base_set], _min_plus)
     if all(s.size == n for s in levels):
@@ -309,11 +310,11 @@ def _replay(op, levels, base_set, base_hops, m1_shift, delta, m1=None):
     for ell in range(len(levels) - 2, -1, -1):
         s_cur = levels[ell]
         if m1 is None:
-            w1 = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + m1_shift),
-                                     delta, want_paths=False).values.data[:, s_cur]
+            w1 = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** ell,
+                                     want_paths=False).values.data[:, s_cur]
         else:
             w1 = m1[ell]
-        _, m3 = _level_products(op, delta, s_cur, levels[ell + 1], d_cur, 2 ** ell, False)
+        _, m3 = _level_products(op, s_cur, levels[ell + 1], d_cur, 2 ** ell, False)
         d_cur = np.minimum(w1, m3.values.data[s_cur, :])
     return DistanceMatrix(d_cur, copy=False)
 
@@ -337,7 +338,7 @@ class BridgingState:
         self.exact_path_counts = []
 
 
-def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
+def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     """Bridging-set APSP (no randomness) on a negative-cycle-free graph.
 
     Hop products step against the one-hop matrix by the d-weights kernel
@@ -366,10 +367,10 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        right = hop_bounded_product(trivial_rows(s_cur, n), op, hl, delta)
+        right = hop_bounded_product(trivial_rows(s_cur, n), op, hl)
         a_left = np.full((n, s_cur.size), POS_INF, dtype=np.int64)
         a_left[s_cur, np.arange(s_cur.size)] = 0
-        left = hop_bounded_product_left(op, a_left, hl, delta)
+        left = hop_bounded_product_left(op, a_left, hl)
         rows, cols = np.nonzero(right.values.data != POS_INF)
         r_nodes, r_hops = right.paths(rows, cols)
         rows, cols = np.nonzero(left.values.data.T != POS_INF)
@@ -386,7 +387,7 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
     # per level, 3*2^L - 2 in all, so every splice fits in width columns
     width = 3 * hl + 1
     s_last = levels[big_l]
-    base = hop_bounded_product(trivial_rows(s_last, n), op, hl, delta)
+    base = hop_bounded_product(trivial_rows(s_last, n), op, hl)
     q_w = base.values.data[:, s_last]
     q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
     rows, cols = np.nonzero(q_w != POS_INF)
@@ -397,8 +398,8 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + 1), delta)
-        m2, m3 = _level_products(op, delta, s_cur, s_next, q_w, 2 ** ell, True)
+        ri = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + 1))
+        m2, m3 = _level_products(op, s_cur, s_next, q_w, 2 ** ell, True)
         w1 = m1[ell] = ri.values.data[:, s_cur]
         w2 = m3.values.data[s_cur, :]
         new_nodes = np.full(w1.shape + (width,), -1, dtype=np.int64)
@@ -428,15 +429,15 @@ def deterministic_pivot_apsp(g, h, delta=1, product=None, state=None):
 
     # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*], with
     # step 2's m1 terms.
-    return _replay(op, levels, s_star, 4 * hl, 1, delta, m1)
+    return _replay(op, levels, s_star, 4 * hl, m1)
 
 
-def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
-               promise=None, constant=DEFAULT_SAMPLING_CONSTANT):
+def solve_apsp(g, algo="nw-det", h=None, *, rng=None, d=None, promise=None,
+               constant=DEFAULT_SAMPLING_CONSTANT):
     """APSP by the oracle or a pivot solver; the one entry of the pivot solvers.
 
     The pivot solvers eliminate negative cycles, solve, and decode -inf.
-    h defaults to default_hop_parameter(n) and delta to h.  "nw-rand"
+    h defaults to default_hop_parameter(n).  "nw-rand"
     replays pivot levels sampled from rng (default: seed 0); "nw-det" and
     "dweights" run the bridging-set solver.  "dweights" audits at most d
     distinct weights per node on the promised side ("out" when promise is
@@ -454,21 +455,17 @@ def solve_apsp(g, algo="nw-det", h=None, delta=None, rng=None, d=None,
         raise ValueError("promise applies to the dweights solver only")
     promise = "out" if promise is None else promise
     h = default_hop_parameter(g.n) if h is None else h
-    delta = h if delta is None else delta
     rng = np.random.default_rng(0) if rng is None else rng
     if h < 1:
         raise ValueError("h must be >= 1")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     if algo == "dweights":
         require_distinct_weights(g, d, promise)
     g2, remap = eliminate_negative_cycles(g)
     if algo == "nw-rand":
         levels = sample_pivots(g2.n, h, rng, constant).levels
-        dist = _replay(HopOperator(g2), levels, levels[-1], 2 ** (len(levels) - 1),
-                       0, delta)
+        dist = _replay(HopOperator(g2), levels, levels[-1], 2 ** (len(levels) - 1))
     elif algo == "dweights" and promise == "out":
-        dist = deterministic_pivot_apsp(g2.reverse(), h, delta).data.T
+        dist = deterministic_pivot_apsp(g2.reverse(), h).data.T
     else:
-        dist = deterministic_pivot_apsp(g2, h, delta)
+        dist = deterministic_pivot_apsp(g2, h)
     return remap.decode(dist)

@@ -80,25 +80,25 @@ def _dweights_row(algo, n, d, seed, xs, op, product):
             "wall_ns": total // len(xs), "ok": ok}
 
 
-def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
+def bench_minplus_crossover(n, seeds, *, row_fraction=8):
     """The d-weights kernel, and its 0/+inf case, vs the naive product.
 
     boolean_min_plus (the kernel on a boolean B's 0/+inf operand, built per
-    call) runs at several bucket counts in the node-weighted product shape:
-    s = n/row_fraction rows against a boolean n x n matrix (naive runs on
-    the 0/w equivalent matrix).  The minplus-naive row is ok
-    when the naive product equals boolean_min_plus at the smallest delta
-    plus the column weights, on A and on A with its finite entries shifted
-    by 2^40, so that both dtypes of min_plus_naive are checked against an
-    independent kernel; its time is that of the unshifted product.  A
-    boolean row is ok when it equals the naive product.
+    call) runs in the node-weighted product shape: s = n/row_fraction rows
+    against a boolean n x n matrix (naive runs on the 0/w equivalent
+    matrix).  The minplus-naive row is ok when the naive product equals
+    boolean_min_plus plus the column weights, on A and on A with its finite
+    entries shifted by 2^40, so that both dtypes of min_plus_naive are
+    checked against an independent kernel; its time is that of the
+    unshifted product.  The boolean-minplus row is ok when it equals the
+    naive product.
 
-    d_weights_min_plus runs at the smallest delta against a dense n x n
-    matrix with at most 4 distinct entries per column (d = 4), through one
-    prepared operand used for two s-row products, so its cost rule picks
-    the route.  Each of its two routes, dweights-gather and dweights-bucket,
-    runs the same two products against that matrix and against a sparse one
-    with many distinct entries per column (reported as d = n).  A d-weights
+    d_weights_min_plus runs against a dense n x n matrix with at most 4
+    distinct entries per column (d = 4), through one prepared operand used
+    for two s-row products, so its cost rule picks the route.  Each of its
+    two routes, dweights-gather and dweights-bucket, runs the same two
+    products against that matrix and against a sparse one with many
+    distinct entries per column (reported as d = n).  A d-weights
     row is ok when both products match the naive product, witnesses
     included, and its time is the mean of the two.
     """
@@ -119,28 +119,26 @@ def bench_minplus_crossover(n, seeds, deltas=(8, 16, 32, 64), row_fraction=8):
         shifted = WeightMatrix(np.where(a.data == POS_INF, POS_INF, a.data + 2**40))
         ok = all(np.array_equal(
             naive.data,
-            plus_w(mp.boolean_min_plus(x, adj, min(deltas), return_witnesses=False)[0].data))
+            plus_w(mp.boolean_min_plus(x, adj, return_witnesses=False)[0].data))
             for x, naive in ((a, want),
                              (shifted, mp.min_plus_naive(shifted, WeightMatrix(bmat)))))
         rows.append({"algo": "minplus-naive", "n": n, "d": 1, "seed": seed,
                      "wall_ns": t_naive, "ok": ok})
-        for delta in deltas:
-            (got, wit), t_k = _timed(lambda: mp.boolean_min_plus(a, adj, delta))
-            ok = bool(np.array_equal(plus_w(got.data), want.data))
-            rows.append({"algo": f"boolean-minplus-d{delta}", "n": n, "d": 1,
-                         "seed": seed, "wall_ns": t_k, "ok": ok})
+        (got, _), t_k = _timed(lambda: mp.boolean_min_plus(a, adj))
+        ok = bool(np.array_equal(plus_w(got.data), want.data))
+        rows.append({"algo": "boolean-minplus", "n": n, "d": 1, "seed": seed,
+                     "wall_ns": t_k, "ok": ok})
         dense = mp.DWeightsOperand(_dense_palette(n, rng), d=4)
         xs = (a, random_weight_matrix(s, n, rng, low=-n, high=n, inf_density=0.1))
         sparse = mp.DWeightsOperand(_sparse_many_values(n, rng))
         rows.append(_dweights_row("dweights-minplus", n, 4, seed, xs, dense,
                                   lambda x: mp.d_weights_min_plus(
-                                      x, dense, min(deltas), return_witnesses=True)))
+                                      x, dense, return_witnesses=True)))
         for op, d in ((dense, 4), (sparse, n)):
             rows.append(_dweights_row("dweights-gather", n, d, seed, xs, op,
                                       lambda x: mp._dweights_gather(x.data, op, True)))
             rows.append(_dweights_row("dweights-bucket", n, d, seed, xs, op,
-                                      lambda x: mp._dweights_bucketed(x.data, op, min(deltas),
-                                                                      True)))
+                                      lambda x: mp._dweights_bucketed(x.data, op, True)))
     return rows
 
 

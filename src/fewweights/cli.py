@@ -229,9 +229,8 @@ _MINPLUS_ALGOS = ("minplus-naive", "minplus-dweights")
 
 def _run_graph(args, rng):
     g = load_graph(args.input)
-    dist = solve_apsp(g, args.algo, h=args.h, delta=args.delta, rng=rng,
-                      d=args.d, promise=args.promise_dir,
-                      constant=args.constant)
+    dist = solve_apsp(g, args.algo, h=args.h, rng=rng, d=args.d,
+                      promise=args.promise_dir, constant=args.constant)
     ref = apsp_oracle(g) if (args.verify and args.algo != "oracle") else None
     return dist, (None if ref is None else bool(np.array_equal(dist.data, ref.data))), g.n
 
@@ -260,7 +259,7 @@ def _run_minplus(args, rng):
     if args.algo == "minplus-naive":
         res = mp.min_plus_naive(a, b)
     else:
-        res = mp.d_weights_min_plus(a, b, args.delta or 1, d=args.d)
+        res = mp.d_weights_min_plus(a, b, d=args.d)
     ok = None
     if args.verify and args.algo != "minplus-naive":
         ok = bool(res == mp.min_plus_naive(a, b))
@@ -268,6 +267,8 @@ def _run_minplus(args, rng):
 
 
 def cmd_run(args):
+    if args.delta is not None and args.algo != "aete-few-weights":
+        raise ValueError("--delta applies to aete-few-weights only")
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -423,7 +424,9 @@ def build_parser():
     r.add_argument("--out", default="out")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--h", type=int, default=None)
-    r.add_argument("--delta", type=int, default=None)
+    r.add_argument("--delta", type=int, default=None,
+                   help="split parameter of aete-few-weights (default: from n and "
+                        "--delta-exp); other algorithms reject it")
     r.add_argument("--d", type=int, default=None)
     r.add_argument("--K", type=int, default=1)
     r.add_argument("--delta-exp", dest="delta_exp", type=float, default=21.0)

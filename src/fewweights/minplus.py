@@ -19,15 +19,17 @@ its top bit, that k itself.  The segment gather: each row of A is added to
 B's finite entries, sorted by column, and one minimum.reduceat over the
 columns takes the minimum.  A cost rule picks the route per product from
 B's counts (finite entries, column slots) and the call's shape (rows of A,
-n, delta, witnesses or not): the gather wins on sparse B or many values
-per column, the bucket product on dense B with few.  boolean_min_plus is
-the kernel's 0/+inf case: B's pattern as 0 where True and +inf elsewhere,
-one slot per nonempty column.
+n, witnesses or not): the gather wins on sparse B or many values per
+column, the bucket product on dense B with few.  The bucket count is
+ceil(n/24), the fewest buckets of at most 24 positions; the kernel takes no
+parameter for it.  boolean_min_plus is the kernel's 0/+inf case: B's
+pattern as 0 where True and +inf elsewhere, one slot per nonempty column.
 
-All kernels are pure functions; for a fixed input the result is identical
-regardless of the bucket count.  A HopOperator builds a graph's one-hop
-matrix, and each hop-product side's prepared kernel operand, once for all
-the hop products of a solve.  A hop product's recurrence runs over a row
+All kernels are pure functions, and both routes give the same values and
+witnesses.  A HopOperator builds a graph's one-hop matrix, and each
+hop-product side's prepared kernel operand, once for all the hop products
+of a solve; a min-plus solver `product` given to the operator takes the
+kernel's place.  A hop product's recurrence runs over a row
 frontier: a round steps only the rows that strictly improved in the round
 before, and the recurrence stops when no row is left, since row i of
 X * M depends on row i of X alone.
@@ -226,12 +228,17 @@ def _scaled_keys(a, want_witnesses, name):
     return keys, int(scale)
 
 
-def _bucketed_min_keys(a, bt, delta, want_witnesses):
+def _bucket_count(n):
+    """Buckets of the bucket product over n sorted positions: ceil(n/24), at least 1."""
+    return max(1, -(-n // _BUCKET_BITS))
+
+
+def _bucketed_min_keys(a, bt, want_witnesses):
     """Smallest sort key of A[i, k] over the k with bt[j, k] > 0, per (i, j).
 
     bt is the float32 0/1 target indicator, transposed: one row per target.
     Each row of A is sorted by key (n*A[i, k]+k when witnesses are wanted)
-    and cut into nb = max(delta, ceil(n/24)) buckets of bs = ceil(n/nb) <= 24
+    and cut into nb = _bucket_count(n) buckets of bs = ceil(n/nb) <= 24
     positions.  The finite entry at position p of its bucket is written as
     2^(bs-1-p) into the float32 bucket indicator, and one BLAS product
     against bt gives, per (i, j) and bucket, the sum of the powers of its
@@ -245,8 +252,8 @@ def _bucketed_min_keys(a, bt, delta, want_witnesses):
     unique; without them tied keys are equal values and only the value is
     returned, so the sort need not be stable.
 
-    Cost: the product takes Theta(s*T*n*max(delta, n/24)) multiply-adds for
-    s rows of A and T targets.  Rows of A go through it in blocks whose
+    Cost: the product takes Theta(s*T*n*nb) multiply-adds, about s*T*n^2/24,
+    for s rows of A and T targets.  Rows of A go through it in blocks whose
     indicator and product hold at most _BUCKET_CELLS cells each, so the
     working memory beyond the (s, n) sort and the (s, T) result stays
     bounded.  The gathers index the flattened arrays.  Returns the key
@@ -255,7 +262,7 @@ def _bucketed_min_keys(a, bt, delta, want_witnesses):
     s, n = a.shape
     t = bt.shape[0]
     keys, scale = _scaled_keys(a, want_witnesses, "A")
-    nb = max(delta, -(-n // _BUCKET_BITS))
+    nb = _bucket_count(n)
     bs = -(-n // nb)
     order = np.argsort(keys, axis=1)
     row_start = np.arange(0, s * n, n)[:, None]
@@ -362,7 +369,7 @@ def _unreached(s, m):
             np.full((s, m), -1, dtype=np.int64))
 
 
-def _dweights_bucketed(a, B, delta, want_witnesses):
+def _dweights_bucketed(a, B, want_witnesses):
     """The d-weights product by one bit-packed bucket product over B's slots.
 
     The bucket product finds, per (row, slot), the best k whose B entry in
@@ -375,7 +382,7 @@ def _dweights_bucketed(a, B, delta, want_witnesses):
     s, n = a.shape
     if s == 0 or B.erow.size == 0:
         return _unreached(s, B.shape[1])
-    out_key, scale = _bucketed_min_keys(a, B.bt, delta, want_witnesses)
+    out_key, scale = _bucketed_min_keys(a, B.bt, want_witnesses)
     hit = out_key != POS_INF
     aval = out_key  # +inf off the hits, where the sum below is masked
     if want_witnesses:
@@ -438,7 +445,7 @@ def _dweights_gather(a, B, want_witnesses):
     return out, wit
 
 
-def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
+def d_weights_min_plus(A, B, *, d=None, return_witnesses=False):
     """Rectangular min-plus product for B with few distinct entries per column.
 
     Two routes give the same values and witnesses.  The bucketed route
@@ -452,8 +459,8 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     result is +inf.  This is the library's one min-plus kernel:
     boolean_min_plus and every hop step without a solver `product` run it.
 
-    Cost rule: for s rows of A, n = B's rows and nb = max(delta, ceil(n/24))
-    buckets, the modelled costs in ns are
+    Cost rule: for s rows of A, n = B's rows and nb = ceil(n/24) buckets
+    (at least 1), the modelled costs in ns are
       gather:   s*nnz*g, with g = 6 with witnesses and 2.5 without;
       bucketed: 32000 + s*(64*n + T*(24 + nb*(4 + n/64))), i.e. fixed
                 work, the sort of A, the per-slot and per-bucket passes, and
@@ -471,42 +478,39 @@ def d_weights_min_plus(A, B, delta, d=None, return_witnesses=False):
     palette at n = 128 and 512, with witnesses) stays on the bucketed
     route.
     """
-    a = _checked_a(A, B, delta)
+    a = _checked_a(A, B)
     if isinstance(B, DWeightsOperand):
         _audit_column_counts(B.counts, d)
     else:
         B = DWeightsOperand(B, d)
     counters["d_weights_min_plus"] += 1
-    out, wit = _dweights_product(a, B, delta, return_witnesses)
+    out, wit = _dweights_product(a, B, return_witnesses)
     if return_witnesses:
         return WeightMatrix(out, copy=False), wit
     return WeightMatrix(out, copy=False)
 
 
-def _checked_a(A, B, delta):
-    """A's validated data, after the shape and delta checks of a product A x B."""
+def _checked_a(A, B):
+    """A's validated data, after the shape check of a product A x B."""
     a = _as_data(A)
     shape = np.shape(B)  # a DWeightsOperand and a WeightMatrix have .shape
     if a.ndim != 2 or len(shape) != 2 or a.shape[1] != shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {shape}")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     _validate_operand(a, "A")
     return a
 
 
-def _dweights_product(a, B, delta, want_witnesses):
+def _dweights_product(a, B, want_witnesses):
     """A checked A times a prepared B on the route of d_weights_min_plus's cost rule."""
     s, n = a.shape
-    delta = max(1, min(int(delta), max(n, 1)))
-    nb = max(delta, -(-n // _BUCKET_BITS))
+    nb = _bucket_count(n)
     gather = s * B.erow.size * (6 if want_witnesses else 2.5)
     if gather < 32000 + s * (64 * n + B.slot_val.size * (24 + nb * (4 + n / 64))):
         return _dweights_gather(a, B, want_witnesses)
-    return _dweights_bucketed(a, B, delta, want_witnesses)
+    return _dweights_bucketed(a, B, want_witnesses)
 
 
-def boolean_min_plus(A, B, delta, return_witnesses=True):
+def boolean_min_plus(A, B, *, return_witnesses=True):
     """Rectangular boolean min-plus product (A (*) B) with witnesses.
 
     result[i, j] = min{A[i, k] : B[k, j]}, +inf when no k qualifies.  This
@@ -516,9 +520,9 @@ def boolean_min_plus(A, B, delta, return_witnesses=True):
     -1 where the result is +inf or no witnesses are asked for.
     """
     b = np.asarray(B, dtype=bool)
-    a = _checked_a(A, b, delta)
+    a = _checked_a(A, b)
     counters["boolean_min_plus"] += 1
-    out, wit = _dweights_product(a, DWeightsOperand(np.where(b, 0, POS_INF)), delta,
+    out, wit = _dweights_product(a, DWeightsOperand(np.where(b, 0, POS_INF)),
                                  return_witnesses)
     return WeightMatrix(out, copy=False), wit
 
@@ -656,7 +660,7 @@ class _HopKernel:
         self.operand = DWeightsOperand(
             onehop if self.shift is None else np.where(finite, 0, POS_INF))
 
-    def step(self, vals, delta, want_paths):
+    def step(self, vals, want_paths):
         """The product vals * onehop and its witnesses (None without paths).
 
         The kernel is looked up by its module name on every call.
@@ -667,7 +671,7 @@ class _HopKernel:
             return prod, wit
         if self.shift is not None:
             vals = saturating_add(vals, self.shift[None, :])
-        out = d_weights_min_plus(vals, self.operand, delta, return_witnesses=want_paths)
+        out = d_weights_min_plus(vals, self.operand, return_witnesses=want_paths)
         return (out[0].data, out[1]) if want_paths else (out.data, None)
 
 
@@ -678,12 +682,13 @@ class HopOperator:
     products against M.T.  Each side prepares its operand once, on first
     use: a DWeightsOperand of the side's matrix, or of its 0/+inf pattern
     with the row weights as a shift of X when every row holds one weight,
-    or WeightMatrix(M) for a solver `product`.  It holds n x n arrays, so
+    or WeightMatrix(M) for a solver `product(A, B) -> WeightMatrix`, which
+    then takes the kernel's place in every step.  It holds n x n arrays, so
     it lives no longer than the solve that builds it.
     """
 
     def __init__(self, g, product=None):
-        self.n = g.n
+        self.graph, self.n = g, g.n
         self.product = product
         self._onehop = one_hop_offdiag(g)
         self._sides = {}
@@ -695,13 +700,9 @@ class HopOperator:
         return self._sides[left]
 
 
-def _hop_operator(g, product):
+def _hop_operator(g):
     """g itself when it is a HopOperator, else a HopOperator built from it."""
-    if not isinstance(g, HopOperator):
-        return HopOperator(g, product)
-    if product is not None:
-        raise ValueError("a HopOperator carries its own product")
-    return g
+    return g if isinstance(g, HopOperator) else HopOperator(g)
 
 
 def _smallest_witnesses(vals, onehop, prod):
@@ -735,27 +736,26 @@ def _smallest_witnesses(vals, onehop, prod):
     return wit
 
 
-def hop_bounded_product(A, g, h, delta=1, want_paths=True, product=None):
+def hop_bounded_product(A, g, h, *, want_paths=True):
     """A * D_g^{<=h} for a node- or edge-weighted graph, with witness paths.
 
     One hop step is min(A, A * M) where M is the one-hop matrix without its
-    diagonal, by one d-weights product, and a solver
-    `product(A, B) -> WeightMatrix` can take its place.  g is a graph or a
-    HopOperator built from one.  Values only improve strictly, so recorded
-    paths have minimal hop-length among minimum-weight h-hop-bounded paths.
+    diagonal, by one d-weights product, or by the solver product of a
+    HopOperator(g, product).  g is a graph or a HopOperator built from one.
+    Values only improve strictly, so recorded paths have minimal hop-length
+    among minimum-weight h-hop-bounded paths.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
     a0 = _as_data(A)
     if a0.shape[1] != g.n:
         raise ValueError("A must have one column per node")
-    kernel = _hop_operator(g, product).kernel(left=False)
-    vals, parents = _run_hop_recurrence(
-        a0, h, lambda v: kernel.step(v, delta, want_paths))
+    kernel = _hop_operator(g).kernel(left=False)
+    vals, parents = _run_hop_recurrence(a0, h, lambda v: kernel.step(v, want_paths))
     return HopProduct(WeightMatrix(vals, copy=False), parents, h)
 
 
-def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
+def hop_bounded_product_left(g, A, h, *, want_paths=True):
     """D_g^{<=h} * A, run as the right product A^T * D^{<=h} of the reverse graph.
 
     The recurrence is hop_bounded_product's, stepping against the transposed
@@ -766,17 +766,16 @@ def hop_bounded_product_left(g, A, h, delta=1, want_paths=True, product=None):
         raise ValueError("A must have one row per node")
     if h < 0:
         raise ValueError("h must be >= 0")
-    kernel = _hop_operator(g, product).kernel(left=True)
-    vals, parents = _run_hop_recurrence(
-        a.T, h, lambda v: kernel.step(v, delta, want_paths))
+    kernel = _hop_operator(g).kernel(left=True)
+    vals, parents = _run_hop_recurrence(a.T, h, lambda v: kernel.step(v, want_paths))
     return HopProduct(WeightMatrix(vals.T, copy=False), parents, h, reversed_paths=True)
 
 
-def hop_bounded_product_edge(A, g, h, d=None, delta=1, want_paths=True,
-                             product=None):
-    """hop_bounded_product after auditing at most d distinct incoming weights."""
-    require_distinct_weights(g, d, "in")
-    return hop_bounded_product(A, g, h, delta, want_paths, product)
+def hop_bounded_product_edge(A, g, h, d=None, *, want_paths=True):
+    """hop_bounded_product after auditing the graph for at most d distinct in-weights."""
+    op = _hop_operator(g)
+    require_distinct_weights(op.graph, d, "in")
+    return hop_bounded_product(A, op, h, want_paths=want_paths)
 
 
 def trivial_rows(sources, n):

@@ -83,6 +83,11 @@ def test_criterion_1_apsp_oracle_equivalence():
                      f"({time.time() - t0:.0f}s)")
 
 
+def _values(product):
+    """A public kernel's (WeightMatrix, witnesses) as (array, witnesses)."""
+    return product[0].data, product[1]
+
+
 def test_criterion_2_minplus_kernel_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(7)
@@ -101,21 +106,32 @@ def test_criterion_2_minplus_kernel_equivalence():
                 col = a.data[:, ks]
                 want_bool[:, j] = col.min(axis=1)
         want_cap = mp.min_plus_naive(a, bcap).data
-        for delta in (1, 4, 16):
-            got, wit = mp.boolean_min_plus(a, bbool, delta)
-            assert np.array_equal(got.data, want_bool), (i, delta)
-            ok = got.data != POS_INF
+        # each kernel three times: the public call, on the route its cost
+        # rule picks, then each route forced on one prepared operand
+        bool_op = mp.DWeightsOperand(np.where(bbool, 0, POS_INF))
+        cap_op = mp.DWeightsOperand(bcap)
+        runs = [
+            ("public", lambda: _values(mp.boolean_min_plus(a, bbool)),
+             lambda: _values(mp.d_weights_min_plus(a, bcap, return_witnesses=True))),
+            ("gather", lambda: mp._dweights_gather(a.data, bool_op, True),
+             lambda: mp._dweights_gather(a.data, cap_op, True)),
+            ("bucket", lambda: mp._dweights_bucketed(a.data, bool_op, True),
+             lambda: mp._dweights_bucketed(a.data, cap_op, True)),
+        ]
+        for route, bool_run, cap_run in runs:
+            got, wit = bool_run()
+            assert np.array_equal(got, want_bool), (i, route)
+            ok = got != POS_INF
             ii, jj = np.nonzero(ok)
             kk = wit[ii, jj]
             assert np.all(bbool[kk, jj])
-            assert np.array_equal(a.data[ii, kk], got.data[ii, jj])
-            got2, wit2 = mp.d_weights_min_plus(a, bcap, delta,
-                                               return_witnesses=True)
-            assert np.array_equal(got2.data, want_cap), (i, delta)
-            ii, jj = np.nonzero(got2.data != POS_INF)
+            assert np.array_equal(a.data[ii, kk], got[ii, jj])
+            got2, wit2 = cap_run()
+            assert np.array_equal(got2, want_cap), (i, route)
+            ii, jj = np.nonzero(got2 != POS_INF)
             kk = wit2[ii, jj]
             s_check = a.data[ii, kk] + bcap.data[kk, jj]
-            assert np.array_equal(s_check, got2.data[ii, jj])
+            assert np.array_equal(s_check, got2[ii, jj])
             checked += 2
     _record(2, True, f"{checked} kernel products equal min_plus_naive, "
                      f"witnesses re-evaluate ({time.time() - t0:.0f}s)")
@@ -341,9 +357,8 @@ def test_criterion_7_performance_sanity():
     bmat = WeightMatrix(np.where(adj, np.tile(w, (n, 1)), POS_INF)
                         .astype(np.int64))
     t_minplus = median_time(lambda: mp.min_plus_naive(a, bmat), runs=5)
-    best_kernel = min(median_time(lambda: mp.boolean_min_plus(a, adj, delta),
-                                  runs=5)
-                      for delta in (8, 16, 32))
+    best_kernel = min(median_time(lambda: mp.boolean_min_plus(a, adj), runs=5)
+                      for _ in range(3))
     kernel_ratio = t_minplus / best_kernel
     detail = (f"packed/naive boolean: {bool_ratio:.1f}x (target >=4x); "
               f"bucketed kernel vs naive product: {kernel_ratio:.2f}x "

@@ -592,9 +592,9 @@ def test_full_base_replay_runs_no_level_product(monkeypatch):
     levels = []
     level_products = ap._level_products
 
-    def spy(op, delta, s_cur, *args):
+    def spy(op, s_cur, *args):
         levels.append(s_cur.size)
-        return level_products(op, delta, s_cur, *args)
+        return level_products(op, s_cur, *args)
 
     monkeypatch.setattr(ap, "_level_products", spy)
     rng = np.random.default_rng(74)
@@ -641,16 +641,10 @@ def test_bridging_replay_reuses_step_two_products(monkeypatch):
         for product in (None, mp.min_plus_naive):
             hops.clear()
             state = ap.BridgingState()
-            got = ap.deterministic_pivot_apsp(g2, 4, 4, product=product, state=state)
+            got = ap.deterministic_pivot_apsp(g2, 4, product=product, state=state)
             assert remap.decode(got) == ap.apsp_oracle(g)
             assert state.levels[-1].size < g2.n  # the levels run
             assert hops == [16, 2, 1]
-            # without step 2's terms the replay computes D^{<=4}[S_1, V] and
-            # D^{<=2}[S_0, V] itself, with the same result
-            hops.clear()
-            op = mp.HopOperator(g2, product)
-            assert replay_spy(op, state.levels, state.s_star, 16, 1, 4) == got
-            assert hops == [16, 4, 2, 2, 1]
 
 
 def test_bridging_state_q_path_bounds():
@@ -666,7 +660,7 @@ def test_bridging_state_q_path_bounds():
         one = build_one_hop_matrix(g).data
         h = 4
         state = ap.BridgingState()
-        dist = ap.deterministic_pivot_apsp(g, h, h, state=state)
+        dist = ap.deterministic_pivot_apsp(g, h, state=state)
         assert dist == ap.apsp_oracle(g)
         big_l = 2  # ceil(log2(4))
         hop_cap = 3 * 2 ** big_l
@@ -692,7 +686,7 @@ def test_bridging_state_q_path_bounds():
                                             4).values.data
         for product in (None, mp.min_plus_naive):
             state = ap.BridgingState()
-            dist = ap.deterministic_pivot_apsp(g2, 4, 4, product=product, state=state)
+            dist = ap.deterministic_pivot_apsp(g2, 4, product=product, state=state)
             assert remap.decode(dist) == ap.apsp_oracle(g)
             assert state.q_paths
             for (u, v), (w, path) in state.q_paths.items():
@@ -804,11 +798,11 @@ def test_solve_empty_graph(algo):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("h, delta", [(0, None), (-3, None), (2, 0), (2, -1)])
-def test_solve_rejects_h_and_delta_below_one(algo, h, delta):
+@pytest.mark.parametrize("h", [0, -3])
+def test_solve_rejects_h_below_one(algo, h):
     g = random_node_weighted_graph(6, np.random.default_rng(70))
-    with pytest.raises(ValueError, match="must be >= 1"):
-        ap.solve_apsp(g, algo, h=h, delta=delta)
+    with pytest.raises(ValueError, match="h must be >= 1"):
+        ap.solve_apsp(g, algo, h=h)
 
 
 @pytest.mark.parametrize("d", [2, None])
@@ -831,6 +825,8 @@ def test_promise_audit_message_is_shared():
         (lambda: ap.solve_apsp(g.reverse(), "dweights", h=2, d=1, promise="out"),
          "out-distinct audit failed: 2 > 1"),
         (lambda: mp.hop_bounded_product_edge(a, g, 1, d=1), in_msg),
+        (lambda: mp.hop_bounded_product_edge(a, mp.HopOperator(g, mp.min_plus_naive), 1,
+                                             d=1), in_msg),
         (lambda: red.apsp_from_minplus(g, 1, mp.min_plus_naive, eps=1.0), in_msg),
     ]
     for call, msg in calls:

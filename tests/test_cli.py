@@ -118,6 +118,32 @@ def test_run_promise_dir_outside_dweights_exit_code(tmp_path, algo):
                "--out", tmp_path / "r") == EXIT_OK
 
 
+def test_run_delta_applies_to_aete_few_weights_only(tmp_path):
+    # --delta is the split parameter of aete-few-weights; every other run
+    # algorithm rejects it before writing anything, and takes the same
+    # inputs without it (aete-uniform-regular then rejects this instance,
+    # which is not uniform, as an input error)
+    g, tri, mpl = tmp_path / "g", tmp_path / "tri", tmp_path / "mp"
+    run("gen", "nw-graph", "--n", 8, "--seed", 2, "--out", g)
+    run("gen", "exact-tri", "--n", 12, "--d", 3, "--seed", 5, "--out", tri)
+    run("gen", "minplus", "--n", 6, "--seed", 1, "--out", mpl)
+    inputs = {"graph": ["--input", g / "graph.txt"],
+              "tri": ["--input", tri / "instance.tri"],
+              "minplus": ["--input", mpl / "A.mat", "--input-b", mpl / "B.mat"]}
+    rejected = [("oracle", "graph"), ("nw-det", "graph"), ("nw-rand", "graph"),
+                ("dweights", "graph"), ("aete-brute", "tri"),
+                ("aete-small-doubling", "tri"), ("aete-uniform-regular", "tri"),
+                ("minplus-naive", "minplus"), ("minplus-dweights", "minplus")]
+    for algo, kind in rejected:
+        out = tmp_path / algo
+        assert run("run", algo, *inputs[kind], "--delta", 64,
+                   "--out", out) == EXIT_PARAM, algo
+        assert not out.exists(), algo
+        assert run("run", algo, *inputs[kind], "--out", out) != EXIT_PARAM, algo
+    assert run("run", "aete-few-weights", *inputs["tri"], "--delta", 2, "--verify",
+               "--out", tmp_path / "few") == EXIT_OK
+
+
 def test_param_error_exit_code(tmp_path):
     assert run("run", "no-such-algo", "--input", "x") == EXIT_PARAM
 

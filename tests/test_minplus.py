@@ -196,28 +196,28 @@ def bool_minplus_ref(a, b):
 def test_boolean_min_plus_identity():
     rng = np.random.default_rng(3)
     a = rand_matrix(rng, 5, 5)
-    got, wit = mp.boolean_min_plus(a, np.eye(5, dtype=bool), 2)
+    got, wit = mp.boolean_min_plus(a, np.eye(5, dtype=bool))
     assert got == a
 
 
 def test_boolean_min_plus_all_ones_gives_row_minima():
     rng = np.random.default_rng(4)
     a = rand_matrix(rng, 6, 8, inf_p=0.1)
-    got, _ = mp.boolean_min_plus(a, np.ones((8, 3), dtype=bool), 4)
+    got, _ = mp.boolean_min_plus(a, np.ones((8, 3), dtype=bool))
     mins = np.where(a.finite_mask().any(axis=1),
                     np.min(np.where(a.data == POS_INF, POS_INF, a.data), axis=1),
                     POS_INF)
     assert np.array_equal(got.data, np.tile(mins[:, None], (1, 3)))
 
 
-@pytest.mark.parametrize("delta", [1, 4, 16])
-def test_boolean_min_plus_random(delta):
-    rng = np.random.default_rng(5 + delta)
+@pytest.mark.parametrize("seed", [1, 4, 16])
+def test_boolean_min_plus_random(seed):
+    rng = np.random.default_rng(5 + seed)
     for _ in range(20):
         s, n, t = rng.integers(1, 17, size=3)
         a = rand_matrix(rng, s, n)
         b = rng.random((n, t)) < 0.4
-        got, wit = mp.boolean_min_plus(a, b, delta)
+        got, wit = mp.boolean_min_plus(a, b)
         assert np.array_equal(got.data, bool_minplus_ref(a.data, b))
         for i in range(s):
             for j in range(t):
@@ -226,20 +226,6 @@ def test_boolean_min_plus_random(delta):
                     assert b[k, j] and a.data[i, k] == got.data[i, j]
                 else:
                     assert wit[i, j] == -1
-
-
-def test_boolean_min_plus_delta_independent():
-    rng = np.random.default_rng(9)
-    a = rand_matrix(rng, 8, 16)
-    b = rng.random((16, 16)) < 0.3
-    ref = None
-    for delta in (1, 2, 3, 5, 16, 99):
-        got, wit = mp.boolean_min_plus(a, b, delta)
-        if ref is None:
-            ref = (got, wit)
-        else:
-            assert got == ref[0]
-            assert np.array_equal(wit, ref[1])
 
 
 def min_plus_smallest_witness(a, b):
@@ -260,21 +246,17 @@ def smallest_witness_reference(a, bw):
     return (np.full(shape, POS_INF, dtype=np.int64), np.full(shape, -1, dtype=np.int64))
 
 
-def check_dweights_routes(a, bw, deltas):
+def check_dweights_routes(a, bw):
     """Each private route of d_weights_min_plus, forced, against the references.
 
     Both routes must give the naive values and the smallest witnesses, and
-    all -1 witnesses when none are asked for; the bucketed route at every
-    delta (clamped to [1, n] as the public kernel does).
+    all -1 witnesses when none are asked for.
     """
     want, want_wit = smallest_witness_reference(a, bw)
     assert np.array_equal(want, mp.min_plus_naive(a, bw).data)
     op = mp.DWeightsOperand(bw)
-    n = a.shape[1]
-    runs = [lambda w: mp._dweights_gather(a, op, w)]
-    runs += [lambda w, dl=dl: mp._dweights_bucketed(a, op, max(1, min(dl, n)), w)
-             for dl in deltas]
-    for route in runs:
+    for route in (lambda w: mp._dweights_gather(a, op, w),
+                  lambda w: mp._dweights_bucketed(a, op, w)):
         got, wit = route(True)
         assert np.array_equal(got, want)
         assert np.array_equal(wit, want_wit)
@@ -283,39 +265,38 @@ def check_dweights_routes(a, bw, deltas):
         assert (wit == -1).all()
 
 
-def check_bucketed_kernels(a, b, bw, deltas):
+def check_bucketed_kernels(a, b, bw):
     """Both kernels against the references and the smallest witnesses.
 
-    b is a boolean operand and bw a d-weights one; every delta must give the
-    same values and witnesses.  The routes also run on two one-slot
-    operands: b's 0/+inf pattern, and one weight per column of b with the
-    first column empty.
+    b is a boolean operand and bw a d-weights one.  Both routes also run,
+    forced, on bw and on two one-slot operands: b's 0/+inf pattern, and one
+    weight per column of b with the first column empty.
     """
-    bool_vals, bool_wit = min_plus_smallest_witness(a, np.where(b, 0, POS_INF))
+    bool_vals, bool_wit = smallest_witness_reference(a, np.where(b, 0, POS_INF))
     assert np.array_equal(bool_vals, bool_minplus_ref(a, b))
-    dw_vals, dw_wit = min_plus_smallest_witness(a, bw)
+    dw_vals, dw_wit = smallest_witness_reference(a, bw)
     assert np.array_equal(dw_vals, mp.min_plus_naive(a, bw).data)
-    for delta in deltas:
-        got, wit = mp.boolean_min_plus(a, b, delta)
-        assert np.array_equal(got.data, bool_vals), delta
-        assert np.array_equal(wit, bool_wit), delta
-        got, wit = mp.d_weights_min_plus(a, bw, delta, return_witnesses=True)
-        assert np.array_equal(got.data, dw_vals), delta
-        assert np.array_equal(wit, dw_wit), delta
-    check_dweights_routes(a, bw, deltas)
+    got, wit = mp.boolean_min_plus(a, b)
+    assert np.array_equal(got.data, bool_vals)
+    assert np.array_equal(wit, bool_wit)
+    got, wit = mp.d_weights_min_plus(a, bw, return_witnesses=True)
+    assert np.array_equal(got.data, dw_vals)
+    assert np.array_equal(wit, dw_wit)
+    check_dweights_routes(a, bw)
     uniform = np.where(b, np.arange(b.shape[1]) % 5 - 2, POS_INF)
     uniform[:, :1] = POS_INF
     for one_slot in (np.where(b, 0, POS_INF), uniform):
         op = mp.DWeightsOperand(one_slot)
         assert op.slot_val.size == op.starts.size
-        check_dweights_routes(a, one_slot, deltas)
+        check_dweights_routes(a, one_slot)
 
 
 def test_bucketed_kernels_at_bucket_width_boundaries():
     # buckets hold at most 24 sorted positions: n = 24 and 48 fill them, so
-    # an all-finite row against an all-True column sums to 2^24 - 1
+    # an all-finite row against an all-True column sums to 2^24 - 1; n = 80
+    # cuts rows into 4 buckets, and n = 0 (an empty inner dimension) has 1
     rng = np.random.default_rng(10)
-    for n in (23, 24, 25, 48, 49, 80):
+    for n in (23, 24, 25, 48, 49, 80, 0):
         # few distinct values: repeated and negative keys
         a = rand_matrix(rng, 6, n, inf_p=0.3, lo=-3, hi=3).data.copy()
         a[0] = rng.integers(-3, 3, size=n)
@@ -328,7 +309,7 @@ def test_bucketed_kernels_at_bucket_width_boundaries():
         bw[:, 1] = POS_INF
         for sub_a, sub_b, sub_bw in ((a, b, bw), (a[:1], b, bw),
                                      (a[1:2], b, bw), (a, b[:, :0], bw[:, :0])):
-            check_bucketed_kernels(sub_a, sub_b, sub_bw, (1, 2, 3, 99))
+            check_bucketed_kernels(sub_a, sub_b, sub_bw)
 
 
 @pytest.mark.parametrize("cells", [1, 150, 700])
@@ -344,12 +325,12 @@ def test_bucketed_kernels_in_row_blocks(monkeypatch, cells):
     a[2] = POS_INF
     b = rng.random((50, 9)) < 0.2
     bw = column_capped_matrix(rng, 50, 9, 3, lo=-5, hi=5).data
-    check_bucketed_kernels(a, b, bw, (1, 3))
+    check_bucketed_kernels(a, b, bw)
 
 
 @st.composite
 def bucketed_operands(draw):
-    """(A, boolean B, B with at most d values per column, delta); A has +inf entries."""
+    """(A, boolean B, B with at most d values per column); A has +inf entries."""
     s, n, t = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(0, 5))
     a = draw(hnp.arrays(np.int64, (s, n), elements=st.integers(-2, 2)))
     a[draw(hnp.arrays(bool, (s, n)))] = POS_INF
@@ -357,14 +338,13 @@ def bucketed_operands(draw):
     palette = draw(hnp.arrays(np.int64, (d, t), elements=st.integers(-2, 2)))
     pick = draw(hnp.arrays(np.int64, (n, t), elements=st.integers(-1, d - 1)))
     bw = np.where(pick >= 0, palette[np.maximum(pick, 0), np.arange(t)], POS_INF)
-    return a, draw(hnp.arrays(bool, (n, t))), bw, draw(st.integers(1, n + 2))
+    return a, draw(hnp.arrays(bool, (n, t))), bw
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(bucketed_operands())
 def test_bucketed_kernels_property(operands):
-    a, b, bw, delta = operands
-    check_bucketed_kernels(a, b, bw, (delta,))
+    check_bucketed_kernels(*operands)
 
 
 # ----------------------------------------------------------------------------
@@ -384,18 +364,18 @@ def column_capped_matrix(rng, n, t, d, inf_p=0.3, lo=-10, hi=10):
 def test_dweights_all_inf():
     a = WeightMatrix(np.full((3, 4), POS_INF, dtype=np.int64))
     b = WeightMatrix(np.full((4, 5), POS_INF, dtype=np.int64))
-    out = mp.d_weights_min_plus(a, b, 2)
+    out = mp.d_weights_min_plus(a, b)
     assert np.all(out.data == POS_INF)
 
 
-@pytest.mark.parametrize("delta", [1, 4, 16])
-def test_dweights_random_vs_naive(delta):
-    rng = np.random.default_rng(11 + delta)
+@pytest.mark.parametrize("seed", [1, 4, 16])
+def test_dweights_random_vs_naive(seed):
+    rng = np.random.default_rng(11 + seed)
     for _ in range(20):
         s, n, t = rng.integers(1, 13, size=3)
         a = rand_matrix(rng, s, n)
         b = column_capped_matrix(rng, n, t, 3)
-        got, wit = mp.d_weights_min_plus(a, b, delta, return_witnesses=True)
+        got, wit = mp.d_weights_min_plus(a, b, return_witnesses=True)
         want = mp.min_plus_naive(a, b)
         assert got == want
         for i in range(s):
@@ -418,8 +398,8 @@ def test_dweights_equals_boolean_plus_column_weight():
         onehop[u, v] = w[v]
         adjacency[u, v] = True
     a = rand_matrix(rng, 5, n, inf_p=0.2, lo=0, hi=15)
-    got = mp.d_weights_min_plus(a, WeightMatrix(onehop), 3, d=1)
-    bool_part, _ = mp.boolean_min_plus(a, adjacency, 3)
+    got = mp.d_weights_min_plus(a, WeightMatrix(onehop), d=1)
+    bool_part, _ = mp.boolean_min_plus(a, adjacency)
     want = np.where(bool_part.data == POS_INF, POS_INF,
                     bool_part.data + w[None, :])
     assert np.array_equal(got.data, want)
@@ -429,12 +409,12 @@ def test_dweights_audit_error():
     a = WeightMatrix([[0, 0, 0]])
     b = WeightMatrix([[1], [2], [3]])
     with pytest.raises(AuditError):
-        mp.d_weights_min_plus(a, b, 1, d=2)
+        mp.d_weights_min_plus(a, b, d=2)
 
 
 @st.composite
 def prepared_operand_cases(draw):
-    """(several A, B with at most d values per column, d, delta).
+    """(several A, B with at most d values per column, d).
 
     Every A shares B's inner dimension; s, n or t may be 0, some rows of A
     and some columns of B may be all +inf, and B may hold a single finite
@@ -456,24 +436,24 @@ def prepared_operand_cases(draw):
         a[draw(hnp.arrays(bool, (s, n)))] = POS_INF
         a[draw(hnp.arrays(bool, s))] = POS_INF
         many.append(a)
-    return many, bw, d, draw(st.integers(1, n + 2))
+    return many, bw, d
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(prepared_operand_cases())
 def test_prepared_operand_property(case):
-    many, bw, d, delta = case
+    many, bw, d = case
     op = mp.DWeightsOperand(bw, d=d)
     assert op.shape == bw.shape and not op.data.flags.writeable
     for a in many:  # one operand for every A: no state leaks between calls
         want, want_wit = smallest_witness_reference(a, bw)
         assert np.array_equal(want, mp.min_plus_naive(a, bw).data)
         for b in (bw, op, op):
-            got, wit = mp.d_weights_min_plus(a, b, delta, return_witnesses=True)
+            got, wit = mp.d_weights_min_plus(a, b, return_witnesses=True)
             assert np.array_equal(got.data, want)
             assert np.array_equal(wit, want_wit)
-            assert np.array_equal(mp.d_weights_min_plus(a, b, delta, d=d).data, want)
-        check_dweights_routes(a, bw, (delta,))
+            assert np.array_equal(mp.d_weights_min_plus(a, b, d=d).data, want)
+        check_dweights_routes(a, bw)
     # a d below some column's count fails the same way, prepared or not
     counts = np.diff(mp._column_slots(*column_slot_inputs(bw))[2])
     if counts.size and counts.max() > 1:
@@ -481,8 +461,8 @@ def test_prepared_operand_property(case):
         with pytest.raises(AuditError) as want_err:
             mp._column_slots(*column_slot_inputs(bw), d=small)
         calls = (lambda: mp.DWeightsOperand(bw, d=small),
-                 lambda: mp.d_weights_min_plus(many[0], bw, delta, d=small),
-                 lambda: mp.d_weights_min_plus(many[0], op, delta, d=small))
+                 lambda: mp.d_weights_min_plus(many[0], bw, d=small),
+                 lambda: mp.d_weights_min_plus(many[0], op, d=small))
         for call in calls:
             with pytest.raises(AuditError) as err:
                 call()
@@ -501,7 +481,7 @@ def test_dweights_routes_on_edge_operands():
     empty = np.full((9, 6), POS_INF, dtype=np.int64)
     for b in (bw, single, empty):
         for rows in (a, a[:0], a[1:2]):  # s = 0 and an all-+inf A
-            check_dweights_routes(rows, b, (1, 4))
+            check_dweights_routes(rows, b)
 
 
 def test_dweights_routes_share_the_witness_key_bound():
@@ -512,7 +492,7 @@ def test_dweights_routes_share_the_witness_key_bound():
     b = np.array([[0, 1], [POS_INF, 2], [3, POS_INF], [1, 1]], dtype=np.int64)
     op = mp.DWeightsOperand(b)
     routes = (lambda a, w: mp._dweights_gather(a, op, w),
-              lambda a, w: mp._dweights_bucketed(a, op, 1, w))
+              lambda a, w: mp._dweights_bucketed(a, op, w))
     past = np.array([[-top, 0, POS_INF, 5], [1, 2, 3, 4]], dtype=np.int64)
     within = past.copy()
     within[0, 0] += 1
@@ -528,7 +508,7 @@ def test_dweights_routes_share_the_witness_key_bound():
         assert np.array_equal(route(past, False)[0], mp.min_plus_naive(past, b).data)
     assert messages[0] == messages[1]
     with pytest.raises(WeightError) as err:
-        mp.d_weights_min_plus(past, op, 1, return_witnesses=True)
+        mp.d_weights_min_plus(past, op, return_witnesses=True)
     assert str(err.value) == messages[0]
 
 
@@ -546,14 +526,14 @@ def test_cost_rule_picks_gather_for_dweights_solves_and_bucket_for_dense_palette
     assert apsp.solve_apsp(g, "dweights", h=4, d=4) == apsp.apsp_oracle(g)
     assert taken and set(taken) == {"_dweights_gather"}
     # the minplus bench's operands at n = 512, with witnesses as it asks
-    # for them: s = 64 rows at its smallest delta, 8, against the dense
-    # palette (70 % finite, four values per column) and the sparse B
+    # for them: s = 64 rows against the dense palette (70 % finite, four
+    # values per column) and the sparse B
     rng = np.random.default_rng(0)
     a = rng.integers(0, 512, size=(64, 512))
     for bw, route in ((bench._dense_palette(512, rng), "_dweights_bucketed"),
                       (bench._sparse_many_values(512, rng), "_dweights_gather")):
         taken.clear()
-        mp.d_weights_min_plus(a, mp.DWeightsOperand(bw), 8, return_witnesses=True)
+        mp.d_weights_min_plus(a, mp.DWeightsOperand(bw), return_witnesses=True)
         assert taken == [route]
 
 
@@ -575,7 +555,7 @@ def test_prepared_operand_checks_b_once():
     b[0, 0] = 9  # the operand holds its own copy
     assert op.data[0, 0] == 1
     with pytest.raises(ValueError, match="shape mismatch"):
-        mp.d_weights_min_plus(np.zeros((2, 3), dtype=np.int64), op, 1)
+        mp.d_weights_min_plus(np.zeros((2, 3), dtype=np.int64), op)
 
 
 def column_slot_inputs(bdata):
@@ -642,8 +622,7 @@ def test_hop_product_matches_dijkstra():
         n = int(rng.integers(4, 12))
         edges, w = rand_node_edges(rng, n)
         g = node_weighted_graph(n, edges, w)
-        res = mp.hop_bounded_product(mp.trivial_rows(np.arange(n), n), g, n,
-                                     delta=2)
+        res = mp.hop_bounded_product(mp.trivial_rows(np.arange(n), n), g, n)
         for s in range(n):
             assert res.values.data[s].tolist() == dijkstra_node_weighted(n, edges, w, s)
 
@@ -661,7 +640,7 @@ def test_hop_product_monotone_in_h():
     a = mp.trivial_rows(np.arange(10), 10)
     prev = None
     for h in range(6):
-        cur = mp.hop_bounded_product(a, g, h, delta=3).values.data
+        cur = mp.hop_bounded_product(a, g, h).values.data
         if prev is not None:
             assert np.all(cur <= prev)
         prev = cur
@@ -672,7 +651,7 @@ def test_hop_product_witness_paths_reevaluate():
     edges, nodew = rand_node_edges(rng, 9)
     g = node_weighted_graph(9, edges, nodew)
     a = rand_matrix(rng, 4, 9, inf_p=0.5, lo=0, hi=9)
-    res = mp.hop_bounded_product(a, g, 4, delta=2)
+    res = mp.hop_bounded_product(a, g, 4)
     for i in range(4):
         for v in range(9):
             p = res.path(i, v)
@@ -694,7 +673,7 @@ def test_left_product_h0_and_cross_check():
     one = build_one_hop_matrix(g)
     d3 = mp.min_plus_naive(mp.min_plus_naive(one, one), one)
     want = mp.min_plus_naive(d3, a)
-    got = mp.hop_bounded_product_left(g, a, 3, delta=2)
+    got = mp.hop_bounded_product_left(g, a, 3)
     assert got.values == want
 
 
@@ -705,7 +684,7 @@ def test_left_product_trivial_matches_right_on_reverse():
     sel = np.array([1, 4, 7])
     a = np.full((n, sel.size), POS_INF, dtype=np.int64)
     a[sel, np.arange(sel.size)] = 0
-    left = mp.hop_bounded_product_left(g, a, 3, delta=2).values.data
+    left = mp.hop_bounded_product_left(g, a, 3).values.data
     one = build_one_hop_matrix(g)
     d3 = mp.min_plus_naive(mp.min_plus_naive(one, one), one).data
     assert np.array_equal(left, d3[:, sel])
@@ -735,8 +714,8 @@ def test_hop_edge_d1_matches_node_weighted():
     gnode = node_weighted_graph(n, pairs, w)
     gedge = EdgeWeightedGraph(n, [(u, v, int(w[v])) for u, v in pairs])
     a = mp.trivial_rows(np.arange(n), n)
-    r1 = mp.hop_bounded_product(a, gnode, 4, delta=2).values
-    r2 = mp.hop_bounded_product_edge(a, gedge, 4, d=1, delta=2).values
+    r1 = mp.hop_bounded_product(a, gnode, 4).values
+    r2 = mp.hop_bounded_product_edge(a, gedge, 4, d=1).values
     assert r1 == r2
 
 
@@ -748,7 +727,7 @@ def test_hop_edge_matches_repeated_naive():
     cur = a
     for _ in range(4):
         cur = mp.min_plus_naive(cur, one)
-    got = mp.hop_bounded_product_edge(a, g, 4, d=3, delta=2)
+    got = mp.hop_bounded_product_edge(a, g, 4, d=3)
     assert got.values == cur
     for i in range(4):
         for v in range(9):
@@ -778,7 +757,7 @@ def test_left_product_edge_weighted_matches_naive():
         assert mp.hop_bounded_product_left(g, a, 0).values == a
         one = build_one_hop_matrix(g)
         d3 = mp.min_plus_naive(mp.min_plus_naive(one, one), one)
-        got = mp.hop_bounded_product_left(g, a, 3, delta=2)
+        got = mp.hop_bounded_product_left(g, a, 3)
         assert got.values == mp.min_plus_naive(d3, a)
         for u in range(n):
             for j in range(4):
@@ -800,9 +779,10 @@ def test_solver_product_matches_kernel_hop_products():
         calls.append(x.shape)
         return mp.min_plus_naive(x, y)
 
-    right = mp.hop_bounded_product_edge(a, g, 3, product=solver)
+    op = mp.HopOperator(g, solver)
+    right = mp.hop_bounded_product_edge(a, op, 3)
     assert right.values == mp.hop_bounded_product_edge(a, g, 3).values
-    left = mp.hop_bounded_product_left(g, a.transpose(), 3, product=solver)
+    left = mp.hop_bounded_product_left(op, a.transpose(), 3)
     assert left.values == mp.hop_bounded_product_left(g, a.transpose(), 3).values
     assert calls == [(4, 9)] * 6
     one = build_one_hop_matrix(g).data
@@ -818,10 +798,10 @@ def test_solver_product_matches_kernel_hop_products():
                 assert w == left.values.data[v, i] and len(q) - 1 <= 3
     # a solver product also stands in for the boolean kernel of a node graph
     gnode = rand_node_graph(rng, 9)
-    assert (mp.hop_bounded_product(a, gnode, 3, product=mp.min_plus_naive).values
+    op = mp.HopOperator(gnode, mp.min_plus_naive)
+    assert (mp.hop_bounded_product(a, op, 3).values
             == mp.hop_bounded_product(a, gnode, 3).values)
-    assert (mp.hop_bounded_product_left(gnode, a.transpose(), 3,
-                                        product=mp.min_plus_naive).values
+    assert (mp.hop_bounded_product_left(op, a.transpose(), 3).values
             == mp.hop_bounded_product_left(gnode, a.transpose(), 3).values)
 
 
@@ -874,8 +854,8 @@ def test_hop_products_edge_cases(name):
         want_right, want_left = next_right, next_left
     for want_paths in (True, False):
         mp.reset_counters()
-        right = mp.hop_bounded_product(a, g, h, delta=2, want_paths=want_paths)
-        left = mp.hop_bounded_product_left(g, a.transpose(), h, delta=2,
+        right = mp.hop_bounded_product(a, g, h, want_paths=want_paths)
+        left = mp.hop_bounded_product_left(g, a.transpose(), h,
                                            want_paths=want_paths)
         counts = mp.snapshot_counters()
         # every step, whatever the one-hop matrix, is one d-weights product
@@ -966,8 +946,9 @@ def test_row_frontier_matches_full_rounds(h, monkeypatch):
         onehop = mp.one_hop_offdiag(g)
         for product in (None, solver):
             stepped.clear()
-            right = mp.hop_bounded_product(a, g, h, delta=2, product=product)
-            left = mp.hop_bounded_product_left(g, a.T, h, delta=2, product=product)
+            op = mp.HopOperator(g, product)
+            right = mp.hop_bounded_product(a, op, h)
+            left = mp.hop_bounded_product_left(op, a.T, h)
             # the first round steps all 6 rows of each side; the all-inf row
             # improves nothing, so later rounds step fewer
             assert stepped[0] == 6 and (h == 1 or sum(stepped) < 2 * 6 * h), (name, h)
@@ -1013,19 +994,19 @@ def test_hop_paths_match_per_pair_path(h):
     m[2] = POS_INF  # an all-inf row: every entry of it stays infinite
     a = WeightMatrix(m)
     products = {
-        "node right": mp.hop_bounded_product(a, gnode, h, delta=2),
-        "edge right": mp.hop_bounded_product_edge(a, gedge, h, d=3, delta=2),
-        "node left": mp.hop_bounded_product_left(gnode, a.transpose(), h, delta=2),
-        "edge left": mp.hop_bounded_product_left(gedge, a.transpose(), h, delta=2),
-        "solver right": mp.hop_bounded_product_edge(a, gedge, h,
-                                                    product=mp.min_plus_naive),
-        "solver left": mp.hop_bounded_product_left(gedge, a.transpose(), h,
-                                                   product=mp.min_plus_naive),
+        "node right": mp.hop_bounded_product(a, gnode, h),
+        "edge right": mp.hop_bounded_product_edge(a, gedge, h, d=3),
+        "node left": mp.hop_bounded_product_left(gnode, a.transpose(), h),
+        "edge left": mp.hop_bounded_product_left(gedge, a.transpose(), h),
+        "solver right": mp.hop_bounded_product_edge(
+            a, mp.HopOperator(gedge, mp.min_plus_naive), h),
+        "solver left": mp.hop_bounded_product_left(
+            mp.HopOperator(gedge, mp.min_plus_naive), a.transpose(), h),
         # the node-weight shift on edge graphs: one weight per one-hop row
         "in-uniform left": mp.hop_bounded_product_left(
-            uniform_edge_graph(rng, 9, "in"), a.transpose(), h, delta=2),
+            uniform_edge_graph(rng, 9, "in"), a.transpose(), h),
         "out-uniform right": mp.hop_bounded_product(
-            a, uniform_edge_graph(rng, 9, "out"), h, delta=2),
+            a, uniform_edge_graph(rng, 9, "out"), h),
     }
     for name, prod in products.items():
         vals = prod.values.data
@@ -1096,8 +1077,8 @@ def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(mp, "d_weights_min_plus", spy)
-    for hop in (lambda **k: mp.hop_bounded_product(a, g, 3, 2, **k),
-                lambda **k: mp.hop_bounded_product_left(g, a, 3, 2, **k)):
+    for hop in (lambda **k: mp.hop_bounded_product(a, g, 3, **k),
+                lambda **k: mp.hop_bounded_product_left(g, a, 3, **k)):
         asked.clear()
         with_paths = hop(want_paths=True).values
         assert asked == [True] * 3
@@ -1135,11 +1116,12 @@ def test_hop_operator_matches_graph_on_every_kernel_branch():
             for k in (op.kernel(False), op.kernel(True)):
                 assert k.operand.slot_val.size == k.operand.starts.size
         for want_paths in (True, False, True):  # the operator is reused
-            got = (mp.hop_bounded_product(a, op, 3, 2, want_paths),
-                   mp.hop_bounded_product_left(op, a.transpose(), 3, 2, want_paths))
-            want = (mp.hop_bounded_product(a, g, 3, 2, want_paths, product),
-                    mp.hop_bounded_product_left(g, a.transpose(), 3, 2, want_paths,
-                                                product))
+            got = (mp.hop_bounded_product(a, op, 3, want_paths=want_paths),
+                   mp.hop_bounded_product_left(op, a.transpose(), 3, want_paths=want_paths))
+            fresh = g if product is None else mp.HopOperator(g, product)
+            want = (mp.hop_bounded_product(a, fresh, 3, want_paths=want_paths),
+                    mp.hop_bounded_product_left(fresh, a.transpose(), 3,
+                                                want_paths=want_paths))
             for side, x, y in zip(("right", "left"), got, want):
                 assert x.values == y.values, (name, side)
                 assert len(x._parents) == len(y._parents) == (3 if want_paths else 0)
@@ -1147,8 +1129,6 @@ def test_hop_operator_matches_graph_on_every_kernel_branch():
                     i, j = everywhere if side == "right" else everywhere[::-1]
                     for p, q in zip(x.paths(i, j), y.paths(i, j)):
                         assert np.array_equal(p, q), (name, side)
-    with pytest.raises(ValueError, match="carries its own product"):
-        mp.hop_bounded_product(a, mp.HopOperator(g), 1, product=mp.min_plus_naive)
 
 
 def test_hop_operator_picks_each_side_once(monkeypatch):
@@ -1164,8 +1144,8 @@ def test_hop_operator_picks_each_side_once(monkeypatch):
     op = mp.HopOperator(g)
     a = mp.trivial_rows(np.arange(9), 9)
     for _ in range(3):
-        mp.hop_bounded_product(a, op, 2, 2)
-        mp.hop_bounded_product_left(op, a, 2, 2)
+        mp.hop_bounded_product(a, op, 2)
+        mp.hop_bounded_product_left(op, a, 2)
     assert built == [(9, 9), (9, 9)]
     assert isinstance(op.kernel(False).operand, mp.DWeightsOperand)
     assert isinstance(op.kernel(True).operand, mp.DWeightsOperand)
