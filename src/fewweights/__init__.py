@@ -16,7 +16,6 @@ Library layout:
 from .core import (
     AuditError,
     BOT,
-    DistanceMatrix,
     EdgeWeightedGraph,
     FormatError,
     NEG_INF,

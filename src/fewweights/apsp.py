@@ -28,10 +28,10 @@ import math
 import numpy as np
 
 from .core import (
-    DistanceMatrix,
     EdgeWeightedGraph,
     NEG_INF,
     POS_INF,
+    WeightMatrix,
     _as_data,
     build_one_hop_matrix,
     require_distinct_weights,
@@ -89,7 +89,7 @@ def apsp_oracle(g):
     finite = d != POS_INF
     cyc = np.diagonal(d) < 0
     pumped = boolean_matrix_multiply(finite[:, cyc], finite[cyc, :])
-    return DistanceMatrix(np.where(pumped, NEG_INF, d), copy=False)
+    return WeightMatrix(np.where(pumped, NEG_INF, d), copy=False)
 
 
 # ----------------------------------------------------------------------------
@@ -137,14 +137,14 @@ class NegativeCycleRemap:
     def decode(self, dist):
         data = _as_data(dist)
         if self.identity:
-            return DistanceMatrix(data)
+            return WeightMatrix(data)
         raw = data[np.ix_(self.node_map, self.node_map)].copy()
         reachable = raw != POS_INF
         endpoint_bad = self.bad_nodes[:, None] | self.bad_nodes[None, :]
         below = reachable & (raw < self.threshold)
         raw[reachable & endpoint_bad] = NEG_INF
         raw[below] = NEG_INF
-        return DistanceMatrix(raw, copy=False)
+        return WeightMatrix(raw, copy=False)
 
 
 def eliminate_negative_cycles(g):
@@ -304,7 +304,7 @@ def _replay(op, levels, base_set, base_hops, m1=None):
                                want_paths=False).values.data
     d_cur = _repeated_square(base[:, base_set], _min_plus)
     if all(s.size == n for s in levels):
-        return DistanceMatrix(d_cur, copy=False)
+        return WeightMatrix(d_cur, copy=False)
     idx = np.searchsorted(base_set, levels[-1])
     d_cur = d_cur[np.ix_(idx, idx)]
     for ell in range(len(levels) - 2, -1, -1):
@@ -316,7 +316,7 @@ def _replay(op, levels, base_set, base_hops, m1=None):
             w1 = m1[ell]
         _, m3 = _level_products(op, s_cur, levels[ell + 1], d_cur, 2 ** ell, False)
         d_cur = np.minimum(w1, m3.values.data[s_cur, :])
-    return DistanceMatrix(d_cur, copy=False)
+    return WeightMatrix(d_cur, copy=False)
 
 
 class BridgingState:
@@ -358,7 +358,7 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     """
     n = g.n
     if n == 0:
-        return DistanceMatrix(np.zeros((0, 0), dtype=np.int64))
+        return WeightMatrix(np.zeros((0, 0), dtype=np.int64))
     big_l = max(0, math.ceil(math.log2(h))) if h > 1 else 0
     op = HopOperator(g, product)
 

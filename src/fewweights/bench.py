@@ -80,11 +80,11 @@ def _dweights_row(algo, n, d, seed, xs, op, product):
             "wall_ns": total // len(xs), "ok": ok}
 
 
-def bench_minplus_crossover(n, seeds, *, row_fraction=8):
+def bench_minplus_crossover(n, seeds):
     """The d-weights kernel, and its 0/+inf case, vs the naive product.
 
     boolean_min_plus (the kernel on a boolean B's 0/+inf operand, built per
-    call) runs in the node-weighted product shape: s = n/row_fraction rows
+    call) runs in the node-weighted product shape: s = max(1, n // 8) rows
     against a boolean n x n matrix (naive runs on the 0/w equivalent
     matrix).  The minplus-naive row is ok when the naive product equals
     boolean_min_plus plus the column weights, on A and on A with its finite
@@ -103,7 +103,7 @@ def bench_minplus_crossover(n, seeds, *, row_fraction=8):
     included, and its time is the mean of the two.
     """
     rows = []
-    s = max(1, n // row_fraction)
+    s = max(1, n // 8)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         a = random_weight_matrix(s, n, rng, low=0, high=n, inf_density=0.1)

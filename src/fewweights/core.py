@@ -96,10 +96,6 @@ class WeightMatrix:
         return self.data.shape
 
     @classmethod
-    def full(cls, rows, cols, fill=POS_INF):
-        return cls(np.full((rows, cols), fill, dtype=np.int64), copy=False)
-
-    @classmethod
     def identity(cls, n):
         """Min-plus identity: zero diagonal, +inf off-diagonal."""
         m = np.full((n, n), POS_INF, dtype=np.int64)
@@ -127,12 +123,6 @@ class WeightMatrix:
 
     def __repr__(self):
         return f"WeightMatrix({self.rows}x{self.cols})"
-
-
-class DistanceMatrix(WeightMatrix):
-    """A WeightMatrix whose entry [u, v] is a shortest-path length."""
-
-    __slots__ = ()
 
 
 def _as_data(mat):
@@ -224,21 +214,28 @@ def build_one_hop_matrix(g):
     return WeightMatrix(m, copy=False)
 
 
+def _distinct_pairs(line, value, lines):
+    """The distinct (line, value) pairs, by line and then value, and their
+    count per line: one lexsort and a neighbour test.  Returns (line,
+    value, counts) with counts of length `lines`."""
+    order = np.lexsort((value, line))
+    line, value = line[order], value[order]
+    first = np.ones(line.size, dtype=bool)
+    first[1:] = (line[1:] != line[:-1]) | (value[1:] != value[:-1])
+    line, value = line[first], value[first]
+    return line, value, np.bincount(line, minlength=lines)
+
+
 def audit_distinct_weights(g):
     """Exact per-node distinct-weight maxima (max_out, max_in) of a graph.
 
     Each edge gives two (line, weight) pairs: line u for its tail (outgoing)
-    and n + v for its head (incoming).  One lexsort by line, then weight,
-    and a neighbour test find the distinct pairs, counted per line.
+    and n + v for its head (incoming); _distinct_pairs counts the distinct
+    pairs per line.
     """
     e = g.edge_array
-    line = np.concatenate([e[:, 0], g.n + e[:, 1]])
-    w = np.tile(e[:, 2], 2)
-    order = np.lexsort((w, line))
-    line, w = line[order], w[order]
-    first = np.ones(line.size, dtype=bool)
-    first[1:] = (line[1:] != line[:-1]) | (w[1:] != w[:-1])
-    counts = np.bincount(line[first], minlength=2 * g.n)
+    counts = _distinct_pairs(np.concatenate([e[:, 0], g.n + e[:, 1]]),
+                             np.tile(e[:, 2], 2), 2 * g.n)[2]
     return int(counts[:g.n].max(initial=0)), int(counts[g.n:].max(initial=0))
 
 

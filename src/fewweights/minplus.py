@@ -15,9 +15,9 @@ bucket product: each row of A is sorted and cut into buckets of at most 24
 positions, each position weighs a distinct power of two, and one float32
 BLAS product against B's column slots (the distinct finite values of each
 column) gives per (i, slot) the first bucket with a qualifying k and, by
-its top bit, that k itself.  The segment gather: each row of A is added to
-B's finite entries, sorted by column, and one minimum.reduceat over the
-columns takes the minimum.  A cost rule picks the route per product from
+its top bit, that k's sorted position.  The segment gather: each row of A
+is added to B's finite entries, sorted by column, and one minimum.reduceat
+over the columns takes the minimum.  A cost rule picks the route per product from
 B's counts (finite entries, column slots) and the call's shape (rows of A,
 n, witnesses or not): the gather wins on sparse B or many values per
 column, the bucket product on dense B with few.  The bucket count is
@@ -26,7 +26,13 @@ parameter for it.  boolean_min_plus is the kernel's 0/+inf case: B's
 pattern as 0 where True and +inf elsewhere, one slot per nonempty column.
 
 All kernels are pure functions, and both routes give the same values and
-witnesses.  A HopOperator builds a graph's one-hop matrix, and each
+witnesses under one rule: the witness of (i, j) is the least k among the
+minimizers of A[i, k] + B[k, j].  The bucket product sorts the rows of A
+stably when witnesses are asked for, so the first qualifying position is
+the least k of the least value, and a column's tied slots keep their least
+k; the gather's tie pass takes the least row k whose sum ties the column's
+value, and it also gives a solver product's witnesses, with the solver's
+values as the column values.  A HopOperator builds a graph's one-hop matrix, and each
 hop-product side's prepared kernel operand, once for all the hop products
 of a solve; a min-plus solver `product` given to the operator takes the
 kernel's place.  A hop product's recurrence runs over a row
@@ -47,13 +53,14 @@ from .core import (
     WeightError,
     WeightMatrix,
     _as_data,
+    _distinct_pairs,
     one_hop_offdiag,
     require_distinct_weights,
     saturating_add,
 )
 
-# Finite kernel operands must stay below this magnitude so that sums and
-# witness encodings n*value+k remain clear of the sentinel range.
+# Finite kernel operands must stay below this magnitude so that sums remain
+# clear of the sentinel range.
 MAX_OPERAND = np.int64(2**60)
 
 # Bucket width cap of the bucketed kernels: a bucket's powers 2^0..2^23 sum
@@ -75,10 +82,6 @@ _GATHER_CELLS = 2**16
 # larger.  At 80 x 80 x 80 a product took 0.57 ms, against 0.79 ms in
 # blocks of 2**14 cells (one BLAS thread, 2-core x86-64 box, best of 5).
 _NAIVE_CELLS = 2**16
-
-# Cell budget of one (pending pairs, inner block) candidate array in the
-# witness search behind a min-plus solver `product`.
-_WITNESS_SCAN_CELLS = 2**18
 
 counters = {
     "boolean_matmul": 0,
@@ -201,78 +204,53 @@ def boolean_matrix_multiply(P, Q):
 # Bucketed rectangular kernels.
 # ----------------------------------------------------------------------------
 
-def _check_witness_keys(a, name):
-    """Raise unless every witness key n*a[i, k]+k stays below MAX_OPERAND.
-
-    The bucketed kernels sort by these keys; the gather route of
-    d_weights_min_plus needs none but runs the same check, so that an
-    input's outcome does not depend on the route.
-    """
-    n = a.shape[1]
-    finite = a != POS_INF
-    if finite.any():
-        top = np.abs(a[finite]).max()
-        if (int(top) + 1) * max(n, 1) + n >= int(MAX_OPERAND):
-            raise WeightError(
-                f"witness encoding n*{name}+k would overflow; reduce weights or n")
-
-
-def _scaled_keys(a, want_witnesses, name):
-    """Sort keys for the bucket index: n*value+k when witnesses are wanted."""
-    if not want_witnesses:
-        return a, 1
-    _check_witness_keys(a, name)
-    n = a.shape[1]
-    scale = np.int64(max(n, 1))
-    keys = np.where(a != POS_INF, a * scale + np.arange(n, dtype=np.int64), POS_INF)
-    return keys, int(scale)
-
-
 def _bucket_count(n):
     """Buckets of the bucket product over n sorted positions: ceil(n/24), at least 1."""
     return max(1, -(-n // _BUCKET_BITS))
 
 
-def _bucketed_min_keys(a, bt, want_witnesses):
-    """Smallest sort key of A[i, k] over the k with bt[j, k] > 0, per (i, j).
+def _bucketed_first(a, bt, want_witnesses):
+    """Smallest A[i, k] over the k with bt[j, k] > 0, per (i, j), and its least k.
 
     bt is the float32 0/1 target indicator, transposed: one row per target.
-    Each row of A is sorted by key (n*A[i, k]+k when witnesses are wanted)
-    and cut into nb = _bucket_count(n) buckets of bs = ceil(n/nb) <= 24
-    positions.  The finite entry at position p of its bucket is written as
-    2^(bs-1-p) into the float32 bucket indicator, and one BLAS product
-    against bt gives, per (i, j) and bucket, the sum of the powers of its
-    qualifying k.  The first nonzero bucket holds the first qualifying k in
-    sorted order, and the top bit of its sum (np.frexp) is that k's position.
+    Each row of A is sorted by value and cut into nb = _bucket_count(n)
+    buckets of bs = ceil(n/nb) <= 24 positions.  The finite entry at
+    position p of its bucket is written as 2^(bs-1-p) into the float32
+    bucket indicator, and one BLAS product against bt gives, per (i, j) and
+    bucket, the sum of the powers of its qualifying k.  The first nonzero
+    bucket holds the first qualifying position in sorted order, and the top
+    bit of its sum (np.frexp) is that position: the sorted values give the
+    value there, and the sort order its k.
 
     Exactness: every partial sum of a product entry is a sum of distinct
     powers 2^0..2^23, an integer below 2^24, so float32 holds it exactly in
-    whatever order BLAS adds.  Finite keys sort before +inf, so the first
-    qualifying position is finite.  With witnesses the keys n*value+k are
-    unique; without them tied keys are equal values and only the value is
+    whatever order BLAS adds.  Finite values sort before +inf, so the first
+    qualifying position is finite.  With witnesses the sort is stable, so
+    equal values keep their k order and the first qualifying position holds
+    the least k of the least value; without them only the value is
     returned, so the sort need not be stable.
 
     Cost: the product takes Theta(s*T*n*nb) multiply-adds, about s*T*n^2/24,
     for s rows of A and T targets.  Rows of A go through it in blocks whose
     indicator and product hold at most _BUCKET_CELLS cells each, so the
     working memory beyond the (s, n) sort and the (s, T) result stays
-    bounded.  The gathers index the flattened arrays.  Returns the key
-    matrix (+inf where no k qualifies) and the key scale.
+    bounded.  The gathers index the flattened arrays.  Returns the value
+    matrix (+inf where no k qualifies) and the witness matrix (-1 there),
+    or None without witnesses.
     """
     s, n = a.shape
     t = bt.shape[0]
-    keys, scale = _scaled_keys(a, want_witnesses, "A")
     nb = _bucket_count(n)
     bs = -(-n // nb)
-    order = np.argsort(keys, axis=1)
+    order = np.argsort(a, axis=1, kind="stable" if want_witnesses else None)
     row_start = np.arange(0, s * n, n)[:, None]
-    skeys = keys.ravel()[order + row_start]
-    parts = []
+    svals = a.ravel()[order + row_start]
+    vparts, kparts = [], []
     block = max(1, _BUCKET_CELLS // (max(n, t) * nb))
     for r0 in range(0, s, block):
-        bo, bk = order[r0:r0 + block], skeys[r0:r0 + block]
-        nr = bk.shape[0]
-        rows, pos = np.nonzero(bk != POS_INF)
+        bo, bv = order[r0:r0 + block], svals[r0:r0 + block]
+        nr = bv.shape[0]
+        rows, pos = np.nonzero(bv != POS_INF)
         # built transposed, so that the product's bucket axis is the last one
         aprime = np.zeros((n, nr * nb), dtype=np.float32)
         aprime[bo[rows, pos], rows * nb + pos // bs] = np.ldexp(
@@ -281,10 +259,15 @@ def _bucketed_min_keys(a, bt, want_witnesses):
         firstb = (sums.reshape(t, nr, nb) > 0).argmax(axis=2)
         top = sums.ravel()[firstb + np.arange(0, t * nr * nb, nb).reshape(t, nr)].T
         has = top > 0
-        first = np.where(has, firstb.T * bs + bs - np.frexp(top)[1], 0)
-        parts.append(np.where(has, bk.ravel()[first + row_start[:nr]], POS_INF))
-    # a single block, the common case, is returned without a copy
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), scale
+        first = np.where(has, firstb.T * bs + bs - np.frexp(top)[1], 0) + row_start[:nr]
+        vparts.append(np.where(has, bv.ravel()[first], POS_INF))
+        if want_witnesses:
+            kparts.append(np.where(has, bo.ravel()[first], -1))
+
+    def joined(parts):  # a single block, the common case, is returned without a copy
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return joined(vparts), (joined(kparts) if want_witnesses else None)
 
 
 def _audit_column_counts(counts, d):
@@ -294,24 +277,15 @@ def _audit_column_counts(counts, d):
 
 
 def _column_slots(ecol, evals, m, d=None):
-    """Distinct finite values per column in first-occurrence order.
+    """Distinct finite values per column in ascending order.
 
-    ecol and evals are the columns and values of B's finite entries sorted
-    by column, then by row, and m is B's column count.  Returns (slot_col,
-    slot_val, col_start): the slots of column j are col_start[j]:col_start[j
-    + 1], ordered by the row where each value first occurs (the first of
-    its run in a stable sort by column and value).
+    ecol and evals are the columns and values of B's finite entries, and m
+    is B's column count.  Returns (slot_col, slot_val, col_start): the slots
+    of column j are col_start[j]:col_start[j + 1].
     """
-    order = np.lexsort((evals, ecol))
-    c, v = ecol[order], evals[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (c[1:] != c[:-1]) | (v[1:] != v[:-1])
-    first = np.zeros(order.size, dtype=bool)
-    first[order[new]] = True
-    slot_col = ecol[first]
-    counts = np.bincount(slot_col, minlength=m)
+    slot_col, slot_val, counts = _distinct_pairs(ecol, evals, m)
     _audit_column_counts(counts, d)
-    return slot_col, evals[first], np.concatenate([[0], np.cumsum(counts)])
+    return slot_col, slot_val, np.concatenate([[0], np.cumsum(counts)])
 
 
 class DWeightsOperand:
@@ -372,28 +346,25 @@ def _unreached(s, m):
 def _dweights_bucketed(a, B, want_witnesses):
     """The d-weights product by one bit-packed bucket product over B's slots.
 
-    The bucket product finds, per (row, slot), the best k whose B entry in
-    the slot's column holds the slot's value; each column then minimizes
-    over its slots.  With one slot per nonempty column (a 0/+inf pattern, a
+    The bucket product finds, per (row, slot), the least value, and its
+    least k, among the k whose B entry in the slot's column holds the
+    slot's value; each column then minimizes over its slots, ties to the
+    least k.  With one slot per nonempty column (a 0/+inf pattern, a
     node-weighted one-hop matrix) the slots' values and k are the columns',
-    and without witnesses the keys are A's values, so neither pass runs.
-    Returns the (s, m) values and witnesses (all -1 without witnesses).
+    so that pass does not run.  Returns the (s, m) values and witnesses
+    (all -1 without witnesses).
     """
     s, n = a.shape
     if s == 0 or B.erow.size == 0:
         return _unreached(s, B.shape[1])
-    out_key, scale = _bucketed_min_keys(a, B.bt, want_witnesses)
-    hit = out_key != POS_INF
-    aval = out_key  # +inf off the hits, where the sum below is masked
-    if want_witnesses:
-        aval = np.where(hit, np.floor_divide(out_key, scale), 0)
-        kwit = np.where(hit, out_key - aval * scale, -1)
+    aval, kwit = _bucketed_first(a, B.bt, want_witnesses)
+    hit = aval != POS_INF
     vals = np.where(hit, aval + B.slot_val[None, :], POS_INF)
     if B.slot_val.size > B.starts.size:
         sums, vals = vals, np.minimum.reduceat(vals, B.starts, axis=1)
         if want_witnesses:
-            # a slot's k is its smallest minimizing k, so the tied slots'
-            # least k is the smallest minimizing k of the column
+            # a slot's k is its least minimizing k, so the tied slots' least
+            # k is the least minimizing k of the column
             tied = np.where(hit & (sums == np.repeat(vals, B.counts[B.nonempty], axis=1)),
                             kwit, n)
             kwit = np.minimum.reduceat(tied, B.starts, axis=1)
@@ -407,7 +378,7 @@ def _dweights_bucketed(a, B, want_witnesses):
     return out, wit
 
 
-def _dweights_gather(a, B, want_witnesses):
+def _dweights_gather(a, B, want_witnesses, target=None):
     """The d-weights product by a segment gather over B's finite entries.
 
     B's entries are taken in chunks of whole columns and the rows of A in
@@ -415,20 +386,23 @@ def _dweights_gather(a, B, want_witnesses):
     block forms sums[i, e] = A[i, erow[e]] + eval[e] over the chunk's
     entries e, in column-then-row order, and one minimum.reduceat over the
     column segments gives the values.  The witness is the least erow[e]
-    whose sum ties its column's value: a second reduceat over erow there
-    and n elsewhere, so no n*value+k key is formed (the key bound is still
-    checked, as on the bucketed route).  A's +inf entries are lifted to
-    POS_INF + MAX_OPERAND first, so every sum through one is at least
-    POS_INF without a mask and none overflows, while the finite sums, within
-    +-2^61, stay below it.  Returns the (s, m) values and witnesses.
+    whose sum ties its column's value: a second reduceat (the tie pass) over
+    erow there and n elsewhere.  Given an (s, m) target, the tie pass takes
+    its entries as the column values in place of the first reduceat, and
+    target is returned as the values: a solver product's witnesses, where
+    the solver's value is reached.  A's +inf entries are lifted to POS_INF +
+    MAX_OPERAND + 1 first, so every sum through one lies above POS_INF
+    without a mask, ties no value, and none overflows, while the finite
+    sums, within +-2^61, stay below it.  Returns the (s, m) values and
+    witnesses.
     """
     s, n = a.shape
     out, wit = _unreached(s, B.shape[1])
+    if target is not None:
+        out = target
     if s == 0 or B.erow.size == 0:
         return out, wit
-    if want_witnesses:
-        _check_witness_keys(a, "A")
-    lifted = np.where(a == POS_INF, POS_INF + MAX_OPERAND, a)
+    lifted = np.where(a == POS_INF, POS_INF + MAX_OPERAND + 1, a)
     for cols, e0, e1, starts, counts in B.chunks:
         erow = B.erow[e0:e1]
         block = max(1, _GATHER_CELLS // (e1 - e0))
@@ -436,12 +410,15 @@ def _dweights_gather(a, B, want_witnesses):
             rows = slice(r0, r0 + block)
             sums = np.take(lifted[rows], erow, axis=1)
             sums += B.eval[e0:e1]
-            vals = np.minimum(np.minimum.reduceat(sums, starts, axis=1), POS_INF)
-            out[rows, cols] = vals
+            if target is None:
+                vals = np.minimum(np.minimum.reduceat(sums, starts, axis=1), POS_INF)
+                out[rows, cols] = vals
+            else:
+                vals = target[rows, cols]
             if want_witnesses:
                 tied = np.where(sums == np.repeat(vals, counts, axis=1), erow, n)
                 least = np.minimum.reduceat(tied, starts, axis=1)
-                wit[rows, cols] = np.where(vals == POS_INF, -1, least)
+                wit[rows, cols] = np.where(least < n, least, -1)
     return out, wit
 
 
@@ -455,8 +432,10 @@ def d_weights_min_plus(A, B, *, d=None, return_witnesses=False):
     over each column's slots.  The gather route adds each row of A to B's
     nnz finite entries and minimizes over each column's entries.  B may be
     a DWeightsOperand, which skips the B-only preparation.  The witness
-    matrix holds the minimizing k (ties to the smallest), or -1 where the
-    result is +inf.  This is the library's one min-plus kernel:
+    matrix holds, on both routes, the least k among the minimizers of
+    A[i, k] + B[k, j] (from the bucket route's stable sort of A's rows, or
+    the gather's tie pass), or -1 where the result is +inf.  This is the
+    library's one min-plus kernel:
     boolean_min_plus and every hop step without a solver `product` run it.
 
     Cost rule: for s rows of A, n = B's rows and nb = ceil(n/24) buckets
@@ -535,9 +514,13 @@ def compact_paths(nodes):
     """Move the nodes of each row of a -1-padded path array to its front.
 
     The nodes keep their order; the padding collects at the end of the row.
+    A node's new column is the count of real nodes up to it in its row, less
+    one.
     """
-    order = np.argsort(nodes < 0, axis=1, kind="stable")
-    return np.take_along_axis(nodes, order, axis=1)
+    real = nodes >= 0
+    out = np.full(nodes.shape, -1, dtype=nodes.dtype)
+    out[np.nonzero(real)[0], np.cumsum(real, axis=1)[real] - 1] = nodes[real]
+    return out
 
 
 class HopProduct:
@@ -645,30 +628,34 @@ class _HopKernel:
     onehop's 0/+inf pattern and the step runs on X + r (the node-weight
     shift); else it is onehop.  Either way a node-weighted graph's sides
     have one slot per nonempty column.  A caller's solver `product` is used
-    as given; it carries no witnesses, so they are recovered as the
-    smallest k with X[i, k] + onehop[k, j] equal to the product entry.
+    as given on onehop, and since it carries no witnesses, the gather's tie
+    pass against the operand of onehop recovers them from its values: the
+    least k with X[i, k] + onehop[k, j] equal to the product entry.
     """
 
     def __init__(self, onehop, product):
-        self.onehop, self.product = onehop, product
+        self.product = product
         self.shift = None
+        if product is None:
+            finite = onehop != POS_INF
+            self.shift = _uniform_values(onehop, finite)
+            if self.shift is not None:
+                onehop = np.where(finite, 0, POS_INF)
+        self.operand = DWeightsOperand(onehop)
         if product is not None:
-            self.operand = WeightMatrix(onehop)
-            return
-        finite = onehop != POS_INF
-        self.shift = _uniform_values(onehop, finite)
-        self.operand = DWeightsOperand(
-            onehop if self.shift is None else np.where(finite, 0, POS_INF))
+            self.matrix = WeightMatrix(self.operand.data, copy=False)
 
     def step(self, vals, want_paths):
         """The product vals * onehop and its witnesses (None without paths).
 
-        The kernel is looked up by its module name on every call.
+        The kernel is looked up by its module name on every call; a solver
+        step calls no other public kernel.
         """
         if self.product is not None:
-            prod = self.product(WeightMatrix(vals), self.operand).data
-            wit = _smallest_witnesses(vals, self.onehop, prod) if want_paths else None
-            return prod, wit
+            prod = self.product(WeightMatrix(vals), self.matrix).data
+            if not want_paths:
+                return prod, None
+            return _dweights_gather(vals, self.operand, True, target=prod)
         if self.shift is not None:
             vals = saturating_add(vals, self.shift[None, :])
         out = d_weights_min_plus(vals, self.operand, return_witnesses=want_paths)
@@ -681,10 +668,12 @@ class HopOperator:
     Holds M = one_hop_offdiag(g); right products step against M and left
     products against M.T.  Each side prepares its operand once, on first
     use: a DWeightsOperand of the side's matrix, or of its 0/+inf pattern
-    with the row weights as a shift of X when every row holds one weight,
-    or WeightMatrix(M) for a solver `product(A, B) -> WeightMatrix`, which
-    then takes the kernel's place in every step.  It holds n x n arrays, so
-    it lives no longer than the solve that builds it.
+    with the row weights as a shift of X when every row holds one weight.
+    A solver `product(A, B) -> WeightMatrix` takes the kernel's place in
+    every step, on WeightMatrix(M); the side's DWeightsOperand of M then
+    serves the gather's tie pass, which gives the step's witnesses under
+    the kernel's rule.  It holds n x n arrays, so it lives no longer than
+    the solve that builds it.
     """
 
     def __init__(self, g, product=None):
@@ -703,37 +692,6 @@ class HopOperator:
 def _hop_operator(g):
     """g itself when it is a HopOperator, else a HopOperator built from it."""
     return g if isinstance(g, HopOperator) else HopOperator(g)
-
-
-def _smallest_witnesses(vals, onehop, prod):
-    """Smallest k with vals[i, k] + onehop[k, j] == prod[i, j] where prod < vals.
-
-    Entries where prod does not improve on vals get -1.  The inner index is
-    scanned in blocks over the pending (i, j) pairs; a block's (pairs, k)
-    candidate array holds at most _WITNESS_SCAN_CELLS cells, and a pair
-    leaves the search at its first block with a match.  A +inf operand
-    matches nothing, as under saturating_add: both operands have +inf
-    lifted to 2^62 - 1, so with finite entries and targets below GUARD =
-    2^61 in magnitude a sum through a lifted entry is at least 2^61 and
-    equals no target, and two lifted entries sum to 2^63 - 2 without
-    wrapping.
-    """
-    wit = np.full(prod.shape, -1, dtype=np.int64)
-    rows, cols = np.nonzero(prod < vals)
-    target = prod[rows, cols]
-    lift = POS_INF - 1
-    vals = np.where(vals == POS_INF, lift, vals)
-    onehop_t = np.ascontiguousarray(np.where(onehop == POS_INF, lift, onehop).T)
-    block = max(1, _WITNESS_SCAN_CELLS // max(1, rows.size))
-    for k0 in range(0, vals.shape[1], block):
-        if rows.size == 0:
-            break
-        ks = slice(k0, k0 + block)
-        match = (vals[rows, ks] + onehop_t[cols, ks]) == target[:, None]
-        hit = match.any(axis=1)
-        wit[rows[hit], cols[hit]] = k0 + match[hit].argmax(axis=1)
-        rows, cols, target = rows[~hit], cols[~hit], target[~hit]
-    return wit
 
 
 def hop_bounded_product(A, g, h, *, want_paths=True):

@@ -81,10 +81,10 @@ def test_run_verify_mismatch_exit_code(tmp_path, monkeypatch):
     g = tmp_path / "g"
     run("gen", "nw-graph", "--n", 8, "--seed", 4, "--out", g)
     import fewweights.cli as cli_mod
-    from fewweights.core import DistanceMatrix
+    from fewweights.core import WeightMatrix
 
     monkeypatch.setattr(cli_mod, "solve_apsp",
-                        lambda *a, **k: DistanceMatrix(
+                        lambda *a, **k: WeightMatrix(
                             np.zeros((8, 8), dtype=np.int64)))
     r = tmp_path / "r"
     assert run("run", "nw-det", "--input", g / "graph.txt", "--out", r,

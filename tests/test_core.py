@@ -125,13 +125,16 @@ def test_audit_matches_recount():
     n = 12
     edges = [(u, v, int(rng.integers(0, 6))) for u in range(n)
              for v in range(n) if u != v and rng.random() < 0.3]
-    g = EdgeWeightedGraph(n, edges)
-    outs = [set() for _ in range(n)]
-    ins = [set() for _ in range(n)]
-    for u, v, w in edges:
-        outs[u].add(w)
-        ins[v].add(w)
-    assert audit_distinct_weights(g) == (max(map(len, outs)), max(map(len, ins)))
+    # the same pairs again as parallel edges with other weights
+    parallel = [(u, v, w + 1 + int(rng.integers(0, 3))) for u, v, w in edges[::3]]
+    for edges in (edges, edges + parallel):
+        g = EdgeWeightedGraph(n, edges)
+        outs = [set() for _ in range(n)]
+        ins = [set() for _ in range(n)]
+        for u, v, w in edges:
+            outs[u].add(w)
+            ins[v].add(w)
+        assert audit_distinct_weights(g) == (max(map(len, outs)), max(map(len, ins)))
 
 
 def test_audit_empty_graph_and_repeated_edges():

@@ -484,32 +484,24 @@ def test_dweights_routes_on_edge_operands():
             check_dweights_routes(rows, b)
 
 
-def test_dweights_routes_share_the_witness_key_bound():
-    # keys n*A+k must stay below MAX_OPERAND; the gather route forms no key
-    # but must reject the same input with the same message
+def test_dweights_routes_solve_past_the_old_witness_key_bound():
+    # no route forms an n*A+k key, so an A whose keys would pass
+    # MAX_OPERAND gives the naive values and the least witnesses: ties
+    # across a column's slots (row 0), at the least value within a slot
+    # (row 1) and next to -top
     n = 4
-    top = int(mp.MAX_OPERAND) // n - 2  # the smallest |A| past the bound
+    top = int(mp.MAX_OPERAND) // n - 2  # the smallest |A| past the old bound
     b = np.array([[0, 1], [POS_INF, 2], [3, POS_INF], [1, 1]], dtype=np.int64)
     op = mp.DWeightsOperand(b)
-    routes = (lambda a, w: mp._dweights_gather(a, op, w),
-              lambda a, w: mp._dweights_bucketed(a, op, w))
-    past = np.array([[-top, 0, POS_INF, 5], [1, 2, 3, 4]], dtype=np.int64)
-    within = past.copy()
-    within[0, 0] += 1
-    messages = []
-    for route in routes:
-        with pytest.raises(WeightError, match="witness encoding") as err:
-            route(past, True)
-        messages.append(str(err.value))
-        want, want_wit = min_plus_smallest_witness(within, b)
-        got, wit = route(within, True)
-        assert np.array_equal(got, want) and np.array_equal(wit, want_wit)
-        # without witnesses no key is needed on either route
-        assert np.array_equal(route(past, False)[0], mp.min_plus_naive(past, b).data)
-    assert messages[0] == messages[1]
-    with pytest.raises(WeightError) as err:
-        mp.d_weights_min_plus(past, op, return_witnesses=True)
-    assert str(err.value) == messages[0]
+    past = np.array([[-top, -top - 1, POS_INF, -top - 1], [1, 5, POS_INF, 1],
+                     [-top, 0, POS_INF, 5]], dtype=np.int64)
+    want, want_wit = min_plus_smallest_witness(past, b)
+    assert np.array_equal(want, mp.min_plus_naive(past, b).data)
+    assert want_wit.tolist() == [[0, 3], [0, 0], [0, 0]]
+    check_dweights_routes(past, b)
+    for operand in (b, op):
+        got, wit = mp.d_weights_min_plus(past, operand, return_witnesses=True)
+        assert np.array_equal(got.data, want) and np.array_equal(wit, want_wit)
 
 
 def test_cost_rule_picks_gather_for_dweights_solves_and_bucket_for_dense_palette(
@@ -565,10 +557,10 @@ def column_slot_inputs(bdata):
 
 
 def column_slots_reference(bdata):
-    """Per-column loop: distinct finite values in first-occurrence order."""
+    """Per-column loop: distinct finite values in ascending order."""
     slot_col, slot_val, col_start = [], [], [0]
     for j in range(bdata.shape[1]):
-        vals = list(dict.fromkeys(v for v in bdata[:, j].tolist() if v != POS_INF))
+        vals = sorted({v for v in bdata[:, j].tolist() if v != POS_INF})
         slot_col += [j] * len(vals)
         slot_val += vals
         col_start.append(len(slot_val))
@@ -1035,10 +1027,10 @@ def test_hop_paths_match_per_pair_path(h):
         assert empty_nodes.shape == (0, h + 1) and empty_hops.shape == (0,)
 
 
-def test_solver_witness_scan_matches_loop_reference(monkeypatch):
+def test_solver_step_witnesses_match_loop_reference(monkeypatch):
     # witnesses of a solver product are the smallest k with
-    # A[i, k] + B[k, j] == prod[i, j], wherever prod improves on A;
-    # tiny cell budgets force many inner blocks
+    # A[i, k] + B[k, j] == prod[i, j], wherever prod improves on A, as the
+    # gather's tie pass finds them; tiny cell budgets force many blocks
     rng = np.random.default_rng(42)
 
     def loop_reference(vals, onehop, prod):
@@ -1052,15 +1044,41 @@ def test_solver_witness_scan_matches_loop_reference(monkeypatch):
                     need[i, j] = False
         return wit
 
-    for budget in (1, 5, 64, 2**18):
-        monkeypatch.setattr(mp, "_WITNESS_SCAN_CELLS", budget)
+    for budget in (1, 5, 64, mp._GATHER_CELLS):
+        monkeypatch.setattr(mp, "_GATHER_CELLS", budget)
         for _ in range(20):
             s, n = int(rng.integers(0, 7)), int(rng.integers(0, 10))
             vals = rand_matrix(rng, s, n, inf_p=0.3, lo=-5, hi=9).data
             onehop = rand_matrix(rng, n, n, inf_p=0.4, lo=-3, hi=6).data
             prod = mp.min_plus_naive(vals, onehop).data
-            got = mp._smallest_witnesses(vals, onehop, prod)
-            assert np.array_equal(got, loop_reference(vals, onehop, prod))
+            # the kernel side, and its operand's chunks, under this budget
+            kernel = mp._HopKernel(onehop, mp.min_plus_naive)
+            got, wit = kernel.step(vals, True)
+            assert np.array_equal(got, prod)
+            assert np.array_equal(np.where(prod < vals, wit, -1),
+                                  loop_reference(vals, onehop, prod))
+            # elsewhere too the witness is the least minimizing k
+            assert np.array_equal(wit, smallest_witness_reference(vals, onehop)[1])
+            got, wit = kernel.step(vals, False)
+            assert np.array_equal(got, prod) and wit is None
+
+
+def test_compact_paths_matches_argsort_form():
+    def argsort_form(nodes):
+        order = np.argsort(nodes < 0, axis=1, kind="stable")
+        return np.take_along_axis(nodes, order, axis=1)
+
+    rng = np.random.default_rng(8)
+    cases = [np.full((3, 5), -1), np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((0, 0))]
+    for _ in range(40):
+        p, w = rng.integers(1, 9, size=2)
+        nodes = np.where(rng.random((p, w)) < 0.4, -1, rng.integers(0, 20, size=(p, w)))
+        nodes[rng.random(p) < 0.2] = -1  # all -1 rows
+        cases.append(nodes)
+    for nodes in cases:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        got = mp.compact_paths(nodes)
+        assert got.dtype == np.int64 and np.array_equal(got, argsort_form(nodes))
 
 
 def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
