@@ -53,7 +53,6 @@ from .additive import (
     popular_sum_decomposition,
     popular_sums_approx,
     popular_sums_exact,
-    sumset_with_multiplicities,
 )
 from .exact_triangle import (
     RegularityAudit,

@@ -20,31 +20,12 @@ BSG_SUMSET_FACTOR = 4.0
 BSG_RETRIES = 8
 
 
-class SumsetProfile:
-    """Sumset of two integer sets together with the multiplicity of each sum."""
-
-    def __init__(self, x, y, multiplicity):
-        self.x = frozenset(x)
-        self.y = frozenset(y)
-        self.multiplicity = dict(multiplicity)
-
-    @property
-    def support(self):
-        return set(self.multiplicity)
-
-
 def _sum_counts(x, y):
     """The distinct sums of X+Y in ascending order and the multiplicity of
     each: one np.unique with counts over the broadcast sums."""
     return np.unique(np.add.outer(np.fromiter(x, dtype=np.int64),
                                   np.fromiter(y, dtype=np.int64)),
                      return_counts=True)
-
-
-def sumset_with_multiplicities(x, y):
-    """Exact multiplicity map of X+Y."""
-    sums, counts = _sum_counts(x, y)
-    return SumsetProfile(x, y, zip(sums.tolist(), counts.tolist()))
 
 
 def sumset(x, y):

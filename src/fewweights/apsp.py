@@ -17,8 +17,11 @@ it, left products against its transpose), the prepared d-weights B
 operand are built once per solve.  _replay skips the levels when every
 level is V (its squared base is then exact), and the bridging solver hands
 its step-2 products to _replay as the levels' direct terms.
-A pivot solve first contracts each strongly connected component (from the
-boolean reachability closure) that one Bellman-Ford finds a negative cycle in.
+A pivot solve first deletes each strongly connected component (from the
+boolean reachability closure) that one Bellman-Ford finds a negative cycle
+in, solves the rest with its own weights and marks -inf from the closure.
+Every value a pivot solver forms is then a walk weight of a graph with no
+negative cycle, within (n - 1) * max|w|.
 """
 
 from __future__ import annotations
@@ -96,89 +99,80 @@ def apsp_oracle(g):
 # Negative-cycle elimination.
 # ----------------------------------------------------------------------------
 
-def _component_labels(n, e):
-    """Per node, the smallest node that it reaches and that reaches it: its
-    strongly connected component's label.  The reachability closure takes
-    ceil(log2 n) boolean squarings of adjacency + I, O(n^omega log n) time,
-    inside the pivot solvers' budget."""
+def _reachability(n, e):
+    """Whether each node reaches each node (every node reaches itself): the
+    closure of adjacency + I by ceil(log2 n) boolean squarings, O(n^omega
+    log n) time, inside the pivot solvers' budget."""
     reach = np.eye(n, dtype=bool)
     reach[e[:, 0], e[:, 1]] = True
-    reach = _repeated_square(reach, boolean_matrix_multiply)
-    return np.where(reach & reach.T, np.arange(n), n).min(axis=1, initial=n)
+    return _repeated_square(reach, boolean_matrix_multiply)
 
 
-def _negative_cycle_nodes(e, label):
-    """Whether each node's component holds a negative cycle, by one
-    Bellman-Ford from a virtual all-zero source over the edges inside
-    components.  A component of k nodes without a negative cycle settles
-    within k - 1 rounds, and one with a negative cycle has an edge that
-    relaxes in every round: after n rounds, the edges that still relax name
-    exactly the components that hold a negative cycle."""
-    n = label.size
-    u, v, w = e[label[e[:, 0]] == label[e[:, 1]]].T
+def _negative_cycle_nodes(e, reach):
+    """Whether each node's strongly connected component holds a negative
+    cycle, by one Bellman-Ford from a virtual all-zero source over the edges
+    inside components (u -> v where v reaches u).  A component of k nodes
+    without a negative cycle settles within k - 1 rounds, and one with a
+    negative cycle has an edge that relaxes in every round: after n rounds,
+    the edges that still relax name exactly the components that hold a
+    negative cycle."""
+    n = reach.shape[0]
+    u, v, w = e[reach[e[:, 1], e[:, 0]]].T
     dist = np.zeros(n, dtype=np.int64)
     for _ in range(n):
         cand = dist[u] + w
         if not (cand < dist[v]).any():
             break
         np.minimum.at(dist, v, cand)
-    return np.isin(label, label[u[dist[u] + w < dist[v]]])
+    src = u[dist[u] + w < dist[v]]
+    return (reach[:, src] & reach[src, :].T).any(axis=1)
 
 
 class NegativeCycleRemap:
-    """Translation from contracted-graph distances back to the original graph."""
+    """Translation from kept-graph distances back to the input graph."""
 
-    def __init__(self, node_map, bad_nodes, threshold, identity=False):
-        self.node_map = node_map
+    def __init__(self, bad_nodes, reach):
         self.bad_nodes = bad_nodes
-        self.threshold = threshold
-        self.identity = identity
+        self.reach = reach
 
     def decode(self, dist):
-        data = _as_data(dist)
-        if self.identity:
-            return WeightMatrix(data)
-        raw = data[np.ix_(self.node_map, self.node_map)].copy()
-        reachable = raw != POS_INF
-        endpoint_bad = self.bad_nodes[:, None] | self.bad_nodes[None, :]
-        below = reachable & (raw < self.threshold)
-        raw[reachable & endpoint_bad] = NEG_INF
-        raw[below] = NEG_INF
-        return WeightMatrix(raw, copy=False)
+        """Embed the kept nodes' distances, +inf elsewhere, then set -inf on
+        every pair whose source reaches a deleted node that reaches its
+        target (the oracle's rule)."""
+        bad = self.bad_nodes
+        out = np.full((bad.size, bad.size), POS_INF, dtype=np.int64)
+        out[np.ix_(~bad, ~bad)] = _as_data(dist)
+        if bad.any():
+            out[boolean_matrix_multiply(self.reach[:, bad], self.reach[bad, :])] = NEG_INF
+        return WeightMatrix(out, copy=False)
 
 
 def eliminate_negative_cycles(g):
-    """Contract every SCC containing a negative cycle into one node.
+    """Delete every node whose strongly connected component holds a
+    negative cycle.
 
-    Every edge entering a contracted node weighs penalty = -2*W*n, where W
-    is the largest edge weight magnitude; the other edges keep their
-    weights, so a node-weighted graph keeps one weight per one-hop column.
-    The contracted graph has no negative cycle.  A simple path through a
-    contracted node weighs at most -2*W*n + (n-2)*W < -W*n = threshold,
-    while a path that avoids every contracted node weighs at least
-    -(n-1)*W.  Decoding therefore maps distances below the threshold (or
-    touching a contracted node) to -inf; all other distances are unchanged.
+    The kept graph is the subgraph induced on the other nodes, relabelled in
+    order, with every weight untouched: no weight is new, a node-weighted
+    graph stays node-weighted, and the kept graph has no negative cycle.
+    Decoding is exact.  A walk through a deleted node makes its pair -inf,
+    so every other pair has its distance in the kept graph; a pair with a
+    deleted end is -inf when its source reaches its target, else +inf.
+    Every distance of the kept graph is a simple-path weight, within
+    (n - 1) * max|w|.
     """
-    n = g.n
-    e = g.edge_array
-    label = _component_labels(n, e) if (e[:, 2] < 0).any() else np.arange(n)
-    bad_nodes = _negative_cycle_nodes(e, label)
-    if not bad_nodes.any():
-        return g, NegativeCycleRemap(np.arange(n), bad_nodes, 0, identity=True)
-    # good nodes keep their order, then one node per bad component, in the
-    # order of the components' labels
-    node_map = np.empty(n, dtype=np.int64)
-    n_good = int((~bad_nodes).sum())
-    node_map[~bad_nodes] = np.arange(n_good)
-    bad_ids, rank = np.unique(label[bad_nodes], return_inverse=True)
-    node_map[bad_nodes] = n_good + rank
-    weights_abs = int(np.abs(e[:, 2]).max())
-    nu, nv = node_map[e[:, 0]], node_map[e[:, 1]]
-    keep = (nu != nv) | ~bad_nodes[e[:, 0]]
-    w2 = np.where(bad_nodes[e[:, 1]], -2 * weights_abs * n, e[:, 2])
-    g2 = EdgeWeightedGraph(n_good + bad_ids.size,
-                           np.column_stack([nu, nv, w2])[keep])
-    return g2, NegativeCycleRemap(node_map, bad_nodes, -weights_abs * n)
+    n, e = g.n, g.edge_array
+    bad, reach = np.zeros(n, dtype=bool), None
+    if (e[:, 2] < 0).any():
+        reach = _reachability(n, e)
+        bad = _negative_cycle_nodes(e, reach)
+    remap = NegativeCycleRemap(bad, reach)
+    if not bad.any():
+        return g, remap
+    node_map = np.cumsum(~bad) - 1
+    e = e[~(bad[e[:, 0]] | bad[e[:, 1]])]
+    g2 = EdgeWeightedGraph(n - int(bad.sum()),
+                           np.column_stack([node_map[e[:, :2]], e[:, 2]]))
+    return g2, remap
 
 
 # ----------------------------------------------------------------------------
@@ -436,8 +430,9 @@ def solve_apsp(g, algo="nw-det", h=None, *, rng=None, d=None, promise=None,
                constant=DEFAULT_SAMPLING_CONSTANT):
     """APSP by the oracle or a pivot solver; the one entry of the pivot solvers.
 
-    The pivot solvers eliminate negative cycles, solve, and decode -inf.
-    h defaults to default_hop_parameter(n).  "nw-rand"
+    The pivot solvers delete the nodes of negative-cycle components, solve
+    the kept graph, whose values lie within (n - 1) * max|w|, and decode
+    -inf from reachability (eliminate_negative_cycles).  h defaults to default_hop_parameter(n).  "nw-rand"
     replays pivot levels sampled from rng (default: seed 0); "nw-det" and
     "dweights" run the bridging-set solver.  "dweights" audits at most d
     distinct weights per node on the promised side ("out" when promise is

@@ -131,8 +131,8 @@ def apsp_from_minplus(g, d, minplus_solver, eps):
     """APSP with all d-weights products dispatched to the given solver.
 
     Runs the deterministic bridging-set framework with hop cutoff
-    h = ceil(n^(eps/4)); negative cycles are eliminated up front and decoded
-    back to -inf entries.
+    h = ceil(n^(eps/4)); the nodes of negative-cycle components are deleted
+    up front (eliminate_negative_cycles) and decoded back to -inf entries.
     """
     require_distinct_weights(g, d, "in")
     h = max(1, math.ceil(g.n ** (eps / 4.0)))

@@ -10,23 +10,6 @@ from fewweights import additive as ad
 # sumsets and popular sums
 # ----------------------------------------------------------------------------
 
-def test_sumset_singletons():
-    prof = ad.sumset_with_multiplicities({0}, {0})
-    assert prof.multiplicity == {0: 1}
-
-
-def test_sumset_small_enumeration():
-    prof = ad.sumset_with_multiplicities({0, 1, 2}, {0, 1, 2})
-    assert prof.multiplicity == {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
-
-
-def test_sumset_translate_size():
-    rng = np.random.default_rng(0)
-    x = set(rng.integers(-40, 40, size=12).tolist())
-    prof = ad.sumset_with_multiplicities(x, {17})
-    assert len(prof.support) == len(x)
-
-
 def test_popular_sums_exact_thresholds():
     x = {0, 1, 2}
     assert ad.popular_sums_exact(x, x, 1) == {0, 1, 2, 3, 4}
@@ -40,7 +23,10 @@ def test_popular_membership_matches_multiplicity():
     rng = np.random.default_rng(1)
     x = set(rng.integers(-20, 20, size=10).tolist())
     y = set(rng.integers(-20, 20, size=10).tolist())
-    mult = ad.sumset_with_multiplicities(x, y).multiplicity
+    mult = {}
+    for a in x:
+        for b in y:
+            mult[a + b] = mult.get(a + b, 0) + 1
     for t in (1, 2, 3):
         p = ad.popular_sums_exact(x, y, t)
         for z, r in mult.items():

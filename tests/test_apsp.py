@@ -180,7 +180,9 @@ def test_eliminate_identity_on_nonnegative():
     rng = np.random.default_rng(2)
     g = random_node_weighted_graph(10, rng)
     g2, remap = ap.eliminate_negative_cycles(g)
-    assert g2 is g and remap.identity
+    assert g2 is g and not remap.bad_nodes.any()
+    want = ap.apsp_oracle(g)
+    assert remap.decode(want) == want
 
 
 def test_eliminate_tail_to_negative_cycle():
@@ -197,21 +199,22 @@ def test_eliminate_all_negative_cycle_graph():
     n = 4
     edges = [(i, (i + 1) % n) for i in range(n)]
     g = node_weighted_graph(n, edges, [-1] * n)
-    g2, _ = ap.eliminate_negative_cycles(g)
-    assert g2.n == 1
+    g2, remap = ap.eliminate_negative_cycles(g)
+    assert g2.n == 0
+    assert remap.decode(np.zeros((0, 0), dtype=np.int64)) == ap.apsp_oracle(g)
 
 
 def test_eliminate_node_weighted_keeps_one_slot_per_column():
     # a planted negative 2-cycle {1, 2} entered from 0 (into w(1) = -3) and
-    # from 3 (into w(2) = 1): both entering edges weigh the penalty, so each
-    # one-hop column of the contracted graph still holds one weight, and
-    # every hop step of nw-det is one d-weights product with one slot per
-    # nonempty column
+    # from 3 (into w(2) = 1): deleting it keeps every other weight, so each
+    # one-hop column of the kept graph still holds one weight, and every hop
+    # step of nw-det is one d-weights product with one slot per nonempty
+    # column
     edges = [(0, 1), (3, 2), (0, 3), (1, 2), (2, 1), (2, 4), (4, 5), (5, 4),
              (5, 6), (6, 7), (1, 7)]
     g = node_weighted_graph(8, edges, [2, -3, 1, 4, 0, 5, 3, 2])
     g2, remap = ap.eliminate_negative_cycles(g)
-    assert g2.n == 7 and remap.bad_nodes.tolist() == [0, 1, 1, 0, 0, 0, 0, 0]
+    assert g2.n == 6 and remap.bad_nodes.tolist() == [0, 1, 1, 0, 0, 0, 0, 0]
     off = one_hop_offdiag(g2)
     for col in off.T:
         assert np.unique(col[col != POS_INF]).size <= 1
@@ -234,6 +237,56 @@ def test_eliminate_edge_weighted_decode():
         g2, remap = ap.eliminate_negative_cycles(g)
         decoded = remap.decode(ap.apsp_oracle(g2))
         assert np.array_equal(decoded.data, bellman_ford_reference(g))
+
+
+def test_eliminate_keeps_edges_between_kept_nodes():
+    # deletion invents no weight: the kept graph's edges are exactly the
+    # input's edges between kept nodes, relabelled in order, so max|w| does
+    # not grow; the deleted nodes are those the oracle gives a -inf diagonal
+    rng = np.random.default_rng(4)
+    deleted = 0
+    for t in range(20):
+        n = int(rng.integers(2, 16))
+        g = random_dweights_graph(n, 3, rng, density=0.2, low=-4, high=9,
+                                  negative_cycle=t % 4 != 3)
+        g2, remap = ap.eliminate_negative_cycles(g)
+        bad = remap.bad_nodes
+        assert bad.tolist() == (np.diagonal(ap.apsp_oracle(g).data) == NEG_INF).tolist()
+        kept = np.flatnonzero(~bad)
+        pos = {int(v): i for i, v in enumerate(kept)}
+        want = sorted((pos[u], pos[v], w) for u, v, w in g.edges()
+                      if u in pos and v in pos)
+        assert g2.n == kept.size and sorted(g2.edges()) == want
+        if g2.m:
+            assert np.abs(g2.edge_array[:, 2]).max() <= np.abs(g.edge_array[:, 2]).max()
+        deleted += int(bad.sum())
+    assert deleted > 0
+
+
+def negative_chain_graph():
+    """Five negative 2-cycles (edges -2^54 and 2^54 - 1) chained by edges of
+    weight 2^54, entered from nodes 10..12, which no cycle reaches."""
+    big = 2 ** 54
+    edges = [(10, 11, big), (11, 12, 3 - big), (12, 11, big), (10, 0, big),
+             (12, 4, big)]
+    for i in range(5):
+        edges += [(2 * i, 2 * i + 1, -big), (2 * i + 1, 2 * i, big - 1)]
+        if i < 4:
+            edges.append((2 * i + 1, 2 * i + 2, big))
+    return EdgeWeightedGraph(13, edges)
+
+
+@pytest.mark.parametrize("algo", ["nw-det", "nw-rand", "dweights"])
+def test_negative_cycle_chain_stays_in_operand_range(algo):
+    # the kept nodes 10..12 solve with their own weights: every value a
+    # pivot solver forms is a walk weight of the kept graph, within 2 * 2^54,
+    # far inside the kernel operand bound
+    g = negative_chain_graph()
+    want = ap.apsp_oracle(g)
+    assert want.data[10, 12] == 3 and want.data[10, 9] == NEG_INF
+    assert want.data[0, 10] == POS_INF
+    got = ap.solve_apsp(g, algo, h=4, rng=np.random.default_rng(0))
+    assert got == want
 
 
 def _scalar_component_has_negative_cycle(nodes, edge_triples):
@@ -271,14 +324,14 @@ def _random_scc(rng, k, low, high):
 def negative_cycle_flags(n, edges):
     """The solver's negative-cycle flags per node of an n-node edge list."""
     e = np.array(edges, dtype=np.int64).reshape(-1, 3)
-    return ap._negative_cycle_nodes(e, ap._component_labels(n, e))
+    return ap._negative_cycle_nodes(e, ap._reachability(n, e))
 
 
 def test_component_labels_match_scipy_strong_components():
     pytest.importorskip("scipy")
     from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    assert ap._component_labels(0, np.zeros((0, 3), dtype=np.int64)).size == 0
+    from scipy.sparse.csgraph import connected_components, shortest_path
+    assert ap._reachability(0, np.zeros((0, 3), dtype=np.int64)).shape == (0, 0)
     rng = np.random.default_rng(30)
     for t in range(60):
         n = int(rng.integers(1, 40))
@@ -288,13 +341,12 @@ def test_component_labels_match_scipy_strong_components():
         ends = rng.integers(0, max(1, n - 3), size=(m, 2))
         ends = np.concatenate([ends, ends[:m // 4], np.zeros((t % 2, 2), int)])
         e = np.column_stack([ends, rng.integers(-3, 4, size=len(ends))])
-        got = ap._component_labels(n, e)
+        reach = ap._reachability(n, e)
         adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
         _, comp = connected_components(adj, directed=True, connection="strong")
-        # scipy numbers components arbitrarily: name each by its least node
-        least = np.full(comp.max() + 1, n)
-        np.minimum.at(least, comp, np.arange(n))
-        assert np.array_equal(got, least[comp])
+        assert np.array_equal(reach, np.isfinite(shortest_path(adj.tocsr(), unweighted=True)))
+        # two nodes share a component exactly when each reaches the other
+        assert np.array_equal(reach & reach.T, comp[:, None] == comp[None, :])
 
 
 def test_negative_cycle_test_matches_scalar_bellman_ford():

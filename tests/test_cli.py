@@ -65,6 +65,24 @@ def test_run_oracle_and_verify_roundtrip(tmp_path):
     assert set(rec) == {"algo", "n", "d", "seed", "wall_ns", "ops"}
 
 
+def test_run_verify_on_negative_cycle_chain(tmp_path):
+    # five negative 2-cycles of weights -2^54 and 2^54 - 1, chained by
+    # 2^54 edges and entered from nodes 10..12: nw-det deletes the cycles'
+    # nodes and solves the rest with their own weights
+    big = 2 ** 54
+    edges = [(10, 11, big), (11, 12, 3 - big), (12, 11, big), (10, 0, big),
+             (12, 4, big)]
+    for i in range(5):
+        edges += [(2 * i, 2 * i + 1, -big), (2 * i + 1, 2 * i, big - 1)]
+        if i < 4:
+            edges.append((2 * i + 1, 2 * i + 2, big))
+    graph = tmp_path / "chain.txt"
+    graph.write_text(f"13 {len(edges)} edge-weighted\n"
+                     + "".join(f"{u} {v} {w}\n" for u, v, w in edges))
+    assert run("run", "nw-det", "--input", graph, "--out", tmp_path / "r",
+               "--verify") == EXIT_OK
+
+
 def test_run_config_rerun_identical_results(tmp_path):
     g = tmp_path / "g"
     run("gen", "nw-graph", "--n", 10, "--seed", 9, "--out", g)

@@ -896,7 +896,8 @@ def negative_edge_graphs():
     """A node-weighted and a d-weights graph with negative edges and no
     negative cycle.  In the node-weighted one no edge joins two of the
     negative nodes (weights -3..-1) and the others weigh 3..8, so every cycle
-    weighs at least 0; the d-weights one has its negative cycles contracted."""
+    weighs at least 0; the d-weights one has its negative-cycle components
+    deleted."""
     rng = np.random.default_rng(70)
     n = 16
     weights = rng.integers(3, 9, size=n)
@@ -911,7 +912,7 @@ def negative_edge_graphs():
     }
     for g in graphs.values():
         assert g.n == n and (g.edge_array[:, 2] < 0).any()
-        assert apsp.eliminate_negative_cycles(g)[1].identity
+        assert apsp.eliminate_negative_cycles(g)[0] is g
     return graphs
 
 
