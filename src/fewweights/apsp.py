@@ -16,7 +16,9 @@ solve builds one HopOperator, so the one-hop matrix and, per side (right
 products against it, left products against its transpose), the prepared
 d-weights B operand are built once per solve.  _replay skips the levels
 when every level is V (its squared base is then exact), and the bridging
-solver hands its step-2 products to _replay as the levels' direct terms.
+solver hands its step-2 products to _replay as the levels' direct terms;
+its longer hop products resume shorter ones (HopProduct) instead of
+running their first rounds again.
 A pivot solve first deletes each strongly connected component (from the
 boolean reachability closure) that one Bellman-Ford finds a negative cycle
 in, solves the rest with its own weights and marks -inf from the closure.
@@ -208,32 +210,30 @@ def greedy_hitting_set(paths, n):
     break to the lowest vertex index.  Returns a sorted array that hits
     every row.
     """
-    real = paths >= 0
-    sizes = real.sum(axis=1)
-    flat = paths[real].astype(np.int64, copy=False)
-    if (sizes == 0).any():
+    p = np.sort(np.asarray(paths, dtype=np.int64), axis=1)
+    if (p < 0).all(axis=1).any():
         raise ValueError("paths must be nonempty")
-    # one (path, vertex) entry per distinct vertex of a path, sorted by path;
-    # a sort and a neighbour test, which beat np.unique's hashing here
-    key = np.sort(np.repeat(np.arange(sizes.size), sizes) * n + flat)
-    key = key[np.diff(key, prepend=-1) != 0]
-    pid, vert = key // n, key % n
-    path_start = np.searchsorted(pid, np.arange(sizes.size + 1))
-    by_vertex = np.argsort(vert, kind="stable")
-    vertex_start = np.searchsorted(vert[by_vertex], np.arange(n + 1))
-    counts = np.bincount(vert, minlength=n)
-    alive = np.ones(sizes.size, dtype=bool)
+    # padding and a vertex's repeats within a row go to a dummy vertex n, so
+    # each row names each of its vertices once
+    p[:, 1:][p[:, 1:] == p[:, :-1]] = n
+    p[p < 0] = n
+    flat = p.ravel()
+    counts = np.bincount(flat, minlength=n + 1)
+    # by_vertex[vertex_start[v]:vertex_start[v + 1]] are the rows holding v;
+    # on keys of 16 bits or fewer numpy's stable sort is a radix sort
+    keys = flat.astype(np.min_scalar_type(n))
+    by_vertex = np.argsort(keys, kind="stable") // max(p.shape[1], 1)
+    vertex_start = np.concatenate([[0], np.cumsum(counts)])
+    live = counts[:n]  # a view: how many unhit rows hold each real vertex
+    alive = np.ones(p.shape[0], dtype=bool)
     chosen = []
-    while counts.any():  # some live path remains
-        v = int(np.argmax(counts))
+    while live.any():
+        v = int(np.argmax(live))
         chosen.append(v)
-        hit = pid[by_vertex[vertex_start[v]:vertex_start[v + 1]]]
+        hit = by_vertex[vertex_start[v]:vertex_start[v + 1]]
         hit = hit[alive[hit]]
         alive[hit] = False
-        # entries of the newly hit paths, gathered range by range
-        lens = path_start[hit + 1] - path_start[hit]
-        offsets = np.repeat(path_start[hit] - (np.cumsum(lens) - lens), lens)
-        counts -= np.bincount(vert[offsets + np.arange(lens.sum())], minlength=n)
+        counts -= np.bincount(p[hit].ravel(), minlength=n + 1)
     return np.array(sorted(chosen), dtype=np.int64)
 
 
@@ -263,7 +263,7 @@ def _level_products(op, s_cur, s_next, d_next, hl, want_paths):
     return m2, m3
 
 
-def _replay(op, levels, base_set, base_hops, m1=None):
+def _replay(op, levels, base_set, base_hops, m1=None, start=None):
     """Distances over V from pivot levels S_0 = V, ..., S_L.
 
     The base squares D^{<=base_hops}[B, B] for a sorted base set B holding
@@ -272,6 +272,8 @@ def _replay(op, levels, base_set, base_hops, m1=None):
     m1[l] is a direct bounded-hop term D^{<=k}[S_l, S_l] with k >= 2^l.
     The caller may hand in m1, already computed (the bridging solver's step
     2 gives k = 2^(l+1)); else each level computes D^{<=2^l}[S_l, S_l].
+    It may also hand in `start`, a right HopProduct of at most base_hops
+    hops from trivial_rows(base_set), which the base product resumes.
 
     When every level is all of V, so is B, and the squared base is the
     answer: with no negative cycle, ceil(log2 n) squarings of D^{<=k}
@@ -281,8 +283,9 @@ def _replay(op, levels, base_set, base_hops, m1=None):
     V, each level would return the exact distances it was given.
     """
     n = op.n
-    base = hop_bounded_product(trivial_rows(base_set, n), op, base_hops,
-                               want_paths=False).values.data
+    if start is None:
+        start = trivial_rows(base_set, n)
+    base = hop_bounded_product(start, op, base_hops, want_paths=False).values.data
     d_cur = _repeated_square(base[:, base_set], _min_plus)
     if all(s.size == n for s in levels):
         return WeightMatrix(d_cur, copy=False)
@@ -334,6 +337,14 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     S_l x S_l is a weight matrix (+inf where no Q path exists) plus an
     (|S_l|, |S_l|, 3*2^L+1) path array, and both hitting sets read such
     arrays.  Passing a BridgingState records the constructed sets and Q paths.
+
+    No hop product repeats another's rounds: step 2's D^{<=2^(l+1)}[S_l, V]
+    resumes step 1's D^{<=2^l}[S_l, V] for its last 2^l rounds, and when S*
+    = S_L the replay's base D^{<=4*2^L}[S*, V] resumes step 2's
+    D^{<=2^L}[S_L, V].  Step 1 backtraces only the entries that improved in
+    round 2^l, where every path of exactly 2^l hops ends.  At level 0 it
+    runs no left product: the one-hop paths into V are the edges out of V,
+    and hitting them once or twice gives the same greedy choices.
     """
     n = g.n
     if n == 0:
@@ -341,18 +352,21 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     big_l = max(0, math.ceil(math.log2(h))) if h > 1 else 0
     op = HopOperator(g, product)
 
-    # Step 1: pivot levels from exact-length witness paths.
+    # Step 1: pivot levels from exact-length witness paths.  Only an entry
+    # that improved in round 2^l can end a path of exactly 2^l hops.  At
+    # level 0 the one-hop paths out of V and into V are the same edges, so
+    # the left product would only double every greedy count.
     levels = [np.arange(n, dtype=np.int64)]
+    rights = []
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        right = hop_bounded_product(trivial_rows(s_cur, n), op, hl)
-        left = hop_bounded_product_left(op, trivial_rows(s_cur, n).T, hl)
-        rows, cols = np.nonzero(right.values.data != POS_INF)
-        r_nodes, r_hops = right.paths(rows, cols)
-        rows, cols = np.nonzero(left.values.data.T != POS_INF)
-        l_nodes, l_hops = left.paths(cols, rows)
-        paths = np.concatenate([r_nodes[r_hops == hl], l_nodes[l_hops == hl]])
+        rights.append(hop_bounded_product(trivial_rows(s_cur, n), op, hl))
+        prods = [rights[ell]]
+        if ell:
+            prods.append(hop_bounded_product_left(op, trivial_rows(s_cur, n).T, hl))
+        found = [prod.paths(*prod.last_round_pairs()) for prod in prods]
+        paths = np.concatenate([nodes[hops == hl] for nodes, hops in found])
         levels.append(greedy_hitting_set(paths, n))
 
     # Step 2: candidate paths Q (bounded hops, weight <= D^{<=2^L}) over
@@ -373,7 +387,7 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
         s_cur, s_next = levels[ell], levels[ell + 1]
         pos_next = np.full(n, -1, dtype=np.int64)
         pos_next[s_next] = np.arange(s_next.size)
-        ri = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** (ell + 1))
+        ri = hop_bounded_product(rights[ell], op, 2 ** (ell + 1))  # step 1's, resumed
         m2, m3 = _level_products(op, s_cur, s_next, q_w, 2 ** ell, True)
         w1 = m1[ell] = ri.values.data[:, s_cur]
         w2 = m3.values.data[s_cur, :]
@@ -403,8 +417,9 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
             for u, v in zip(*np.nonzero(q_w != POS_INF))}
 
     # Step 4: replay the level recursion from D^{<=4*2^L}[S*, S*], with
-    # step 2's m1 terms.
-    return _replay(op, levels, s_star, 4 * hl, m1)
+    # step 2's m1 terms; when S* = S_L the base resumes step 2's base.
+    start = base if np.array_equal(s_star, s_last) else None
+    return _replay(op, levels, s_star, 4 * hl, m1, start=start)
 
 
 def solve_apsp(g, algo="nw-det", h=None, *, rng=None, d=None, promise=None,

@@ -120,6 +120,8 @@ def load_instance(path):
     mats = [load_matrix(path.parent / fields[k]) for k in ("A", "B", "C")]
     try:
         d = int(fields.get("d", 0))
+        if d < 0:
+            raise ValueError(f"d must be >= 0 (0: not declared), got {d}")
         inst = TriangleInstance(*mats, promise=fields["promise"])
     except WeightError:
         raise
@@ -278,6 +280,8 @@ def cmd_run(args):
     if args.delta is not None and args.algo != "aete-few-weights":
         raise ValueError("--delta applies to aete-few-weights only")
     _require_input_b(args, args.algo in _MINPLUS_ALGOS)
+    if args.algo in _TRI_ALGOS and args.d is not None and args.d < 1:
+        raise ValueError("--d must be >= 1")
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -489,8 +493,8 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else EXIT_PARAM
     try:
         return args.fn(args)
-    except (AuditError, FormatError, FileNotFoundError, PromiseViolation,
-            WeightError) as e:
+    except (AuditError, FormatError, FileNotFoundError, IsADirectoryError,
+            PromiseViolation, WeightError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:

@@ -1126,8 +1126,10 @@ def aete_few_weights(inst, d, delta_exp, delta=None, omega_hat=3.0, rng=None):
     cost rule without its entry audit: a piece with at most
     _MIN_NTT_POINTS summing pairs by the stack's pair products, any other
     (in order, as it draws from rng) by _uniform_regular_body with K
-    derived from the configured exponent.
+    derived from the configured exponent.  d must be at least 1.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     n = inst.n
     eps = delta_exp / 14.0
     if delta is None:

@@ -534,13 +534,35 @@ class HopProduct:
     recorded while running the hop recurrence, one per round that ran (a
     round that did not run improves nothing).  `paths` backtraces many
     entries at once into one -1-padded array; `path` is its per-pair view.
+    The product also keeps the row frontier its recurrence stopped with (the
+    rows that improved in its last round; None stands for every row), so a
+    later hop product on the same side and graph can resume it for more
+    rounds.
     """
 
-    def __init__(self, values, parents, h, reversed_paths=False):
+    def __init__(self, values, parents, h, reversed_paths=False, *,
+                 frontier=None, with_paths=True):
         self.values = values
         self._parents = parents
         self._h = int(h)
         self._reversed = reversed_paths
+        self._frontier = frontier
+        self._with_paths = with_paths
+
+    @property
+    def h(self):
+        return self._h
+
+    def last_round_pairs(self):
+        """The entries (i, j) that strictly improved in round h, as index
+        arrays; none when h is 0 or the recurrence stopped before round h.
+        Every witness path of exactly h hops ends at such an entry."""
+        if not self._with_paths:
+            raise ValueError("the product was recorded without paths")
+        if self._h == 0 or len(self._parents) < self._h:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        i, j = np.nonzero(self._parents[-1] >= 0)
+        return (j, i) if self._reversed else (i, j)
 
     def paths(self, i, j):
         """Witness paths of the entries (i[p], j[p]), as (nodes, hops).
@@ -551,6 +573,8 @@ class HopProduct:
         every path back from its end node; the rounds without a parent
         leave gaps that one stable compaction closes.
         """
+        if not self._with_paths:
+            raise ValueError("the product was recorded without paths")
         i = np.asarray(i, dtype=np.int64).reshape(-1)
         j = np.asarray(j, dtype=np.int64).reshape(-1)
         infinite = self.values.data[i, j] == POS_INF
@@ -647,17 +671,32 @@ def _hop_recurrence(A, g, h, left, want_paths):
     those of h full rounds.  One parent matrix of vals' shape is recorded
     per round that ran, with paths, holding the round's witness where the
     value strictly improved, else -1.
+
+    A HopProduct in A's place resumes it: the rounds start.h + 1..h run from
+    its values, its parents and its frontier, which gives the values and
+    paths of a fresh h-round product from the start's A.
     """
-    a = _as_data(A)
-    if a.shape[0 if left else 1] != g.n:
-        raise ValueError(f"A must have one {'row' if left else 'column'} per node")
+    op = g if isinstance(g, HopOperator) else HopOperator(g)
     if h < 0:
         raise ValueError("h must be >= 0")
-    op = g if isinstance(g, HopOperator) else HopOperator(g)
-    vals = (a.T if left else a).copy()
-    parents = []
-    active = np.arange(vals.shape[0])
-    for _ in range(int(h)):
+    if isinstance(A, HopProduct):
+        if A._reversed != left:
+            raise ValueError("a resumed product must come from the same side")
+        if h < A.h:
+            raise ValueError(f"cannot resume an h={A.h} product at h={h}")
+        if want_paths and not A._with_paths:
+            raise ValueError("the product to resume was recorded without paths")
+        vals = (A.values.data.T if left else A.values.data).copy()
+        parents = list(A._parents) if want_paths else []
+        active = np.arange(vals.shape[0]) if A._frontier is None else A._frontier
+        done = A.h
+    else:
+        a = _as_data(A)
+        vals = (a.T if left else a).copy()
+        parents, active, done = [], np.arange(vals.shape[0]), 0
+    if vals.shape[1] != op.n:
+        raise ValueError(f"A must have one {'row' if left else 'column'} per node")
+    for _ in range(done, int(h)):
         if active.size == 0:
             break
         counters["hop_iterations"] += 1
@@ -670,9 +709,9 @@ def _hop_recurrence(A, g, h, left, want_paths):
             parents.append(parent)
         vals[active] = np.where(better, nv, cur)
         active = active[better.any(axis=1)]
-    if left:
-        return HopProduct(WeightMatrix(vals.T, copy=False), parents, h, reversed_paths=True)
-    return HopProduct(WeightMatrix(vals, copy=False), parents, h)
+    values = WeightMatrix(vals.T if left else vals, copy=False)
+    return HopProduct(values, parents, h, reversed_paths=left, frontier=active,
+                      with_paths=want_paths)
 
 
 def hop_bounded_product(A, g, h, *, want_paths=True):
@@ -683,6 +722,11 @@ def hop_bounded_product(A, g, h, *, want_paths=True):
     product of a HopOperator(g, product).  g is a graph or a HopOperator
     built from one.  Values only improve strictly, so recorded paths have
     minimal hop-length among minimum-weight h-hop-bounded paths.
+
+    A may be a right HopProduct of the same graph, h' <= h hops from some
+    A0: the product then resumes it and runs only rounds h'+1..h, from its
+    values, parents and row frontier, with the result of a fresh
+    hop_bounded_product(A0, g, h).  Paths need a start recorded with them.
     """
     return _hop_recurrence(A, g, h, False, want_paths)
 
@@ -691,7 +735,8 @@ def hop_bounded_product_left(g, A, h, *, want_paths=True):
     """D_g^{<=h} * A, run as the right product A^T * D^{<=h} of the reverse graph.
 
     The recurrence is hop_bounded_product's, stepping against the transposed
-    one-hop matrix; g is a graph or a HopOperator.
+    one-hop matrix; g is a graph or a HopOperator.  A may be a left
+    HopProduct to resume, under hop_bounded_product's rule.
     """
     return _hop_recurrence(A, g, h, True, want_paths)
 

@@ -499,6 +499,27 @@ def test_hitting_set_matches_loop_reference():
         assert np.array_equal(got, greedy_hitting_set_loop(paths, n))
 
 
+def test_hitting_set_matches_loop_reference_at_step_one_size():
+    # step 1's level-0 shape: every edge of an n=80 graph (about 3,800) as a
+    # two-node path, and each path twice, as the right and left products'
+    # exact one-hop paths once gave them; doubling every count changes no
+    # greedy choice
+    rng = np.random.default_rng(14)
+    n = 80
+    u, v = np.nonzero((rng.random((n, n)) < 0.6) & ~np.eye(n, dtype=bool))
+    edges = np.column_stack([u, v])
+    assert 3500 < edges.shape[0] < 4100
+    twice = np.concatenate([edges, edges])
+    got = ap.greedy_hitting_set(twice, n)
+    assert np.array_equal(got, greedy_hitting_set_loop(twice.tolist(), n))
+    assert np.array_equal(got, ap.greedy_hitting_set(edges, n))
+    # node ids past 255 take 16-bit sort keys
+    wide = rng.integers(0, 300, size=(2000, 5))
+    wide[::3, 3:] = -1
+    assert np.array_equal(ap.greedy_hitting_set(wide, 300),
+                          greedy_hitting_set_loop([r[r >= 0].tolist() for r in wide], 300))
+
+
 def test_hitting_set_padded_array_matches_lists():
     # the random paths of test_hitting_set_matches_loop_reference, padded
     # with -1 up to the longest path plus 0-2 columns, against the loop over
@@ -671,10 +692,10 @@ def test_bridging_replay_reuses_step_two_products(monkeypatch):
     in_replay, hops = [False], []
     replay, right_product = ap._replay, ap.hop_bounded_product
 
-    def replay_spy(*args):
+    def replay_spy(*args, **kwargs):
         in_replay[0] = True
         try:
-            return replay(*args)
+            return replay(*args, **kwargs)
         finally:
             in_replay[0] = False
 

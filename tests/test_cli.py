@@ -231,9 +231,10 @@ def test_instance_manifest_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("d", "two"), ("promise", "D_rows"),
-                                          ("C", "wide.mat")])
+                                          ("C", "wide.mat"), ("d", "-3")])
 def test_malformed_manifest_is_an_input_error(tmp_path, capsys, field, value):
-    # a non-integer d, an unknown promise, or matrices of unequal shapes
+    # a non-integer or negative d, an unknown promise, or matrices of
+    # unequal shapes
     inst, _ = random_triangle_instance(5, 2, np.random.default_rng(4))
     man = save_instance(inst, tmp_path, d=2)
     save_matrix(WeightMatrix(np.zeros((5, 6), dtype=np.int64)), tmp_path / "wide.mat")
@@ -241,6 +242,31 @@ def test_malformed_manifest_is_an_input_error(tmp_path, capsys, field, value):
              for line in man.read_text().splitlines()]
     man.write_text("\n".join(lines) + "\n")
     assert run("run", "aete-brute", "--input", man, "--out", tmp_path / "r") == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["aete-few-weights", "aete-uniform-regular"])
+def test_run_triangle_d_below_one_is_a_parameter_error(tmp_path, capsys, algo):
+    # a triangle --d below 1 is rejected before anything is written; a
+    # manifest d of 0 still means "not declared" (the solver then takes n)
+    tri = tmp_path / "tri"
+    run("gen", "exact-tri", "--n", 8, "--d", 2, "--seed", 1, "--out", tri)
+    for d in (0, -3):
+        out = tmp_path / f"{algo}{d}"
+        assert run("run", algo, "--input", tri / "instance.tri", "--d", d,
+                   "--out", out) == EXIT_PARAM
+        assert "parameter error: --d must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    man = tri / "instance.tri"
+    man.write_text("".join("d 0\n" if line.startswith("d ") else line
+                           for line in man.read_text().splitlines(keepends=True)))
+    assert load_instance(man)[1] is None
+    assert run("run", "aete-few-weights", "--input", man, "--verify",
+               "--out", tmp_path / "undeclared") == EXIT_OK
+
+
+def test_directory_input_is_an_input_error(tmp_path, capsys):
+    assert run("run", "oracle", "--input", tmp_path, "--out", tmp_path / "r") == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
 
 

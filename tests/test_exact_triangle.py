@@ -111,6 +111,17 @@ def test_sum_equal_to_bot_is_no_triangle():
     assert not et.aete_few_weights(inst, 1, 28.0).yes.any()
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_few_weights_rejects_d_below_one(d):
+    # at d = 0 the solver once answered no on every pair of this instance,
+    # which has 27 yes pairs, and at d = -3 its recursion guard tripped
+    inst, _ = random_triangle_instance(8, 2, np.random.default_rng(0), planted=2)
+    assert et.aete_brute(inst).yes.sum() == 27
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        et.aete_few_weights(inst, d, 28.0)
+    assert np.array_equal(et.aete_few_weights(inst, 2, 28.0).yes, et.aete_brute(inst).yes)
+
+
 def test_brute_matches_independent_loop():
     rng = np.random.default_rng(1)
     for t in range(8):

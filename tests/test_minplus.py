@@ -960,6 +960,91 @@ def test_row_frontier_matches_full_rounds(h, monkeypatch):
         assert stopped > 0
 
 
+def resume_case_operators(rng):
+    """A node graph, an edge graph and a solver operator for the resume tests."""
+    gedge = rand_edge_graph(rng, 10, 3, p=0.25, lo=-2)
+    return {"node": rand_node_graph(rng, 10, p=0.25),
+            "edge": gedge,
+            "solver": mp.HopOperator(gedge, mp.min_plus_naive)}
+
+
+def hop_on_side(side, a, g, h, want_paths):
+    """The right product of A, or the left product of A.T; A may be a
+    HopProduct of that side to resume."""
+    if side == "right":
+        return mp.hop_bounded_product(a, g, h, want_paths=want_paths)
+    if not isinstance(a, mp.HopProduct):
+        a = a.transpose()
+    return mp.hop_bounded_product_left(g, a, h, want_paths=want_paths)
+
+
+def counted_rounds(fn):
+    mp.reset_counters()
+    out = fn()
+    return out, mp.snapshot_counters()["hop_iterations"]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("start_paths, want_paths",
+                         [(True, True), (False, False), (True, False)])
+def test_resumed_hop_product_matches_fresh(side, start_paths, want_paths):
+    # a resume runs exactly the rounds after its start and gives a fresh
+    # product's values, and its paths on every finite pair
+    rng = np.random.default_rng(91)
+    for name, g in resume_case_operators(rng).items():
+        a = rand_matrix(rng, 5, 10, inf_p=0.6, lo=0, hi=9)
+        # (start h, h): from 0, mid-recurrence, h equal to the start's, and a
+        # start (h 30 on 10 nodes) whose row frontier emptied
+        for h0, h in ((0, 3), (1, 3), (2, 5), (3, 3), (30, 40)):
+            fresh, fresh_rounds = counted_rounds(lambda: hop_on_side(side, a, g, h, want_paths))
+            start, start_rounds = counted_rounds(lambda: hop_on_side(side, a, g, h0, start_paths))
+            before = start.values.data.copy()
+            got, rounds = counted_rounds(lambda: hop_on_side(side, start, g, h, want_paths))
+            case = (name, side, h0, h)
+            assert rounds == fresh_rounds - start_rounds, case
+            if h0 == 30:
+                assert start_rounds < h0 and rounds == 0, case
+            assert got.values == fresh.values, case
+            assert np.array_equal(start.values.data, before), case
+            assert got.h == h, case
+            if not want_paths:
+                continue
+            i, j = np.nonzero(fresh.values.data != POS_INF)
+            for x, y in zip(got.paths(i, j), fresh.paths(i, j)):
+                assert np.array_equal(x, y), case
+            # the last round's improved entries, by recomputing one round less
+            if h > 0:
+                prev = hop_on_side(side, a, g, h - 1, False).values.data
+                want = np.nonzero(prev != fresh.values.data)
+                for x, y in zip(got.last_round_pairs(), want):
+                    assert np.array_equal(np.sort(x), np.sort(y)), case
+                if h0 == 30:
+                    assert got.last_round_pairs()[0].size == 0, case
+
+
+def test_hop_product_resume_rejects_bad_starts():
+    rng = np.random.default_rng(92)
+    g = rand_node_graph(rng, 8)
+    a = rand_matrix(rng, 3, 8, inf_p=0.5, lo=0, hi=9)
+    right = mp.hop_bounded_product(a, g, 2)
+    left = mp.hop_bounded_product_left(g, a.transpose(), 2)
+    bare = mp.hop_bounded_product(a, g, 2, want_paths=False)
+    with pytest.raises(ValueError, match="cannot resume an h=2 product at h=1"):
+        mp.hop_bounded_product(right, g, 1)
+    with pytest.raises(ValueError, match="same side"):
+        mp.hop_bounded_product(left, g, 3)
+    with pytest.raises(ValueError, match="same side"):
+        mp.hop_bounded_product_left(g, right, 3)
+    with pytest.raises(ValueError, match="recorded without paths"):
+        mp.hop_bounded_product(bare, g, 3)
+    with pytest.raises(ValueError, match="recorded without paths"):
+        bare.paths([0], [0])
+    with pytest.raises(ValueError, match="recorded without paths"):
+        bare.last_round_pairs()
+    assert mp.hop_bounded_product(bare, g, 3, want_paths=False).values == \
+        mp.hop_bounded_product(a, g, 3).values
+
+
 def backtrace_loop_reference(prod, i, j):
     """The per-pair backtrace HopProduct.path ran before `paths` existed."""
     if prod.values.data[i, j] == POS_INF:
