@@ -239,8 +239,8 @@ _BLOCK_SUMS = 2 ** 16
 
 def _least_popular_sums(main, other, need):
     """Per set pair (i, j) of two padded families: whether some a + b has
-    `need` representations, and the least such sum.  For need > 1 the pair's
-    sums are sorted as one run v, where such a sum starts at s iff v[s] ==
+    `need` > 1 representations, and the least such sum.  The pair's sums are
+    sorted as one run v, where such a sum starts at s iff v[s] ==
     v[s+need-1]; padded slots sum to a value above all real sums."""
     (a, av), (b, bv) = main, other
     top = a.max(initial=0) + b.max(initial=0) + 1
@@ -248,14 +248,11 @@ def _least_popular_sums(main, other, need):
     if not (av.all() and bv.all()):
         sums = np.where(av[:, None, :, None] & bv[None, :, None, :], sums, top)
     sums = sums.reshape(len(a), len(b), -1)
-    if need > 1:
-        sums.sort(axis=2)
-        k = max(sums.shape[2] - need + 1, 0)
-        run = sums[:, :, :k]
-        least = run.min(axis=2, initial=top,
-                        where=run == sums[:, :, need - 1:need - 1 + k])
-    else:
-        least = sums.min(axis=2, initial=top)
+    sums.sort(axis=2)
+    k = max(sums.shape[2] - need + 1, 0)
+    run = sums[:, :, :k]
+    least = run.min(axis=2, initial=top,
+                    where=run == sums[:, :, need - 1:need - 1 + k])
     return least < top, least
 
 
@@ -276,32 +273,48 @@ def _decompose_side(main, other, d, delta):
     need = math.ceil(max(1.0, d / delta))
     deg_threshold = n / delta
     rounds = max(1, int(delta * delta))
-    pair = w * ovals.shape[1]
-    # blocks of rows x other sets with at most _BLOCK_SUMS sums, or one pair
-    col_step = max(1, min(n, _BLOCK_SUMS // pair))
-    row_step = max(1, _BLOCK_SUMS // (pair * max(1, n))) if col_step == n else 1
-    nonempty = np.zeros((n, n), dtype=bool)
-    least = np.zeros((n, n), dtype=np.int64)
-    dirty = np.arange(n)
+    if need == 1:
+        filled = np.flatnonzero(ovalid.any(axis=1))
+    else:
+        pair = w * ovals.shape[1]
+        # blocks of rows x other sets with at most _BLOCK_SUMS sums, or one pair
+        col_step = max(1, min(n, _BLOCK_SUMS // pair))
+        row_step = max(1, _BLOCK_SUMS // (pair * max(1, n))) if col_step == n else 1
+        nonempty = np.zeros((n, n), dtype=bool)
+        least = np.zeros((n, n), dtype=np.int64)
+        dirty = np.arange(n)
     parts = []
     for _ in range(rounds):
-        for rows in _blocks(dirty, row_step):
-            for lo in range(0, n, col_step):
-                cols = slice(lo, lo + col_step)
-                block = (vals[rows], work[rows]), (ovals[cols], ovalid[cols])
-                if col_step < n:  # large sets: cut each side's padding
-                    block = [_trimmed(*side) for side in block]
-                nonempty[rows, cols], least[rows, cols] = _least_popular_sums(
-                    *block, need)
-        candidates = np.flatnonzero(nonempty.sum(axis=0) >= deg_threshold)
-        if candidates.size == 0:
-            break
-        j_star = candidates[0]
+        if need == 1:
+            # every sum with a representation is popular: pair (i, j) has one
+            # iff work_i and Y_j hold a slot, the least is min(work_i) +
+            # min(Y_j), and every nonempty Y_j's degree is the number of
+            # rows holding work
+            dirty = np.flatnonzero(work.any(axis=1))
+            if filled.size == 0 or dirty.size < deg_threshold:
+                break
+            j_star = filled[0]
+            row_least = (vals[dirty, work[dirty].argmax(axis=1)]
+                         + ovals[j_star, ovalid[j_star].argmax()])
+        else:
+            for rows in _blocks(dirty, row_step):
+                for lo in range(0, n, col_step):
+                    cols = slice(lo, lo + col_step)
+                    block = (vals[rows], work[rows]), (ovals[cols], ovalid[cols])
+                    if col_step < n:  # large sets: cut each side's padding
+                        block = [_trimmed(*side) for side in block]
+                    nonempty[rows, cols], least[rows, cols] = _least_popular_sums(
+                        *block, need)
+            candidates = np.flatnonzero(nonempty.sum(axis=0) >= deg_threshold)
+            if candidates.size == 0:
+                break
+            j_star = candidates[0]
+            dirty = np.flatnonzero(nonempty[:, j_star])
+            row_least = least[dirty, j_star]
         o_star = ovals[j_star, ovalid[j_star]]
         # the shift is some a + b with a a work slot: the piece holds a
-        dirty = np.flatnonzero(nonempty[:, j_star])
         shift = np.zeros(n, dtype=np.int64)
-        shift[dirty] = least[dirty, j_star]
+        shift[dirty] = row_least
         member = np.zeros_like(work)
         for rows in _blocks(dirty, max(1, _BLOCK_SUMS // (w * o_star.size))):
             member[rows] = work[rows] & (
@@ -320,8 +333,11 @@ def popular_sum_decomposition(x, y, d, delta):
     nonempty for at least n/delta rows, negates that column's set as the
     common core, and peels off every such row the slots whose translate by
     the row's least popular sum lies in the core.  The leftover families
-    have popular sums for at most n^2/delta index pairs.  No random numbers
-    are drawn.
+    have popular sums for at most n^2/delta index pairs.  When d <= delta
+    every sum with a representation is popular: the chosen column is the
+    first nonempty one, each row's least popular sum is its least work
+    value plus that column's least value, and no sums are formed.  No
+    random numbers are drawn.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")

@@ -237,16 +237,15 @@ _TRI_ALGOS = ("aete-brute", "aete-small-doubling", "aete-uniform-regular",
 _MINPLUS_ALGOS = ("minplus-naive", "minplus-dweights")
 
 
-def _run_graph(args, rng):
-    g = load_graph(args.input)
+def _run_graph(args, g, rng):
     dist = solve_apsp(g, args.algo, h=args.h, rng=rng, d=args.d,
                       promise=args.promise_dir, constant=args.constant)
     ref = apsp_oracle(g) if (args.verify and args.algo != "oracle") else None
     return dist, (None if ref is None else bool(np.array_equal(dist.data, ref.data))), g.n
 
 
-def _run_triangle(args, rng):
-    inst, d_declared = load_instance(args.input)
+def _run_triangle(args, loaded, rng):
+    inst, d_declared = loaded
     d = args.d if args.d is not None else (d_declared or inst.n)
     if args.algo == "aete-brute":
         rep = aete_brute(inst)
@@ -263,9 +262,8 @@ def _run_triangle(args, rng):
     return _report_to_matrix(rep), ok, inst.n
 
 
-def _run_minplus(args, rng):
-    a = load_matrix(args.input)
-    b = load_matrix(args.input_b)
+def _run_minplus(args, operands, rng):
+    a, b = operands
     if args.algo == "minplus-naive":
         res = mp.min_plus_naive(a, b)
     else:
@@ -282,6 +280,16 @@ def cmd_run(args):
     _require_input_b(args, args.algo in _MINPLUS_ALGOS)
     if args.algo in _TRI_ALGOS and args.d is not None and args.d < 1:
         raise ValueError("--d must be >= 1")
+    if args.algo in _GRAPH_ALGOS:
+        solve, inputs = _run_graph, load_graph(args.input)
+    elif args.algo in _TRI_ALGOS:
+        solve, inputs = _run_triangle, load_instance(args.input)
+    elif args.algo in _MINPLUS_ALGOS:
+        solve, inputs = _run_minplus, (load_matrix(args.input),
+                                       load_matrix(args.input_b))
+    else:
+        raise ValueError(f"unknown algorithm {args.algo}")
+    # the inputs load before --out is made: an input error writes nothing
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,14 +302,7 @@ def cmd_run(args):
     _write_config(cfg, outdir)
     mp.reset_counters()
     t0 = time.perf_counter_ns()
-    if args.algo in _GRAPH_ALGOS:
-        result, ok, n = _run_graph(args, rng)
-    elif args.algo in _TRI_ALGOS:
-        result, ok, n = _run_triangle(args, rng)
-    elif args.algo in _MINPLUS_ALGOS:
-        result, ok, n = _run_minplus(args, rng)
-    else:
-        raise ValueError(f"unknown algorithm {args.algo}")
+    result, ok, n = solve(args, inputs, rng)
     wall = time.perf_counter_ns() - t0
     save_matrix(result, outdir / "result.mat")
     _append_timing(outdir, {"algo": args.algo, "n": n, "d": args.d or 0,

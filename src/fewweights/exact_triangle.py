@@ -685,9 +685,11 @@ def triples_to_original(triples, tag):
 # Uniformization.
 # ----------------------------------------------------------------------------
 
-def _row_occurrence_classes(m, absent):
-    """Split entries by floor(log2(row occurrence count)); returns {x: matrix}."""
-    occ = occurrence_stats(m, absent)[0]
+def _row_occurrence_classes(m, absent, occ=None):
+    """Split entries by floor(log2(row occurrence count)); returns {x: matrix}.
+    occ, if given, is occurrence_stats(m, absent)[0]."""
+    if occ is None:
+        occ = occurrence_stats(m, absent)[0]
     present = occ > 0
     cls = np.full(m.shape, -1, dtype=np.int64)
     cls[present] = np.floor(np.log2(occ[present]))
@@ -775,14 +777,15 @@ def _uniformize(a, b, c, d, delta):
     triple of arrays whose label pieces (_LabelGroups) are the d-uniform
     instances."""
     n = a.shape[0]
-    if occurrence_stats(a, BOT)[2].max(initial=0) > d:
+    occ, _, distinct = occurrence_stats(a, BOT)
+    if distinct.max(initial=0) > d:
         raise AuditError(f"rows of A exceed {d} distinct entries")
     if delta < 1:
         raise ValueError("delta must be >= 1")
     found = []
     groups = []
     b_classes = sorted(_col_occurrence_classes(b, BOT).items())
-    for x, ax in sorted(_row_occurrence_classes(a, BOT).items()):
+    for x, ax in sorted(_row_occurrence_classes(a, BOT, occ).items()):
         for y, by in b_classes:
             if 2 ** y <= n / (d * delta):
                 # short columns of b: list every triangle of the class
@@ -829,7 +832,10 @@ def _uniformize_class(a, b, c, d, delta):
             # piece value av of row i satisfies shift - av in Y_{j*}, so its
             # ag entry av - shift lies in the core -Y_{j*}; likewise every bh
             # entry lies in its core, so the listing needs no core filter.
-            found.append(_list_triangles(ag, bh, np.where(keep, BOT, cgh)))
+            # At t_pop = 1 pop is all of sg + th, which holds every sum the
+            # listing could find, so there is nothing to list.
+            if t_pop > 1:
+                found.append(_list_triangles(ag, bh, np.where(keep, BOT, cgh)))
             if keep.any():
                 groups.append((ag, bh, np.where(keep, cgh, BOT)))
     return groups, found

@@ -413,9 +413,23 @@ def test_decomposition_matches_set_reference_edge_cases():
         ([{-9, -4, -1}] * 3, [{-7, -2}] * 3, 3, 1),      # negative values
         # t = d/delta = 16 exceeds every multiplicity (at most 3)
         ([{0, 1, 2}, {5, 6, 7}], [{0, 1, 2}, {1, 2, 3}], 16, 1),
+        # need = ceil(max(1, d/delta)) = 1: every sum with a representation
+        # is popular.  delta = 1.5 allows int(2.25) = 2 rounds; the sets
+        # hold at most d <= delta values, so at need = 1 the round limit
+        # never cuts the loop
+        ([{3}, {-1}, set()], [{2}, set(), {7}], 1, 1.5),
+        ([set(), {1, 2}, {3}], [set(), set(), {5, 6}], 2, 2),  # empty sets
+        ([{1}, {2}], [set(), set()], 1, 1),                    # no other set
+        ([set(), set(), set()], [{1}, {2}, {3}], 1, 1),        # no work
     ]
     for xs, ys, d, delta in cases:
         assert_decomposition_matches_reference(xs, ys, d, delta)
+    # need = 1 with n/delta = 4: each round peels each working row's least
+    # value, and round 2 stops with 2 < 4 rows still holding work
+    xs = [{0, 1}, {2, 3}] + [{v} for v in range(4, 10)]
+    ys = [{-1, 5}, {0, 2}] + [{v} for v in range(6)]
+    for dec in assert_decomposition_matches_reference(xs, ys, 2, 2):
+        assert dec.level_count == 1 and dec.rest.sum() == 2
 
 
 def test_decomposition_matches_set_reference_with_multiplicity_thresholds():
@@ -428,6 +442,24 @@ def test_decomposition_matches_set_reference_with_multiplicity_thresholds():
         xs = _random_family(rng, n, d, -6, 6)
         ys = _random_family(rng, n, d, -6, 6)
         assert_decomposition_matches_reference(xs, ys, d, delta)
+
+
+def test_decomposition_at_need_one_sorts_no_sums(monkeypatch):
+    calls = []
+    least = ad._least_popular_sums
+
+    def spy(main, other, need):
+        calls.append(need)
+        return least(main, other, need)
+
+    monkeypatch.setattr(ad, "_least_popular_sums", spy)
+    rng = np.random.default_rng(17)
+    xs = _random_family(rng, 16, 16, -20, 20, min_size=1)
+    ys = _random_family(rng, 16, 16, -20, 20, min_size=1)
+    xd, yd = decompose(xs, ys, 16, 16)  # uniformize's shape: need = 1
+    assert xd.level_count and yd.level_count and not calls
+    decompose(xs, ys, 16, 8)  # need = 2 sorts the sums
+    assert calls and set(calls) == {2}
 
 
 def test_decomposition_matches_set_reference_with_large_sets(monkeypatch):

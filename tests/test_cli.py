@@ -270,6 +270,27 @@ def test_directory_input_is_an_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, text", [
+    pytest.param("oracle", None, id="missing"),
+    pytest.param("oracle", "3 1 edge-weighted\nq 1 4\n", id="malformed-graph"),
+    pytest.param("minplus-naive", "2 2\n1 x\n0 0\n", id="malformed-matrix"),
+    pytest.param("aete-brute", "n 3\nA missing.mat\n", id="malformed-manifest"),
+    pytest.param("oracle", "dir", id="directory"),
+])
+def test_run_input_error_writes_nothing(tmp_path, capsys, algo, text):
+    # the inputs load before the output directory is made
+    src = tmp_path / "in"
+    if text == "dir":
+        src.mkdir()
+    elif text is not None:
+        src.write_text(text)
+    out = tmp_path / "out"
+    b = ("--input-b", src) if algo == "minplus-naive" else ()
+    assert run("run", algo, "--input", src, *b, "--out", out) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("run", "minplus-naive"), ("run", "minplus-dweights"),
                                   ("verify", "minplus", "--result", "A.mat"),
                                   ("reduce", "minplus-from-aete"),

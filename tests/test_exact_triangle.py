@@ -892,19 +892,25 @@ def check_list_triangles(rng):
                 == listing_reference(a, b, c, b_values=b_vals))
 
 
-def test_uniformize_class_lists_unpopular_targets(monkeypatch):
-    # every row of A and column of B holds all of {0, 1, 2}: with d = 3 and
-    # delta = 1 both sides form one part around the core {-2, -1, 0}, whose
-    # only popular sum (t_pop = d = 3 representations) is -2, so targets
-    # other than c = 2 are listed.  uniformize itself never sends such a
-    # class here, since a long column class there holds fewer than d values.
+def _three_value_class():
+    """A class whose rows of A and columns of B all hold each of {0, 1, 2}
+    twice, with d = 3."""
     rng = np.random.default_rng(41)
     n, d = 6, 3
     a = np.stack([rng.permutation(np.arange(n) % d) for _ in range(n)])
     b = np.stack([rng.permutation(np.arange(n) % d) for _ in range(n)]).T
     c = rng.integers(-1, 6, size=(n, n)).astype(np.int64)
     c[rng.random((n, n)) < 0.2] = BOT
-    inst = et.TriangleInstance(a, b, c)
+    return a, b, et.TriangleInstance(a, b, c), d
+
+
+def test_uniformize_class_lists_unpopular_targets(monkeypatch):
+    # with delta = 1 both sides form one part around the core {-2, -1, 0},
+    # whose only popular sum (t_pop = d = 3 representations) is -2, so
+    # targets other than c = 2 are listed.  uniformize itself never sends
+    # such a class here, since a long column class there holds fewer than d
+    # values.
+    a, b, inst, d = _three_value_class()
     listed = []
     real = et._list_triangles
 
@@ -923,6 +929,27 @@ def test_uniformize_class_lists_unpopular_targets(monkeypatch):
     assert listed and any(listed)
     assert set().union(*listed) <= triples
     check_exact_decomposition(inst, subs, triples, uniform_d=d)
+
+
+def test_uniformize_class_lists_only_remainders_at_t_pop_one(monkeypatch):
+    # at delta = 2, t_pop = max(1, d/delta^9) = 1 makes every sum of the
+    # cores popular, so the unpopular-target listing would find nothing and
+    # does not run
+    a, b, inst, d = _three_value_class()
+    targets = []
+    real = et._list_triangles
+
+    def spy(a_side, b_side, target):
+        targets.append(target)
+        return real(a_side, b_side, target)
+
+    monkeypatch.setattr(et, "_list_triangles", spy)
+    groups, found = et._uniformize_class(a, b, inst.c.data, d, 2)
+    assert groups
+    assert all(t is inst.c.data for t in targets)
+    stack = et._LabelGroups(groups, d)
+    subs = [et.TriangleInstance(*stack.arrays(p)) for p in range(stack.size)]
+    check_exact_decomposition(inst, subs, triple_set(found), uniform_d=d)
 
 
 # ----------------------------------------------------------------------------
