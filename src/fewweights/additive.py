@@ -273,48 +273,42 @@ def _decompose_side(main, other, d, delta):
     need = math.ceil(max(1.0, d / delta))
     deg_threshold = n / delta
     rounds = max(1, int(delta * delta))
-    if need == 1:
-        filled = np.flatnonzero(ovalid.any(axis=1))
-    else:
-        pair = w * ovals.shape[1]
-        # blocks of rows x other sets with at most _BLOCK_SUMS sums, or one pair
-        col_step = max(1, min(n, _BLOCK_SUMS // pair))
-        row_step = max(1, _BLOCK_SUMS // (pair * max(1, n))) if col_step == n else 1
-        nonempty = np.zeros((n, n), dtype=bool)
-        least = np.zeros((n, n), dtype=np.int64)
-        dirty = np.arange(n)
     parts = []
+    if need == 1:  # the closed form of popular_sum_decomposition; valid is a prefix
+        filled = np.flatnonzero(ovalid.any(axis=1))
+        o_star = ovals[filled[:1]][ovalid[filled[:1]]]
+        for r in range(min(rounds, w) if filled.size else 0):
+            if valid[:, r].sum() < deg_threshold:
+                break
+            work[:, r] = False
+            shift = np.where(valid[:, r], vals[:, r] + o_star[0], 0)
+            parts.append(PartLevel(-o_star[::-1], shift, valid & (np.arange(w) == r)))
+        return SideDecomposition(vals, valid, parts, work)
+    pair = w * ovals.shape[1]
+    # blocks of rows x other sets with at most _BLOCK_SUMS sums, or one pair
+    col_step = max(1, min(n, _BLOCK_SUMS // pair))
+    row_step = max(1, _BLOCK_SUMS // (pair * max(1, n))) if col_step == n else 1
+    nonempty = np.zeros((n, n), dtype=bool)
+    least = np.zeros((n, n), dtype=np.int64)
+    dirty = np.arange(n)
     for _ in range(rounds):
-        if need == 1:
-            # every sum with a representation is popular: pair (i, j) has one
-            # iff work_i and Y_j hold a slot, the least is min(work_i) +
-            # min(Y_j), and every nonempty Y_j's degree is the number of
-            # rows holding work
-            dirty = np.flatnonzero(work.any(axis=1))
-            if filled.size == 0 or dirty.size < deg_threshold:
-                break
-            j_star = filled[0]
-            row_least = (vals[dirty, work[dirty].argmax(axis=1)]
-                         + ovals[j_star, ovalid[j_star].argmax()])
-        else:
-            for rows in _blocks(dirty, row_step):
-                for lo in range(0, n, col_step):
-                    cols = slice(lo, lo + col_step)
-                    block = (vals[rows], work[rows]), (ovals[cols], ovalid[cols])
-                    if col_step < n:  # large sets: cut each side's padding
-                        block = [_trimmed(*side) for side in block]
-                    nonempty[rows, cols], least[rows, cols] = _least_popular_sums(
-                        *block, need)
-            candidates = np.flatnonzero(nonempty.sum(axis=0) >= deg_threshold)
-            if candidates.size == 0:
-                break
-            j_star = candidates[0]
-            dirty = np.flatnonzero(nonempty[:, j_star])
-            row_least = least[dirty, j_star]
+        for rows in _blocks(dirty, row_step):
+            for lo in range(0, n, col_step):
+                cols = slice(lo, lo + col_step)
+                block = (vals[rows], work[rows]), (ovals[cols], ovalid[cols])
+                if col_step < n:  # large sets: cut each side's padding
+                    block = [_trimmed(*side) for side in block]
+                nonempty[rows, cols], least[rows, cols] = _least_popular_sums(
+                    *block, need)
+        candidates = np.flatnonzero(nonempty.sum(axis=0) >= deg_threshold)
+        if candidates.size == 0:
+            break
+        j_star = candidates[0]
+        dirty = np.flatnonzero(nonempty[:, j_star])
         o_star = ovals[j_star, ovalid[j_star]]
         # the shift is some a + b with a a work slot: the piece holds a
         shift = np.zeros(n, dtype=np.int64)
-        shift[dirty] = row_least
+        shift[dirty] = least[dirty, j_star]
         member = np.zeros_like(work)
         for rows in _blocks(dirty, max(1, _BLOCK_SUMS // (w * o_star.size))):
             member[rows] = work[rows] & (
@@ -334,10 +328,11 @@ def popular_sum_decomposition(x, y, d, delta):
     common core, and peels off every such row the slots whose translate by
     the row's least popular sum lies in the core.  The leftover families
     have popular sums for at most n^2/delta index pairs.  When d <= delta
-    every sum with a representation is popular: the chosen column is the
-    first nonempty one, each row's least popular sum is its least work
-    value plus that column's least value, and no sums are formed.  No
-    random numbers are drawn.
+    every sum with a representation is popular and no sums are formed:
+    the chosen column is the first nonempty one, and level r, while n/delta
+    rows hold more than r slots, peels slot r of each such row (the one
+    value whose translate lies in the core), shifted by that value plus
+    the column's least value.  No random numbers are drawn.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")

@@ -17,8 +17,8 @@ products against it, left products against its transpose), the prepared
 d-weights B operand are built once per solve.  _replay skips the levels
 when every level is V (its squared base is then exact), and the bridging
 solver hands its step-2 products to _replay as the levels' direct terms;
-its longer hop products resume shorter ones (HopProduct) instead of
-running their first rounds again.
+its longer hop products resume shorter ones (HopProduct), and products
+from sources start at their one-hop rows (HopOperator.sources).
 A pivot solve first deletes each strongly connected component (from the
 boolean reachability closure) that one Bellman-Ford finds a negative cycle
 in, solves the rest with its own weights and marks -inf from the closure.
@@ -48,7 +48,6 @@ from .minplus import (
     hop_bounded_product,
     hop_bounded_product_left,
     min_plus_naive,
-    trivial_rows,
 )
 
 DEFAULT_SAMPLING_CONSTANT = 10.0
@@ -273,7 +272,7 @@ def _replay(op, levels, base_set, base_hops, m1=None, start=None):
     The caller may hand in m1, already computed (the bridging solver's step
     2 gives k = 2^(l+1)); else each level computes D^{<=2^l}[S_l, S_l].
     It may also hand in `start`, a right HopProduct of at most base_hops
-    hops from trivial_rows(base_set), which the base product resumes.
+    hops from base_set, which the base resumes instead of op.sources.
 
     When every level is all of V, so is B, and the squared base is the
     answer: with no negative cycle, ceil(log2 n) squarings of D^{<=k}
@@ -284,7 +283,7 @@ def _replay(op, levels, base_set, base_hops, m1=None, start=None):
     """
     n = op.n
     if start is None:
-        start = trivial_rows(base_set, n)
+        start = op.sources(base_set)
     base = hop_bounded_product(start, op, base_hops, want_paths=False).values.data
     d_cur = _repeated_square(base[:, base_set], _min_plus)
     if all(s.size == n for s in levels):
@@ -294,7 +293,7 @@ def _replay(op, levels, base_set, base_hops, m1=None, start=None):
     for ell in range(len(levels) - 2, -1, -1):
         s_cur = levels[ell]
         if m1 is None:
-            w1 = hop_bounded_product(trivial_rows(s_cur, n), op, 2 ** ell,
+            w1 = hop_bounded_product(op.sources(s_cur), op, 2 ** ell,
                                      want_paths=False).values.data[:, s_cur]
         else:
             w1 = m1[ell]
@@ -338,13 +337,14 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     (|S_l|, |S_l|, 3*2^L+1) path array, and both hitting sets read such
     arrays.  Passing a BridgingState records the constructed sets and Q paths.
 
-    No hop product repeats another's rounds: step 2's D^{<=2^(l+1)}[S_l, V]
-    resumes step 1's D^{<=2^l}[S_l, V] for its last 2^l rounds, and when S*
-    = S_L the replay's base D^{<=4*2^L}[S*, V] resumes step 2's
-    D^{<=2^L}[S_L, V].  Step 1 backtraces only the entries that improved in
-    round 2^l, where every path of exactly 2^l hops ends.  At level 0 it
-    runs no left product: the one-hop paths into V are the edges out of V,
-    and hitting them once or twice gives the same greedy choices.
+    No hop product repeats another's rounds, and one from sources starts at
+    their one-hop rows (HopOperator.sources): step 2's D^{<=2^(l+1)}[S_l, V]
+    resumes step 1's D^{<=2^l}[S_l, V], and when S* = S_L the replay's base
+    D^{<=4*2^L}[S*, V] resumes step 2's D^{<=2^L}[S_L, V].  Step 1
+    backtraces only the entries that improved in round 2^l, where every path
+    of exactly 2^l hops ends.  At level 0 it runs no left product: the
+    one-hop paths into V are the edges out of V, and hitting them once or
+    twice gives the same greedy choices.
     """
     n = g.n
     if n == 0:
@@ -361,10 +361,10 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     for ell in range(big_l):
         hl = 2 ** ell
         s_cur = levels[ell]
-        rights.append(hop_bounded_product(trivial_rows(s_cur, n), op, hl))
+        rights.append(hop_bounded_product(op.sources(s_cur), op, hl))
         prods = [rights[ell]]
         if ell:
-            prods.append(hop_bounded_product_left(op, trivial_rows(s_cur, n).T, hl))
+            prods.append(hop_bounded_product_left(op, op.sources(s_cur, left=True), hl))
         found = [prod.paths(*prod.last_round_pairs()) for prod in prods]
         paths = np.concatenate([nodes[hops == hl] for nodes, hops in found])
         levels.append(greedy_hitting_set(paths, n))
@@ -376,7 +376,7 @@ def deterministic_pivot_apsp(g, h, *, product=None, state=None):
     # per level, 3*2^L - 2 in all, so every splice fits in width columns
     width = 3 * hl + 1
     s_last = levels[big_l]
-    base = hop_bounded_product(trivial_rows(s_last, n), op, hl)
+    base = hop_bounded_product(op.sources(s_last), op, hl)
     q_w = base.values.data[:, s_last]
     q_nodes = np.full(q_w.shape + (width,), -1, dtype=np.int64)
     rows, cols = np.nonzero(q_w != POS_INF)

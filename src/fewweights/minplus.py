@@ -638,6 +638,19 @@ class HopOperator:
             self._sides[left] = DWeightsOperand(m), shift
         return self._sides[left]
 
+    def sources(self, s, *, left=False):
+        """The h=1 product from sources s (rows 0 at the source, +inf
+        elsewhere), read off M (left: M.T) with no step: its one finite k,
+        the source, is the parent wherever M's row beats the start."""
+        s = np.asarray(s, dtype=np.int64)
+        row = (self._onehop.T if left else self._onehop)[s]
+        vals = np.where(np.arange(self.n) == s[:, None], np.int64(0), POS_INF)
+        better = row < vals
+        vals = np.where(better, row, vals)
+        parents = [np.where(better, s[:, None], np.int64(-1))]
+        return HopProduct(WeightMatrix(vals.T if left else vals, copy=False), parents, 1, left,
+                          frontier=np.flatnonzero(better.any(axis=1)))
+
     def step(self, vals, left, want_paths):
         """One hop step: vals * M (left: vals * M.T) and its witnesses, None
         without paths.
@@ -745,11 +758,3 @@ def hop_bounded_product_edge(A, g, h, d=None):
     """hop_bounded_product after auditing the graph for at most d distinct in-weights."""
     require_distinct_weights(g.graph if isinstance(g, HopOperator) else g, d, "in")
     return hop_bounded_product(A, g, h)
-
-
-def trivial_rows(sources, n):
-    """S x V matrix with 0 at [s, s] and +inf elsewhere."""
-    sources = np.asarray(sources, dtype=np.int64)
-    a = np.full((sources.size, n), POS_INF, dtype=np.int64)
-    a[np.arange(sources.size), sources] = 0
-    return a

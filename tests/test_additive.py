@@ -535,3 +535,44 @@ def test_one_draw_of_all_retries_matches_single_draws():
     singles = [single.choice(3, p=weights) for _ in range(ad.BSG_RETRIES)]
     assert batch.tolist() == singles
     assert one.bit_generator.state == single.bit_generator.state
+
+
+def _round_loop_side_need1(main, other, delta):
+    """The need = 1 side decomposition as a round loop with a member test:
+    the reference for the closed form."""
+    (vals, valid), (ovals, ovalid) = main, other
+    n = len(vals)
+    work = valid.copy()
+    filled = np.flatnonzero(ovalid.any(axis=1))
+    parts = []
+    for _ in range(max(1, int(delta * delta))):
+        dirty = np.flatnonzero(work.any(axis=1))
+        if filled.size == 0 or dirty.size < n / delta:
+            break
+        o_star = ovals[filled[0], ovalid[filled[0]]]
+        shift = np.zeros(n, dtype=np.int64)
+        shift[dirty] = vals[dirty, work[dirty].argmax(axis=1)] + o_star.min()
+        member = work & (shift[:, None, None] - vals[:, :, None] == o_star).any(axis=2)
+        work &= ~member
+        parts.append((-o_star[::-1], shift, member))
+    return parts, work
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_need1_closed_form_matches_round_loop(seed):
+    rng = np.random.default_rng(300 + seed)
+    n, d = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+    xs = _random_family(rng, n, d, -9, 9)
+    ys = _random_family(rng, n, d, -9, 9)
+    xs[0] = {4}  # a one-slot row
+    cases = [(xs, ys), (ys, xs), (xs, [set()] * n)]  # last: an all-empty other family
+    for delta in (d, d + 1.5, 4 * d):  # need = ceil(d / delta) = 1
+        for mains, others in cases:
+            got = ad._decompose_side(padded(mains), padded(others), d, delta)
+            parts, rest = _round_loop_side_need1(padded(mains), padded(others), delta)
+            assert got.check_partition() and np.array_equal(got.rest, rest)
+            assert len(got.parts) == len(parts)
+            for lvl, (core, shift, member) in zip(got.parts, parts):
+                assert np.array_equal(lvl.core, core)
+                assert np.array_equal(lvl.member, member)
+                assert np.array_equal(lvl.shift, shift)

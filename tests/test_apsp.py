@@ -17,6 +17,7 @@ from fewweights.core import (
 from fewweights import apsp as ap
 from fewweights import minplus as mp
 from fewweights import reductions as red
+from helpers import trivial_rows
 from fewweights.generators import (
     random_dweights_graph,
     random_node_weighted_graph,
@@ -724,7 +725,7 @@ def test_bridging_state_q_path_bounds():
     # after step 2 every stored Q path has hop-length <= 3*2^L and weight
     # at most the 2^L-hop-bounded distance of its endpoints, and S* hits
     # every Q path of hop-length >= 2^L
-    from fewweights.minplus import hop_bounded_product, trivial_rows
+    from fewweights.minplus import hop_bounded_product
 
     rng = np.random.default_rng(50)
     for t in range(4):
@@ -891,7 +892,7 @@ def test_solve_rejects_unknown_promise(d):
 def test_promise_audit_message_is_shared():
     # node 2 has two distinct incoming weights; its reverse has two outgoing
     g = EdgeWeightedGraph(3, [(0, 2, 1), (1, 2, 2)])
-    a = mp.trivial_rows(np.arange(3), 3)
+    a = trivial_rows(np.arange(3), 3)
     in_msg = "in-distinct audit failed: 2 > 1"
     calls = [
         (lambda: ap.solve_apsp(g, "dweights", h=2, d=1, promise="in"), in_msg),
@@ -914,3 +915,41 @@ def test_promise_audit_message_is_shared():
     assert mp.hop_bounded_product_edge(a, g, 1, d=None).values == \
         mp.hop_bounded_product(a, g, 1).values
     assert red.apsp_from_minplus(g, None, mp.min_plus_naive, eps=1.0) == want
+
+
+def test_hop_iterations_are_the_kernel_calls_inside_hop_products(monkeypatch):
+    # the benchmark's --trace 1 cross-check: every hop iteration is one public
+    # kernel or solver call made directly inside a hop product, so a start-up
+    # shortcut that calls a kernel outside the recurrence shows here
+    stack, inside = [], [0]
+
+    def span(fn, name):
+        def wrapped(*args, **kwargs):
+            inside[0] += name == "kernel" and bool(stack) and stack[-1] == "hop"
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapped
+
+    for mod in (mp, ap, red):
+        for attr, name in (("hop_bounded_product", "hop"), ("hop_bounded_product_left", "hop"),
+                           ("hop_bounded_product_edge", "hop"),
+                           ("d_weights_min_plus", "kernel"), ("min_plus_naive", "kernel"),
+                           ("boolean_min_plus", "kernel"),
+                           ("boolean_matrix_multiply", "kernel")):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr, span(getattr(mod, attr), name))
+    solver = span(lambda x, y: mp.min_plus_naive(x, y), "kernel")
+    rng = np.random.default_rng(62)
+    g_nw = random_node_weighted_graph(16, rng)
+    g_dw = random_dweights_graph(16, 2, rng, low=-1)
+    g_in = random_dweights_graph(12, 2, rng, promise="in")
+    for solve in (lambda: ap.solve_apsp(g_nw, "nw-det", h=4),
+                  lambda: ap.solve_apsp(g_dw, "dweights", h=4, d=2),
+                  lambda: red.apsp_from_minplus(g_in, 2, solver, eps=3.0)):
+        mp.reset_counters()
+        inside[0] = 0
+        solve()
+        assert mp.snapshot_counters()["hop_iterations"] == inside[0] > 0

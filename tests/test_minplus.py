@@ -16,6 +16,7 @@ from fewweights.core import (
 )
 from fewweights import apsp, bench, generators
 from fewweights import minplus as mp
+from helpers import trivial_rows
 
 
 def triple_loop_minplus(a, b):
@@ -614,14 +615,14 @@ def test_hop_product_matches_dijkstra():
         n = int(rng.integers(4, 12))
         edges, w = rand_node_edges(rng, n)
         g = node_weighted_graph(n, edges, w)
-        res = mp.hop_bounded_product(mp.trivial_rows(np.arange(n), n), g, n)
+        res = mp.hop_bounded_product(trivial_rows(np.arange(n), n), g, n)
         for s in range(n):
             assert res.values.data[s].tolist() == dijkstra_node_weighted(n, edges, w, s)
 
 
 def test_hop_product_prefix_sum_path():
     g = node_weighted_graph(3, [(0, 1), (1, 2)], [7, 2, 3])
-    res = mp.hop_bounded_product(mp.trivial_rows(np.array([0]), 3), g, 2)
+    res = mp.hop_bounded_product(trivial_rows(np.array([0]), 3), g, 2)
     assert res.values.data[0].tolist() == [0, 2, 5]
     assert res.path(0, 2) == [0, 1, 2]
 
@@ -629,7 +630,7 @@ def test_hop_product_prefix_sum_path():
 def test_hop_product_monotone_in_h():
     rng = np.random.default_rng(32)
     g = rand_node_graph(rng, 10)
-    a = mp.trivial_rows(np.arange(10), 10)
+    a = trivial_rows(np.arange(10), 10)
     prev = None
     for h in range(6):
         cur = mp.hop_bounded_product(a, g, h).values.data
@@ -705,7 +706,7 @@ def test_hop_edge_d1_matches_node_weighted():
     pairs, w = rand_node_edges(rng, n)
     gnode = node_weighted_graph(n, pairs, w)
     gedge = EdgeWeightedGraph(n, [(u, v, int(w[v])) for u, v in pairs])
-    a = mp.trivial_rows(np.arange(n), n)
+    a = trivial_rows(np.arange(n), n)
     r1 = mp.hop_bounded_product(a, gnode, 4).values
     r2 = mp.hop_bounded_product_edge(a, gedge, 4, d=1).values
     assert r1 == r2
@@ -735,7 +736,7 @@ def test_hop_edge_matches_repeated_naive():
 
 def test_hop_edge_audit_failure():
     g = EdgeWeightedGraph(3, [(0, 2, 1), (1, 2, 2)])
-    a = mp.trivial_rows(np.arange(3), 3)
+    a = trivial_rows(np.arange(3), 3)
     with pytest.raises(AuditError):
         mp.hop_bounded_product_edge(a, g, 1, d=1)
 
@@ -935,7 +936,7 @@ def test_row_frontier_matches_full_rounds(h, monkeypatch):
         rng = np.random.default_rng(71 + h)
         a = rand_matrix(rng, 6, g.n, inf_p=0.7, lo=-3, hi=9).data.copy()
         a[1] = POS_INF  # a row that never steps after the first round
-        a[2] = mp.trivial_rows([3], g.n)[0]
+        a[2] = trivial_rows([3], g.n)[0]
         onehop = mp.one_hop_offdiag(g)
         for product in (None, solver):
             stepped.clear()
@@ -1174,7 +1175,7 @@ def test_dweights_hop_step_asks_witnesses_only_for_paths(monkeypatch):
     # both the right and the left product take the d-weights kernel
     g = EdgeWeightedGraph(4, [(0, 2, 1), (1, 2, 5), (2, 3, 2), (0, 1, 3),
                               (0, 3, 7), (3, 0, 1)])
-    a = mp.trivial_rows(np.arange(4), 4)
+    a = trivial_rows(np.arange(4), 4)
     asked = []
     kernel = mp.d_weights_min_plus
 
@@ -1249,7 +1250,7 @@ def test_hop_operator_picks_each_side_once(monkeypatch):
 
     monkeypatch.setattr(mp, "DWeightsOperand", Spy)
     op = mp.HopOperator(g)
-    a = mp.trivial_rows(np.arange(9), 9)
+    a = trivial_rows(np.arange(9), 9)
     for _ in range(3):
         mp.hop_bounded_product(a, op, 2)
         mp.hop_bounded_product_left(op, a, 2)
@@ -1261,3 +1262,59 @@ def test_hop_operator_picks_each_side_once(monkeypatch):
     gin = rand_edge_graph(rng, 9, 3)
     assert apsp.solve_apsp(gin, "dweights", h=4, d=3, promise="in") == apsp.apsp_oracle(gin)
     assert built == [(9, 9), (9, 9)]
+
+
+def _seeded_start_graphs():
+    rng = np.random.default_rng(91)
+    for t in range(3):  # negative edges, no negative cycle
+        g = generators.random_dweights_graph(12, 3, rng, density=0.3, low=-2)
+        yield apsp.eliminate_negative_cycles(g)[0], None
+    for t in range(2):  # node-weighted: the left side is shifted
+        yield generators.random_node_weighted_graph(12, rng), None
+    yield generators.random_dweights_graph(12, 1, rng, promise="in"), None  # d=1
+    yield generators.random_dweights_graph(10, 3, rng), mp.min_plus_naive
+    yield EdgeWeightedGraph(4, [(0, 0, 3), (0, 1, 2), (1, 2, -1), (2, 3, 1)]), None
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_sources_matches_trivial_rows_product(left):
+    # the seeded start, resumed with or without paths, is the product from
+    # the trivial rows
+    run = mp.hop_bounded_product_left if left else mp.hop_bounded_product
+    for g, product in _seeded_start_graphs():
+        op = mp.HopOperator(g, product)
+        s = np.arange(0, g.n, 2)
+        a = trivial_rows(s, g.n)
+        for h in range(1, 5):
+            for want_paths in (True, False):
+                got = run(op, op.sources(s, left=True), h, want_paths=want_paths) if left \
+                    else run(op.sources(s), op, h, want_paths=want_paths)
+                want = run(op, a.T, h, want_paths=want_paths) if left \
+                    else run(a, op, h, want_paths=want_paths)
+                assert np.array_equal(got.values.data, want.values.data)
+                if want_paths:
+                    i, j = np.nonzero(want.values.data != POS_INF)
+                    for x, y in zip(got.paths(i, j), want.paths(i, j)):
+                        assert np.array_equal(x, y)
+                    for x, y in zip(got.last_round_pairs(), want.last_round_pairs()):
+                        assert np.array_equal(x, y)
+                more = [run(op, p, h + 2, want_paths=want_paths) if left
+                        else run(p, op, h + 2, want_paths=want_paths) for p in (got, want)]
+                assert np.array_equal(more[0].values.data, more[1].values.data)
+
+
+def test_sources_calls_no_kernel_or_solver(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return mp.min_plus_naive(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "d_weights_min_plus",
+                        lambda *a, **k: calls.append(a) or pytest.fail("kernel called"))
+    for g, product in _seeded_start_graphs():
+        op = mp.HopOperator(g, spy if product else None)
+        mp.reset_counters()
+        for left in (False, True):
+            op.sources(np.arange(g.n), left=left)
+        assert calls == [] and mp.snapshot_counters()["hop_iterations"] == 0
