@@ -36,6 +36,7 @@ from .core import (
     EdgeWeightedGraph,
     NEG_INF,
     POS_INF,
+    WeightError,
     WeightMatrix,
     _as_data,
     build_one_hop_matrix,
@@ -86,10 +87,13 @@ def apsp_oracle(g):
     After ceil(log2 n) squarings every node on a negative cycle has a
     negative diagonal entry; a pair is -inf exactly when some such node is
     reachable from its source and reaches its target.  Every other entry is
-    a simple-path distance.  Weights too large for the min-plus kernel raise
-    WeightError instead of wrapping.
+    a simple-path distance.  Walk weights past the kernel's bound 2^60
+    raise WeightError instead of wrapping.
     """
-    d = _repeated_square(build_one_hop_matrix(g).data, _min_plus)
+    try:
+        d = _repeated_square(build_one_hop_matrix(g).data, _min_plus)
+    except WeightError:
+        raise WeightError(f"graph on {g.n} nodes has walk weights past the bound 2^60") from None
     finite = d != POS_INF
     cyc = np.diagonal(d) < 0
     pumped = boolean_matrix_multiply(finite[:, cyc], finite[cyc, :])

@@ -87,11 +87,11 @@ def bench_minplus_crossover(n, seeds):
     call) runs in the node-weighted product shape: s = max(1, n // 8) rows
     against a boolean n x n matrix (naive runs on the 0/w equivalent
     matrix).  The minplus-naive row is ok when the naive product equals
-    boolean_min_plus plus the column weights, on A and on A with its finite
-    entries shifted by 2^40, so that both dtypes of min_plus_naive are
-    checked against an independent kernel; its time is that of the
-    unshifted product.  The boolean-minplus row is ok when it equals the
-    naive product.
+    boolean_min_plus plus the column weights, on A as drawn (int16) and with
+    A's finite entries shifted by 2^20 (int32) and 2^40 (int64), so every
+    dtype of min_plus_naive is checked against an independent kernel; its
+    time is that of the unshifted product.  The boolean-minplus row is ok
+    when it equals the naive product.
 
     d_weights_min_plus runs against a dense n x n matrix with at most 4
     distinct entries per column (d = 4), through one prepared operand used
@@ -116,12 +116,11 @@ def bench_minplus_crossover(n, seeds):
             return np.where(vals == POS_INF, vals, vals + w[None, :])
 
         want, t_naive = _timed(lambda: mp.min_plus_naive(a, WeightMatrix(bmat)))
-        shifted = WeightMatrix(np.where(a.data == POS_INF, POS_INF, a.data + 2**40))
         ok = all(np.array_equal(
-            naive.data,
+            mp.min_plus_naive(x, WeightMatrix(bmat)).data,
             plus_w(mp.boolean_min_plus(x, adj, return_witnesses=False)[0].data))
-            for x, naive in ((a, want),
-                             (shifted, mp.min_plus_naive(shifted, WeightMatrix(bmat)))))
+            for x in (WeightMatrix(np.where(a.data == POS_INF, POS_INF, a.data + shift))
+                      for shift in (0, 2**20, 2**40)))
         rows.append({"algo": "minplus-naive", "n": n, "d": 1, "seed": seed,
                      "wall_ns": t_naive, "ok": ok})
         (got, _), t_k = _timed(lambda: mp.boolean_min_plus(a, adj))

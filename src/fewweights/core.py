@@ -67,8 +67,20 @@ def saturating_add(a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inf = (a >= POS_INF) | (b >= POS_INF)
-    out = np.where(inf, POS_INF, a + b)
-    return out
+    return np.where(inf, POS_INF, a + b)
+
+
+def sum_tier(top):
+    """(dtype, lift L, cut) of the narrowest w-bit integer dtype, w = 16, 32
+    or 64, with top <= 2^(w-4), L = 2^(w-2) - 1 and cut 2^(w-3): a sum of two
+    entries of magnitude at most top lies within +-cut, a sum through an
+    entry lifted to L is at least L - top > cut, and L + L does not wrap.
+    None when top > 2^60."""
+    for dtype in (np.int16, np.int32, np.int64):
+        w = np.iinfo(dtype).bits
+        if top <= 2 ** (w - 4):
+            return dtype, 2 ** (w - 2) - 1, 2 ** (w - 3)
+    return None
 
 
 class WeightMatrix:

@@ -26,7 +26,9 @@ from .additive import (
 )
 from .core import (AuditError, BOT, NEG_INF, POS_INF, WeightError,
                    WeightMatrix, _line_runs, _run_firsts, _stack_codes,
-                   occurrence_stats, row_values)
+                   occurrence_stats, row_values, sum_tier)
+
+_BRUTE_CELLS = 2 ** 16  # cells of one block of aete_brute's (k, n, n) sums
 
 _PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
@@ -287,21 +289,29 @@ class RegularityAudit:
 # ----------------------------------------------------------------------------
 
 def aete_brute(inst, with_witnesses=True):
-    """Exact triple loop over k; the oracle for every other solver."""
-    a, b, c = inst.matrices()
-    n = inst.n
-    yes = np.zeros((n, n), dtype=bool)
-    wit = np.full((n, n), -1, dtype=np.int64) if with_witnesses else None
-    cfin = c != BOT
-    for k in range(n):
-        ok = (a[:, k, None] != BOT) & (b[None, k, :] != BOT) & cfin
-        # bot sentinels may wrap in the masked lanes of the sum; the mask
-        # keeps any wrapped value out and finite sums stay below 2^62.
-        match = ok & (a[:, k, None] + b[None, k, :] == c)
+    """Exact search over every k; the oracle for every other solver.  Each
+    block of k is one a + b == c in core.sum_tier's dtype, BOT in A and B
+    lifted to L and C's BOT or entries past the cut set to the dtype's
+    minimum, which no sum reaches (past 2^60: int64 with presence masks).
+    The witness of (i, j) is its least k, a running min of where(eq, k, n)."""
+    (a, b, c), n = inst.matrices(), inst.n
+    top = max(int(np.abs(m[m != BOT]).max(initial=0)) for m in (a, b))
+    dtype, lift, cut = sum_tier(top) or (np.int64, BOT, POS_INF)
+    at = np.where(a == BOT, lift, a).T.astype(dtype, order="C")
+    bl = np.where(b == BOT, lift, b).astype(dtype)
+    cl = np.where(np.abs(c) > cut, np.iinfo(dtype).min, c).astype(dtype)
+    yes, wit = np.zeros((n, n), dtype=bool), np.full((n, n), n)
+    kb = max(1, _BRUTE_CELLS // (n * n or 1))
+    for k0 in range(0, n, kb):
+        ks = slice(k0, k0 + kb)
+        eq = at[ks, :, None] + bl[ks, None, :] == cl
+        if lift == BOT:
+            eq &= (at[ks, :, None] != BOT) & (bl[ks, None, :] != BOT)
+        yes |= eq.any(axis=0)
         if with_witnesses:
-            wit = np.where(match & (wit < 0), k, wit)
-        yes |= match
-    return TriangleReport(yes, wit)
+            k = np.arange(k0, k0 + len(eq), dtype=np.int32)[:, None, None]
+            np.minimum(wit, np.where(eq, k, n).min(axis=0), out=wit)
+    return TriangleReport(yes, np.where(yes, wit, -1) if with_witnesses else None)
 
 
 # ----------------------------------------------------------------------------

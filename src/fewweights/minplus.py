@@ -7,8 +7,9 @@ products with witness-path reconstruction.
 The naive oracle min_plus_naive sums over every k, with no masks: +inf is
 lifted to a value just below half the dtype's range, the rows of A go in
 blocks of bounded memory, each block is one add and one minimum over k,
-and entries above the cut become +inf again.  It runs in int32 when both
-operands' finite magnitudes are at most 2^28, else in int64.
+and entries above the cut become +inf again.  It runs in int16 when both
+operands' finite magnitudes are at most 2^12 (L = 2^14 - 1, cut 2^13), in
+int32 when at most 2^28, else in int64 (core.sum_tier).
 
 There is one min-plus kernel, d_weights_min_plus, with two routes.  The
 bucket product: each row of A is sorted and cut into buckets of at most 24
@@ -60,6 +61,7 @@ from .core import (
     one_hop_offdiag,
     require_distinct_weights,
     saturating_add,
+    sum_tier,
 )
 
 # Finite kernel operands must stay below this magnitude so that sums remain
@@ -81,10 +83,11 @@ _BUCKET_CELLS = 2**22
 _GATHER_CELLS = 2**16
 
 # Cell budget of one block of min_plus_naive: the block's (inner, rows, m)
-# sum array holds at most 512 KiB in int64, or one row of B when m alone is
-# larger.  At 80 x 80 x 80 a product took 0.57 ms, against 0.79 ms in
-# blocks of 2**14 cells (one BLAS thread, 2-core x86-64 box, best of 5).
-_NAIVE_CELLS = 2**16
+# sum array holds at most 256 KiB in int16, or one row of B when m alone is
+# larger.  In int16 a 65 x 72 x 72 product took 0.21 ms, against 0.24 ms at
+# 2**16 cells (median of 15 interleaved best-of-5 rounds, one BLAS thread,
+# 2-core x86-64 box); int32 and int64 were no slower.
+_NAIVE_CELLS = 2**17
 
 counters = {
     "boolean_matmul": 0,
@@ -135,13 +138,13 @@ def min_plus_naive(A, B):
     minimum, so no temporary holds more than _NAIVE_CELLS cells, or one row
     of B when m alone is larger.
 
-    Overflow: operands hold |x| <= MAX_OPERAND = 2^60, so in int64, with
-    L = 2^62 - 1, a finite sum lies within +-2^61 (the cut), a sum through
-    one lifted entry is at least L - 2^60 > 2^61, and L + L = 2^63 - 2 does
-    not wrap.  When every finite entry of both operands has |x| <= 2^28 the
-    same runs in int32 with L = 2^30 - 1 and cut 2^29, by the same
-    argument (L - 2^28 > 2^29, L + L = 2^31 - 2).  Entries above the cut
-    become POS_INF.
+    Overflow (core.sum_tier): operands hold |x| <= MAX_OPERAND = 2^60, so
+    in int64, with L = 2^62 - 1, a finite sum lies within +-2^61 (the cut),
+    a sum through one lifted entry is at least L - 2^60 > 2^61, and L + L
+    does not wrap.  With |x| <= 2^28 the same holds in int32 (L = 2^30 - 1,
+    cut 2^29), and with |x| <= 2^12 in int16 (L = 2^14 - 1, cut 2^13:
+    L - 2^12 > 2^13, L + L = 32766).  Entries above the cut become POS_INF;
+    the output is int64 in every tier.
     """
     a, b = _as_data(A), _as_data(B)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -152,10 +155,7 @@ def min_plus_naive(A, B):
     n3 = b.shape[1]
     if n1 == 0 or n2 == 0 or n3 == 0:
         return WeightMatrix(np.full((n1, n3), POS_INF, dtype=np.int64), copy=False)
-    if top <= 2**28:
-        dtype, lift, cut = np.int32, 2**30 - 1, 2**29
-    else:
-        dtype, lift, cut = np.int64, 2**62 - 1, 2**61
+    dtype, lift, cut = sum_tier(top)
     at = np.where(a == POS_INF, lift, a).T.astype(dtype, order="C")
     bl = np.where(b == POS_INF, lift, b).astype(dtype, copy=False)
     work = np.empty((n1, n3), dtype=dtype)

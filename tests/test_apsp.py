@@ -167,7 +167,7 @@ def test_oracle_raises_instead_of_wrapping(weight):
     # the path 0 -> 39 weighs 39 * weight, beyond the kernel operand bound:
     # an unchecked int64 sum gives +inf at 2^59 and a value past GUARD at 2^56
     g = node_weighted_graph(40, [(i, i + 1) for i in range(39)], [weight] * 40)
-    with pytest.raises(WeightError):
+    with pytest.raises(WeightError, match=r"graph on 40 nodes .* bound 2\^60"):
         ap.apsp_oracle(g)
     with pytest.raises(WeightError):
         ap.solve_apsp(g, "nw-det")

@@ -19,20 +19,22 @@ PROMISES = ("A_rows", "A_cols", "B_rows", "B_cols", "C_rows", "C_cols")
 
 
 def brute_reference(inst):
-    """Second, purely scalar triple loop: independent of aete_brute."""
-    a, b, c = inst.matrices()
+    """Second, purely scalar triple loop, independent of aete_brute: per
+    (i, j) whether some k closes a triangle, and the least such k (-1 where
+    none)."""
+    a, b, c = (m.tolist() for m in inst.matrices())
     n = inst.n
-    yes = np.zeros((n, n), dtype=bool)
+    bot = int(BOT)
+    wit = np.full((n, n), -1, dtype=np.int64)
     for i in range(n):
-        for k in range(n):
-            if a[i, k] == BOT:
+        for j in range(n):
+            if c[i][j] == bot:
                 continue
-            for j in range(n):
-                if b[k, j] == BOT or c[i, j] == BOT:
-                    continue
-                if int(a[i, k]) + int(b[k, j]) == int(c[i, j]):
-                    yes[i, j] = True
-    return yes
+            for k in range(n):
+                if bot not in (a[i][k], b[k][j]) and a[i][k] + b[k][j] == c[i][j]:
+                    wit[i, j] = k
+                    break
+    return wit >= 0, wit
 
 
 def check_exact_decomposition(inst, instances, triples, uniform_d=None,
@@ -96,7 +98,7 @@ def test_instance_rejects_entries_outside_the_domain():
         inst = et.TriangleInstance(np.full((2, 2), v), np.full((2, 2), -v), zero)
         assert et.aete_brute(inst).yes.all()
         assert np.array_equal(et.aete_few_weights(inst, 1, 28.0).yes,
-                              brute_reference(inst))
+                              brute_reference(inst)[0])
 
 
 def test_sum_equal_to_bot_is_no_triangle():
@@ -128,8 +130,83 @@ def test_brute_matches_independent_loop():
         inst, _ = random_triangle_instance(int(rng.integers(2, 17)),
                                            int(rng.integers(1, 5)), rng)
         rep = et.aete_brute(inst)
-        assert np.array_equal(rep.yes, brute_reference(inst))
+        yes, wit = brute_reference(inst)
+        assert np.array_equal(rep.yes, yes) and np.array_equal(rep.witness, wit)
         assert rep.verify_witnesses(inst)
+
+
+# Stand-ins for BOT in a drawn sum a[i, k] + b[k, j] that makes a C entry:
+# BOT's own encoding (a lane the int64 masks drop) and the lifts L of the
+# int16, int32 and int64 tiers.  Offsets added to the sum: 0 keeps a
+# triangle, 1 misses, and 2^16 and 2^32 wrap to the sum in int16 and int32.
+_BOT_STAND_INS = [int(BOT), 2**14 - 1, 2**30 - 1, 2**62 - 1]
+_C_OFFSETS = [0, 0, 0, 1, 2**16, -2**16, 2**32, -2**32]
+
+
+@st.composite
+def brute_instances(draw):
+    """Instances with n from 0 to 8.  A and B each draw a magnitude cap,
+    2^12, 2^12 + 1, 2^28, 2^28 + 1 or 2^62 - 1, on either side of each
+    core.sum_tier rule and at the domain edge, hold +-cap, values within it
+    and BOT, and have all-BOT rows of A and columns of B.  Each C entry is
+    a drawn sum, BOT replaced by one of _BOT_STAND_INS, plus one of
+    _C_OFFSETS, and BOT where that leaves the domain; C has drawn all-BOT
+    rows and columns."""
+    n = draw(st.integers(0, 8))
+
+    def operand():
+        cap = draw(st.sampled_from([2**12, 2**12 + 1, 2**28, 2**28 + 1, 2**62 - 1]))
+        values = st.one_of(st.integers(-cap, cap), st.sampled_from([cap, -cap, int(BOT)]))
+        return draw(hnp.arrays(np.int64, (n, n), elements=values))
+
+    a, b = operand(), operand()
+    a[draw(hnp.arrays(bool, n))] = BOT
+    b[:, draw(hnp.arrays(bool, n))] = BOT
+    al, bl = a.tolist(), b.tolist()
+    stand_in = st.sampled_from(_BOT_STAND_INS)
+    c = np.full((n, n), BOT, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            k = draw(st.integers(0, n - 1))
+            x, y = al[i][k], bl[k][j]
+            x, y = (draw(stand_in) if v == BOT else v for v in (x, y))
+            v = x + y + draw(st.sampled_from(_C_OFFSETS))
+            if abs(v) < 2**62:
+                c[i, j] = v
+    c[draw(hnp.arrays(bool, n))] = BOT
+    c[:, draw(hnp.arrays(bool, n))] = BOT
+    return et.TriangleInstance(a, b, c)
+
+
+def test_brute_extreme_sums_are_triangles():
+    # every sum of two entries at +-2^12, +-(2^12 + 1), +-2^28, +-(2^28 + 1),
+    # +-2^60 or +-(2^62 - 1) that stays in the domain closes a triangle,
+    # including the sums just past the int16 and int32 cuts
+    ext = [v * sign for v in (2**12, 2**12 + 1, 2**28, 2**28 + 1, 2**60, 2**62 - 1)
+           for sign in (1, -1)]
+    for x in ext:
+        for y in ext:
+            if abs(x + y) < 2**62:
+                inst = et.TriangleInstance([[x, BOT], [0, 0]], [[y, 0], [0, 0]],
+                                           [[x + y, BOT], [BOT, BOT]])
+                rep = et.aete_brute(inst)
+                assert rep.yes.tolist() == [[True, False], [False, False]]
+                assert rep.witness[0, 0] == 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(brute_instances())
+def test_brute_matches_scalar_reference_in_every_tier(inst):
+    # a one-cell budget takes k one at a time, so a k offset lost across
+    # blocks changes the witnesses
+    yes, wit = brute_reference(inst)
+    for cells in (et._BRUTE_CELLS, 1):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(et, "_BRUTE_CELLS", cells)
+            rep = et.aete_brute(inst)
+            assert np.array_equal(rep.yes, yes) and np.array_equal(rep.witness, wit)
+            rep = et.aete_brute(inst, with_witnesses=False)
+            assert np.array_equal(rep.yes, yes) and rep.witness is None
 
 
 # ----------------------------------------------------------------------------
@@ -612,7 +689,7 @@ def test_pair_oracle_matches_brute(mats):
     yes = pair_oracle(inst)
     assert yes.shape == (inst.n, inst.n)
     assert np.array_equal(yes, et.aete_brute(inst, with_witnesses=False).yes)
-    assert np.array_equal(yes, brute_reference(inst))
+    assert np.array_equal(yes, brute_reference(inst)[0])
 
 
 def test_summing_slots_at_257_slots_stays_quadratic():
@@ -1300,7 +1377,7 @@ def test_regularize_matches_per_piece_reference():
         got_rng, want_rng = np.random.default_rng(t), np.random.default_rng(t)
         got = et.aete_few_weights(inst, d, 28.0, rng=got_rng).yes
         assert np.array_equal(got, few_weights_reference(inst, d, 28.0, want_rng))
-        assert np.array_equal(got, brute_reference(inst))
+        assert np.array_equal(got, brute_reference(inst)[0])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert splits
 
@@ -1324,7 +1401,7 @@ def test_few_weights_cover_pieces_match_reference(monkeypatch):
         calls = len(covers)
         assert np.array_equal(got, few_weights_reference(inst, 4, 28.0, want_rng))
         assert len(covers) == 2 * calls
-        assert np.array_equal(got, brute_reference(inst))
+        assert np.array_equal(got, brute_reference(inst)[0])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         total += calls
         covers.clear()
